@@ -128,44 +128,43 @@ def run_bench(
 
     opts = SendOptions(http_timeout_ms=120_000, push_wait_ms=120_000, max_trials=1,
                        auth_token=auth_token)
-    client = Client(host, port, device_id=device_id, auth_token=auth_token, clock=clock)
-
-    for payload_size in payload_sizes:
-        payload = bytes(i % 256 for i in range(payload_size))
-        for response_size in response_sizes:
-            service = service_name_for(response_size)
-            direct_times, rmaws_times = [], []
-            direct_len = rmaws_len = None
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                direct = client.send_direct(service, payload, opts)
-                direct_times.append(time.perf_counter() - t0)
-                t0 = time.perf_counter()
-                enveloped = client.send(service, payload, opts)
-                rmaws_times.append(time.perf_counter() - t0)
-                if enveloped.status is not ResponseStatus.OK:
-                    raise RuntimeError(f"bench send failed: {enveloped.status}")
-                if direct.body != enveloped.body:
-                    raise RuntimeError("direct and enveloped bodies differ")
-                direct_len = len(direct.body)
-                rmaws_len = len(enveloped.body)
-            # Measure the wire size off the real codec rather than assuming
-            # the constant; the report invariant then cross-checks it.
-            wire_request = len(encode_request(build(service, payload, False, 1,
-                                                    lambda: 1, device_id)))
-            report.rows.append({
-                "payload_size": payload_size,
-                "response_size": response_size,
-                "request_bytes_direct": payload_size,
-                "request_bytes_rmaws": wire_request,
-                "overhead_bytes": wire_request - payload_size,
-                "response_bytes_direct": direct_len,
-                "response_bytes_rmaws": rmaws_len,
-                "time_ms_direct_min": _ms(min(direct_times)),
-                "time_ms_direct_median": _ms(statistics.median(direct_times)),
-                "time_ms_rmaws_min": _ms(min(rmaws_times)),
-                "time_ms_rmaws_median": _ms(statistics.median(rmaws_times)),
-                "time_ms_delta_median": round(
-                    _ms(statistics.median(rmaws_times)) - _ms(statistics.median(direct_times)), 3),
-            })
+    with Client(host, port, device_id=device_id, auth_token=auth_token, clock=clock) as client:
+        for payload_size in payload_sizes:
+            payload = bytes(i % 256 for i in range(payload_size))
+            for response_size in response_sizes:
+                service = service_name_for(response_size)
+                direct_times, rmaws_times = [], []
+                direct_len = rmaws_len = None
+                for _ in range(repeats):
+                    t0 = time.perf_counter()
+                    direct = client.send_direct(service, payload, opts)
+                    direct_times.append(time.perf_counter() - t0)
+                    t0 = time.perf_counter()
+                    enveloped = client.send(service, payload, opts)
+                    rmaws_times.append(time.perf_counter() - t0)
+                    if enveloped.status is not ResponseStatus.OK:
+                        raise RuntimeError(f"bench send failed: {enveloped.status}")
+                    if direct.body != enveloped.body:
+                        raise RuntimeError("direct and enveloped bodies differ")
+                    direct_len = len(direct.body)
+                    rmaws_len = len(enveloped.body)
+                # Measure the wire size off the real codec rather than assuming
+                # the constant; the report invariant then cross-checks it.
+                wire_request = len(encode_request(build(service, payload, False, 1,
+                                                        lambda: 1, device_id)))
+                report.rows.append({
+                    "payload_size": payload_size,
+                    "response_size": response_size,
+                    "request_bytes_direct": payload_size,
+                    "request_bytes_rmaws": wire_request,
+                    "overhead_bytes": wire_request - payload_size,
+                    "response_bytes_direct": direct_len,
+                    "response_bytes_rmaws": rmaws_len,
+                    "time_ms_direct_min": _ms(min(direct_times)),
+                    "time_ms_direct_median": _ms(statistics.median(direct_times)),
+                    "time_ms_rmaws_min": _ms(min(rmaws_times)),
+                    "time_ms_rmaws_median": _ms(statistics.median(rmaws_times)),
+                    "time_ms_delta_median": round(_ms(statistics.median(rmaws_times))
+                                                  - _ms(statistics.median(direct_times)), 3),
+                })
     return report

@@ -15,10 +15,17 @@ import logging
 import socket
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 
 from . import ws
 from .envelope import (
+    CHANNEL_HEADER,
+    DEDUP_KEY_WIDTH,
+    RID_HEADER,
+    RID_WIDTH,
+    STATUS_HEADER,
+    TOKEN_HEADER,
     Channel,
     RequestEnvelope,
     RequestId,
@@ -35,12 +42,11 @@ from .envelope import (
 
 log = logging.getLogger(__name__)
 
-TOKEN_HEADER = "X-RMAWS-Token"
-RID_HEADER = "X-RMAWS-Rid"
-CHANNEL_HEADER = "X-RMAWS-Channel"
-STATUS_HEADER = "X-RMAWS-Status"
-
 DEFAULT_PUSH_WAIT_MS = 30_000
+# What a kept-alive connection that the server closed while idle raises
+# when it is used again, before any byte of a response arrives.
+_STALE_CONNECTION_ERRORS = (http.client.RemoteDisconnected, ConnectionResetError,
+                            BrokenPipeError)
 
 
 @dataclass(frozen=True)
@@ -308,12 +314,25 @@ class _PushSlot:
         self.event = threading.Event()
         self.resp: ResponseEnvelope | None = None
         self.dead = False
+        # Whether the last Register went out on a connection that was
+        # already open, and whether the server has answered it since.
+        self.reused = False
+        self.answered = False
+
+    @property
+    def lost_on_reuse(self) -> bool:
+        """The connection died before answering a Register sent on it
+        after it had been kept open: most likely the server closed it
+        while idle just as the Register went out, and dropped it."""
+        return self.dead and self.reused and not self.answered
 
 
 class PushClient:
     """Shared push connection: one reader thread dispatches Deliver frames
-    to waiting sends by dedup key. Opened lazily on first timeout, reused
-    across sends, closed once no registration is outstanding."""
+    to waiting sends by dedup key. Opened lazily on first timeout and kept
+    open across sends until ``close()``, or until the PushClient is freed.
+    When the server closes it (after ``push_idle_timeout_ms`` idle, or on
+    stop), the next registration connects again."""
 
     def __init__(self, host: str, port: int, token: str, *, connect_timeout_s: float = 5.0):
         self.host = host
@@ -333,20 +352,29 @@ class PushClient:
         duplicate as idempotent. Returns the wait slot, or None when the
         channel is unavailable."""
         with self._lock:
+            reused = self._conn is not None
             if self._conn is None:
                 try:
                     sock = socket.create_connection((self.host, self.port),
                                                     timeout=self.connect_timeout_s)
+                except OSError as exc:
+                    log.debug("push connect failed: %s", exc)
+                    return None
+                try:
                     sock.settimeout(None)
                     self._conn = ws.client_handshake(sock, f"{self.host}:{self.port}", "/push")
                 except (OSError, ws.WsError) as exc:
-                    log.debug("push connect failed: %s", exc)
+                    log.debug("push handshake failed: %s", exc)
+                    sock.close()
                     return None
-                threading.Thread(target=self._reader, args=(self._conn,), daemon=True).start()
+                self._close_conn = weakref.finalize(self, self._conn.shutdown)
+                threading.Thread(target=PushClient._reader, args=(weakref.ref(self), self._conn),
+                                 daemon=True).start()
             slot = self._slots.get(rid.dedup_key)
             if slot is None:
                 slot = _PushSlot()
                 self._slots[rid.dedup_key] = slot
+            slot.reused, slot.answered = reused, False
             try:
                 self._conn.send_binary(encode_push_frame(register_frame(rid, self.token)))
             except ws.WsError as exc:
@@ -364,64 +392,84 @@ class PushClient:
         return "timeout", None
 
     def release(self, rid: RequestId) -> None:
-        """Drop the registration; close the socket when none are left."""
+        """Drop the registration; the connection stays open."""
         with self._lock:
             self._slots.pop(rid.dedup_key, None)
-            if not self._slots and self._conn is not None:
+
+    def close(self) -> None:
+        """Send a Close frame and close the connection; a send still
+        waiting on it sees the channel die."""
+        with self._lock:
+            if self._conn is not None:
                 try:
                     self._conn.send_binary(encode_push_frame(close_frame()))
                 except ws.WsError:
                     pass
-                self._conn.shutdown()
-                self._conn = None
+            self._mark_dead_locked()
 
     def _mark_dead_locked(self) -> None:
         if self._conn is not None:
-            self._conn.shutdown()
+            self._close_conn()
             self._conn = None
         for slot in self._slots.values():
             slot.dead = True
             slot.event.set()
         self._slots.clear()
 
-    def _reader(self, conn: ws.WsConnection) -> None:
+    @staticmethod
+    def _reader(ref: weakref.ref, conn: ws.WsConnection) -> None:
+        # Holds the PushClient only while handling a message: a dropped
+        # Client frees it, and its finalizer closes the connection.
         while True:
             try:
                 message = conn.recv_message()
             except (ws.WsError, OSError):
                 message = None
-            if message is None:
-                with self._lock:
-                    if self._conn is conn:
-                        self._mark_dead_locked()
+            push = ref()
+            if push is None:
                 return
-            try:
-                frame = decode_push_frame(message)
-            except Exception as exc:
-                log.warning("undecodable push frame: %s", exc)
-                continue
-            if frame.kind is FrameKind.DELIVER:
-                resp = ResponseEnvelope(
-                    frame.rid,
-                    _status_from_meta(frame.meta),
-                    Channel.PUSH,
-                    frame.body,
-                )
-                with self._lock:
-                    slot = self._slots.pop(frame.rid.dedup_key, None)
-                if slot is None:
-                    log.debug("dropping unmatched Deliver for %s", frame.rid.short())
-                    continue
-                slot.resp = resp
-                slot.event.set()
-            elif frame.kind is FrameKind.REGISTER_ACK:
-                if frame.meta == "UA":
-                    log.warning("push registration unauthorized; closing")
-                    with self._lock:
-                        if self._conn is conn:
-                            self._mark_dead_locked()
-                    return
-                log.debug("register ack %s for %s", frame.meta, frame.rid.short())
+            if message is None or not push._dispatch(message):
+                with push._lock:
+                    if push._conn is conn:
+                        push._mark_dead_locked()
+                return
+            del push
+
+    def _dispatch(self, message: bytes) -> bool:
+        """Handle one push frame; False when the connection must close."""
+        try:
+            frame = decode_push_frame(message)
+        except Exception as exc:
+            log.warning("undecodable push frame: %s", exc)
+            return True
+        if frame.kind is FrameKind.DELIVER:
+            resp = ResponseEnvelope(
+                frame.rid,
+                _status_from_meta(frame.meta),
+                Channel.PUSH,
+                frame.body,
+            )
+            with self._lock:
+                slot = self._slots.pop(frame.rid.dedup_key, None)
+            if slot is None:
+                log.debug("dropping unmatched Deliver for %s", frame.rid.short())
+                return True
+            slot.resp = resp
+            slot.event.set()
+        elif frame.kind is FrameKind.REGISTER_ACK:
+            if frame.meta == "UA":
+                log.warning("push registration unauthorized; closing")
+                return False
+            log.debug("register ack %s for %s", frame.meta, frame.rid.short())
+            with self._lock:
+                slot = self._slots.get(frame.rid.dedup_key)
+                if slot is not None:
+                    slot.answered = True
+        elif frame.kind is FrameKind.CLOSE:
+            # The server is closing the connection (idle, or stopping):
+            # a Register sent from now on would be lost.
+            return False
+        return True
 
 
 def _status_from_meta(meta: str | None) -> ResponseStatus:
@@ -438,6 +486,10 @@ class Client:
     key. A clock passed in is trusted as-is: a frozen clock re-sends one
     identity on purpose, and a clock that repeats a value for different
     payloads gets the server's ``IdentityConflict`` rejection.
+
+    HTTP exchanges reuse kept-alive connections to the server, and the
+    push connection stays open once made; ``close()``, or leaving a
+    ``with`` block, closes them, and so does dropping the Client.
     """
 
     def __init__(self, host: str, port: int, *, device_id: str = "client",
@@ -446,12 +498,34 @@ class Client:
         self.port = port
         self.device_id = device_id
         self.auth_token = auth_token
-        self.clock = clock if clock is not None else self._next_timestamp
+        if clock is None:
+            # Not a bound method: a Client that refers to itself is freed
+            # only by the cycle collector, and until then its idle
+            # connections hold a server thread each.
+            def clock() -> int:
+                return _PROCESS_TIMESTAMPS.allocate(device_id, _wall_ms())
+        self.clock = clock
         self.defaults = defaults if defaults is not None else SendOptions(auth_token=auth_token)
         self._push = PushClient(host, port, auth_token)
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+        # A Client dropped without close() still closes its connections.
+        weakref.finalize(self, _close_all, self._idle)
 
-    def _next_timestamp(self) -> int:
-        return _PROCESS_TIMESTAMPS.allocate(self.device_id, _wall_ms())
+    def close(self) -> None:
+        """Close the idle HTTP connections and the push connection. A send
+        made afterwards opens new ones."""
+        with self._idle_lock:
+            idle = self._idle[:]
+            self._idle.clear()
+        _close_all(idle)
+        self._push.close()
+
+    def __enter__(self) -> "Client":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- the send state machine, interpreted with blocking IO ---------
 
@@ -490,68 +564,119 @@ class Client:
         return machine.on_http_transport_error(refused=(kind == "refused"))
 
     def _drive_push(self, machine: SendMachine, eff: RegisterPush) -> list:
-        slot = self._push.register(eff.rid)
-        if slot is None:
-            return machine.on_push_register_failed()
-        kind, resp = self._push.wait(slot, eff.wait_ms)
+        deadline = time.monotonic() + eff.wait_ms / 1000.0
+        for _ in range(2):
+            slot = self._push.register(eff.rid)
+            if slot is None:
+                return machine.on_push_register_failed()
+            kind, resp = self._push.wait(slot, max(0.0, deadline - time.monotonic()) * 1000.0)
+            # A Register lost to the server closing the kept-open push
+            # connection goes out once more, on a new connection, within
+            # the same wait and trial. Registering a key again is safe.
+            if not slot.lost_on_reuse:
+                break
         if kind == "deliver":
             return machine.on_push_delivered(resp)
         if kind == "dead":
             return machine.on_push_dead()
         return machine.on_push_timeout(eff.epoch)
 
-    def _post_envelope(self, env: RequestEnvelope, timeout_ms: int):
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=timeout_ms / 1000.0)
+    def _post(self, path: str, body: bytes, headers: dict, timeout_s: float,
+              rid: RequestId | None = None) -> tuple[http.client.HTTPResponse, bytes]:
+        """POST on a kept-alive connection; return the response and its body.
+
+        The connection goes back to the free-list only after a complete
+        response that leaves it open. After a timeout or any other error
+        it is closed, never reused: closing is how the server learns that
+        the exchange was abandoned. A reused connection that fails before
+        any byte of a response arrives was most likely closed by the
+        server while idle, so the request goes out once more on a new
+        connection. That is safe: the server closes an idle connection
+        only between requests, and a re-sent /services request carries
+        the same rid, so the server replays it or attaches it.
+
+        With ``rid``, a response whose rid header names another identity
+        raises ``HTTPException``: the stream is out of step.
+        """
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
+        reused = conn is not None
+        if reused:
+            conn.sock.settimeout(timeout_s)
+        else:
+            conn = http.client.HTTPConnection(self.host, self.port, timeout=timeout_s)
         try:
-            conn.request(
-                "POST",
+            while True:
+                try:
+                    conn.request("POST", path, body=body, headers=headers)
+                    raw = conn.getresponse()
+                    break
+                except _STALE_CONNECTION_ERRORS:
+                    if not reused:
+                        raise
+                    conn.close()
+                    conn = http.client.HTTPConnection(self.host, self.port, timeout=timeout_s)
+                    reused = False
+            data = raw.read()
+            answered = raw.headers.get(RID_HEADER)
+            # http.client strips leading spaces from a header value; a rid
+            # is fixed-width, so padding restores those of a device id.
+            if rid is not None and answered is not None \
+                    and answered.rjust(RID_WIDTH)[:DEDUP_KEY_WIDTH] != rid.dedup_key:
+                raise http.client.HTTPException(f"response for another request: {answered!r}")
+        except BaseException:
+            conn.close()
+            raise
+        if raw.will_close:
+            conn.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(conn)
+        return raw, data
+
+    def _post_envelope(self, env: RequestEnvelope, timeout_ms: int):
+        try:
+            raw, body = self._post(
                 f"/services/{env.service_name}",
-                body=encode_request(env),
-                headers={TOKEN_HEADER: self.auth_token,
-                         "Content-Type": "application/octet-stream"},
+                encode_request(env),
+                {TOKEN_HEADER: self.auth_token, "Content-Type": "application/octet-stream"},
+                timeout_ms / 1000.0,
+                env.rid,
             )
-            raw = conn.getresponse()
-            body = raw.read()
-            status = raw.headers.get(STATUS_HEADER)
-            channel = raw.headers.get(CHANNEL_HEADER)
-            if status is None or channel is None:
-                return "broken", None
-            resp = ResponseEnvelope(env.rid, ResponseStatus(status), Channel(channel), body)
-            return "response", resp
         except ConnectionRefusedError:
             return "refused", None
         except (socket.timeout, TimeoutError):
-            # Abandon the exchange: closing the socket is what tells the
-            # server this client is no longer waiting here.
             return "timeout", None
         except (OSError, http.client.HTTPException) as exc:
             log.debug("http transport error: %s", exc)
             return "broken", None
-        finally:
-            conn.close()
+        try:
+            status = ResponseStatus(raw.headers.get(STATUS_HEADER))
+            channel = Channel(raw.headers.get(CHANNEL_HEADER))
+        except ValueError:
+            return "broken", None
+        return "response", ResponseEnvelope(env.rid, status, channel, body)
 
     def send_direct(self, service: str, payload: bytes, opts: SendOptions | None = None) -> Outcome:
         """Baseline path: raw payload, no envelope, no dedup, no fallback."""
         opts = opts if opts is not None else self.defaults
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=opts.http_timeout_ms / 1000.0)
         try:
-            conn.request("POST", f"/direct/{service}", body=payload,
-                         headers={"Content-Type": "application/octet-stream"})
-            raw = conn.getresponse()
-            body = raw.read()
-            if raw.status != 200:
-                raise ClientError("Transport", f"direct call failed: HTTP {raw.status}")
-            return Outcome(status=ResponseStatus.OK, body=body, channel=Channel.HTTP,
-                           trials_used=1, rid=None)
-        except ClientError:
-            raise
+            raw, body = self._post(f"/direct/{service}", payload,
+                                   {"Content-Type": "application/octet-stream"},
+                                   opts.http_timeout_ms / 1000.0)
         except (socket.timeout, TimeoutError) as exc:
             raise ClientError("Transport", "direct call timed out") from exc
-        except OSError as exc:
+        except (OSError, http.client.HTTPException) as exc:
             raise ClientError("Transport", f"direct call failed: {exc}") from exc
-        finally:
-            conn.close()
+        if raw.status != 200:
+            raise ClientError("Transport", f"direct call failed: HTTP {raw.status}")
+        return Outcome(status=ResponseStatus.OK, body=body, channel=Channel.HTTP,
+                       trials_used=1, rid=None)
+
+
+def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+    for conn in connections:
+        conn.close()
 
 
 def _wall_ms() -> int:

@@ -64,6 +64,13 @@ _NAME_CHARS = frozenset(string.printable) - frozenset("|\t\n\r\x0b\x0c")
 
 NIL_RID_FIELD = "0" * RID_WIDTH  # rid slot of frames that carry no rid
 
+# HTTP headers of /services exchanges. Metadata rides here so that the
+# response body stays byte-identical to the service output.
+TOKEN_HEADER = "X-RMAWS-Token"
+RID_HEADER = "X-RMAWS-Rid"
+CHANNEL_HEADER = "X-RMAWS-Channel"
+STATUS_HEADER = "X-RMAWS-Status"
+
 
 class EnvelopeError(ValueError):
     """Base class for all codec and identifier errors."""

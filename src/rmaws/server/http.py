@@ -1,11 +1,14 @@
 """Live threaded server: /services, /direct, /push and /healthz.
 
-Each request runs on its own thread. A request thread that wins the
-execution runs the handler itself; duplicate arrivals for the same dedup
-key park on the in-flight record and every live exchange writes the
-completed response on its own socket. Push deliveries are written by the
-finishing thread. Client disconnects are detected with a zero-byte peek
-before each write, which is what turns an abandoned exchange into the
+Each accepted connection runs on its own thread and serves HTTP/1.1
+keep-alive requests one after another; an idle connection is closed
+after ``KEEPALIVE_IDLE_S``. A request thread that wins the execution runs
+the handler itself; duplicate arrivals for the same dedup key park on
+the in-flight record and every live exchange writes the completed
+response on its own connection, in one write with Nagle's algorithm off.
+Push deliveries are written by the finishing thread. A client abandons
+an exchange by closing its connection; a zero-byte peek before each
+write detects that, which is what turns an abandoned exchange into the
 push/cache fallback path.
 """
 
@@ -23,6 +26,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .. import ws
 from ..envelope import (
+    CHANNEL_HEADER,
+    RID_HEADER,
+    STATUS_HEADER,
+    TOKEN_HEADER,
     Channel,
     MalformedEnvelope,
     RequestEnvelope,
@@ -37,15 +44,16 @@ from .store import AppendOnlyFileStore
 
 log = logging.getLogger(__name__)
 
-TOKEN_HEADER = "X-RMAWS-Token"
-RID_HEADER = "X-RMAWS-Rid"
-CHANNEL_HEADER = "X-RMAWS-Channel"
-STATUS_HEADER = "X-RMAWS-Status"
-
 _VALIDATION_HTTP_CODES = {"BadId": 400, "UnknownService": 404, "Unauthorized": 401,
                           "IdentityConflict": 409}
 DEFAULT_CACHE_TTL_MS = 24 * 60 * 60 * 1000
 WAITER_CAP_S = 600.0
+# Bounds every blocking read and write on an HTTP connection: the wait
+# for the next keep-alive request, and a peer that stalls mid-request or
+# stops reading a response. /push connections use push_idle_timeout_ms.
+# Until it ends, an idle connection holds a thread and about 28 KB; a
+# client that sends again within the bound saves a connect per send.
+KEEPALIVE_IDLE_S = 5.0
 
 
 @dataclass
@@ -112,32 +120,28 @@ class LiveExchange:
     def respond(self, resp: ResponseEnvelope, http_code: int) -> bool:
         if not self.alive():
             return False
-        try:
-            handler = self.handler
-            handler.send_response(http_code)
-            handler.send_header("Content-Type", "application/octet-stream")
-            handler.send_header("Content-Length", str(len(resp.body)))
-            handler.send_header(RID_HEADER, resp.rid.canonical())
-            handler.send_header(CHANNEL_HEADER, resp.channel.value)
-            handler.send_header(STATUS_HEADER, resp.status.value)
-            handler.end_headers()
-            handler.wfile.write(resp.body)
-            handler.wfile.flush()
-            return True
-        except OSError as exc:
-            log.debug("response write failed: %s", exc)
-            return False
+        return self.handler.write_response(http_code, resp.body, {
+            RID_HEADER: resp.rid.canonical(),
+            CHANNEL_HEADER: resp.channel.value,
+            STATUS_HEADER: resp.status.value,
+        })
 
 
 def _socket_alive(sock: socket.socket) -> bool:
-    """Peek for EOF without consuming; a closed peer reads as b""."""
+    """Peek for EOF without consuming or waiting; a closed peer reads as
+    b"". The socket is switched to non-blocking for the peek: under a
+    timeout, Python waits for the socket to become readable even with
+    MSG_DONTWAIT."""
+    timeout = sock.gettimeout()
+    sock.settimeout(0.0)
     try:
-        data = sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT)
-        return bool(data)
+        return bool(sock.recv(1, socket.MSG_PEEK))
     except (BlockingIOError, InterruptedError):
         return True
     except OSError:
         return False
+    finally:
+        sock.settimeout(timeout)
 
 
 def _http_code_for(resp: ResponseEnvelope, validation: ValidationError | None = None) -> int:
@@ -170,9 +174,13 @@ class RmawsServer:
         self._httpd.rmaws = self
         self._thread: threading.Thread | None = None
         self._sessions: set[PushSession] = set()
-        self._session_socks: dict[PushSession, socket.socket] = {}
         self._sessions_lock = threading.Lock()
+        # Guarded by _active_lock: requests in flight, each connection
+        # with the thread serving it, and whether stop() has drained
+        # (after which no request starts).
         self._active = 0
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._drained = False
         self._active_lock = threading.Lock()
         self._idle = threading.Condition(self._active_lock)
         self._stopping = False
@@ -196,31 +204,49 @@ class RmawsServer:
         return self
 
     def stop(self, *, drain_timeout_s: float = 30.0) -> None:
-        """Graceful stop: stop accepting, drain in-flight deliveries,
-        close push connections, release the socket."""
+        """Graceful stop: stop accepting, drain in-flight requests, say
+        goodbye on push connections, shut down every connection that is
+        left (idle keep-alive ones included), wait for their threads to
+        end and release the socket. A thread still running a handler
+        when the drain times out is given one more second."""
         self._stopping = True
         self._httpd.shutdown()
         deadline = time.monotonic() + drain_timeout_s
         with self._idle:
             while self._active > 0 and time.monotonic() < deadline:
                 self._idle.wait(timeout=max(0.0, deadline - time.monotonic()))
+            self._drained = True
+            connections = list(self._connections.items())
         with self._sessions_lock:
             sessions = list(self._sessions)
         for session in sessions:
             session.send_goodbye()
-            sock = self._session_socks.get(session)
-            if sock is not None:
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
+        for sock, _ in connections:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        join_until = max(deadline, time.monotonic() + 1.0)
+        for _, thread in connections:
+            thread.join(timeout=max(0.0, join_until - time.monotonic()))
         if self._thread is not None:
             self._thread.join(timeout=5.0)
         self._httpd.server_close()
 
-    def _begin_request(self) -> None:
+    def _track(self, sock: socket.socket, thread: threading.Thread) -> None:
+        # Threads are forgotten only once they have ended, so stop() also
+        # waits for one that has closed its socket but not yet returned.
         with self._active_lock:
+            self._connections = {s: t for s, t in self._connections.items() if t.is_alive()}
+            self._connections[sock] = thread
+
+    def _begin_request(self) -> bool:
+        """Count a request in flight; False once stop() has drained."""
+        with self._active_lock:
+            if self._drained:
+                return False
             self._active += 1
+            return True
 
     def _end_request(self) -> None:
         with self._idle:
@@ -298,101 +324,155 @@ class RmawsServer:
 
     # -- push sessions ------------------------------------------------------
 
-    def attach_session(self, session: PushSession, sock: socket.socket) -> None:
+    def attach_session(self, session: PushSession) -> None:
         with self._sessions_lock:
             self._sessions.add(session)
-            self._session_socks[session] = sock
 
     def detach_session(self, session: PushSession) -> None:
         with self._sessions_lock:
             self._sessions.discard(session)
-            self._session_socks.pop(session, None)
 
 
 class _Httpd(ThreadingHTTPServer):
-    daemon_threads = True
     allow_reuse_address = True
+    # The default listen backlog of 5 overflows when more clients than
+    # that connect at once; the kernel drops their SYNs and they retry
+    # only after 1 s.
+    request_queue_size = socket.SOMAXCONN
     rmaws: "RmawsServer"
+
+    def process_request(self, request, client_address):
+        # One thread per connection, tracked so that stop() can shut the
+        # connection down and wait for its thread.
+        thread = threading.Thread(target=self.process_request_thread,
+                                  args=(request, client_address),
+                                  name=f"rmaws-conn-{self.server_address[1]}", daemon=True)
+        self.rmaws._track(request, thread)
+        thread.start()
+
+
+_VALIDATION_HEADERS = {STATUS_HEADER: ResponseStatus.VALIDATION_ERROR.value,
+                       CHANNEL_HEADER: Channel.HTTP.value}
 
 
 class RmawsRequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "rmaws/0.1"
+    # TCP_NODELAY on every accepted socket, /push included: a response or
+    # push frame leaves at once instead of waiting for the peer's delayed
+    # ACK of the previous segment.
+    disable_nagle_algorithm = True
 
     @property
     def rmaws(self) -> RmawsServer:
         return self.server.rmaws
 
-    def log_message(self, fmt, *args):
-        log.debug("%s - %s", self.address_string(), fmt % args)
+    def setup(self):
+        self.timeout = KEEPALIVE_IDLE_S
+        super().setup()
 
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", "0"))
-        return self.rfile.read(length) if length else b""
-
-    def _plain(self, code: int, body: bytes, extra: dict | None = None) -> None:
+    def handle(self):
         try:
-            self.send_response(code)
-            self.send_header("Content-Type", "application/octet-stream")
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in (extra or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-        except OSError:
-            pass
+            super().handle()
+        except ConnectionError as exc:
+            log.debug("connection from %s reset: %s", self.client_address[0], exc)
+
+    def log_message(self, fmt, *args):
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("%s - %s", self.address_string(), fmt % args)
+
+    def _read_body(self) -> bytes | None:
+        """The request body, or None once a request whose body length is
+        not a plain Content-Length has been answered 400. The connection
+        then closes: the rest of the stream cannot be framed."""
+        length = self.headers.get("Content-Length", "0").strip()
+        if "Transfer-Encoding" in self.headers or not (length.isascii() and length.isdigit()):
+            self.close_connection = True
+            self.write_response(400, b"request body needs a valid Content-Length")
+            return None
+        size = int(length)
+        body = self.rfile.read(size) if size else b""
+        if len(body) < size:
+            self.close_connection = True  # the peer closed mid-body
+        return body
+
+    def write_response(self, code: int, body: bytes, headers: dict | None = None) -> bool:
+        """Write the status line, headers and body with one sendall, so a
+        kept-alive response never waits on Nagle's algorithm. Returns
+        False if the write failed. Says ``Connection: close`` when the
+        connection ends after this response."""
+        if self.rmaws._stopping:
+            self.close_connection = True
+        lines = [f"{self.protocol_version} {code} {self.responses[code][0]}",
+                 f"Server: {self.version_string()}",
+                 f"Date: {self.date_time_string()}",
+                 "Content-Type: application/octet-stream",
+                 f"Content-Length: {len(body)}"]
+        lines += [f"{name}: {value}" for name, value in (headers or {}).items()]
+        if self.close_connection:
+            lines.append("Connection: close")
+        try:
+            self.wfile.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
+        except OSError as exc:
+            log.debug("response write failed: %s", exc)
+            return False
+        self._responded = True
+        self.log_request(code, len(body))
+        return True
 
     def do_GET(self):
-        if self.path == "/healthz":
-            self._plain(200, b"ok")
-            return
         if self.path == "/push":
             self._handle_push_upgrade()
-            return
-        self._plain(404, b"not found")
+        else:
+            self._serve()
 
     def do_POST(self):
-        if self.path.startswith("/services/"):
-            self._handle_service()
-            return
-        if self.path.startswith("/direct/"):
-            name = self.path[len("/direct/"):]
-            code, body = self.rmaws.run_direct(name, self._read_body())
-            self._plain(code, body)
-            return
-        self._plain(404, b"not found")
+        self._serve()
 
-    def _handle_service(self):
+    def _serve(self):
+        """Read the body, route, answer. The request counts as in flight,
+        so stop() drains it; a request that got no complete answer closes
+        its connection, because the client may still wait for one."""
         server = self.rmaws
-        server._begin_request()
-        try:
-            raw = self._read_body()
-            try:
-                env = decode_request(raw)
-            except MalformedEnvelope as exc:
-                self._plain(400, str(exc).encode("utf-8"),
-                            {STATUS_HEADER: ResponseStatus.VALIDATION_ERROR.value,
-                             CHANNEL_HEADER: Channel.HTTP.value})
-                return
-            name = self.path[len("/services/"):]
-            if name != env.service_name:
-                self._plain(400, b"path does not match envelope service",
-                            {STATUS_HEADER: ResponseStatus.VALIDATION_ERROR.value,
-                             CHANNEL_HEADER: Channel.HTTP.value})
-                return
-            exchange = LiveExchange(self, env)
-            token = self.headers.get(TOKEN_HEADER, "")
-            server.handle_request(env, exchange, token)
-        finally:
+        self._responded = False
+        if not server._begin_request():
             self.close_connection = True
+            return
+        try:
+            body = self._read_body()
+            if body is None:
+                return
+            if self.command == "GET" and self.path == "/healthz":
+                self.write_response(200, b"ok")
+            elif self.command == "POST" and self.path.startswith("/services/"):
+                self._handle_service(body)
+            elif self.command == "POST" and self.path.startswith("/direct/"):
+                self.write_response(*server.run_direct(self.path[len("/direct/"):], body))
+            else:
+                self.write_response(404, b"not found")
+        finally:
+            if not self._responded:
+                self.close_connection = True
             server._end_request()
+
+    def _handle_service(self, raw: bytes) -> None:
+        try:
+            env = decode_request(raw)
+        except MalformedEnvelope as exc:
+            self.write_response(400, str(exc).encode("utf-8"), _VALIDATION_HEADERS)
+            return
+        if self.path[len("/services/"):] != env.service_name:
+            self.write_response(400, b"path does not match envelope service", _VALIDATION_HEADERS)
+            return
+        self.rmaws.handle_request(env, LiveExchange(self, env), self.headers.get(TOKEN_HEADER, ""))
 
     def _handle_push_upgrade(self):
         server = self.rmaws
         try:
             response = ws.server_handshake_response(self.headers)
         except ws.WsError as exc:
-            self._plain(400, str(exc).encode("utf-8"))
+            self.close_connection = True
+            self.write_response(400, str(exc).encode("utf-8"))
             return
         try:
             self.connection.sendall(response)
@@ -400,7 +480,7 @@ class RmawsRequestHandler(BaseHTTPRequestHandler):
             return
         conn = ws.WsConnection(self.connection, mask_outgoing=False)
         session = PushSession(server.core, conn.send_binary, conn_id=uuid.uuid4().hex[:8])
-        server.attach_session(session, self.connection)
+        server.attach_session(session)
         idle_s = server.config.push_idle_timeout_ms / 1000.0
         self.connection.settimeout(idle_s)
         try:

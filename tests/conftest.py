@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from rmaws.server.handlers import HandlerRegistry, make_synthetic
@@ -30,4 +32,9 @@ def live_server():
 
     yield start
     for server in servers:
+        name = f"rmaws-conn-{server.port}"
         server.stop(drain_timeout_s=5.0)
+        # A connection thread that outlives stop() is a leaked keep-alive
+        # or push connection.
+        leaked = [t for t in threading.enumerate() if t.name == name]
+        assert leaked == [], f"{len(leaked)} connection thread(s) alive after stop()"

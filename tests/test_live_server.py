@@ -1,12 +1,18 @@
 import http.client
+import socket
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from rmaws.client import Client, ClientError, SendOptions
-from rmaws.envelope import Channel, ResponseStatus
+import rmaws.server.http
+from rmaws import ws
+from rmaws.client import Client, ClientError, SendOptions, build
+from rmaws.push import PushSession
+from rmaws.envelope import CHANNEL_HEADER, RID_HEADER, STATUS_HEADER, Channel, ResponseStatus
 from rmaws.server.handlers import HandlerRegistry, ServiceHandler, make_synthetic
+from rmaws.server.http import _Httpd
 
 from conftest import TOKEN
 
@@ -249,3 +255,212 @@ def test_refused_connection_is_transport_error():
     assert err.value.kind == "Transport"
     with pytest.raises(ClientError):
         client.send_direct("echo", b"x", SendOptions(http_timeout_ms=200, auth_token=TOKEN))
+
+
+# -- keep-alive -------------------------------------------------------------
+
+def count_accepts(monkeypatch):
+    """Record every connection the server accepts from now on."""
+    accepts = []
+    original = _Httpd.process_request
+
+    def process_request(httpd, request, client_address):
+        accepts.append(client_address)
+        return original(httpd, request, client_address)
+
+    monkeypatch.setattr(_Httpd, "process_request", process_request)
+    return accepts
+
+
+def test_sequential_sends_share_one_connection(live_server, monkeypatch):
+    accepts = count_accepts(monkeypatch)
+    server = live_server([{"name": "echo"}])
+    client = make_client(server)
+    for i in range(50):
+        outcome = client.send("echo", b"p%d" % i)
+        assert (outcome.channel, outcome.body, outcome.trials_used) == (Channel.HTTP, b"p%d" % i, 1)
+    for i in range(5):
+        assert client.send_direct("echo", b"d%d" % i).body == b"d%d" % i
+    assert len(accepts) == 1
+
+
+def test_timed_out_connection_is_not_reused(live_server):
+    slow, _ = counting_handler("slow", body=b"slow body", delay_ms=300)
+    server = live_server(registry=HandlerRegistry().add(slow).add(make_synthetic("echo")))
+    client = make_client(server)
+    pushed = client.send("slow", b"p", SendOptions(
+        http_timeout_ms=100, push_wait_ms=10_000, auth_token=TOKEN))
+    assert (pushed.channel, pushed.body) == (Channel.PUSH, b"slow body")
+    # Had the abandoned connection been pooled, the slow response written
+    # on it would now answer this send.
+    fast = client.send("echo", b"fast payload")
+    assert (fast.channel, fast.body, fast.trials_used) == (Channel.HTTP, b"fast payload", 1)
+
+
+def test_send_after_server_closed_idle_connection(live_server, monkeypatch):
+    monkeypatch.setattr(rmaws.server.http, "KEEPALIVE_IDLE_S", 0.2)
+    accepts = count_accepts(monkeypatch)
+    handler, calls = counting_handler("orders")
+    server = live_server(registry=HandlerRegistry().add(handler))
+    client = make_client(server)
+    client.send("orders", b"first")
+    time.sleep(0.6)  # the server closes the pooled connection meanwhile
+    outcome = client.send("orders", b"second")
+    assert (outcome.channel, outcome.body, outcome.trials_used) == (Channel.HTTP, b"BODY", 1)
+    assert server.core.execution_count(outcome.rid.dedup_key) == 1
+    assert calls == [b"first", b"second"]
+    assert len(accepts) == 2
+
+
+def test_pooled_connection_after_stop_is_transport_error(live_server):
+    server = live_server([{"name": "echo"}])
+    client = make_client(server)
+    client.send("echo", b"before")
+    server.stop(drain_timeout_s=5.0)
+    started = time.monotonic()
+    with pytest.raises(ClientError) as err:
+        client.send("echo", b"after", SendOptions(http_timeout_ms=2_000, auth_token=TOKEN))
+    assert err.value.kind == "Transport"
+    assert time.monotonic() - started < 1.0
+
+
+@pytest.mark.parametrize("length", ["abc", "-1", "1_0"])
+def test_bad_content_length_gets_400_and_close(live_server, length):
+    server = live_server([{"name": "echo"}])
+    with socket.create_connection(server.address, timeout=5.0) as sock:
+        sock.sendall(f"POST /services/echo HTTP/1.1\r\nHost: x\r\n"
+                     f"Content-Length: {length}\r\n\r\n".encode("ascii"))
+        data = b""
+        while chunk := sock.recv(4096):  # ends only when the server closes
+            data += chunk
+    head = data.split(b"\r\n\r\n")[0]
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"\r\nConnection: close" in head
+
+
+def count_handshakes(monkeypatch):
+    """Record every WebSocket handshake a client makes from now on."""
+    handshakes = []
+    original = ws.client_handshake
+
+    def client_handshake(*args):
+        handshakes.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ws, "client_handshake", client_handshake)
+    return handshakes
+
+
+def test_push_connection_outlives_a_fallback(live_server, monkeypatch):
+    handshakes = count_handshakes(monkeypatch)
+    handler, calls = counting_handler("slow", body=b"late", delay_ms=300)
+    server = live_server(registry=HandlerRegistry().add(handler))
+    opts = SendOptions(http_timeout_ms=100, push_wait_ms=10_000, auth_token=TOKEN)
+    with make_client(server) as client:
+        outcomes = [client.send("slow", b"p%d" % i, opts) for i in range(2)]
+    assert [(o.channel, o.body) for o in outcomes] == [(Channel.PUSH, b"late")] * 2
+    assert len(calls) == 2
+    assert len(handshakes) == 1
+
+
+def test_push_reconnects_after_server_idle_close(live_server, monkeypatch):
+    handshakes = count_handshakes(monkeypatch)
+    handler, calls = counting_handler("slow", body=b"late", delay_ms=150)
+    server = live_server(registry=HandlerRegistry().add(handler), push_idle_timeout_ms=300)
+    opts = SendOptions(http_timeout_ms=50, push_wait_ms=10_000, max_trials=1, auth_token=TOKEN)
+    client = make_client(server)
+    first = client.send("slow", b"first", opts)
+    time.sleep(0.6)  # the server closes the idle push connection meanwhile
+    second = client.send("slow", b"second", opts)
+    assert [(o.channel, o.body, o.trials_used) for o in (first, second)] == \
+        [(Channel.PUSH, b"late", 1)] * 2
+    assert calls == [b"first", b"second"]
+    assert len(handshakes) == 2
+
+
+def test_register_lost_to_idle_close_goes_out_again(live_server, monkeypatch):
+    # The server drops the second Register and closes the connection
+    # without an answer, as when its idle close crosses the Register.
+    registers = []
+    on_register = PushSession._on_register
+
+    def dropping_on_register(session, frame):
+        registers.append(frame.rid.dedup_key)
+        return len(registers) != 2 and on_register(session, frame)
+
+    monkeypatch.setattr(PushSession, "_on_register", dropping_on_register)
+    handshakes = count_handshakes(monkeypatch)
+    handler, calls = counting_handler("slow", body=b"late", delay_ms=150)
+    server = live_server(registry=HandlerRegistry().add(handler))
+    opts = SendOptions(http_timeout_ms=50, push_wait_ms=10_000, max_trials=1, auth_token=TOKEN)
+    client = make_client(server)
+    outcomes = [client.send("slow", b"p%d" % i, opts) for i in range(2)]
+    assert [(o.channel, o.body, o.trials_used) for o in outcomes] == [(Channel.PUSH, b"late", 1)] * 2
+    assert len(calls) == 2
+    assert len(registers) == 3 and registers[1] == registers[2]
+    assert len(handshakes) == 2
+
+
+def test_device_id_with_leading_space_is_answered_over_http(live_server):
+    server = live_server([{"name": "echo"}])
+    client = make_client(server, device_id=" " + "d" * 31)
+    outcome = client.send("echo", b"spaced")
+    assert (outcome.channel, outcome.body, outcome.trials_used) == (Channel.HTTP, b"spaced", 1)
+    assert outcome.rid.dedup_key.startswith(" d")
+
+
+class _ForeignRidHandler(BaseHTTPRequestHandler):
+    """Answers every POST with a well-formed response for another rid."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        foreign = build("echo", b"", False, 1, lambda: 1, "someone-else").rid
+        self.send_response(200)
+        self.send_header("Content-Length", "4")
+        self.send_header(RID_HEADER, foreign.canonical())
+        self.send_header(CHANNEL_HEADER, Channel.HTTP.value)
+        self.send_header(STATUS_HEADER, ResponseStatus.OK.value)
+        self.end_headers()
+        self.wfile.write(b"BODY")
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+def test_response_for_another_rid_is_not_accepted():
+    stub = ThreadingHTTPServer(("127.0.0.1", 0), _ForeignRidHandler)
+    thread = threading.Thread(target=stub.serve_forever, daemon=True)
+    thread.start()
+    try:
+        client = Client(*stub.server_address[:2], auth_token=TOKEN)
+        with pytest.raises(ClientError) as err:
+            client.send("echo", b"mine", SendOptions(
+                http_timeout_ms=2_000, push_wait_ms=50, max_trials=1, auth_token=TOKEN))
+        assert err.value.kind == "Exhausted"
+        client.close()
+    finally:
+        stub.shutdown()
+        stub.server_close()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()
+
+
+def test_dropped_client_closes_its_connections(live_server):
+    handler, _ = counting_handler("slow", body=b"late", delay_ms=150)
+    server = live_server(registry=HandlerRegistry().add(handler).add(make_synthetic("echo")))
+    client = make_client(server)
+    client.send("slow", b"p", SendOptions(http_timeout_ms=50, push_wait_ms=10_000, auth_token=TOKEN))
+    client.send("echo", b"kept")
+    name = f"rmaws-conn-{server.port}"
+
+    def open_connections():
+        return sum(t.name == name for t in threading.enumerate())
+
+    assert open_connections() == 2  # the push connection and the idle HTTP one
+    del client
+    deadline = time.monotonic() + 2.0
+    while open_connections() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert open_connections() == 0

@@ -1,16 +1,14 @@
-"""Measurement harness comparing direct and enveloped request paths.
+"""Size report comparing direct and enveloped request paths.
 
 For each (payload size, response size) pair the harness drives both the
-raw ``/direct`` route and the full protocol path against a live server,
-recording wire sizes and wall latency. Size columns are deterministic
-byte counts; time columns report min and median over the repeats.
+raw ``/direct`` route and the full protocol path against a live server
+and records wire sizes, which are deterministic byte counts. Timing is
+``perfbench``'s job (``python3 perfbench/run.py``).
 """
 
 from __future__ import annotations
 
 import json
-import statistics
-import time
 from dataclasses import dataclass, field
 
 from .client import Client, SendOptions, build
@@ -20,7 +18,6 @@ from .server.handlers import HandlerRegistry, make_synthetic
 DEFAULT_PAYLOAD_SIZES = [25, 55]
 DEFAULT_RESPONSE_SIZES = [5, 191745, 2167000]
 FULL_RESPONSE_SIZES = [4592949, 6828571]  # multi-MB rows, behind --full
-DEFAULT_REPEATS = 5
 
 
 def service_name_for(response_size: int) -> str:
@@ -43,7 +40,6 @@ def bench_services_config(response_sizes: list[int]) -> list[dict]:
 class BenchReport:
     payload_sizes: list[int]
     response_sizes: list[int]
-    repeats: int
     rows: list[dict] = field(default_factory=list)
 
     def problems(self) -> list[str]:
@@ -64,7 +60,6 @@ class BenchReport:
         return {
             "payload_sizes": self.payload_sizes,
             "response_sizes": self.response_sizes,
-            "repeats": self.repeats,
             "overhead_bytes": OVERHEAD_BYTES,
             "rows": self.rows,
         }
@@ -75,16 +70,13 @@ class BenchReport:
     def render_text(self) -> str:
         headers = [
             "payload", "response", "req_direct", "req_rmaws", "overhead",
-            "resp_direct", "resp_rmaws", "t_direct_min", "t_direct_med",
-            "t_rmaws_min", "t_rmaws_med", "t_delta_med",
+            "resp_direct", "resp_rmaws",
         ]
         keys = [
             "payload_size", "response_size", "request_bytes_direct", "request_bytes_rmaws",
             "overhead_bytes", "response_bytes_direct", "response_bytes_rmaws",
-            "time_ms_direct_min", "time_ms_direct_median",
-            "time_ms_rmaws_min", "time_ms_rmaws_median", "time_ms_delta_median",
         ]
-        table = [headers] + [[_cell(row[k]) for k in keys] for row in self.rows]
+        table = [headers] + [[str(row[k]) for k in keys] for row in self.rows]
         widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
         lines = []
         for i, line in enumerate(table):
@@ -94,16 +86,6 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.3f}"
-    return str(value)
-
-
-def _ms(seconds: float) -> float:
-    return round(seconds * 1000.0, 3)
-
-
 def run_bench(
     host: str,
     port: int,
@@ -111,14 +93,13 @@ def run_bench(
     *,
     payload_sizes: list[int] | None = None,
     response_sizes: list[int] | None = None,
-    repeats: int = DEFAULT_REPEATS,
     device_id: str = "bench",
 ) -> BenchReport:
     payload_sizes = payload_sizes if payload_sizes is not None else list(DEFAULT_PAYLOAD_SIZES)
     response_sizes = response_sizes if response_sizes is not None else list(DEFAULT_RESPONSE_SIZES)
-    report = BenchReport(payload_sizes, response_sizes, repeats)
+    report = BenchReport(payload_sizes, response_sizes)
 
-    # A counter clock guarantees a fresh dedup key per repeat so every
+    # A counter clock guarantees a fresh dedup key per row so every
     # enveloped request actually executes instead of replaying.
     tick = [1_700_000_000_000]
 
@@ -133,21 +114,12 @@ def run_bench(
             payload = bytes(i % 256 for i in range(payload_size))
             for response_size in response_sizes:
                 service = service_name_for(response_size)
-                direct_times, rmaws_times = [], []
-                direct_len = rmaws_len = None
-                for _ in range(repeats):
-                    t0 = time.perf_counter()
-                    direct = client.send_direct(service, payload, opts)
-                    direct_times.append(time.perf_counter() - t0)
-                    t0 = time.perf_counter()
-                    enveloped = client.send(service, payload, opts)
-                    rmaws_times.append(time.perf_counter() - t0)
-                    if enveloped.status is not ResponseStatus.OK:
-                        raise RuntimeError(f"bench send failed: {enveloped.status}")
-                    if direct.body != enveloped.body:
-                        raise RuntimeError("direct and enveloped bodies differ")
-                    direct_len = len(direct.body)
-                    rmaws_len = len(enveloped.body)
+                direct = client.send_direct(service, payload, opts)
+                enveloped = client.send(service, payload, opts)
+                if enveloped.status is not ResponseStatus.OK:
+                    raise RuntimeError(f"bench send failed: {enveloped.status}")
+                if direct.body != enveloped.body:
+                    raise RuntimeError("direct and enveloped bodies differ")
                 # Measure the wire size off the real codec rather than assuming
                 # the constant; the report invariant then cross-checks it.
                 wire_request = len(encode_request(build(service, payload, False, 1,
@@ -158,13 +130,7 @@ def run_bench(
                     "request_bytes_direct": payload_size,
                     "request_bytes_rmaws": wire_request,
                     "overhead_bytes": wire_request - payload_size,
-                    "response_bytes_direct": direct_len,
-                    "response_bytes_rmaws": rmaws_len,
-                    "time_ms_direct_min": _ms(min(direct_times)),
-                    "time_ms_direct_median": _ms(statistics.median(direct_times)),
-                    "time_ms_rmaws_min": _ms(min(rmaws_times)),
-                    "time_ms_rmaws_median": _ms(statistics.median(rmaws_times)),
-                    "time_ms_delta_median": round(_ms(statistics.median(rmaws_times))
-                                                  - _ms(statistics.median(direct_times)), 3),
+                    "response_bytes_direct": len(direct.body),
+                    "response_bytes_rmaws": len(enveloped.body),
                 })
     return report

@@ -13,7 +13,6 @@ import threading
 
 from .bench import (
     DEFAULT_PAYLOAD_SIZES,
-    DEFAULT_REPEATS,
     DEFAULT_RESPONSE_SIZES,
     FULL_RESPONSE_SIZES,
     BenchReport,
@@ -106,7 +105,7 @@ def cmd_bench(args) -> int:
         host, port = server.address
     try:
         report = run_bench(host, port, args.token, payload_sizes=payload_sizes,
-                           response_sizes=response_sizes, repeats=args.repeats)
+                           response_sizes=response_sizes)
     except Exception as exc:
         print(f"error: bench failed: {exc}", file=sys.stderr)
         if server is not None:
@@ -204,7 +203,7 @@ def cmd_report(args) -> int:
         return EXIT_BAD_INPUT
     if "rows" in raw:
         report = BenchReport(raw.get("payload_sizes", []), raw.get("response_sizes", []),
-                             raw.get("repeats", 0), raw["rows"])
+                             raw["rows"])
         print(report.render_text(), end="")
         return EXIT_OK
     if "total_scenarios" in raw:
@@ -232,12 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--break-dedup", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_serve)
 
-    p = sub.add_parser("bench", help="measure direct vs enveloped requests")
+    p = sub.add_parser("bench", help="compare direct and enveloped wire sizes")
     p.add_argument("--server", help="host:port of a running server (default: in-process)")
     p.add_argument("--token", default="", help="auth token for the server")
     p.add_argument("--payload-sizes", help="comma-separated request payload sizes")
     p.add_argument("--response-sizes", help="comma-separated response body sizes")
-    p.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
     p.add_argument("--full", action="store_true",
                    help="include the multi-megabyte response rows")
     p.add_argument("--out", default="report.json")

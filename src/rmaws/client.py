@@ -6,11 +6,18 @@ transitions, and emits effects for a driver to perform. The live driver
 (``Client``) interprets effects with blocking sockets; the simulator
 interprets the same machine with virtual-clock events, so both exercise
 identical protocol behaviour.
+
+``Client`` frames HTTP/1.1 itself through ``rmaws.http1``: each request
+goes out as head and body in one write on a kept-alive socket, and each
+response is read through the one buffered reader that socket keeps. A
+response that cannot be framed (no plain ``Content-Length``, any
+``Transfer-Encoding``, a body cut short) or that answers another rid
+counts as a broken exchange: its connection closes and the send falls
+back to push, as after a timeout.
 """
 
 from __future__ import annotations
 
-import http.client
 import logging
 import socket
 import threading
@@ -18,7 +25,7 @@ import time
 import weakref
 from dataclasses import dataclass, field
 
-from . import ws
+from . import http1, ws
 from .envelope import (
     CHANNEL_HEADER,
     DEDUP_KEY_WIDTH,
@@ -45,8 +52,7 @@ log = logging.getLogger(__name__)
 DEFAULT_PUSH_WAIT_MS = 30_000
 # What a kept-alive connection that the server closed while idle raises
 # when it is used again, before any byte of a response arrives.
-_STALE_CONNECTION_ERRORS = (http.client.RemoteDisconnected, ConnectionResetError,
-                            BrokenPipeError)
+_STALE_CONNECTION_ERRORS = (ConnectionResetError, BrokenPipeError)
 
 
 @dataclass(frozen=True)
@@ -507,7 +513,11 @@ class Client:
         self.clock = clock
         self.defaults = defaults if defaults is not None else SendOptions(auth_token=auth_token)
         self._push = PushClient(host, port, auth_token)
-        self._idle: list[http.client.HTTPConnection] = []
+        authority = f"[{host}]" if ":" in host else host
+        fields = {"Host": f"{authority}:{port}", "Content-Type": "application/octet-stream"}
+        self._direct_fields = http1.field_lines(fields)
+        self._service_fields = http1.field_lines({**fields, TOKEN_HEADER: auth_token})
+        self._idle: list[_Connection] = []
         self._idle_lock = threading.Lock()
         # A Client dropped without close() still closes its connections.
         weakref.finalize(self, _close_all, self._idle)
@@ -581,78 +591,86 @@ class Client:
             return machine.on_push_dead()
         return machine.on_push_timeout(eff.epoch)
 
-    def _post(self, path: str, body: bytes, headers: dict, timeout_s: float,
-              rid: RequestId | None = None) -> tuple[http.client.HTTPResponse, bytes]:
-        """POST on a kept-alive connection; return the response and its body.
+    def _post(self, path: str, body: bytes, field_block: bytes, timeout_s: float,
+              rid: RequestId | None = None) -> tuple[http1.ResponseHead, bytes]:
+        """POST on a kept-alive connection; return the response head and body.
 
-        The connection goes back to the free-list only after a complete
-        response that leaves it open. After a timeout or any other error
-        it is closed, never reused: closing is how the server learns that
-        the exchange was abandoned. A reused connection that fails before
-        any byte of a response arrives was most likely closed by the
-        server while idle, so the request goes out once more on a new
-        connection. That is safe: the server closes an idle connection
-        only between requests, and a re-sent /services request carries
-        the same rid, so the server replays it or attaches it.
+        Head and body go out in one write. The connection goes back to the
+        free-list only after a complete response that leaves it open.
+        After a timeout or any other error it is closed, never reused:
+        closing is how the server learns that the exchange was abandoned.
+        A reused connection that fails before any byte of a response
+        arrives was most likely closed by the server while idle, so the
+        request goes out once more on a new connection. That is safe: the
+        server closes an idle connection only between requests, and a
+        re-sent /services request carries the same rid, so the server
+        replays it or attaches it.
 
-        With ``rid``, a response whose rid header names another identity
-        raises ``HTTPException``: the stream is out of step.
+        A response that ``http1`` cannot frame (no plain Content-Length,
+        any Transfer-Encoding, a body cut short) raises ``HttpError``, and
+        so does one whose rid header names another identity than ``rid``:
+        in both cases the stream is out of step.
         """
+        request = http1.request("POST", path, field_block, body)
         with self._idle_lock:
             conn = self._idle.pop() if self._idle else None
         reused = conn is not None
-        if reused:
-            conn.sock.settimeout(timeout_s)
-        else:
-            conn = http.client.HTTPConnection(self.host, self.port, timeout=timeout_s)
         try:
+            if reused:
+                conn.sock.settimeout(timeout_s)
+            else:
+                conn = _Connection(self.host, self.port, timeout_s)
             while True:
                 try:
-                    conn.request("POST", path, body=body, headers=headers)
-                    raw = conn.getresponse()
+                    conn.sock.sendall(request)
+                    block = http1.read_head(conn.rfile)
+                    if block is None:
+                        raise ConnectionResetError("connection closed before a response")
                     break
                 except _STALE_CONNECTION_ERRORS:
                     if not reused:
                         raise
                     conn.close()
-                    conn = http.client.HTTPConnection(self.host, self.port, timeout=timeout_s)
+                    conn = _Connection(self.host, self.port, timeout_s)
                     reused = False
-            data = raw.read()
-            answered = raw.headers.get(RID_HEADER)
-            # http.client strips leading spaces from a header value; a rid
-            # is fixed-width, so padding restores those of a device id.
+            head = http1.parse_response(block)
+            length = http1.body_length(head.fields)
+            if length is None:
+                raise http1.HttpError(400, "response without Content-Length")
+            data = conn.rfile.read(length) if length else b""
+            if len(data) < length:
+                raise http1.HttpError(400, f"response body cut short at {len(data)} of {length} B")
+            answered = head.fields.get(RID_HEADER)
+            # Leading white space of a field value is not part of it; a
+            # rid is fixed-width, so padding restores that of a device id.
             if rid is not None and answered is not None \
                     and answered.rjust(RID_WIDTH)[:DEDUP_KEY_WIDTH] != rid.dedup_key:
-                raise http.client.HTTPException(f"response for another request: {answered!r}")
+                raise http1.HttpError(400, f"response for another request: {answered!r}")
         except BaseException:
-            conn.close()
+            if conn is not None:
+                conn.close()
             raise
-        if raw.will_close:
-            conn.close()
-        else:
+        if head.keep_alive:
             with self._idle_lock:
                 self._idle.append(conn)
-        return raw, data
+        else:
+            conn.close()
+        return head, data
 
     def _post_envelope(self, env: RequestEnvelope, timeout_ms: int):
         try:
-            raw, body = self._post(
-                f"/services/{env.service_name}",
-                encode_request(env),
-                {TOKEN_HEADER: self.auth_token, "Content-Type": "application/octet-stream"},
-                timeout_ms / 1000.0,
-                env.rid,
-            )
+            head, body = self._post(f"/services/{env.service_name}", encode_request(env),
+                                    self._service_fields, timeout_ms / 1000.0, env.rid)
         except ConnectionRefusedError:
             return "refused", None
         except (socket.timeout, TimeoutError):
             return "timeout", None
-        except (OSError, http.client.HTTPException) as exc:
+        except (OSError, ValueError, http1.HttpError) as exc:
             log.debug("http transport error: %s", exc)
             return "broken", None
         try:
-            status = ResponseStatus(raw.headers.get(STATUS_HEADER))
-            channel = Channel(raw.headers.get(CHANNEL_HEADER))
+            status = ResponseStatus(head.fields.get(STATUS_HEADER))
+            channel = Channel(head.fields.get(CHANNEL_HEADER))
         except ValueError:
             return "broken", None
         return "response", ResponseEnvelope(env.rid, status, channel, body)
@@ -661,20 +679,33 @@ class Client:
         """Baseline path: raw payload, no envelope, no dedup, no fallback."""
         opts = opts if opts is not None else self.defaults
         try:
-            raw, body = self._post(f"/direct/{service}", payload,
-                                   {"Content-Type": "application/octet-stream"},
-                                   opts.http_timeout_ms / 1000.0)
+            head, body = self._post(f"/direct/{service}", payload, self._direct_fields,
+                                    opts.http_timeout_ms / 1000.0)
         except (socket.timeout, TimeoutError) as exc:
             raise ClientError("Transport", "direct call timed out") from exc
-        except (OSError, http.client.HTTPException) as exc:
+        except (OSError, ValueError, http1.HttpError) as exc:
             raise ClientError("Transport", f"direct call failed: {exc}") from exc
-        if raw.status != 200:
-            raise ClientError("Transport", f"direct call failed: HTTP {raw.status}")
+        if head.status != 200:
+            raise ClientError("Transport", f"direct call failed: HTTP {head.status}")
         return Outcome(status=ResponseStatus.OK, body=body, channel=Channel.HTTP,
                        trials_used=1, rid=None)
 
 
-def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+class _Connection:
+    """A socket to the server and the one buffered reader it keeps for its
+    whole life, so bytes read ahead are never lost between responses."""
+
+    def __init__(self, host: str, port: int, timeout_s: float):
+        self.sock = socket.create_connection((host, port), timeout=timeout_s)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.rfile = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+
+def _close_all(connections: list[_Connection]) -> None:
     for conn in connections:
         conn.close()
 

@@ -2,7 +2,11 @@
 
 Each accepted connection runs on its own thread and serves HTTP/1.1
 keep-alive requests one after another; an idle connection is closed
-after ``KEEPALIVE_IDLE_S``. A request thread that wins the execution runs
+after ``KEEPALIVE_IDLE_S``. Heads are read, parsed and written by
+``rmaws.http1`` on a ``socketserver`` base: a head or body length that
+breaks its framing rules gets that module's status code (400, 414, 431
+or 505) and the connection closes, since the rest of the stream cannot
+be framed. A request thread that wins the execution runs
 the handler itself; duplicate arrivals for the same dedup key park on
 the in-flight record and every live exchange writes the completed
 response on its own connection, in one write with Nagle's algorithm off.
@@ -18,13 +22,13 @@ import json
 import logging
 import os
 import socket
+import socketserver
 import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .. import ws
+from .. import http1, ws
 from ..envelope import (
     CHANNEL_HEADER,
     RID_HEADER,
@@ -54,6 +58,7 @@ WAITER_CAP_S = 600.0
 # Until it ends, an idle connection holds a thread and about 28 KB; a
 # client that sends again within the bound saves a connect per send.
 KEEPALIVE_IDLE_S = 5.0
+SERVER_NAME = "rmaws/0.1"
 
 
 @dataclass
@@ -333,13 +338,14 @@ class RmawsServer:
             self._sessions.discard(session)
 
 
-class _Httpd(ThreadingHTTPServer):
+class _Httpd(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     # The default listen backlog of 5 overflows when more clients than
     # that connect at once; the kernel drops their SYNs and they retry
     # only after 1 s.
     request_queue_size = socket.SOMAXCONN
     rmaws: "RmawsServer"
+    _fixed_fields: tuple[int, bytes] = (-1, b"")
 
     def process_request(self, request, client_address):
         # One thread per connection, tracked so that stop() can shut the
@@ -350,14 +356,25 @@ class _Httpd(ThreadingHTTPServer):
         self.rmaws._track(request, thread)
         thread.start()
 
+    def fixed_fields(self) -> bytes:
+        """The Server, Date and Content-Type lines of every response. The
+        date changes once a second, so it is formatted once a second."""
+        now = int(time.time())
+        second, block = self._fixed_fields
+        if second != now:
+            block = (f"Server: {SERVER_NAME}\r\nDate: {http1.http_date(now)}\r\n"
+                     "Content-Type: application/octet-stream\r\n").encode("ascii")
+            self._fixed_fields = (now, block)
+        return block
+
 
 _VALIDATION_HEADERS = {STATUS_HEADER: ResponseStatus.VALIDATION_ERROR.value,
                        CHANNEL_HEADER: Channel.HTTP.value}
 
 
-class RmawsRequestHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "rmaws/0.1"
+class RmawsRequestHandler(socketserver.StreamRequestHandler):
+    """Serves the requests of one connection, one after another."""
+
     # TCP_NODELAY on every accepted socket, /push included: a response or
     # push frame leaves at once instead of waiting for the peer's delayed
     # ACK of the previous segment.
@@ -372,25 +389,56 @@ class RmawsRequestHandler(BaseHTTPRequestHandler):
         super().setup()
 
     def handle(self):
+        self.close_connection = False
         try:
-            super().handle()
+            while not self.close_connection:
+                self.handle_one_request()
         except ConnectionError as exc:
             log.debug("connection from %s reset: %s", self.client_address[0], exc)
 
-    def log_message(self, fmt, *args):
-        if log.isEnabledFor(logging.DEBUG):
-            log.debug("%s - %s", self.address_string(), fmt % args)
+    def handle_one_request(self):
+        """Read one request head, then answer the request. The connection
+        ends here when the peer closes it, when it stays idle or stalls
+        for ``KEEPALIVE_IDLE_S``, and after a head that breaks the framing
+        rules, which gets the status code of ``http1.HttpError``."""
+        self.close_connection = True
+        try:
+            block = http1.read_head(self.rfile)
+            if block is None:
+                return
+            head = http1.parse_request(block)
+        except TimeoutError:
+            return
+        except http1.HttpError as exc:
+            self.write_response(exc.status, exc.reason.encode("latin-1"))
+            return
+        self.head, self.command, self.path = head, head.method, head.target
+        self.close_connection = not head.keep_alive
+        try:
+            if head.method == "GET" and head.target == "/push":
+                self._handle_push_upgrade()
+            elif head.method in ("GET", "POST"):
+                self._serve()
+            else:
+                self.close_connection = True
+                self.write_response(501, b"method not implemented")
+        except TimeoutError:
+            self.close_connection = True
 
     def _read_body(self) -> bytes | None:
-        """The request body, or None once a request whose body length is
-        not a plain Content-Length has been answered 400. The connection
-        then closes: the rest of the stream cannot be framed."""
-        length = self.headers.get("Content-Length", "0").strip()
-        if "Transfer-Encoding" in self.headers or not (length.isascii() and length.isdigit()):
+        """The request body, or None once a request whose body is not
+        framed by a plain Content-Length has been answered 400. The
+        connection then closes: the rest of the stream cannot be framed.
+        ``Expect: 100-continue`` gets its interim response first."""
+        fields = self.head.fields
+        try:
+            size = http1.body_length(fields) or 0
+        except http1.HttpError as exc:
             self.close_connection = True
-            self.write_response(400, b"request body needs a valid Content-Length")
+            self.write_response(exc.status, exc.reason.encode("latin-1"))
             return None
-        size = int(length)
+        if self.head.version != "HTTP/1.0" and fields.get("expect", "").lower() == "100-continue":
+            self.connection.sendall(http1.CONTINUE)
         body = self.rfile.read(size) if size else b""
         if len(body) < size:
             self.close_connection = True  # the peer closed mid-body
@@ -403,31 +451,20 @@ class RmawsRequestHandler(BaseHTTPRequestHandler):
         connection ends after this response."""
         if self.rmaws._stopping:
             self.close_connection = True
-        lines = [f"{self.protocol_version} {code} {self.responses[code][0]}",
-                 f"Server: {self.version_string()}",
-                 f"Date: {self.date_time_string()}",
-                 "Content-Type: application/octet-stream",
-                 f"Content-Length: {len(body)}"]
-        lines += [f"{name}: {value}" for name, value in (headers or {}).items()]
+        fields = self.server.fixed_fields()
+        if headers:
+            fields += "".join(f"{name}: {value}\r\n"
+                              for name, value in headers.items()).encode("latin-1")
         if self.close_connection:
-            lines.append("Connection: close")
+            fields += b"Connection: close\r\n"
         try:
-            self.wfile.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
+            self.connection.sendall(http1.response(code, fields, body))
         except OSError as exc:
             log.debug("response write failed: %s", exc)
             return False
         self._responded = True
-        self.log_request(code, len(body))
+        log.debug("%s <- %d, %d B", self.client_address[0], code, len(body))
         return True
-
-    def do_GET(self):
-        if self.path == "/push":
-            self._handle_push_upgrade()
-        else:
-            self._serve()
-
-    def do_POST(self):
-        self._serve()
 
     def _serve(self):
         """Read the body, route, answer. The request counts as in flight,
@@ -464,12 +501,13 @@ class RmawsRequestHandler(BaseHTTPRequestHandler):
         if self.path[len("/services/"):] != env.service_name:
             self.write_response(400, b"path does not match envelope service", _VALIDATION_HEADERS)
             return
-        self.rmaws.handle_request(env, LiveExchange(self, env), self.headers.get(TOKEN_HEADER, ""))
+        self.rmaws.handle_request(env, LiveExchange(self, env),
+                                  self.head.fields.get(TOKEN_HEADER, ""))
 
     def _handle_push_upgrade(self):
         server = self.rmaws
         try:
-            response = ws.server_handshake_response(self.headers)
+            response = ws.server_handshake_response(self.head.fields)
         except ws.WsError as exc:
             self.close_connection = True
             self.write_response(400, str(exc).encode("utf-8"))

@@ -16,6 +16,8 @@ import socket
 import struct
 import threading
 
+from . import http1
+
 _GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 SUBPROTOCOL = "rmaws.v1"
 
@@ -178,8 +180,9 @@ def _header_token_present(value: str, token: str) -> bool:
 def server_handshake_response(headers) -> bytes:
     """Validate an upgrade request and build the 101 response bytes.
 
-    ``headers`` is any case-insensitive mapping (email.message.Message
-    works). Raises WsError when the request is not a conforming upgrade.
+    ``headers`` is any case-insensitive mapping, such as the
+    ``http1.Fields`` of a parsed request head. Raises WsError when the
+    request is not a conforming upgrade.
     """
     if (headers.get("Upgrade") or "").lower() != "websocket":
         raise WsError("missing Upgrade: websocket")
@@ -227,14 +230,13 @@ def client_handshake(sock: socket.socket, host: str, path: str) -> WsConnection:
             raise WsError("connection closed during handshake")
         buf += chunk
     head_bytes, rest = bytes(buf).split(b"\r\n\r\n", 1)
-    head = head_bytes.decode("latin-1")
-    lines = head.split("\r\n")
-    if not lines[0].startswith("HTTP/1.1 101"):
-        raise WsError(f"upgrade refused: {lines[0]}")
-    fields = {}
-    for line in lines[1:]:
-        name, _, value = line.partition(":")
-        fields[name.strip().lower()] = value.strip()
+    try:
+        head = http1.parse_response(head_bytes)
+    except http1.HttpError as exc:
+        raise WsError(f"malformed handshake response: {exc.reason}") from exc
+    if head.status != 101:
+        raise WsError(f"upgrade refused: {head.status} {head.reason}")
+    fields = head.fields
     if fields.get("sec-websocket-accept") != accept_key(key):
         raise WsError("bad Sec-WebSocket-Accept")
     if fields.get("sec-websocket-protocol") != SUBPROTOCOL:

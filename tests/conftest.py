@@ -1,4 +1,5 @@
 import threading
+import traceback
 
 import pytest
 
@@ -12,6 +13,7 @@ TOKEN = "test-token"
 def live_server():
     """Factory fixture: start a loopback server, stop it on teardown."""
     servers = []
+    errors = []
 
     def start(services=None, registry=None, *, auth_token=TOKEN, clock=None,
               cache_ttl_ms=None, push_idle_timeout_ms=300_000, break_dedup=False):
@@ -26,6 +28,10 @@ def live_server():
         if registry is None and not config.services:
             registry = HandlerRegistry().add(make_synthetic("echo"))
         server = RmawsServer(config, registry, clock=clock, break_dedup=break_dedup)
+        # A connection thread that ends in an exception prints a traceback
+        # and closes; malformed input must end in a defined answer instead.
+        server._httpd.handle_error = lambda request, address: errors.append(
+            (address, traceback.format_exc()))
         server.start()
         servers.append(server)
         return server
@@ -38,3 +44,4 @@ def live_server():
         # or push connection.
         leaked = [t for t in threading.enumerate() if t.name == name]
         assert leaked == [], f"{len(leaked)} connection thread(s) alive after stop()"
+    assert errors == [], "connection thread(s) ended in an exception"

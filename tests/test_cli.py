@@ -121,7 +121,7 @@ class TestBenchAndReport:
     def test_bench_desk_scale(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = run_cli("bench", "--payload-sizes", "25,55", "--response-sizes", "5,191745",
-                       "--repeats", "2", "--out", str(out))
+                       "--out", str(out))
         assert code == 0
         report = json.loads(out.read_text())
         rows = {(r["payload_size"], r["response_size"]): r for r in report["rows"]}
@@ -133,8 +133,6 @@ class TestBenchAndReport:
         text = capsys.readouterr().out
         # text table and JSON carry identical numbers
         assert "251" in text and "281" in text
-        for r in report["rows"]:
-            assert f"{r['time_ms_rmaws_median']:.3f}" in text
         assert run_cli("report", str(out)) == 0
 
     def test_report_rejects_garbage(self, tmp_path):
@@ -179,6 +177,7 @@ class TestServeConfig:
             assert proc.wait(timeout=10) == 0
         finally:
             proc.kill()
+            proc.communicate()  # reads and closes the pipes
 
     def test_bundled_listing(self):
         names = bundled_scenarios()

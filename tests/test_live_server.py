@@ -1,5 +1,6 @@
 import http.client
 import socket
+import socketserver
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -7,10 +8,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import rmaws.server.http
-from rmaws import ws
+from rmaws import http1, ws
 from rmaws.client import Client, ClientError, SendOptions, build
 from rmaws.push import PushSession
-from rmaws.envelope import CHANNEL_HEADER, RID_HEADER, STATUS_HEADER, Channel, ResponseStatus
+from rmaws.envelope import (CHANNEL_HEADER, RID_HEADER, STATUS_HEADER, Channel, ResponseStatus,
+                            decode_request)
 from rmaws.server.handlers import HandlerRegistry, ServiceHandler, make_synthetic
 from rmaws.server.http import _Httpd
 
@@ -336,6 +338,115 @@ def test_bad_content_length_gets_400_and_close(live_server, length):
     head = data.split(b"\r\n\r\n")[0]
     assert head.startswith(b"HTTP/1.1 400 ")
     assert b"\r\nConnection: close" in head
+
+
+def exchange_until_close(address, data: bytes) -> bytes:
+    """Send raw bytes, then read until the server closes. The read times
+    out well before the server's idle close would end it."""
+    with socket.create_connection(address, timeout=2.0) as sock:
+        sock.sendall(data)
+        out = b""
+        while chunk := sock.recv(65536):
+            out += chunk
+    return out
+
+
+SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+@pytest.mark.parametrize("request_bytes, status", [
+    (b"POST /direct/echo HTTP/1.1\r\nHost: x\r\nContent-Length: 3\r\nContent-Length: 40\r\n"
+     b"\r\nabc" + SMUGGLED, 400),
+    (b"POST /direct/echo HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+     b"3\r\nabc\r\n0\r\n\r\n" + SMUGGLED, 400),
+    (b"GET /healthz HTTP/1.1\r\nHost: x\r\nX-A: 1\r\n folded\r\n\r\n" + SMUGGLED, 400),
+    (b"GET /healthz HTTP/1.1\r\nHost : x\r\n\r\n" + SMUGGLED, 400),
+    (b"GET /healthz HTTP/1.1\r\nHost x\r\n\r\n" + SMUGGLED, 400),
+    (b"GET  /healthz HTTP/1.1\r\nHost: x\r\n\r\n" + SMUGGLED, 400),
+    (b"DELETE /healthz HTTP/1.1\r\nHost: x\r\n\r\n" + SMUGGLED, 501),
+    (b"GET /healthz HTTP/2.0\r\nHost: x\r\n\r\n" + SMUGGLED, 505),
+    (b"GET /healthz HTTP/1.1\r\n" + b"X: y\r\n" * 101 + b"\r\n" + SMUGGLED, 431),
+    # Exactly one byte past each limit, so that the server reads every
+    # byte sent and its close is a FIN, not a reset.
+    (b"GET /" + b"a" * 65532, 414),
+    (b"GET /healthz HTTP/1.1\r\nX: " + b"a" * 65534, 431),
+], ids=["duplicate-content-length", "transfer-encoding", "obs-fold", "space-before-colon",
+        "no-colon", "bad-request-line", "unknown-method", "http2", "too-many-fields",
+        "long-request-line", "long-fields"])
+def test_unframeable_request_gets_one_answer_and_close(live_server, request_bytes, status):
+    server = live_server([{"name": "echo"}])
+    data = exchange_until_close(server.address, request_bytes)
+    head, _, body = data.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 %d " % status)
+    assert b"\r\nConnection: close" in head
+    # Nothing follows the one answer: the bytes after the bad head were
+    # never read as a second request.
+    assert data.count(b"HTTP/1.1 ") == 1
+    assert len(body) == int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+
+
+def test_expect_100_continue_gets_an_interim_response(live_server):
+    server = live_server([{"name": "echo"}])
+    with socket.create_connection(server.address, timeout=2.0) as sock:
+        sock.sendall(b"POST /direct/echo HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+                     b"Content-Length: 5\r\n\r\n")
+        assert sock.recv(4096) == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(b"hello")
+        resp = http.client.HTTPResponse(sock)
+        resp.begin()
+        assert (resp.status, resp.read(), resp.will_close) == (200, b"hello", False)
+        resp.close()
+
+
+class _CannedHandler(socketserver.StreamRequestHandler):
+    """Answers the one request of each connection with the server's canned
+    response, carrying the request's rid, then closes."""
+
+    def handle(self):
+        head = http1.parse_request(http1.read_head(self.rfile))
+        body = self.rfile.read(http1.body_length(head.fields) or 0)
+        rid = decode_request(body).rid.canonical() if head.target.startswith("/services/") else ""
+        self.wfile.write(self.server.canned.replace(b"{rid}", rid.encode("ascii")))
+
+
+CANNED_HEAD = (b"HTTP/1.1 200 OK\r\nX-RMAWS-Rid: {rid}\r\nX-RMAWS-Channel: Http\r\n"
+               b"X-RMAWS-Status: Ok\r\n")
+
+
+@pytest.mark.parametrize("framing, broken", [
+    (b"Content-Length: 4\r\nContent-Length: 4\r\n\r\nBODY", True),
+    (b"Content-Length: 4\r\nContent-Length: 8\r\n\r\nBODYBODY", True),
+    (b"Transfer-Encoding: chunked\r\n\r\n4\r\nBODY\r\n0\r\n\r\n", True),
+    (b"\r\nBODY", True),
+    (b"Content-Length: 10\r\n\r\nBODY", True),
+    (b"Content-Length: 4\r\n\r\nBODY", False),
+], ids=["duplicate-content-length", "conflicting-content-length", "transfer-encoding",
+        "no-content-length", "body-cut-short", "well-framed"])
+def test_unframeable_response_is_broken(framing, broken):
+    stub = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _CannedHandler)
+    stub.canned = CANNED_HEAD + framing
+    thread = threading.Thread(target=stub.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        with Client(*stub.server_address[:2], auth_token=TOKEN) as client:
+            opts = SendOptions(http_timeout_ms=5_000, push_wait_ms=50, max_trials=1,
+                               auth_token=TOKEN)
+            started = time.monotonic()
+            if broken:
+                # The send falls back to push, which the stub does not
+                # speak: its one trial ends Exhausted, without a wait.
+                with pytest.raises(ClientError) as err:
+                    client.send("echo", b"mine", opts)
+                assert err.value.kind == "Exhausted"
+            else:
+                outcome = client.send("echo", b"mine", opts)
+                assert (outcome.channel, outcome.body) == (Channel.HTTP, b"BODY")
+            assert time.monotonic() - started < 2.0
+    finally:
+        stub.shutdown()
+        stub.server_close()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()
 
 
 def count_handshakes(monkeypatch):

@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from rmaws import ws
+from rmaws import http1, ws
 
 
 def frame_pair():
@@ -63,6 +63,8 @@ def test_fragmented_rejected():
     server.sock.sendall(bytes([ws.OP_BINARY, 1]) + b"x")
     with pytest.raises(ws.WsError):
         client.recv_message()
+    client.shutdown()
+    server.shutdown()
 
 
 def test_handshake_over_tcp():
@@ -77,10 +79,8 @@ def test_handshake_over_tcp():
         buf = b""
         while b"\r\n\r\n" not in buf:
             buf += conn.recv(4096)
-        head = buf.split(b"\r\n\r\n", 1)[0].decode()
-        import email.parser
-        headers = email.parser.Parser().parsestr(head.split("\r\n", 1)[1])
-        conn.sendall(ws.server_handshake_response(headers))
+        head = http1.parse_request(buf.split(b"\r\n\r\n", 1)[0])
+        conn.sendall(ws.server_handshake_response(head.fields))
         server_conn = ws.WsConnection(conn, mask_outgoing=False)
         results["got"] = server_conn.recv_message()
         server_conn.send_binary(b"pong")
@@ -98,14 +98,44 @@ def test_handshake_over_tcp():
     listener.close()
 
 
+@pytest.mark.parametrize("extra, ok", [
+    (b"", True),
+    (b"Upgrade websocket\r\n", False),  # no colon
+    (b" folded\r\n", False),  # obs-fold
+    (b"X : y\r\n", False),  # white space before the colon
+])
+def test_client_handshake_reads_the_101_strictly(extra, ok):
+    client_sock, server_sock = socket.socketpair()
+
+    def serve():
+        buf = b""
+        while b"\r\n\r\n" not in buf:
+            buf += server_sock.recv(4096)
+        response = ws.server_handshake_response(http1.parse_request(buf).fields)
+        server_sock.sendall(response[:-2] + extra + b"\r\n")
+
+    t = threading.Thread(target=serve)
+    t.start()
+    try:
+        if ok:
+            ws.client_handshake(client_sock, "h", "/push").shutdown()
+        else:
+            with pytest.raises(ws.WsError):
+                ws.client_handshake(client_sock, "h", "/push")
+    finally:
+        t.join(timeout=5.0)
+        client_sock.close()
+        server_sock.close()
+    assert not t.is_alive()
+
+
 def test_handshake_requires_subprotocol():
-    import email.parser
-    headers = email.parser.Parser().parsestr(
-        "Upgrade: websocket\r\nConnection: Upgrade\r\n"
-        "Sec-WebSocket-Version: 13\r\nSec-WebSocket-Key: abc\r\n"
+    head = http1.parse_request(
+        b"GET /push HTTP/1.1\r\nUpgrade: websocket\r\nConnection: Upgrade\r\n"
+        b"Sec-WebSocket-Version: 13\r\nSec-WebSocket-Key: abc\r\n\r\n"
     )
     with pytest.raises(ws.WsError):
-        ws.server_handshake_response(headers)
+        ws.server_handshake_response(head.fields)
 
 
 def test_accept_key_rfc_vector():

@@ -45,11 +45,16 @@ from .envelope import (
     encode_request,
     make_request_id,
     register_frame,
+    status_from_code,
+    wall_ms,
 )
 
 log = logging.getLogger(__name__)
 
 DEFAULT_PUSH_WAIT_MS = 30_000
+# X-RMAWS-Status and X-RMAWS-Channel values; any other value is broken.
+_STATUSES = {status.value: status for status in ResponseStatus}
+_CHANNELS = {channel.value: channel for channel in Channel}
 # What a kept-alive connection that the server closed while idle raises
 # when it is used again, before any byte of a response arrives.
 _STALE_CONNECTION_ERRORS = (ConnectionResetError, BrokenPipeError)
@@ -479,8 +484,6 @@ class PushClient:
 
 
 def _status_from_meta(meta: str | None) -> ResponseStatus:
-    from .envelope import status_from_code
-
     return status_from_code(meta) if meta else ResponseStatus.OK
 
 
@@ -509,7 +512,7 @@ class Client:
             # only by the cycle collector, and until then its idle
             # connections hold a server thread each.
             def clock() -> int:
-                return _PROCESS_TIMESTAMPS.allocate(device_id, _wall_ms())
+                return _PROCESS_TIMESTAMPS.allocate(device_id, wall_ms())
         self.clock = clock
         self.defaults = defaults if defaults is not None else SendOptions(auth_token=auth_token)
         self._push = PushClient(host, port, auth_token)
@@ -668,10 +671,9 @@ class Client:
         except (OSError, ValueError, http1.HttpError) as exc:
             log.debug("http transport error: %s", exc)
             return "broken", None
-        try:
-            status = ResponseStatus(head.fields.get(STATUS_HEADER))
-            channel = Channel(head.fields.get(CHANNEL_HEADER))
-        except ValueError:
+        status = _STATUSES.get(head.fields.get(STATUS_HEADER))
+        channel = _CHANNELS.get(head.fields.get(CHANNEL_HEADER))
+        if status is None or channel is None:
             return "broken", None
         return "response", ResponseEnvelope(env.rid, status, channel, body)
 
@@ -708,7 +710,3 @@ class _Connection:
 def _close_all(connections: list[_Connection]) -> None:
     for conn in connections:
         conn.close()
-
-
-def _wall_ms() -> int:
-    return int(time.time() * 1000)

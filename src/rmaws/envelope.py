@@ -7,12 +7,22 @@ codecs are strict: any byte that deviates from the canonical form is a
 decode error, and the request header carries a CRC32 so corruption of any
 header field is detected rather than silently accepted.
 
-Everything in this module is a pure function over immutable values.
+Everything in this module is a pure function over immutable values, apart
+from ``wall_ms``, the clock that request timestamps are read from.
+
+Decoding takes one precompiled match over the whole header on the common
+path; only a header that fails it goes through the field-by-field checks,
+which name the first offending byte. Renderings that a send reads more
+than once (a rid's canonical form, its dedup key, a validated name) are
+made once.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 import string
+import time
 import zlib
 from dataclasses import dataclass
 from enum import Enum
@@ -61,6 +71,9 @@ assert _OFF_LEN + LENGTH_WIDTH + 1 == OVERHEAD_BYTES
 # Characters legal inside device ids and service names. '|' is the field
 # separator and is banned; everything else printable-ASCII is opaque data.
 _NAME_CHARS = frozenset(string.printable) - frozenset("|\t\n\r\x0b\x0c")
+
+# The same set as a bytes character class, for the header patterns below.
+_NAME_CLASS = ("[" + re.escape("".join(sorted(_NAME_CHARS))) + "]").encode("ascii")
 
 NIL_RID_FIELD = "0" * RID_WIDTH  # rid slot of frames that carry no rid
 
@@ -174,7 +187,8 @@ class RequestId:
     form (32 chars each, zero- and space-padded respectively) so that the
     rendered id round-trips exactly. The (device, timestamp, service)
     prefix is the deduplication key; ``trial`` and ``forced`` ride along
-    without changing identity.
+    without changing identity. The canonical rendering and ``dedup_key``
+    are made once, when the id is built.
     """
 
     device_id: str
@@ -183,15 +197,16 @@ class RequestId:
     trial: int
     forced: bool
 
-    def canonical(self) -> str:
-        return (
-            f"{self.device_id}{self.timestamp_ms:0{TIMESTAMP_WIDTH}d}"
-            f"{self.service_name}{self.trial:0{TRIAL_WIDTH}d}{self.forced:d}"
-        )
+    def __post_init__(self):
+        rendered = "%s%0*d%s%0*d%d" % (self.device_id, TIMESTAMP_WIDTH, self.timestamp_ms,
+                                      self.service_name, TRIAL_WIDTH, self.trial, self.forced)
+        # Not fields: equality, hashing and repr stay those of the five above.
+        attrs = self.__dict__
+        attrs["_canonical"] = rendered
+        attrs["dedup_key"] = rendered[:DEDUP_KEY_WIDTH]
 
-    @property
-    def dedup_key(self) -> str:
-        return self.canonical()[:DEDUP_KEY_WIDTH]
+    def canonical(self) -> str:
+        return self._canonical
 
     def with_trial(self, trial: int) -> "RequestId":
         if not 1 <= trial <= MAX_TRIAL:
@@ -206,6 +221,11 @@ class RequestId:
         )
 
 
+def wall_ms() -> int:
+    """Wall-clock time in milliseconds, the unit of ``timestamp_ms``."""
+    return int(time.time() * 1000)
+
+
 def sanitize_service_name(name: str) -> str:
     """Strip, validate and truncate a service name to the 32-char field."""
     name = name.strip()
@@ -217,11 +237,16 @@ def sanitize_service_name(name: str) -> str:
     return name[:SERVICE_WIDTH]
 
 
-def _pad_service(name: str) -> str:
-    return name.ljust(SERVICE_WIDTH)
+# Validating a name is a pure function of the string, and a process sees
+# few distinct names, so the padded field is cached. The bound keeps
+# names taken from the wire from growing the cache without limit.
+@functools.lru_cache(maxsize=1024)
+def _service_field(name: str) -> str:
+    return sanitize_service_name(name).ljust(SERVICE_WIDTH)
 
 
-def _pad_device(device_id: str) -> str:
+@functools.lru_cache(maxsize=1024)
+def _device_field(device_id: str) -> str:
     if not device_id:
         raise InvalidDeviceId("device id is empty")
     if len(device_id) > DEVICE_WIDTH:
@@ -245,9 +270,9 @@ def make_request_id(
     if not 0 <= timestamp_ms <= MAX_TIMESTAMP_MS:
         raise InvalidTimestamp(f"timestamp {timestamp_ms} outside 0..{MAX_TIMESTAMP_MS}")
     return RequestId(
-        device_id=_pad_device(device_id),
+        device_id=_device_field(device_id),
         timestamp_ms=timestamp_ms,
-        service_name=_pad_service(sanitize_service_name(service_name)),
+        service_name=_service_field(service_name),
         trial=trial,
         forced=bool(forced),
     )
@@ -269,7 +294,7 @@ class RequestEnvelope:
     def __post_init__(self):
         if self.is_forced != self.rid.forced:
             raise EnvelopeError("is_forced does not mirror rid.forced")
-        if _pad_service(sanitize_service_name(self.service_name)) != self.rid.service_name:
+        if _service_field(self.service_name) != self.rid.service_name:
             raise EnvelopeError("envelope service_name does not match rid.service_name")
 
 
@@ -321,8 +346,34 @@ def _rid_canonical_bytes(rid: RequestId) -> bytes:
     return rendered.encode("ascii")
 
 
+# What a well-formed rid field and request header match, in one pattern
+# each. A header matches only if every check of the field-by-field path
+# below, short of the CRC and the payload length, would pass; the
+# backreferences require each mirror to equal the rid's own digits.
+_RID_PATTERN = (
+    b"(?P<device>%s{%d})(?P<ts>[0-9]{%d})(?P<svc>(?! {%d})%s{%d})"
+    b"(?P<trial>0[1-9]|[1-9][0-9])(?P<forced>[01])"
+    % (_NAME_CLASS, DEVICE_WIDTH, TIMESTAMP_WIDTH, SERVICE_WIDTH, _NAME_CLASS, SERVICE_WIDTH)
+)
+_RID = re.compile(_RID_PATTERN)
+_HEADER = re.compile(
+    b"%s\\|%s\\|(?P=forced)\\|(?P=trial)\\|(?P=svc)\\|(?P<crc>[0-9a-f]{%d})%s\\|(?P<len>[0-9]{%d})\\|"
+    % (re.escape(MAGIC), _RID_PATTERN, _CRC_WIDTH, _FILLER, LENGTH_WIDTH)
+)
+
+
+def _rid_from_match(match: re.Match) -> RequestId:
+    device, ts, svc, trial, forced = match.group("device", "ts", "svc", "trial", "forced")
+    return RequestId(device.decode("ascii"), int(ts), svc.decode("ascii"), int(trial),
+                     forced == b"1")
+
+
 def _parse_rid_field(field: bytes, base: int) -> RequestId:
     """Parse the 87-byte rid region; ``base`` is its absolute offset."""
+    match = _RID.fullmatch(field)
+    if match is not None:
+        return _rid_from_match(match)
+    # Find and name the first field that breaks the layout.
     text = field.decode("ascii", errors="replace")
     device = text[:DEVICE_WIDTH]
     ts_text = text[DEVICE_WIDTH:DEVICE_WIDTH + TIMESTAMP_WIDTH]
@@ -336,7 +387,9 @@ def _parse_rid_field(field: bytes, base: int) -> RequestId:
         raise MalformedEnvelope(base + DEVICE_WIDTH, "timestamp is not decimal")
     if set(svc) - _NAME_CHARS:
         raise MalformedEnvelope(base + DEVICE_WIDTH + TIMESTAMP_WIDTH, "illegal characters in service name")
-    if svc != _pad_service(svc.rstrip()) or not svc.strip():
+    # Legal name characters hold no white space but the space, so the
+    # field is canonical (left-aligned, space-padded) unless it is blank.
+    if not svc.strip():
         raise MalformedEnvelope(base + DEVICE_WIDTH + TIMESTAMP_WIDTH, "service field is not canonical")
     if not trial_text.isascii() or not trial_text.isdigit():
         raise MalformedEnvelope(base + DEDUP_KEY_WIDTH, "trial is not decimal")
@@ -358,7 +411,7 @@ def parse_rid(text: str) -> RequestId:
 def _header_crc(data: bytes) -> bytes:
     crc = zlib.crc32(data[:_OFF_PAD])
     crc = zlib.crc32(data[_OFF_LEN:_OFF_LEN + LENGTH_WIDTH], crc)
-    return f"{crc:08x}".encode("ascii")
+    return b"%08x" % crc
 
 
 def encode_request(env: RequestEnvelope) -> bytes:
@@ -376,14 +429,36 @@ def encode_request(env: RequestEnvelope) -> bytes:
     # CRC covers every header byte outside the pad region itself.
     crc = zlib.crc32(head)
     crc = zlib.crc32(length, crc)
-    pad = f"{crc:08x}".encode("ascii") + _FILLER
+    pad = b"%08x" % crc + _FILLER
     out = head + pad + b"|" + length + b"|" + env.payload
     assert len(out) == len(env.payload) + OVERHEAD_BYTES
     return out
 
 
 def decode_request(data: bytes) -> RequestEnvelope:
-    """Inverse of :func:`encode_request`; strict about every header byte."""
+    """Inverse of :func:`encode_request`; strict about every header byte.
+
+    A rejection raises :class:`MalformedEnvelope` naming the first
+    offending byte, as found by the field-by-field checks."""
+    env = _decode_matched(data)
+    return env if env is not None else _decode_checked(data)
+
+
+def _decode_matched(data: bytes) -> RequestEnvelope | None:
+    """The common path: one match over the header, then the CRC and the
+    payload length. None when any of them fails."""
+    match = _HEADER.match(data)
+    if match is None or _header_crc(data) != match["crc"] \
+            or len(data) != OVERHEAD_BYTES + int(match["len"]):
+        return None
+    rid = _rid_from_match(match)
+    return RequestEnvelope(rid=rid, is_forced=rid.forced, service_name=rid.service_name.rstrip(),
+                           payload=data[OVERHEAD_BYTES:])
+
+
+def _decode_checked(data: bytes) -> RequestEnvelope:
+    """Check the header field by field, in layout order, and raise for the
+    first violation. Accepts exactly what :func:`_decode_matched` does."""
     if len(data) < OVERHEAD_BYTES:
         raise MalformedEnvelope(len(data), f"header needs {OVERHEAD_BYTES} bytes, got {len(data)}")
     if data[:len(MAGIC)] != MAGIC:

@@ -14,6 +14,7 @@ mutations for one dedup key are serialized.
 from __future__ import annotations
 
 import hashlib
+import hmac
 import logging
 import threading
 from dataclasses import dataclass, field
@@ -28,6 +29,7 @@ from ..envelope import (
     RequestId,
     ResponseEnvelope,
     ResponseStatus,
+    wall_ms,
 )
 from .handlers import HandlerRegistry
 from .store import RecordStore, StoredRecord
@@ -155,7 +157,7 @@ class ServerCore:
     ):
         self.handlers = handlers
         self.auth_token = auth_token
-        self.clock = clock if clock is not None else _wall_ms
+        self.clock = clock if clock is not None else wall_ms
         self.store = store
         self.cache_ttl_ms = cache_ttl_ms
         self.break_dedup = break_dedup
@@ -175,10 +177,19 @@ class ServerCore:
                 self._entries[key] = entry
 
     def emit(self, kind: str, **fields) -> None:
+        """Report one protocol event to the sink, or to the debug log.
+        With neither, it returns at once: it runs several times per send."""
         if self._events is not None:
             self._events(kind, dict(fields, t=self.clock()))
-        else:
+        elif log.isEnabledFor(logging.DEBUG):
             log.debug("%s %s", kind, fields)
+
+    def _token_ok(self, token: str) -> bool:
+        """Compare in constant time, so the time taken does not tell how
+        much of a guessed token is right. Bytes, because compare_digest
+        takes only ASCII strings."""
+        return hmac.compare_digest(token.encode("utf-8", "surrogatepass"),
+                                   self.auth_token.encode("utf-8", "surrogatepass"))
 
     # -- validation ---------------------------------------------------
 
@@ -188,7 +199,7 @@ class ServerCore:
             return ValidationError("BadId", "identifier fields out of range")
         if self.handlers.get(env.service_name) is None:
             return ValidationError("UnknownService", env.service_name)
-        if token != self.auth_token:
+        if not self._token_ok(token):
             return ValidationError("Unauthorized", "bad token")
         return None
 
@@ -201,21 +212,6 @@ class ServerCore:
             and entry.completed_at is not None
             and now - entry.completed_at > self.cache_ttl_ms
         )
-
-    def cache_lookup(self, dedup_key: str, forced: bool) -> str:
-        """Non-mutating inspection: "miss", "pending" or "hit"."""
-        now = self.clock()
-        with self._lock:
-            entry = self._entries.get(dedup_key)
-            if entry is None:
-                return "miss"
-            if entry.pending:
-                return "pending"
-            if forced:
-                return "miss"
-            if entry.result is not None and entry.result[0] == "ok" and not self._expired(entry, now):
-                return "hit"
-            return "miss"
 
     def submit(self, env: RequestEnvelope, waiter, route=None) -> SubmitResult:
         """Run the cache check and claim or join an execution.
@@ -379,7 +375,7 @@ class ServerCore:
         already complete the response is returned for immediate delivery
         and no presence is stored (the registration is consumed at once).
         """
-        if token != self.auth_token:
+        if not self._token_ok(token):
             self.emit("push_register_denied", rid=rid.canonical())
             return "UA", None
         now = self.clock()
@@ -454,9 +450,3 @@ class ServerCore:
 
 def _route_name(route) -> str:
     return "http" if isinstance(route, HttpRoute) else "push"
-
-
-def _wall_ms() -> int:
-    import time
-
-    return int(time.time() * 1000)

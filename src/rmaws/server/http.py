@@ -6,14 +6,24 @@ after ``KEEPALIVE_IDLE_S``. Heads are read, parsed and written by
 ``rmaws.http1`` on a ``socketserver`` base: a head or body length that
 breaks its framing rules gets that module's status code (400, 414, 431
 or 505) and the connection closes, since the rest of the stream cannot
-be framed. A request thread that wins the execution runs
-the handler itself; duplicate arrivals for the same dedup key park on
-the in-flight record and every live exchange writes the completed
-response on its own connection, in one write with Nagle's algorithm off.
-Push deliveries are written by the finishing thread. A client abandons
-an exchange by closing its connection; a zero-byte peek before each
-write detects that, which is what turns an abandoned exchange into the
-push/cache fallback path.
+be framed; so does a body cut short, which gets 400 and never reaches a
+handler. A body is read in bounded chunks, so memory grows with the
+bytes that arrive, not with the length a request claims.
+
+A request thread that wins the execution runs the handler itself and
+answers from the delivery plan that finishing it returns; duplicate
+arrivals for the same dedup key park on a one-shot latch until the
+executing thread completes them. Every live exchange writes the
+completed response on its own connection, in one write with Nagle's
+algorithm off. Push deliveries are written by the finishing thread. A
+client abandons an exchange by closing its connection. Before each
+write, one ``poll`` with a zero timeout checks whether the connection
+has anything to read; only then does a one-byte peek tell a closed peer
+from a pipelined request. That is what turns an abandoned exchange into
+the push/cache fallback path.
+
+``stop()`` wakes the accept loop through a socket pair, so it does not
+wait for a polling interval to end.
 """
 
 from __future__ import annotations
@@ -21,6 +31,8 @@ from __future__ import annotations
 import json
 import logging
 import os
+import select
+import selectors
 import socket
 import socketserver
 import threading
@@ -35,7 +47,7 @@ from ..envelope import (
     STATUS_HEADER,
     TOKEN_HEADER,
     Channel,
-    MalformedEnvelope,
+    EnvelopeError,
     RequestEnvelope,
     ResponseEnvelope,
     ResponseStatus,
@@ -58,6 +70,9 @@ WAITER_CAP_S = 600.0
 # Until it ends, an idle connection holds a thread and about 28 KB; a
 # client that sends again within the bound saves a connect per send.
 KEEPALIVE_IDLE_S = 5.0
+# A request body is read at most this many bytes at a time, so a request
+# holds only the bytes that arrived, whatever Content-Length it claims.
+BODY_CHUNK_BYTES = 64 * 1024
 SERVER_NAME = "rmaws/0.1"
 
 
@@ -107,17 +122,27 @@ class ServerConfig:
 
 
 class LiveExchange:
-    """An open HTTP exchange acting as the waiter for its request."""
+    """An open HTTP exchange acting as the waiter for its request.
+
+    A waiter attached to an execution in flight parks on a one-shot latch:
+    a lock taken when the exchange is made and released by ``complete``.
+    It costs less to make than a ``threading.Event``, and the executing
+    exchange, which never waits, makes one too."""
 
     def __init__(self, handler: "RmawsRequestHandler", env: RequestEnvelope):
         self.handler = handler
         self.env = env
-        self.event = threading.Event()
         self.plan = None
+        self._latch = threading.Lock()
+        self._latch.acquire()
 
     def complete(self, plan) -> None:
         self.plan = plan
-        self.event.set()
+        self._latch.release()
+
+    def wait(self, timeout_s: float) -> bool:
+        """Block until ``complete`` has run; False after ``timeout_s``."""
+        return self._latch.acquire(timeout=timeout_s)
 
     def alive(self) -> bool:
         return _socket_alive(self.handler.connection)
@@ -133,20 +158,26 @@ class LiveExchange:
 
 
 def _socket_alive(sock: socket.socket) -> bool:
-    """Peek for EOF without consuming or waiting; a closed peer reads as
-    b"". The socket is switched to non-blocking for the peek: under a
-    timeout, Python waits for the socket to become readable even with
-    MSG_DONTWAIT."""
-    timeout = sock.gettimeout()
-    sock.settimeout(0.0)
+    """Whether the peer still holds the connection open, found without
+    consuming a byte or waiting. A connection with nothing to read is
+    alive: one ``poll`` with a zero timeout tells, and that is the common
+    case. Only a readable one is peeked at, which tells EOF or a reset
+    (dead) from a pipelined request (alive); the peek does not wait, as
+    the socket is readable. ``poll``, since ``select`` fails on file
+    descriptors numbered 1024 or higher."""
+    fd = sock.fileno()
+    if fd < 0:
+        return False
+    poller = select.poll()
+    poller.register(fd, select.POLLIN)
+    if not poller.poll(0):
+        return True
     try:
         return bool(sock.recv(1, socket.MSG_PEEK))
     except (BlockingIOError, InterruptedError):
         return True
     except OSError:
         return False
-    finally:
-        sock.settimeout(timeout)
 
 
 def _http_code_for(resp: ResponseEnvelope, validation: ValidationError | None = None) -> int:
@@ -178,6 +209,7 @@ class RmawsServer:
         self._httpd = _Httpd((config.bind_host, config.bind_port), RmawsRequestHandler)
         self._httpd.rmaws = self
         self._thread: threading.Thread | None = None
+        self._wake: tuple[socket.socket, socket.socket] | None = None
         self._sessions: set[PushSession] = set()
         self._sessions_lock = threading.Lock()
         # Guarded by _active_lock: requests in flight, each connection
@@ -202,11 +234,27 @@ class RmawsServer:
         return self.address[1]
 
     def start(self) -> "RmawsServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
+        self._wake = socket.socketpair()
+        self._thread = threading.Thread(target=self._accept_loop, args=(self._wake[0],),
                                         name="rmaws-accept", daemon=True)
         self._thread.start()
         log.info("serving on %s:%d", *self.address)
         return self
+
+    def _accept_loop(self, wake: socket.socket) -> None:
+        """Accept connections until stop() writes to ``wake``. This is
+        socketserver's serve_forever, less its 0.5 s poll for a stop flag:
+        the loop sleeps until a connection or the wake-up arrives."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._httpd.socket, selectors.EVENT_READ)
+            selector.register(wake, selectors.EVENT_READ)
+            while not self._stopping:
+                selector.select()
+                if not self._stopping:
+                    # What serve_forever calls once the socket is readable:
+                    # accept, then process_request, with handle_error on
+                    # failure.
+                    self._httpd._handle_request_noblock()
 
     def stop(self, *, drain_timeout_s: float = 30.0) -> None:
         """Graceful stop: stop accepting, drain in-flight requests, say
@@ -215,7 +263,9 @@ class RmawsServer:
         end and release the socket. A thread still running a handler
         when the drain times out is given one more second."""
         self._stopping = True
-        self._httpd.shutdown()
+        if self._wake is not None:
+            self._wake[1].send(b"\0")
+            self._thread.join(timeout=5.0)
         deadline = time.monotonic() + drain_timeout_s
         with self._idle:
             while self._active > 0 and time.monotonic() < deadline:
@@ -234,9 +284,11 @@ class RmawsServer:
         join_until = max(deadline, time.monotonic() + 1.0)
         for _, thread in connections:
             thread.join(timeout=max(0.0, join_until - time.monotonic()))
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
         self._httpd.server_close()
+        if self._wake is not None:
+            for sock in self._wake:
+                sock.close()
+            self._wake = None
 
     def _track(self, sock: socket.socket, thread: threading.Thread) -> None:
         # Threads are forgotten only once they have ended, so stop() also
@@ -292,11 +344,12 @@ class RmawsServer:
                 plan = self.core.finish(result.ticket,
                                         error_code=f"{type(exc).__name__}: {exc}")
             self._deliver(plan)
-        # Both the executor and attached duplicates wait on their own
-        # exchange; whoever finished has completed every waiter by now.
-        if not exchange.event.wait(timeout=WAITER_CAP_S):
-            return None, ResponseStatus.SERVICE_ERROR  # pragma: no cover
-        plan = exchange.plan
+        else:
+            # Attached to an execution in flight, whose thread completes
+            # this exchange once the execution finishes.
+            if not exchange.wait(WAITER_CAP_S):
+                return None, ResponseStatus.SERVICE_ERROR  # pragma: no cover
+            plan = exchange.plan
         resp = plan.response_for(env.rid, Channel.HTTP)
         delivered = exchange.respond(resp, _http_code_for(resp))
         if not delivered:
@@ -426,10 +479,13 @@ class RmawsRequestHandler(socketserver.StreamRequestHandler):
             self.close_connection = True
 
     def _read_body(self) -> bytes | None:
-        """The request body, or None once a request whose body is not
-        framed by a plain Content-Length has been answered 400. The
-        connection then closes: the rest of the stream cannot be framed.
-        ``Expect: 100-continue`` gets its interim response first."""
+        """The request body, or None once the request has been answered
+        400: its body is not framed by a plain Content-Length, or the peer
+        closed before sending all of it. The connection then closes: the
+        rest of the stream cannot be framed. The body is read in chunks of
+        at most ``BODY_CHUNK_BYTES``, so a huge Content-Length reserves
+        nothing up front. ``Expect: 100-continue`` gets its interim
+        response first."""
         fields = self.head.fields
         try:
             size = http1.body_length(fields) or 0
@@ -439,10 +495,17 @@ class RmawsRequestHandler(socketserver.StreamRequestHandler):
             return None
         if self.head.version != "HTTP/1.0" and fields.get("expect", "").lower() == "100-continue":
             self.connection.sendall(http1.CONTINUE)
-        body = self.rfile.read(size) if size else b""
-        if len(body) < size:
-            self.close_connection = True  # the peer closed mid-body
-        return body
+        chunks = []
+        missing = size
+        while missing:
+            chunk = self.rfile.read(min(missing, BODY_CHUNK_BYTES))
+            if not chunk:
+                self.close_connection = True
+                self.write_response(400, b"request body cut short")
+                return None
+            chunks.append(chunk)
+            missing -= len(chunk)
+        return b"".join(chunks)
 
     def write_response(self, code: int, body: bytes, headers: dict | None = None) -> bool:
         """Write the status line, headers and body with one sendall, so a
@@ -495,7 +558,9 @@ class RmawsRequestHandler(socketserver.StreamRequestHandler):
     def _handle_service(self, raw: bytes) -> None:
         try:
             env = decode_request(raw)
-        except MalformedEnvelope as exc:
+        except EnvelopeError as exc:
+            # MalformedEnvelope, or a well-formed header whose fields name
+            # no valid envelope, such as a service field with a leading space.
             self.write_response(400, str(exc).encode("utf-8"), _VALIDATION_HEADERS)
             return
         if self.path[len("/services/"):] != env.service_name:

@@ -1,10 +1,14 @@
+import json
 import pathlib
+import zlib
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from rmaws.envelope import (
+    _decode_checked,
+    _decode_matched,
     OVERHEAD_BYTES,
     RID_WIDTH,
     EnvelopeError,
@@ -54,6 +58,57 @@ def envelopes(draw):
         service_name=rid.service_name.rstrip(),
         payload=draw(st.binary(max_size=2048)),
     )
+
+
+# Bytes that a header field may or may not accept: separators, digits,
+# hex, padding, name characters and bytes outside ASCII.
+_EDGE_BYTES = b"|01 9afAZ~\x7f\x00\xff"
+
+
+@st.composite
+def mangled_requests(draw):
+    """A valid request with a few bytes replaced or copied from elsewhere
+    in its header, maybe with its CRC sealed again so that checks past the
+    CRC are reached, maybe cut short or extended."""
+    wire = bytearray(encode_request(draw(envelopes())))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        pos = draw(st.integers(min_value=0, max_value=OVERHEAD_BYTES - 1))
+        wire[pos] = draw(st.one_of(
+            st.sampled_from(_EDGE_BYTES),
+            st.integers(min_value=0, max_value=255),
+            st.integers(min_value=0, max_value=OVERHEAD_BYTES - 1).map(wire.__getitem__)))
+    if draw(st.booleans()):
+        wire = bytearray(sealed(wire))
+    end = len(wire) + draw(st.integers(min_value=-3, max_value=3))
+    return bytes(wire[:end]) + b"x" * max(0, end - len(wire))
+
+
+def sealed(wire: bytearray) -> bytes:
+    """``wire`` with the CRC field set to the CRC of the header it holds."""
+    crc = zlib.crc32(bytes(wire[215:225]), zlib.crc32(bytes(wire[:133])))
+    wire[133:141] = b"%08x" % crc
+    return bytes(wire)
+
+
+def assert_paths_agree(data: bytes) -> None:
+    """The single-match path may only accept what the field-by-field
+    checks accept, and must build the same envelope from it."""
+    matched = outcome(_decode_matched, data)
+    checked = outcome(_decode_checked, data)
+    if matched is not None:
+        assert matched == checked
+    assert outcome(decode_request, data) == checked
+
+
+def outcome(decode, data):
+    """What ``decode`` makes of ``data``: its result, or the error's type,
+    offset and reason."""
+    try:
+        return decode(data)
+    except MalformedEnvelope as exc:
+        return type(exc), exc.offset, exc.reason
+    except EnvelopeError as exc:
+        return type(exc), str(exc)
 
 
 class TestRequestId:
@@ -178,7 +233,18 @@ class TestRequestCodec:
     def test_exhaustive_single_byte_corruption(self):
         # Oracle: flip every byte of a 251-byte fixture to every other value.
         # A header flip must never decode; a payload flip may decode but must
-        # leave every header-derived field untouched.
+        # leave every header-derived field untouched. Each header flip must
+        # be rejected with the offset and reason that the field-by-field
+        # checks alone give, recorded from a decoder that had no other path
+        # in golden/corruption_rejections.json as, per header byte, runs of
+        # [first delta, last delta, offset, index into "reasons"].
+        recorded = json.loads((GOLDEN / "corruption_rejections.json").read_text())
+        expected = {}
+        for pos, runs in enumerate(recorded["rejections"]):
+            for first, last, offset, reason in runs:
+                for delta in range(first, last + 1):
+                    expected[pos, delta] = (offset, recorded["reasons"][reason])
+        assert len(expected) == OVERHEAD_BYTES * 255
         original = fixture_envelope(b"payload-0123456789ABCDEF!")
         encoded = encode_request(original)
         assert len(encoded) == 251
@@ -188,12 +254,42 @@ class TestRequestCodec:
                 corrupted[pos] = (corrupted[pos] + delta) % 256
                 try:
                     decoded = decode_request(bytes(corrupted))
-                except MalformedEnvelope:
+                except MalformedEnvelope as exc:
+                    assert (exc.offset, exc.reason) == expected[pos, delta], (pos, delta)
                     continue
                 assert pos >= OVERHEAD_BYTES, f"corruption at header byte {pos} decoded silently"
                 assert decoded.rid == original.rid
                 assert decoded.service_name == original.service_name
                 assert decoded.is_forced == original.is_forced
+
+    @settings(max_examples=400)
+    @given(st.one_of(mangled_requests(), st.binary(max_size=300)))
+    def test_matched_and_checked_paths_agree(self, data):
+        assert_paths_agree(data)
+
+    @pytest.mark.parametrize("field, error", [
+        (b" " * 32, (MalformedEnvelope, 59, "service field is not canonical")),
+        (b" orders".ljust(32), (EnvelopeError,
+                               "envelope service_name does not match rid.service_name")),
+    ], ids=["blank", "leading-space"])
+    def test_service_field_that_no_name_renders_to(self, field, error):
+        # Both copies of the service field changed alike, and the CRC
+        # sealed: only the service checks can reject it.
+        wire = bytearray(encode_request(fixture_envelope(b"payload")))
+        wire[59:91] = wire[100:132] = field
+        data = sealed(wire)
+        assert outcome(decode_request, data) == error
+        assert_paths_agree(data)
+
+    def test_paths_agree_on_every_sealed_single_byte_change(self):
+        # Each header byte set to each edge byte, with the CRC sealed again,
+        # so that every check past the CRC (the mirrors above all) is met.
+        encoded = encode_request(fixture_envelope(b"payload"))
+        for pos in range(OVERHEAD_BYTES):
+            for value in _EDGE_BYTES:
+                wire = bytearray(encoded)
+                wire[pos] = value
+                assert_paths_agree(sealed(wire))
 
     def test_mirror_mismatch_rejected(self):
         rid = make_request_id("devA", 1, "orders", forced=True)

@@ -1,8 +1,11 @@
+import fcntl
 import http.client
+import resource
 import socket
 import socketserver
 import threading
 import time
+import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -12,7 +15,7 @@ from rmaws import http1, ws
 from rmaws.client import Client, ClientError, SendOptions, build
 from rmaws.push import PushSession
 from rmaws.envelope import (CHANNEL_HEADER, RID_HEADER, STATUS_HEADER, Channel, ResponseStatus,
-                            decode_request)
+                            decode_request, encode_request)
 from rmaws.server.handlers import HandlerRegistry, ServiceHandler, make_synthetic
 from rmaws.server.http import _Httpd
 
@@ -101,6 +104,23 @@ def test_malformed_envelope_gets_validation_response(live_server):
     assert resp.status == 400
     assert resp.headers["X-RMAWS-Status"] == "ValidationError"
     resp.read()
+    conn.close()
+
+
+def test_envelope_no_name_renders_to_gets_validation_response(live_server):
+    # A service field with a leading space passes every layout check and
+    # the CRC, but names no service: decoding raises EnvelopeError, not
+    # MalformedEnvelope, and that must get an answer too.
+    server = live_server([{"name": "echo"}])
+    wire = bytearray(encode_request(build("echo", b"hi", False, 1, lambda: 1, "dev")))
+    wire[59:91] = wire[100:132] = b" echo".ljust(32)
+    wire[133:141] = b"%08x" % zlib.crc32(bytes(wire[215:225]), zlib.crc32(bytes(wire[:133])))
+    conn = http.client.HTTPConnection(*server.address)
+    conn.request("POST", "/services/echo", body=bytes(wire), headers={"X-RMAWS-Token": TOKEN})
+    resp = conn.getresponse()
+    assert resp.status == 400
+    assert resp.headers["X-RMAWS-Status"] == "ValidationError"
+    assert b"service_name" in resp.read()
     conn.close()
 
 
@@ -396,6 +416,61 @@ def test_expect_100_continue_gets_an_interim_response(live_server):
         resp.begin()
         assert (resp.status, resp.read(), resp.will_close) == (200, b"hello", False)
         resp.close()
+
+
+@pytest.mark.parametrize("path", ["/direct/echo", "/services/echo"])
+@pytest.mark.parametrize("length", [10, 10**13], ids=["short", "huge"])
+def test_body_cut_short_gets_400_and_reaches_no_handler(live_server, path, length):
+    # The peer sends 3 of the bytes it announced, then closes its side. A
+    # huge Content-Length must not be allocated up front either: the
+    # fixture fails a connection thread that ends in MemoryError.
+    handler, calls = counting_handler("echo")
+    server = live_server(registry=HandlerRegistry().add(handler))
+    with socket.create_connection(server.address, timeout=2.0) as sock:
+        sock.sendall(b"POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\nabc"
+                     % (path.encode("ascii"), length))
+        sock.shutdown(socket.SHUT_WR)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"\r\nConnection: close" in head
+    assert body == b"request body cut short"
+    assert calls == []
+
+
+def test_stop_does_not_wait_for_a_poll_interval(live_server):
+    server = live_server([{"name": "echo"}])
+    started = time.monotonic()
+    server.stop()
+    # socketserver's serve_forever would poll for the stop flag every 0.5 s.
+    assert time.monotonic() - started < 0.25
+
+
+def test_liveness_probe_on_a_descriptor_numbered_1024_or_higher():
+    # select() cannot watch such a descriptor; the probe must still tell
+    # an open peer from a closed one, without waiting.
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft < 1100:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (min(hard, 2048), hard))
+    ours, peer = socket.socketpair()
+    try:
+        probe = socket.socket(fileno=fcntl.fcntl(ours.fileno(), fcntl.F_DUPFD, 1024))
+    finally:
+        ours.close()
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    with probe, peer:
+        probe.settimeout(5.0)  # as on a served connection
+        assert probe.fileno() >= 1024
+        assert rmaws.server.http._socket_alive(probe)
+        peer.sendall(b"G")  # a pipelined request reads as alive, and stays unread
+        assert rmaws.server.http._socket_alive(probe)
+        assert probe.recv(1) == b"G"
+        peer.close()
+        started = time.monotonic()
+        assert not rmaws.server.http._socket_alive(probe)
+        assert time.monotonic() - started < 1.0
 
 
 class _CannedHandler(socketserver.StreamRequestHandler):

@@ -83,25 +83,50 @@ class TestValidate:
         resp = err.response_for(envelope().rid, Channel.HTTP)
         assert resp.status is ResponseStatus.VALIDATION_ERROR
 
+    # Wrong tokens of the right one's length, shorter, longer and empty,
+    # one not ASCII and one with a lone surrogate: compare_digest takes
+    # str only when it is ASCII, so every token is compared as bytes.
+    WRONG_TOKENS = ["sekriT", "sekri", "sekrit!", "", "s\u00e9krit", "sekri\ud800"]
+
+    @pytest.mark.parametrize("token", WRONG_TOKENS)
+    def test_wrong_token_of_any_length_is_unauthorized(self, token):
+        core = make_core()
+        err = core.validate(envelope(), token)
+        assert err is not None and err.reason == "Unauthorized"
+        assert core.register_push(envelope().rid, "conn", token) == ("UA", None)
+        assert core.presence_route(envelope().rid.dedup_key) is None
+
+    def test_non_ascii_server_token(self):
+        core = make_core(auth_token="s\u00e9krit")
+        assert core.validate(envelope(), "s\u00e9krit") is None
+        assert core.validate(envelope(), "sekrit").reason == "Unauthorized"
+
 
 class TestCacheLookup:
+    """The cache check that submit makes before it grants an execution."""
+
     def test_fresh_key_misses(self):
         core = make_core()
-        assert core.cache_lookup(envelope().rid.dedup_key, forced=False) == "miss"
+        env = envelope()
+        assert core.record(env.rid.dedup_key) is None
+        assert core.submit(env, object()).kind == "execute"
 
     def test_completed_hit_and_forced_miss(self):
         core = make_core()
         env = envelope()
         run_once(core, env)
-        assert core.cache_lookup(env.rid.dedup_key, forced=False) == "hit"
-        assert core.cache_lookup(env.rid.dedup_key, forced=True) == "miss"
+        assert core.record(env.rid.dedup_key).state is RecordState.COMPLETED
+        replay = core.submit(envelope(trial=2), object())
+        assert replay.kind == "replay" and replay.response.body == b"BODY"
+        assert core.submit(envelope(trial=3, forced=True), object()).kind == "execute"
 
     def test_pending(self):
         core = make_core()
         env = envelope()
         result = core.submit(env, object())
         assert result.kind == "execute"
-        assert core.cache_lookup(env.rid.dedup_key, forced=False) == "pending"
+        assert core.record(env.rid.dedup_key).state is RecordState.PENDING
+        assert core.submit(envelope(trial=2), object()).kind == "wait"
 
 
 class TestDeduplication:
@@ -385,11 +410,11 @@ class TestTtl:
         core = make_core(reg, clock=clock, cache_ttl_ms=100)
         run_once(core, envelope())
         clock.t = 90
-        assert core.cache_lookup(envelope().rid.dedup_key, forced=False) == "hit"
+        assert core.submit(envelope(trial=2), object()).kind == "replay"
         clock.t = 150
-        assert core.cache_lookup(envelope().rid.dedup_key, forced=False) == "miss"
-        run_once(core, envelope(trial=2))
+        run_once(core, envelope(trial=3))
         assert len(calls) == 2
+        assert core.record(envelope().rid.dedup_key).completed_at == 150
 
 
 class TestStore:

@@ -63,7 +63,11 @@ def cmd_serve(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: cannot load config {args.config!r}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    server = RmawsServer(config, break_dedup=args.break_dedup)
+    try:
+        server = RmawsServer(config, break_dedup=args.break_dedup)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot serve config {args.config!r}: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     server.start()
     print(f"rmaws serving on {server.address[0]}:{server.address[1]} "
           f"(services: {', '.join(server.registry.names()) or 'none'})")

@@ -132,7 +132,6 @@ class ResponseStatus(str, Enum):
     OK = "Ok"
     SERVICE_ERROR = "ServiceError"
     VALIDATION_ERROR = "ValidationError"
-    NOT_CACHED = "NotCached"
 
 
 class Channel(str, Enum):
@@ -163,7 +162,6 @@ _STATUS_CODES = {
     ResponseStatus.OK: "OK",
     ResponseStatus.SERVICE_ERROR: "SE",
     ResponseStatus.VALIDATION_ERROR: "VE",
-    ResponseStatus.NOT_CACHED: "NC",
 }
 _CODE_STATUSES = {v: k for k, v in _STATUS_CODES.items()}
 

@@ -13,6 +13,7 @@ BODY_MISMATCH = "BodyMismatch"
 SOCKET_HYGIENE = "SocketHygieneViolated"
 WIRE_ACCOUNTING = "WireAccountingViolated"
 RESPONSE_CONSERVATION = "ResponseConservationViolated"
+SIMULATION_DIVERGED = "SimulationDiverged"
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,11 @@ class Violation:
 
 def check_invariants(trace: Trace) -> list[Violation]:
     violations: list[Violation] = []
+    # A run cut off by the step cap ended early: its trace proves nothing,
+    # and the predicates below would judge a scenario that never finished.
+    if trace.diverged:
+        violations.append(Violation(
+            SIMULATION_DIVERGED, "the simulation hit its step cap before the scenario ended"))
     forced = set(trace.forced_keys)
     failed = set(trace.failed_keys)
 

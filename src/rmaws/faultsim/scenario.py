@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
+from ..server.handlers import check_output_size
+
 FAULT_KINDS = ("drop_request", "drop_http_response", "client_offline", "client_online",
                "kill_push_conn")
 
@@ -74,6 +76,11 @@ class ScenarioSpec:
         known = {svc.name for svc in self.services}
         if len(known) != len(self.services):
             raise ScenarioInvalid("duplicate service profiles")
+        for svc in self.services:
+            try:
+                check_output_size(svc.name, svc.output_size)
+            except ValueError as exc:
+                raise ScenarioInvalid(str(exc)) from None
         for spec in self.sends:
             if spec.service not in known:
                 raise ScenarioInvalid(f"send references unknown service {spec.service!r}")

@@ -44,6 +44,10 @@ from ..server.handlers import HandlerRegistry, make_synthetic, synthetic_body
 from .scenario import ScenarioSpec
 from .trace import Trace, TraceRecorder, body_digest
 
+# Events one run may process. A scenario that needs more is diverging (an
+# event that keeps rescheduling itself); the checker reports it.
+MAX_STEPS = 1_000_000
+
 
 class SimExchange:
     """Server-side view of one in-flight HTTP request/response pair."""
@@ -144,6 +148,7 @@ class SimWorld:
         self.send_expected_bodies: dict[int, str] = {}
         self.forced_keys: set[str] = set()
         self.failed_keys: set[str] = set()
+        self.diverged = False
 
     # -- plumbing ---------------------------------------------------------
 
@@ -169,10 +174,12 @@ class SimWorld:
             self.schedule(fault.t, lambda f=fault: self._apply_fault(f))
 
         steps = 0
-        while self._heap and steps < 1_000_000:
-            t, _, fn = heapq.heappop(self._heap)
-            if t > self.scenario.end_time_ms:
+        end = self.scenario.end_time_ms
+        while self._heap and self._heap[0][0] <= end:
+            if steps == MAX_STEPS:
+                self.diverged = True
                 break
+            t, _, fn = heapq.heappop(self._heap)
             self.now = t
             fn()
             steps += 1
@@ -531,6 +538,7 @@ class SimWorld:
             request_sizes=self.request_sizes,
             raw_bodies=raw_bodies,
             send_expected_bodies=self.send_expected_bodies,
+            diverged=self.diverged,
         )
 
 

@@ -17,23 +17,21 @@ class TraceRecorder:
     def __init__(self, clock):
         self._clock = clock
         self.events: list[dict] = []
-        self._seq = 0
 
     def emit(self, kind: str, **fields) -> None:
-        t = fields.pop("t", None)
-        event = {"t": int(t) if t is not None else int(self._clock()), "seq": self._seq,
-                 "kind": kind}
-        for name in sorted(fields):
-            event[name] = fields[name]
-        self._seq += 1
-        self.events.append(event)
+        # ``fields`` is a fresh dict, so it becomes the event; key order is
+        # irrelevant because ``Trace.to_jsonl`` sorts keys.
+        fields["t"] = int(self._clock())
+        fields["seq"] = len(self.events)
+        fields["kind"] = kind
+        self.events.append(fields)
 
 
 @dataclass
 class Trace:
     """Everything a run produced. ``to_jsonl`` is byte-deterministic for a
-    given (scenario, seed); raw bodies and per-send reference digests stay
-    in memory only."""
+    given (scenario, seed); raw bodies, per-send reference digests and the
+    divergence flag stay in memory only."""
 
     scenario_name: str
     seed: int
@@ -54,6 +52,9 @@ class Trace:
     raw_bodies: dict[int, bytes] = field(default_factory=dict, repr=False)
     # send index -> sha256 of the body that send's own payload produces
     send_expected_bodies: dict[int, str] = field(default_factory=dict, repr=False)
+    # True when the run hit the simulator's step cap with events still due
+    # inside the scenario window: the trace then ends early.
+    diverged: bool = field(default=False, repr=False)
 
     def summary(self) -> dict:
         return {

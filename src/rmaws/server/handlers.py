@@ -2,8 +2,14 @@
 
 Handlers are pluggable. The synthetic handler used by benchmarks and the
 simulator produces a deterministic pseudo-random body of a configured
-size (derived from the service name and payload), so body equality checks
-are meaningful end to end; with no configured size it echoes the payload.
+size, so body equality checks are meaningful end to end; with no
+configured size it echoes the payload. The body is the first ``size``
+bytes of the SHAKE-256 output of the UTF-8 service name, one zero byte
+and the payload::
+
+    hashlib.shake_256(service.encode("utf-8") + b"\x00" + payload).digest(size)
+
+so anyone holding the service name and the payload can recompute it.
 """
 
 from __future__ import annotations
@@ -18,14 +24,18 @@ class HandlerFailure(Exception):
 
 
 def synthetic_body(service: str, payload: bytes, size: int) -> bytes:
-    """Deterministic body of exactly ``size`` bytes for (service, payload)."""
-    seed = hashlib.sha256(service.encode("utf-8") + b"\x00" + payload).digest()
-    out = bytearray()
-    counter = 0
-    while len(out) < size:
-        out += hashlib.sha256(seed + counter.to_bytes(8, "big")).digest()
-        counter += 1
-    return bytes(out[:size])
+    """Deterministic body of exactly ``size`` bytes for (service, payload);
+    a shorter body is a prefix of a longer one."""
+    return hashlib.shake_256(service.encode("utf-8") + b"\x00" + payload).digest(size)
+
+
+def check_output_size(name: str, output_size) -> None:
+    """Raise ``ValueError`` unless ``output_size`` is None or an int >= 0."""
+    if output_size is None:
+        return
+    if isinstance(output_size, bool) or not isinstance(output_size, int) or output_size < 0:
+        raise ValueError(f"service {name!r}: output_size must be null or a "
+                         f"non-negative integer, not {output_size!r}")
 
 
 @dataclass
@@ -48,6 +58,7 @@ def make_synthetic(
     fail_times: int = 0,
 ) -> ServiceHandler:
     """Synthetic handler; the first ``fail_times`` invocations fail."""
+    check_output_size(name, output_size)
     remaining = [fail_times]
 
     def fn(payload: bytes) -> bytes:

@@ -146,6 +146,17 @@ class TestServeConfig:
     def test_bad_config_path_exits_two(self, capsys):
         assert run_cli("serve", "--config", "/nonexistent/config.json") == 2
 
+    def test_negative_output_size_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "bind": "127.0.0.1:0",
+            "services": [{"name": "orders", "output_size": -1}],
+        }))
+        assert run_cli("serve", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "output_size" in err
+
     def test_sigterm_drains_inflight_then_exits_zero(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         port = _free_port()

@@ -359,3 +359,12 @@ class TestPushFrameCodec:
         rid = make_request_id("devA", 42, "orders")
         with pytest.raises(EnvelopeError):
             encode_push_frame(PushFrame(FrameKind.DELIVER, rid, "ZZ", b""))
+
+    def test_deliver_with_ack_only_meta_rejected(self):
+        # "NC" is a RegisterAck meta; no response status has that code.
+        good = encode_push_frame(deliver_frame(self.response(b"body")))
+        meta_at = 1 + RID_WIDTH
+        assert good[meta_at:meta_at + 2] == b"OK"
+        with pytest.raises(MalformedFrame) as info:
+            decode_push_frame(good[:meta_at] + b"NC" + good[meta_at + 2:])
+        assert info.value.offset == 88

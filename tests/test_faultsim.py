@@ -9,12 +9,16 @@ from rmaws.faultsim import (
     ScenarioSpec,
     SendSpec,
     ServiceProfile,
+    SimWorld,
     Trace,
+    TraceRecorder,
     Violation,
     body_digest,
     check_invariants,
     run,
 )
+import rmaws.faultsim.sim
+from rmaws.faultsim.invariants import SIMULATION_DIVERGED
 from rmaws.server.handlers import synthetic_body
 
 
@@ -166,7 +170,11 @@ class TestDeterminism:
 
 
 class TestGoldenTraces:
-    """Frozen regression traces for the bundled scenarios."""
+    """Frozen regression traces for the bundled scenarios. After a change
+    that is meant to move them, regenerate each from the repository root::
+
+        PYTHONPATH=src python -m rmaws.cli sim <name> --out tests/golden/<name>.trace.jsonl
+    """
 
     @pytest.mark.parametrize("name", ["happy_path", "timeout_recovery",
                                       "offline_replay", "dropped_response"])
@@ -198,11 +206,49 @@ class TestScenarioValidation:
         again = ScenarioSpec.loads(spec.dumps())
         assert again.to_dict() == spec.to_dict()
 
+    @pytest.mark.parametrize("size", [-1, True, 2.5, "64"])
+    def test_bad_output_size(self, size):
+        with pytest.raises(ScenarioInvalid, match="output_size"):
+            scenario([one_send()], services=[
+                ServiceProfile(name="svc", output_size=size)]).validate()
+
     def test_loads_rejects_garbage(self):
         with pytest.raises(ScenarioInvalid):
             ScenarioSpec.loads("not json")
         with pytest.raises(ScenarioInvalid):
             ScenarioSpec.loads("[1,2,3]")
+
+
+class TestTraceRecorder:
+    def test_field_order_does_not_reach_the_jsonl(self):
+        lines = []
+        for fields in ({"send": 1, "key": "k", "bytes": 9},
+                       {"bytes": 9, "key": "k", "send": 1}):
+            recorder = TraceRecorder(lambda: 7)
+            recorder.emit("http_post", **fields)
+            lines.append(synthetic_trace(events=recorder.events).to_jsonl())
+        assert lines[0] == lines[1]
+        assert lines[0].splitlines()[0] == (
+            '{"bytes":9,"key":"k","kind":"http_post","send":1,"seq":0,"t":7}')
+
+    def test_seq_runs_without_gaps(self):
+        trace = run(scenario([one_send(), one_send(t=150)]))
+        assert [e["seq"] for e in trace.events] == list(range(len(trace.events)))
+
+
+class TestSimulationDiverged:
+    def test_self_rescheduling_event_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(rmaws.faultsim.sim, "MAX_STEPS", 1_000)
+        world = SimWorld(scenario([one_send()]))
+
+        def spin():
+            world.schedule(0, spin)
+
+        world.schedule(200, spin)
+        trace = world.run()
+        assert trace.diverged
+        assert [v.kind for v in check_invariants(trace)] == [SIMULATION_DIVERGED]
+        assert "diverged" not in trace.to_jsonl()
 
 
 def synthetic_trace(**overrides) -> Trace:

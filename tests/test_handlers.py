@@ -1,0 +1,31 @@
+import pytest
+from hypothesis import given
+import hypothesis.strategies as st
+
+from rmaws.server.handlers import make_synthetic, synthetic_body
+
+
+class TestSyntheticBody:
+    def test_known_answer(self):
+        # shake_256(b"svc\x00p").digest(32)
+        assert synthetic_body("svc", b"p", 32) == bytes.fromhex(
+            "aafe3a944cb14dc0a1473ae88c7ccabc153a27a52019b5b1d339e1c26c5cbf33")
+
+    # 600 bytes span several SHAKE-256 output blocks of 136 bytes.
+    @given(st.text("abz_-.é", max_size=8), st.binary(max_size=16),
+           st.integers(0, 600), st.integers(0, 600))
+    def test_shorter_body_is_a_prefix(self, service, payload, a, b):
+        n, m = sorted((a, b))
+        assert synthetic_body(service, payload, n) == synthetic_body(service, payload, m)[:n]
+
+    @pytest.mark.parametrize("size", [0, 2048, 2_167_000])
+    def test_exact_length(self, size):
+        body = synthetic_body("svc", b"p", size)
+        assert type(body) is bytes and len(body) == size
+
+
+class TestMakeSynthetic:
+    @pytest.mark.parametrize("size", [-1, True, False, 2.5, "64"])
+    def test_bad_output_size_refused(self, size):
+        with pytest.raises(ValueError, match="output_size"):
+            make_synthetic("svc", output_size=size)

@@ -139,7 +139,7 @@ def cmd_sim(args) -> int:
     except ScenarioInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    trace = run(scenario, seed=args.seed, break_dedup=args.break_dedup)
+    trace = run(scenario, break_dedup=args.break_dedup)
     out_path = args.out or f"{scenario.name}.trace.jsonl"
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(trace.to_jsonl())
@@ -181,8 +181,7 @@ def cmd_enumerate(args) -> int:
     except (ScenarioInvalid, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    report = enumerate_and_check(template, sites, seed=args.seed,
-                                 break_dedup=args.break_dedup)
+    report = enumerate_and_check(template, sites, break_dedup=args.break_dedup)
     out_path = args.out or f"{template.name}.enumeration.json"
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
@@ -247,14 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sim", help="run one scenario and check invariants")
     p.add_argument("scenario", help="scenario JSON path or bundled name")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="trace output path (default <name>.trace.jsonl)")
     p.add_argument("--break-dedup", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_sim)
 
     p = sub.add_parser("enumerate", help="run every fault combination of a template")
     p.add_argument("template", help="template JSON path or bundled name")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="report output path (default <name>.enumeration.json)")
     p.add_argument("--break-dedup", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_enumerate)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .invariants import Violation, check_invariants
-from .scenario import FaultSpec, ScenarioInvalid, ScenarioSpec
+from .scenario import DROP_FAULT_KINDS, FaultSpec, ScenarioInvalid, ScenarioSpec
 from .sim import run
 
 MAX_SITES = 12
@@ -95,8 +95,7 @@ def expected_scenario_count(sites: list[Site]) -> int:
     total = 0
     for mask in range(1 << len(sites)):
         enabled = [sites[i] for i in range(len(sites)) if mask >> i & 1]
-        timed = [f for site in enabled for f in site
-                 if f.kind in ("client_offline", "client_online", "kill_push_conn")]
+        timed = [f for site in enabled for f in site if f.kind not in DROP_FAULT_KINDS]
         groups: dict[int, int] = {}
         for fault in timed:
             groups[fault.t] = groups.get(fault.t, 0) + 1
@@ -124,7 +123,6 @@ def enumerate_and_check(
     template: ScenarioSpec,
     fault_sites,
     *,
-    seed: int = 0,
     break_dedup: bool = False,
 ) -> InvariantReport:
     sites = normalize_sites(fault_sites)
@@ -135,17 +133,15 @@ def enumerate_and_check(
     for mask in range(1 << len(sites)):
         enabled = [sites[i] for i in range(len(sites)) if mask >> i & 1]
         enabled_labels = [report.site_labels[i] for i in range(len(sites)) if mask >> i & 1]
-        drops = [f for site in enabled for f in site
-                 if f.kind in ("drop_request", "drop_http_response")]
-        timed = [f for site in enabled for f in site
-                 if f.kind not in ("drop_request", "drop_http_response")]
+        drops = [f for site in enabled for f in site if f.kind in DROP_FAULT_KINDS]
+        timed = [f for site in enabled for f in site if f.kind not in DROP_FAULT_KINDS]
         for ordering_index, ordered in enumerate(_orderings(timed)):
             scenario = replace(
                 template,
                 name=f"{template.name}#{mask:0{max(1, len(sites))}b}.{ordering_index}",
                 faults=drops + ordered,
             )
-            trace = run(scenario, seed, break_dedup=break_dedup)
+            trace = run(scenario, break_dedup=break_dedup)
             report.total_scenarios += 1
             violations = check_invariants(trace)
             if violations:

@@ -48,10 +48,15 @@ def check_invariants(trace: Trace) -> list[Violation]:
                       if e["kind"] == "server_record_completed"}
 
     # Eventual delivery: a completed response must reach any client that
-    # is reachable again by the end of the scenario.
+    # is reachable again by the end of the scenario. A send the server
+    # refused as IdentityConflict is exempt: it reused another request's
+    # id, so the body completed under that key was never its to receive,
+    # and the rejection was its answer.
+    conflicted = {e["send"] for e in trace.events if e["kind"] == "send_failed"
+                  and e.get("detail", "").startswith("IdentityConflict")}
     for out in trace.outcomes:
         key = out.get("key")
-        if key is None or out.get("status") == "Ok":
+        if key is None or out.get("status") == "Ok" or out["send"] in conflicted:
             continue
         if key in completed_keys and trace.clients_online_at_end.get(out["client"], False):
             violations.append(Violation(

@@ -3,7 +3,8 @@
 A scenario is a JSON document: service profiles, timed client sends, and
 timed faults, all on one virtual clock. Fault kinds cover the transient
 failures the protocol is built to survive: lost requests, lost responses,
-client connectivity windows, and dying push connections.
+client connectivity windows, dying push connections, and the server
+closing an idle push connection.
 """
 
 from __future__ import annotations
@@ -11,10 +12,14 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from ..server.handlers import check_output_size
+from ..envelope import MAX_TIMESTAMP_MS
+from ..server.handlers import check_delay_ms, check_output_size
 
-FAULT_KINDS = ("drop_request", "drop_http_response", "client_offline", "client_online",
-               "kill_push_conn")
+# Drop faults target one send's attempts; timed faults act on a client at
+# an instant of the virtual clock.
+DROP_FAULT_KINDS = ("drop_request", "drop_http_response")
+TIMED_FAULT_KINDS = ("client_offline", "client_online", "kill_push_conn", "push_idle_close")
+FAULT_KINDS = DROP_FAULT_KINDS + TIMED_FAULT_KINDS
 
 DEFAULT_LATENCY = {"request_ms": 5, "response_ms": 5, "push_ms": 5}
 
@@ -43,6 +48,9 @@ class SendSpec:
     push_wait_ms: int = 3_000
     max_trials: int = 3
     forced: bool = False
+    # Stamps the send as given instead of through the per-device
+    # allocator: a misbehaving clock, which may reuse another send's id.
+    timestamp_ms: int | None = None
 
     def payload(self, index: int) -> bytes:
         if self.payload_hex is not None:
@@ -56,7 +64,7 @@ class FaultSpec:
     t: int = 0
     send: int | None = None  # index into sends, for drop_* kinds
     trial: int | None = None  # specific trial, or None for every trial
-    client: str | None = None  # for offline/online/kill_push_conn
+    client: str | None = None  # for the timed kinds
 
     def matches_attempt(self, send_index: int, trial: int) -> bool:
         return self.send == send_index and (self.trial is None or self.trial == trial)
@@ -79,6 +87,7 @@ class ScenarioSpec:
         for svc in self.services:
             try:
                 check_output_size(svc.name, svc.output_size)
+                check_delay_ms(svc.name, svc.delay_ms)
             except ValueError as exc:
                 raise ScenarioInvalid(str(exc)) from None
         for spec in self.sends:
@@ -86,12 +95,16 @@ class ScenarioSpec:
                 raise ScenarioInvalid(f"send references unknown service {spec.service!r}")
             if spec.t < 0 or spec.t > self.end_time_ms:
                 raise ScenarioInvalid(f"send at t={spec.t} outside scenario window")
+            ts = spec.timestamp_ms
+            if ts is not None and (isinstance(ts, bool) or not isinstance(ts, int)
+                                   or not 0 <= ts <= MAX_TIMESTAMP_MS):
+                raise ScenarioInvalid(f"send timestamp_ms {ts!r} is not a valid timestamp")
         clients = {spec.client for spec in self.sends}
         last_t = None
         for fault in self.faults:
             if fault.kind not in FAULT_KINDS:
                 raise ScenarioInvalid(f"unknown fault kind {fault.kind!r}")
-            if fault.kind in ("drop_request", "drop_http_response"):
+            if fault.kind in DROP_FAULT_KINDS:
                 if fault.send is None or not 0 <= fault.send < len(self.sends):
                     raise ScenarioInvalid(f"{fault.kind} fault needs a valid send index")
             else:

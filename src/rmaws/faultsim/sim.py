@@ -3,11 +3,16 @@
 One single-threaded event loop drives real protocol components: the
 server core, the server-side push sessions, and the client send machines
 are the same classes the live stack uses; only transports and timers are
-virtual. Requests travel as real encoded bytes through the real codecs,
-so wire accounting and body transparency are checked end to end.
+virtual. The server side of a request is ``ServerCore.receive`` and
+``execute``, as in the live server, with the handler's ``delay_ms``
+scheduled in between. The push client acts as ``PushClient`` does: its
+connection stays open after a release, and a Register lost on a reused
+connection goes out once more on a new one. Requests travel as real
+encoded bytes through the real codecs, so wire accounting and body
+transparency are checked end to end.
 
-Everything is deterministic for a given (scenario, seed): time advances
-only through the event queue and no unordered collection feeds the trace.
+Everything is deterministic for a given scenario: time advances only
+through the event queue and no unordered collection feeds the trace.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from ..envelope import (
     Channel,
     FrameKind,
     ResponseEnvelope,
-    close_frame,
     decode_push_frame,
     decode_request,
     encode_push_frame,
@@ -39,9 +43,9 @@ from ..envelope import (
     status_from_code,
 )
 from ..push import ConnState, PushSession
-from ..server.core import HttpRoute, PushRoute, RecordState, ServerCore
+from ..server.core import HttpRoute, PushRoute, RecordState, ServerCore, ValidationError
 from ..server.handlers import HandlerRegistry, make_synthetic, synthetic_body
-from .scenario import ScenarioSpec
+from .scenario import DROP_FAULT_KINDS, TIMED_FAULT_KINDS, ScenarioSpec
 from .trace import Trace, TraceRecorder, body_digest
 
 # Events one run may process. A scenario that needs more is diverging (an
@@ -59,8 +63,7 @@ class SimExchange:
         self.trial = env.rid.trial
         self.alive = True
 
-    def complete(self, plan) -> None:
-        resp = plan.response_for(self.env.rid, Channel.HTTP)
+    def complete(self, resp: ResponseEnvelope, error: ValidationError | None) -> None:
         self.world._send_http_response(self, resp)
 
 
@@ -73,10 +76,6 @@ class SimPushConn:
         self.session: PushSession | None = None
         self.slots: dict[str, "SimSend"] = {}
         self.alive = True
-        self.client_closed = False
-
-    def usable(self) -> bool:
-        return self.alive and not self.client_closed
 
 
 class SimClient:
@@ -94,16 +93,19 @@ class SimSend:
         self.client = client
         self.machine: SendMachine | None = None
         self.current_exchange: SimExchange | None = None
+        # The push wait whose first Register went out on a connection
+        # already open and has no answer yet: ``_PushSlot.lost_on_reuse``
+        # holds if that connection dies.
+        self.unanswered_reuse: RegisterPush | None = None
         self.done = False
         self.outcome = None
         self.error = None
 
 
 class SimWorld:
-    def __init__(self, scenario: ScenarioSpec, seed: int = 0, *, break_dedup: bool = False):
+    def __init__(self, scenario: ScenarioSpec, *, break_dedup: bool = False):
         scenario.validate()
         self.scenario = scenario
-        self.seed = seed
         self.now = 0
         self._heap: list = []
         self._seq = 0
@@ -135,10 +137,8 @@ class SimWorld:
                 self.clients[spec.client] = client
             self.sends.append(SimSend(index, spec, client))
 
-        self.drop_faults = [f for f in scenario.faults
-                            if f.kind in ("drop_request", "drop_http_response")]
-        self.timed_faults = [f for f in scenario.faults
-                             if f.kind in ("client_offline", "client_online", "kill_push_conn")]
+        self.drop_faults = [f for f in scenario.faults if f.kind in DROP_FAULT_KINDS]
+        self.timed_faults = [f for f in scenario.faults if f.kind in TIMED_FAULT_KINDS]
 
         self.wire = {"requests_bytes": 0, "request_count": 0,
                      "responses_bytes": 0, "push_bytes": 0}
@@ -200,8 +200,9 @@ class SimWorld:
         spec = send.spec
         device = spec.device_id if spec.device_id is not None else spec.client
         payload = spec.payload(send.index)
-        send.machine = SendMachine(spec.service, payload, self._opts(spec), device,
-                                   self.timestamps.allocate(device, self.now))
+        stamp = (spec.timestamp_ms if spec.timestamp_ms is not None
+                 else self.timestamps.allocate(device, self.now))
+        send.machine = SendMachine(spec.service, payload, self._opts(spec), device, stamp)
         key = send.machine.key
         if spec.forced:
             self.forced_keys.add(key)
@@ -286,40 +287,15 @@ class SimWorld:
         env = decode_request(data)
         self.trace.emit("server_receive", send=send.index, trial=env.rid.trial,
                         key=env.rid.dedup_key)
-        err = self.core.validate(env, self.scenario.auth_token)
-        if err is None:
-            result = self.core.submit(env, exchange, route=HttpRoute(exchange))
-            err = result.error
-        if err is not None:
-            self.trace.emit("validation_failed", send=send.index, reason=err.reason)
-            self._send_http_response(exchange, err.response_for(env.rid, Channel.HTTP))
-            return
-        if result.kind == "replay":
-            self._send_http_response(exchange, result.response)
-        elif result.kind == "execute":
-            profile = self.profiles[env.service_name]
-            self.schedule(profile.delay_ms,
-                          lambda t=result.ticket: self._complete_execution(t))
-
-    def _complete_execution(self, ticket) -> None:
-        handler = self.core.handlers.get(ticket.env.service_name)
-        try:
-            body = handler.run(ticket.env.payload)
-            plan = self.core.finish(ticket, body=body)
-        except Exception as exc:
-            plan = self.core.finish(ticket, error_code=f"{type(exc).__name__}: {exc}")
-        for waiter in plan.waiters:
-            waiter.complete(plan)
-        if plan.push is not None:
-            resp = plan.response_for(plan.push.rid, Channel.PUSH)
-            if not plan.push.conn.push_response(resp):
-                self.trace.emit("push_write_failed", key=plan.key)
+        ticket = self.core.receive(env, self.scenario.auth_token, exchange)
+        if ticket is not None:
+            self.schedule(self.profiles[env.service_name].delay_ms,
+                          lambda: self.core.execute(ticket))
 
     def _send_http_response(self, exchange: SimExchange, resp: ResponseEnvelope) -> None:
         send = exchange.send
         if not exchange.alive:
             self.trace.emit("http_write_dead", send=send.index, trial=exchange.trial)
-            self.core.deregister_presence(exchange.env.rid.dedup_key, HttpRoute(exchange))
             return
         self.wire["responses_bytes"] += len(resp.body)
         self.trace.emit("http_write", send=send.index, trial=exchange.trial,
@@ -347,17 +323,22 @@ class SimWorld:
 
     # -- push channel ---------------------------------------------------------
 
-    def _register_push(self, send: SimSend, eff: RegisterPush) -> None:
+    def _register_push(self, send: SimSend, eff: RegisterPush, *, retry: bool = False) -> None:
+        """Register for ``eff``'s push wait. A retry is the wait's second
+        Register: it keeps the first one's timer, so the deadline stays."""
         client = send.client
         key = eff.rid.dedup_key
-        self.schedule(eff.wait_ms, lambda s=send, e=eff: self._push_timer(s, e.epoch))
+        if not retry:
+            self.schedule(eff.wait_ms, lambda s=send, e=eff: self._push_timer(s, e.epoch))
         if not client.online:
             self.trace.emit("push_register_failed", send=send.index, reason="offline")
             self.schedule(self.lat_push, lambda s=send: self._interpret(
                 s, s.machine.on_push_register_failed()))
             return
         conn = client.conn
-        if conn is None or not conn.usable():
+        reused = conn is not None and conn.alive
+        send.unanswered_reuse = eff if reused and not retry else None
+        if not reused:
             client.conn_counter += 1
             conn = SimPushConn(f"{client.name}-p{client.conn_counter}", client)
             conn.session = PushSession(self.core, self._pipe_to_client(conn), conn.id)
@@ -394,7 +375,7 @@ class SimWorld:
             self.trace.emit("push_conn_closed", conn=conn.id, by="server")
 
     def _client_push_message(self, conn: SimPushConn, data: bytes) -> None:
-        if not conn.alive or conn.client_closed or not conn.client.online:
+        if not conn.alive or not conn.client.online:
             self.trace.emit("frame_lost", conn=conn.id, direction="down")
             return
         frame = decode_push_frame(data)
@@ -416,12 +397,29 @@ class SimWorld:
             self._interpret(send, effects)
         elif frame.kind is FrameKind.REGISTER_ACK:
             self.trace.emit("push_ack", conn=conn.id, meta=frame.meta or "OK")
+            send = conn.slots.get(frame.rid.dedup_key)
+            if send is not None:
+                send.unanswered_reuse = None
         elif frame.kind is FrameKind.CLOSE:
             self.trace.emit("push_conn_closed", conn=conn.id, by="server_goodbye")
-            conn.alive = False
-            waiting = list(conn.slots.values())
-            conn.slots.clear()
-            for send in waiting:
+            self._push_conn_died(conn)
+
+    def _push_conn_died(self, conn: SimPushConn) -> None:
+        """The client sees its push connection die. As in ``Client``, a
+        Register that went out on a reused connection and got no answer
+        was most likely lost to the server's idle close: it goes out once
+        more, on a new connection, within the same wait and trial. Every
+        other waiting send sees the channel die."""
+        conn.alive = False
+        waiting = list(conn.slots.values())
+        conn.slots.clear()
+        for send in waiting:
+            eff = send.unanswered_reuse
+            if eff is not None and send.machine.state == SendMachine.WAIT_PUSH \
+                    and send.machine.epoch == eff.epoch:
+                self.trace.emit("push_register_lost", send=send.index, conn=conn.id)
+                self._register_push(send, eff, retry=True)
+            else:
                 self._interpret(send, send.machine.on_push_dead())
 
     def _push_timer(self, send: SimSend, epoch: int) -> None:
@@ -431,18 +429,10 @@ class SimWorld:
             self._interpret(send, effects)
 
     def _release_push(self, send: SimSend, eff: ReleasePush) -> None:
-        client = send.client
-        conn = client.conn
-        if conn is None or not conn.usable():
-            return
-        conn.slots.pop(eff.rid.dedup_key, None)
-        if not conn.slots:
-            # Last outstanding registration resolved: close the socket.
-            data = encode_push_frame(close_frame())
-            conn.client_closed = True
-            self.wire["push_bytes"] += len(data)
-            self.trace.emit("push_close_sent", conn=conn.id)
-            self.schedule(self.lat_push, lambda c=conn, d=data: self._server_push_message(c, d))
+        """Drop the registration; the connection stays open, as in
+        ``PushClient.release``."""
+        if send.client.conn is not None:
+            send.client.conn.slots.pop(eff.rid.dedup_key, None)
 
     # -- faults ----------------------------------------------------------------
 
@@ -469,18 +459,22 @@ class SimWorld:
                 self.trace.emit("client_online", client=client.name)
         elif fault.kind == "kill_push_conn":
             self._kill_conn(client, reason="killed")
+        elif fault.kind == "push_idle_close":
+            # What the live server does once the connection has been idle
+            # for push_idle_timeout_ms: a Close frame, then it stops
+            # reading. The client learns of it when the frame arrives.
+            conn = client.conn
+            if conn is not None and conn.session.state is ConnState.OPEN:
+                self.trace.emit("fault_push_idle_close", conn=conn.id)
+                conn.session.send_goodbye()
 
     def _kill_conn(self, client: SimClient, reason: str) -> None:
         conn = client.conn
         if conn is None or not conn.alive:
             return
-        conn.alive = False
         self.trace.emit("push_conn_killed", conn=conn.id, reason=reason)
         conn.session.mark_dead()
-        waiting = list(conn.slots.values())
-        conn.slots.clear()
-        for send in waiting:
-            self._interpret(send, send.machine.on_push_dead())
+        self._push_conn_died(conn)
 
     # -- assembly ----------------------------------------------------------------
 
@@ -514,14 +508,13 @@ class SimWorld:
         open_regs: list[str] = []
         for name in sorted(self.clients):
             client = self.clients[name]
-            if client.conn is not None and client.conn.usable():
+            if client.conn is not None and client.conn.alive:
                 open_regs.extend(client.conn.slots.keys())
         push_presence = [key for key in counts
                          if isinstance(self.core.presence_route(key), PushRoute)]
 
         return Trace(
             scenario_name=self.scenario.name,
-            seed=self.seed,
             end_time_ms=self.scenario.end_time_ms,
             latency=dict(self.scenario.latency),
             events=self.trace.events,
@@ -542,6 +535,6 @@ class SimWorld:
         )
 
 
-def run(scenario: ScenarioSpec, seed: int = 0, *, break_dedup: bool = False) -> Trace:
-    """Deterministic: identical (scenario, seed) yield byte-identical traces."""
-    return SimWorld(scenario, seed, break_dedup=break_dedup).run()
+def run(scenario: ScenarioSpec, *, break_dedup: bool = False) -> Trace:
+    """Deterministic: identical scenarios yield byte-identical traces."""
+    return SimWorld(scenario, break_dedup=break_dedup).run()

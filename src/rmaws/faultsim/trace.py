@@ -30,11 +30,10 @@ class TraceRecorder:
 @dataclass
 class Trace:
     """Everything a run produced. ``to_jsonl`` is byte-deterministic for a
-    given (scenario, seed); raw bodies, per-send reference digests and the
+    given scenario; raw bodies, per-send reference digests and the
     divergence flag stay in memory only."""
 
     scenario_name: str
-    seed: int
     end_time_ms: int
     latency: dict
     events: list[dict]
@@ -60,7 +59,6 @@ class Trace:
         return {
             "kind": "summary",
             "scenario": self.scenario_name,
-            "seed": self.seed,
             "end_time_ms": self.end_time_ms,
             "latency": {k: self.latency[k] for k in sorted(self.latency)},
             "outcomes": self.outcomes,

@@ -1,12 +1,9 @@
 from .core import (
-    DeliveryPlan,
     ExecutionRecord,
-    ExecutionTicket,
     HttpRoute,
     PushRoute,
     RecordState,
     ServerCore,
-    SubmitResult,
     ValidationError,
 )
 from .handlers import HandlerFailure, HandlerRegistry, ServiceHandler, make_synthetic, synthetic_body
@@ -14,9 +11,7 @@ from .store import AppendOnlyFileStore, MemoryStore, RecordStore, StoredRecord
 
 __all__ = [
     "AppendOnlyFileStore",
-    "DeliveryPlan",
     "ExecutionRecord",
-    "ExecutionTicket",
     "HandlerFailure",
     "HandlerRegistry",
     "HttpRoute",
@@ -27,7 +22,6 @@ __all__ = [
     "ServerCore",
     "ServiceHandler",
     "StoredRecord",
-    "SubmitResult",
     "ValidationError",
     "make_synthetic",
     "synthetic_body",

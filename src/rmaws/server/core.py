@@ -1,9 +1,12 @@
 """Protocol engine: execution cache, deduplication, presence, routing.
 
-The core is sans-IO. Drivers (the live HTTP server and the virtual-clock
-simulator) decode envelopes, run service handlers and perform transport
-writes; every state transition lives here, behind one lock, so both
-drivers exhibit identical protocol behaviour.
+The core runs the server side of every request for both drivers, the
+live HTTP server and the virtual-clock simulator: ``receive`` validates
+and submits a request, and ``execute`` runs its handler, records the
+result and delivers it to every waiting exchange and to a push route.
+The drivers keep only transport and timers: they decode envelopes,
+carry each answer back through their exchange's ``complete(resp,
+error)``, and wait out a handler's ``delay_ms`` before ``execute``.
 
 Locking: a single registry lock guards all record and presence mutations.
 It is held only for bookkeeping (microseconds), never while a handler
@@ -97,10 +100,19 @@ class _Entry:
     pending: bool = False
     result: tuple | None = None  # ("ok", body) | ("failed", error_code)
     completed_at: int | None = None
-    waiters: list = field(default_factory=list)
+    waiters: list = field(default_factory=list)  # exchanges of the execution in flight
     # sha256 of the payload that owns the key; None for records loaded
     # from a store, which are not checked for identity conflicts.
     payload_digest: bytes | None = None
+
+
+def _response(rid: RequestId, result: tuple, channel: Channel) -> ResponseEnvelope:
+    """The response that an entry's ``result`` gives ``rid``."""
+    kind, value = result
+    if kind == "ok":
+        return ResponseEnvelope(rid, ResponseStatus.OK, channel, value)
+    return ResponseEnvelope(rid, ResponseStatus.SERVICE_ERROR, channel,
+                            f"service error: {value}".encode("utf-8"))
 
 
 @dataclass
@@ -109,28 +121,21 @@ class ExecutionTicket:
 
     env: RequestEnvelope
     key: str
-    granted_at: int
     _entry: _Entry
 
 
 @dataclass
 class DeliveryPlan:
-    """Everything the driver needs to deliver one completed execution."""
+    """One completed execution: its result, the exchanges waiting for it
+    and the push route, if the client waits on one."""
 
     key: str
-    status: ResponseStatus
-    body: bytes | None
-    error_code: str | None
+    result: tuple
     waiters: list
     push: PushRoute | None
-    completed_at: int
 
     def response_for(self, rid: RequestId, channel: Channel) -> ResponseEnvelope:
-        if self.status is ResponseStatus.OK:
-            return ResponseEnvelope(rid, ResponseStatus.OK, channel, self.body or b"")
-        return ResponseEnvelope(
-            rid, self.status, channel, f"service error: {self.error_code}".encode("utf-8")
-        )
+        return _response(rid, self.result, channel)
 
 
 @dataclass
@@ -259,7 +264,7 @@ class ServerCore:
                 if route is not None:
                     self._register_presence_locked(key, route)
                 self.emit("execute_begin", key=key, count=entry.execution_count, forced=env.is_forced)
-                return SubmitResult("execute", ticket=ExecutionTicket(env, key, now, entry))
+                return SubmitResult("execute", ticket=ExecutionTicket(env, key, entry))
 
             replayable = (
                 not env.is_forced
@@ -267,10 +272,9 @@ class ServerCore:
                 and entry.result[0] == "ok"
             )
             if replayable:
-                entry_body = entry.result[1]
                 self.emit("cache_hit", key=key, trial=env.rid.trial)
-                resp = ResponseEnvelope(env.rid, ResponseStatus.OK, Channel.CACHE_REPLAY, entry_body)
-                return SubmitResult("replay", response=resp)
+                return SubmitResult("replay", response=_response(
+                    env.rid, entry.result, Channel.CACHE_REPLAY))
 
             if entry.pending:
                 entry.waiters.append(waiter)
@@ -288,15 +292,15 @@ class ServerCore:
             if route is not None:
                 self._register_presence_locked(key, route)
             self.emit("execute_begin", key=key, count=entry.execution_count, forced=env.is_forced)
-            return SubmitResult("execute", ticket=ExecutionTicket(env, key, now, entry))
+            return SubmitResult("execute", ticket=ExecutionTicket(env, key, entry))
 
     def finish(self, ticket: ExecutionTicket, *, body: bytes | None = None,
                error_code: str | None = None) -> DeliveryPlan:
         """Record the execution result and plan its delivery.
 
-        The presence route for the key is consumed here; HTTP waiters in
-        the plan deliver to their own exchanges, and a push route (if it
-        is the stored one) is returned for the driver to write.
+        The presence route for the key is consumed here; the plan holds
+        the exchanges waiting on the key and the push route, if it is the
+        stored one, for ``execute`` to answer.
         """
         now = self.clock()
         entry = ticket._entry
@@ -305,12 +309,10 @@ class ServerCore:
             entry.completed_at = now
             if error_code is None:
                 entry.result = ("ok", body if body is not None else b"")
-                status = ResponseStatus.OK
                 self.emit("record_completed", key=ticket.key, size=len(entry.result[1]),
                           count=entry.execution_count)
             else:
                 entry.result = ("failed", error_code)
-                status = ResponseStatus.SERVICE_ERROR
                 self.emit("record_failed", key=ticket.key, error=error_code)
             waiters = entry.waiters
             entry.waiters = []
@@ -325,15 +327,55 @@ class ServerCore:
                     completed_at=now,
                     execution_count=entry.execution_count,
                 ))
-        return DeliveryPlan(
-            key=ticket.key,
-            status=status,
-            body=body,
-            error_code=error_code,
-            waiters=waiters,
-            push=route if isinstance(route, PushRoute) else None,
-            completed_at=now,
-        )
+        return DeliveryPlan(ticket.key, entry.result, waiters,
+                            route if isinstance(route, PushRoute) else None)
+
+    # -- request sequence ------------------------------------------------
+
+    def receive(self, env: RequestEnvelope, token: str, exchange) -> ExecutionTicket | None:
+        """Validate and submit one request that arrived on ``exchange``,
+        an object with the request's ``env`` and a ``complete`` method.
+
+        A rejection or a replay is answered at once through
+        ``exchange.complete(resp, error)``; otherwise the exchange waits
+        for the execution. Returns the ticket when this request must run
+        it: the driver waits the handler's ``delay_ms``, then calls
+        ``execute``."""
+        err = self.validate(env, token)
+        if err is None:
+            result = self.submit(env, exchange, route=HttpRoute(exchange))
+            if result.kind == "execute":
+                return result.ticket
+            if result.kind == "replay":
+                exchange.complete(result.response, None)
+            if result.kind != "reject":
+                return None
+            err = result.error
+        self.emit("validation_failed", key=env.rid.dedup_key, trial=env.rid.trial,
+                  reason=err.reason)
+        exchange.complete(err.response_for(env.rid, Channel.HTTP), err)
+        return None
+
+    def execute(self, ticket: ExecutionTicket) -> None:
+        """Run the handler for a granted execution and deliver its result:
+        each waiting exchange gets a response under its own rid, and the
+        push route, if the client waits on one, gets a Deliver frame. A
+        push write that fails leaves the result in the cache for replay."""
+        env = ticket.env
+        try:
+            body, error = self.handlers.get(env.service_name).run(env.payload), None
+        except Exception as exc:
+            log.info("handler %s failed: %s", env.service_name, exc)
+            body, error = None, f"{type(exc).__name__}: {exc}"
+        plan = self.finish(ticket, body=body, error_code=error)
+        for waiter in plan.waiters:
+            waiter.complete(plan.response_for(waiter.env.rid, Channel.HTTP), None)
+        if plan.push is not None:
+            resp = plan.response_for(plan.push.rid, Channel.PUSH)
+            if plan.push.conn.push_response(resp):
+                self.emit("push_delivered", key=plan.key, size=len(resp.body))
+            else:
+                self.emit("push_write_failed", key=plan.key)
 
     # -- presence -------------------------------------------------------
 
@@ -388,16 +430,8 @@ class ServerCore:
             entry = self._entries.get(key)
             if entry is not None and entry.result is not None and not entry.pending \
                     and not self._expired(entry, now):
-                status, payload = entry.result
-                if status == "ok":
-                    resp = ResponseEnvelope(rid, ResponseStatus.OK, Channel.PUSH, payload)
-                else:
-                    resp = ResponseEnvelope(
-                        rid, ResponseStatus.SERVICE_ERROR, Channel.PUSH,
-                        f"service error: {payload}".encode("utf-8"),
-                    )
                 self.emit("push_register_completed", key=key)
-                return "OK", resp
+                return "OK", _response(rid, entry.result, Channel.PUSH)
             self._register_presence_locked(key, PushRoute(conn, rid))
             return ("OK" if entry is not None else "NC"), None
 

@@ -38,6 +38,13 @@ def check_output_size(name: str, output_size) -> None:
                          f"non-negative integer, not {output_size!r}")
 
 
+def check_delay_ms(name: str, delay_ms) -> None:
+    """Raise ``ValueError`` unless ``delay_ms`` is an int >= 0."""
+    if isinstance(delay_ms, bool) or not isinstance(delay_ms, int) or delay_ms < 0:
+        raise ValueError(f"service {name!r}: delay_ms must be a non-negative "
+                         f"integer, not {delay_ms!r}")
+
+
 @dataclass
 class ServiceHandler:
     """A named service. ``delay_ms`` is scheduled by the driver, not here."""
@@ -59,6 +66,7 @@ def make_synthetic(
 ) -> ServiceHandler:
     """Synthetic handler; the first ``fail_times`` invocations fail."""
     check_output_size(name, output_size)
+    check_delay_ms(name, delay_ms)
     remaining = [fail_times]
 
     def fn(payload: bytes) -> bytes:
@@ -88,13 +96,17 @@ class HandlerRegistry:
 
     @classmethod
     def from_config(cls, services: list[dict]) -> "HandlerRegistry":
-        """Build a registry from config rows: name, delay_ms, output_size."""
+        """Build a registry from config rows: name, delay_ms, output_size.
+        A row that is not an object with a ``name`` raises ``ValueError``
+        naming its index."""
         reg = cls()
-        for row in services:
+        for index, row in enumerate(services):
+            if not isinstance(row, dict) or "name" not in row:
+                raise ValueError(f"services[{index}] must be an object with a \"name\"")
             reg.add(make_synthetic(
                 row["name"],
                 output_size=row.get("output_size"),
-                delay_ms=int(row.get("delay_ms", 0)),
+                delay_ms=row.get("delay_ms", 0),
                 fail_times=int(row.get("fail_times", 0)),
             ))
         return reg

@@ -10,12 +10,14 @@ be framed; so does a body cut short, which gets 400 and never reaches a
 handler. A body is read in bounded chunks, so memory grows with the
 bytes that arrive, not with the length a request claims.
 
-A request thread that wins the execution runs the handler itself and
-answers from the delivery plan that finishing it returns; duplicate
-arrivals for the same dedup key park on a one-shot latch until the
-executing thread completes them. Every live exchange writes the
-completed response on its own connection, in one write with Nagle's
-algorithm off. Push deliveries are written by the finishing thread. A
+The request sequence itself runs in ``ServerCore``, the same code the
+simulator drives: ``receive`` validates and submits a request, and when
+it hands back an execution ticket, the request thread sleeps the
+handler's ``delay_ms`` and calls ``execute``, which runs the handler and
+completes every exchange waiting on that key. Duplicate arrivals for
+the key park on a one-shot latch until then. Every live exchange writes
+the completed response on its own connection, in one write with Nagle's
+algorithm off. Push deliveries are written by the executing thread. A
 client abandons an exchange by closing its connection. Before each
 write, one ``poll`` with a zero timeout checks whether the connection
 has anything to read; only then does a one-byte peek tell a closed peer
@@ -54,12 +56,13 @@ from ..envelope import (
     decode_request,
 )
 from ..push import PushSession
-from .core import HttpRoute, ServerCore, ValidationError
+from .core import ServerCore, ValidationError
 from .handlers import HandlerRegistry
 from .store import AppendOnlyFileStore
 
 log = logging.getLogger(__name__)
 
+_HTTP_CODES = {ResponseStatus.OK: 200, ResponseStatus.SERVICE_ERROR: 500}
 _VALIDATION_HTTP_CODES = {"BadId": 400, "UnknownService": 404, "Unauthorized": 401,
                           "IdentityConflict": 409}
 DEFAULT_CACHE_TTL_MS = 24 * 60 * 60 * 1000
@@ -124,31 +127,34 @@ class ServerConfig:
 class LiveExchange:
     """An open HTTP exchange acting as the waiter for its request.
 
-    A waiter attached to an execution in flight parks on a one-shot latch:
-    a lock taken when the exchange is made and released by ``complete``.
-    It costs less to make than a ``threading.Event``, and the executing
-    exchange, which never waits, makes one too."""
+    The core answers it with ``complete``; the thread that serves its
+    connection then writes that answer with ``deliver``. A waiter
+    attached to an execution in flight parks on a one-shot latch: a lock
+    taken when the exchange is made and released by ``complete``. It
+    costs less to make than a ``threading.Event``; an exchange the core
+    has already answered finds the latch open."""
 
     def __init__(self, handler: "RmawsRequestHandler", env: RequestEnvelope):
         self.handler = handler
         self.env = env
-        self.plan = None
+        self.answer: tuple[ResponseEnvelope, int] | None = None
         self._latch = threading.Lock()
         self._latch.acquire()
 
-    def complete(self, plan) -> None:
-        self.plan = plan
+    def complete(self, resp: ResponseEnvelope, error: ValidationError | None) -> None:
+        code = _HTTP_CODES[resp.status] if error is None else _VALIDATION_HTTP_CODES[error.reason]
+        self.answer = (resp, code)
         self._latch.release()
 
-    def wait(self, timeout_s: float) -> bool:
-        """Block until ``complete`` has run; False after ``timeout_s``."""
-        return self._latch.acquire(timeout=timeout_s)
-
-    def alive(self) -> bool:
-        return _socket_alive(self.handler.connection)
+    def deliver(self) -> None:
+        """Wait for ``complete``, then write its response on this
+        connection. An exchange never completed within ``WAITER_CAP_S``
+        gets no answer, and its connection closes."""
+        if self._latch.acquire(timeout=WAITER_CAP_S):
+            self.respond(*self.answer)
 
     def respond(self, resp: ResponseEnvelope, http_code: int) -> bool:
-        if not self.alive():
+        if not _socket_alive(self.handler.connection):
             return False
         return self.handler.write_response(http_code, resp.body, {
             RID_HEADER: resp.rid.canonical(),
@@ -178,16 +184,6 @@ def _socket_alive(sock: socket.socket) -> bool:
         return True
     except OSError:
         return False
-
-
-def _http_code_for(resp: ResponseEnvelope, validation: ValidationError | None = None) -> int:
-    if resp.status is ResponseStatus.OK:
-        return 200
-    if resp.status is ResponseStatus.SERVICE_ERROR:
-        return 500
-    if validation is not None:
-        return _VALIDATION_HTTP_CODES.get(validation.reason, 400)
-    return 400
 
 
 class RmawsServer:
@@ -310,62 +306,6 @@ class RmawsServer:
             self._active -= 1
             if self._active == 0:
                 self._idle.notify_all()
-
-    # -- request orchestration -------------------------------------------
-
-    def handle_request(self, env: RequestEnvelope, exchange: LiveExchange, token: str):
-        """Full request sequence: validate, dedup, execute or join, deliver.
-
-        Returns (channel | None, ResponseStatus) for logging; None channel
-        means the response was parked in the cache for later replay.
-        """
-        err = self.core.validate(env, token)
-        if err is None:
-            result = self.core.submit(env, exchange, route=HttpRoute(exchange))
-            err = result.error
-        if err is not None:
-            resp = err.response_for(env.rid, Channel.HTTP)
-            exchange.respond(resp, _http_code_for(resp, err))
-            return Channel.HTTP, ResponseStatus.VALIDATION_ERROR
-
-        if result.kind == "replay":
-            delivered = exchange.respond(result.response, 200)
-            return (Channel.CACHE_REPLAY if delivered else None), result.response.status
-
-        if result.kind == "execute":
-            handler = self.registry.get(env.service_name)
-            if handler.delay_ms:
-                time.sleep(handler.delay_ms / 1000.0)
-            try:
-                body = handler.run(env.payload)
-                plan = self.core.finish(result.ticket, body=body)
-            except Exception as exc:
-                log.info("handler %s failed: %s", env.service_name, exc)
-                plan = self.core.finish(result.ticket,
-                                        error_code=f"{type(exc).__name__}: {exc}")
-            self._deliver(plan)
-        else:
-            # Attached to an execution in flight, whose thread completes
-            # this exchange once the execution finishes.
-            if not exchange.wait(WAITER_CAP_S):
-                return None, ResponseStatus.SERVICE_ERROR  # pragma: no cover
-            plan = exchange.plan
-        resp = plan.response_for(env.rid, Channel.HTTP)
-        delivered = exchange.respond(resp, _http_code_for(resp))
-        if not delivered:
-            self.core.deregister_presence(env.rid.dedup_key, HttpRoute(exchange))
-            return None, resp.status
-        return Channel.HTTP, resp.status
-
-    def _deliver(self, plan) -> None:
-        for waiter in plan.waiters:
-            waiter.complete(plan)
-        if plan.push is not None:
-            resp = plan.response_for(plan.push.rid, Channel.PUSH)
-            if plan.push.conn.push_response(resp):
-                self.core.emit("push_delivered", key=plan.key, size=len(resp.body))
-            else:
-                log.info("push write failed for %s; response stays cached", plan.key)
 
     # -- direct (baseline) route ------------------------------------------
 
@@ -566,8 +506,15 @@ class RmawsRequestHandler(socketserver.StreamRequestHandler):
         if self.path[len("/services/"):] != env.service_name:
             self.write_response(400, b"path does not match envelope service", _VALIDATION_HEADERS)
             return
-        self.rmaws.handle_request(env, LiveExchange(self, env),
-                                  self.head.fields.get(TOKEN_HEADER, ""))
+        core = self.rmaws.core
+        exchange = LiveExchange(self, env)
+        ticket = core.receive(env, self.head.fields.get(TOKEN_HEADER, ""), exchange)
+        if ticket is not None:
+            delay_ms = core.handlers.get(env.service_name).delay_ms
+            if delay_ms:
+                time.sleep(delay_ms / 1000.0)
+            core.execute(ticket)
+        exchange.deliver()
 
     def _handle_push_upgrade(self):
         server = self.rmaws

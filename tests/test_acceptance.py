@@ -149,13 +149,13 @@ def test_criterion_4_timeout_recovery_deterministic():
             .read_text())
         # handler delay is exactly twice the client's HTTP timeout
         assert scenario.services[0].delay_ms == 2 * scenario.sends[0].http_timeout_ms
-        trace = run(scenario, seed=0)
+        trace = run(scenario)
         out = trace.outcomes[0]
         assert out["status"] == "Ok" and out["channel"] == "Push"
         assert len(trace.events_of("push_deliver")) == 1
         assert trace.execution_counts[out["key"]] == 1
         assert check_invariants(trace) == []
-        assert run(scenario, seed=0).to_jsonl() == trace.to_jsonl()
+        assert run(scenario).to_jsonl() == trace.to_jsonl()
         ok = True
     finally:
         _line(4, ok, "handler delay 2x timeout delivers exactly one Push response, one execution")
@@ -167,7 +167,7 @@ def test_criterion_5_absence_caching_and_replay():
         scenario = ScenarioSpec.loads(
             (pathlib.Path(__file__).parents[1] / "src/rmaws/scenarios/offline_replay.json")
             .read_text())
-        trace = run(scenario, seed=0)
+        trace = run(scenario)
         out = trace.outcomes[0]
         assert out["status"] == "Ok" and out["channel"] == "CacheReplay"
         assert out["key"] in trace.cached_keys_at_end

@@ -157,6 +157,18 @@ class TestServeConfig:
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "output_size" in err
 
+    @pytest.mark.parametrize("row,named", [
+        ({"name": "orders", "delay_ms": -5}, "delay_ms"),
+        ({"output_size": 5}, "services[0]"),
+    ])
+    def test_bad_service_row_exits_two_with_one_line(self, tmp_path, capsys, row, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bind": "127.0.0.1:0", "services": [row]}))
+        assert run_cli("serve", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and named in err
+
     def test_sigterm_drains_inflight_then_exits_zero(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         port = _free_port()

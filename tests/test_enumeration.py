@@ -8,9 +8,11 @@ from rmaws.faultsim import (
     ScenarioSpec,
     SendSpec,
     ServiceProfile,
+    check_invariants,
     enumerate_and_check,
     expected_scenario_count,
     normalize_sites,
+    run,
 )
 
 
@@ -79,8 +81,7 @@ class TestEnumeration:
         report = enumerate_and_check(template(), standard_sites(), break_dedup=True)
         first = report.first_violation
         replay = ScenarioSpec.from_dict(first.scenario)
-        from rmaws.faultsim import check_invariants, run
-        trace = run(replay, seed=0, break_dedup=True)
+        trace = run(replay, break_dedup=True)
         assert any(v.kind == "AtMostOnceViolated" for v in check_invariants(trace))
 
     def test_site_cap(self):
@@ -100,3 +101,103 @@ class TestEnumeration:
         assert doc["total_scenarios"] == 2
         assert doc["violation_count"] == 0
         assert doc["sites"] == ["drop_request[s0.t1@0]"]
+
+
+def misbehaving_clock_template():
+    """Two sends from one device to one service, stamped with one
+    timestamp but carrying different payloads: the second reuses the
+    first one's id. They come from two clients, so a fault on the first
+    never delays the second past its answer; the second starts after the
+    first has finished in every scenario."""
+    return ScenarioSpec(
+        name="misbehaving_clock",
+        end_time_ms=60_000,
+        services=[ServiceProfile(name="svc", delay_ms=50, output_size=64)],
+        sends=[SendSpec(t=100, service="svc", client="c1", device_id="dev", timestamp_ms=100,
+                        payload_size=25, http_timeout_ms=200, push_wait_ms=300, max_trials=3),
+               SendSpec(t=5_000, service="svc", client="c2", device_id="dev", timestamp_ms=100,
+                        payload_size=25, http_timeout_ms=200, push_wait_ms=300, max_trials=3)],
+    )
+
+
+class TestMisbehavingClock:
+    def test_reused_id_is_rejected_and_never_runs(self):
+        trace = run(misbehaving_clock_template())
+        first, second = trace.outcomes
+        assert first["key"] == second["key"]
+        assert first["status"] == "Ok"
+        assert second["error"] == "Rejected"
+        assert trace.execution_counts == {first["key"]: 1}
+        assert [e["kind"] for e in trace.events if e["kind"].startswith("server_identity")] \
+            == ["server_identity_conflict"]
+        assert check_invariants(trace) == []
+
+    def test_enumeration_holds(self):
+        sites = standard_sites()
+        report = enumerate_and_check(misbehaving_clock_template(), sites)
+        assert report.total_scenarios == 2 ** len(sites)
+        assert report.ok, report.findings[0].to_dict() if report.findings else None
+
+
+def idle_close_template():
+    """Two sends from one client fall back to push. The first opens the
+    push connection, which stays open after it; the second registers on
+    it at t=1200, the instant the server may close it as idle."""
+    return ScenarioSpec(
+        name="idle_close",
+        end_time_ms=60_000,
+        services=[ServiceProfile(name="svc", delay_ms=400, output_size=64)],
+        sends=[SendSpec(t=t, service="svc", payload_size=25, http_timeout_ms=200,
+                        push_wait_ms=1_000, max_trials=3) for t in (100, 1_000)],
+    )
+
+
+class TestPushIdleClose:
+    SITES = [FaultSpec(kind="push_idle_close", client="c1", t=1_200),
+             FaultSpec(kind="drop_http_response", send=0, trial=1),
+             FaultSpec(kind="kill_push_conn", client="c1", t=700)]
+
+    def test_register_lost_to_idle_close_goes_out_again_in_the_same_trial(self):
+        spec = idle_close_template()
+        spec.faults = [self.SITES[0]]
+        trace = run(spec)
+        registers = [(e["conn"], e["t"]) for e in trace.events_of("push_register_sent")
+                     if e["send"] == 1]
+        assert registers == [("c1-p1", 1_200), ("c1-p2", 1_205)]
+        assert [e["conn"] for e in trace.events_of("push_register_lost")] == ["c1-p1"]
+        assert [e["trial"] for e in trace.events_of("http_post") if e["send"] == 1] == [1]
+        second = trace.outcomes[1]
+        assert (second["status"], second["channel"], second["trials"]) == ("Ok", "Push", 1)
+        assert trace.execution_counts[second["key"]] == 1
+        assert check_invariants(trace) == []
+
+    def test_without_the_fault_the_connection_is_reused(self):
+        trace = run(idle_close_template())
+        assert [e["conn"] for e in trace.events_of("push_register_sent")] == ["c1-p1", "c1-p1"]
+        assert [o["channel"] for o in trace.outcomes] == ["Push", "Push"]
+        assert check_invariants(trace) == []
+
+    def test_enumeration_holds(self):
+        report = enumerate_and_check(idle_close_template(), self.SITES)
+        assert report.total_scenarios == 2 ** len(self.SITES)
+        assert report.ok, report.findings[0].to_dict() if report.findings else None
+
+    def test_register_left_from_an_ended_wait_is_not_sent_again(self):
+        # Trial 2's Register is a duplicate the server does not ack, so it
+        # stays unanswered on the reused connection; the connection dies in
+        # trial 3, after that push wait ended. Only a send still in the
+        # wait re-registers, as in Client._drive_push.
+        spec = ScenarioSpec(
+            name="ended_wait",
+            services=[ServiceProfile(name="svc", delay_ms=1_700, output_size=64)],
+            sends=[SendSpec(t=100, service="svc", payload_size=25, http_timeout_ms=200,
+                            push_wait_ms=300, max_trials=4)],
+            faults=[FaultSpec(kind="drop_request", send=0, trial=2),
+                    FaultSpec(kind="kill_push_conn", client="c1", t=1_150)],
+        )
+        trace = run(spec)
+        assert [e["t"] for e in trace.events_of("server_push_register_duplicate")] == [805]
+        assert trace.events_of("push_conn_killed")
+        assert trace.events_of("push_register_lost") == []
+        assert trace.outcomes[0]["status"] == "Ok"
+        assert check_invariants(trace) == []

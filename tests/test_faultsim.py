@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from rmaws.envelope import OVERHEAD_BYTES
+from rmaws.envelope import MAX_TIMESTAMP_MS, OVERHEAD_BYTES
 from rmaws.faultsim import (
     FaultSpec,
     ScenarioInvalid,
@@ -163,8 +163,8 @@ class TestDeterminism:
              FaultSpec(kind="client_offline", client="c1", t=250),
              FaultSpec(kind="client_online", client="c1", t=600)],
         )
-        first = run(spec, seed=7).to_jsonl()
-        second = run(spec, seed=7).to_jsonl()
+        first = run(spec).to_jsonl()
+        second = run(spec).to_jsonl()
         assert first == second
         assert first.encode("utf-8") == second.encode("utf-8")
 
@@ -182,7 +182,7 @@ class TestGoldenTraces:
         from rmaws.cli import _read_document
 
         spec = ScenarioSpec.loads(_read_document(name))
-        trace = run(spec, seed=0)
+        trace = run(spec)
         golden = pathlib.Path(__file__).parent / "golden" / f"{name}.trace.jsonl"
         assert trace.to_jsonl() == golden.read_text()
         assert check_invariants(trace) == []
@@ -211,6 +211,21 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioInvalid, match="output_size"):
             scenario([one_send()], services=[
                 ServiceProfile(name="svc", output_size=size)]).validate()
+
+    @pytest.mark.parametrize("delay", [-5, True, 2.5, "50"])
+    def test_bad_delay_ms(self, delay):
+        with pytest.raises(ScenarioInvalid, match="delay_ms"):
+            scenario([one_send()], services=[
+                ServiceProfile(name="svc", delay_ms=delay)]).validate()
+
+    @pytest.mark.parametrize("stamp", [-1, True, 2.5, MAX_TIMESTAMP_MS + 1])
+    def test_bad_timestamp_ms(self, stamp):
+        with pytest.raises(ScenarioInvalid, match="timestamp_ms"):
+            scenario([one_send(timestamp_ms=stamp)]).validate()
+
+    def test_push_idle_close_needs_a_known_client(self):
+        with pytest.raises(ScenarioInvalid):
+            scenario([one_send()], [FaultSpec(kind="push_idle_close", client="c9")]).validate()
 
     def test_loads_rejects_garbage(self):
         with pytest.raises(ScenarioInvalid):
@@ -254,7 +269,6 @@ class TestSimulationDiverged:
 def synthetic_trace(**overrides) -> Trace:
     base = dict(
         scenario_name="hand",
-        seed=0,
         end_time_ms=1_000,
         latency={"request_ms": 5, "response_ms": 5, "push_ms": 5},
         events=[],
@@ -309,6 +323,29 @@ class TestInvariantPredicates:
         )
         kinds = [v.kind for v in check_invariants(trace)]
         assert kinds == ["DeliveryLost"]
+
+    @pytest.mark.parametrize("detail,kinds", [
+        ("IdentityConflict: request id already used for a different payload", []),
+        ("Unauthorized: bad token", ["DeliveryLost"]),
+    ])
+    def test_identity_conflict_is_not_owed_the_body(self, detail, kinds):
+        # Send 1 reused send 0's id: it is answered with a rejection, and
+        # the body completed under the key belongs to send 0.
+        trace = synthetic_trace(
+            outcomes=[{"send": 0, "client": "c1", "key": "k", "status": "Ok",
+                       "body_sha": "aa", "forced": False},
+                      {"send": 1, "client": "c1", "key": "k", "error": "Rejected",
+                       "forced": False}],
+            execution_counts={"k": 1},
+            expected_bodies={"k": "aa"},
+            events=[{"t": 1, "seq": 0, "kind": "server_record_completed", "key": "k"},
+                    {"t": 2, "seq": 1, "kind": "http_response", "send": 0},
+                    {"t": 3, "seq": 2, "kind": "send_failed", "send": 1, "error": "Rejected",
+                     "detail": detail, "trials": 1}],
+            cached_keys_at_end=["k"],
+            clients_online_at_end={"c1": True},
+        )
+        assert [v.kind for v in check_invariants(trace)] == kinds
 
     def test_delivery_lost_requires_reachable_client(self):
         trace = synthetic_trace(

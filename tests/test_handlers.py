@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from rmaws.server.handlers import make_synthetic, synthetic_body
+from rmaws.server.handlers import HandlerRegistry, make_synthetic, synthetic_body
 
 
 class TestSyntheticBody:
@@ -29,3 +29,22 @@ class TestMakeSynthetic:
     def test_bad_output_size_refused(self, size):
         with pytest.raises(ValueError, match="output_size"):
             make_synthetic("svc", output_size=size)
+
+    @pytest.mark.parametrize("delay", [-5, True, 2.5, "50", None])
+    def test_bad_delay_ms_refused(self, delay):
+        with pytest.raises(ValueError, match="delay_ms"):
+            make_synthetic("svc", delay_ms=delay)
+
+
+class TestFromConfig:
+    @pytest.mark.parametrize("rows", [[{"output_size": 5}], [{"name": "a"}, "b"]])
+    def test_row_without_a_name_names_its_index(self, rows):
+        index = len(rows) - 1
+        with pytest.raises(ValueError, match=rf"services\[{index}\]"):
+            HandlerRegistry.from_config(rows)
+
+    def test_delay_ms_taken_as_given(self):
+        reg = HandlerRegistry.from_config([{"name": "a", "delay_ms": 7}, {"name": "b"}])
+        assert (reg.get("a").delay_ms, reg.get("b").delay_ms) == (7, 0)
+        with pytest.raises(ValueError, match="delay_ms"):
+            HandlerRegistry.from_config([{"name": "a", "delay_ms": -5}])

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 
 import pytest
@@ -64,6 +65,161 @@ def run_once(core, env, waiter=None):
     except Exception as exc:
         plan = core.finish(result.ticket, error_code=f"{type(exc).__name__}: {exc}")
     return plan.response_for(env.rid, Channel.HTTP), plan
+
+
+class FakeExchange:
+    """An exchange as the core sees one: the request's env, and
+    ``complete`` for its answer."""
+
+    def __init__(self, env):
+        self.env = env
+        self.answers = []
+
+    def complete(self, resp, error):
+        self.answers.append((resp, error))
+
+
+class FakePushConn:
+    def __init__(self, writes_ok=True):
+        self.writes_ok = writes_ok
+        self.sent = []
+
+    def push_response(self, resp):
+        self.sent.append(resp)
+        return self.writes_ok
+
+
+def recording_core(reg=None, **kw):
+    events = []
+    core = make_core(reg, events=lambda kind, fields: events.append((kind, fields)), **kw)
+    return core, events
+
+
+def kinds(events):
+    return [kind for kind, _ in events]
+
+
+class TestReceiveExecute:
+    """The request sequence both drivers run: ``receive``, then, for the
+    request that must run, ``execute``."""
+
+    @pytest.mark.parametrize("reason,env,token", [
+        ("BadId", dataclasses.replace(envelope(), rid=dataclasses.replace(envelope().rid, trial=0)),
+         TOKEN),
+        ("UnknownService", envelope(service="nope"), TOKEN),
+        ("Unauthorized", envelope(), "wrong"),
+    ])
+    def test_validation_reasons_answer_at_once(self, reason, env, token):
+        core, events = recording_core()
+        exchange = FakeExchange(env)
+        assert core.receive(env, token, exchange) is None
+        [(resp, error)] = exchange.answers
+        assert error.reason == reason
+        assert resp.status is ResponseStatus.VALIDATION_ERROR
+        assert resp.rid == env.rid and resp.channel is Channel.HTTP
+        assert resp.body.startswith(reason.encode("ascii") + b": ")
+        assert events[-1] == ("validation_failed", {"key": env.rid.dedup_key,
+                                                    "trial": env.rid.trial,
+                                                    "reason": reason, "t": 0})
+        assert core.record(env.rid.dedup_key) is None
+
+    def test_identity_conflict_answers_at_once(self):
+        reg, calls = counting_registry()
+        core, events = recording_core(reg)
+        owner = envelope(payload=b"p")
+        core.execute(core.receive(owner, TOKEN, FakeExchange(owner)))
+        other = envelope(trial=2, payload=b"q")
+        exchange = FakeExchange(other)
+        assert core.receive(other, TOKEN, exchange) is None
+        [(resp, error)] = exchange.answers
+        assert error.reason == "IdentityConflict"
+        assert resp.status is ResponseStatus.VALIDATION_ERROR and resp.rid == other.rid
+        assert kinds(events)[-2:] == ["identity_conflict", "validation_failed"]
+        assert calls == [b"p"]
+
+    def test_execute_answers_under_the_executing_rid(self):
+        reg, calls = counting_registry()
+        core, events = recording_core(reg)
+        env = envelope()
+        exchange = FakeExchange(env)
+        ticket = core.receive(env, TOKEN, exchange)
+        assert ticket is not None and exchange.answers == []
+        core.execute(ticket)
+        [(resp, error)] = exchange.answers
+        assert error is None
+        assert (resp.rid, resp.status, resp.channel, resp.body) == (
+            env.rid, ResponseStatus.OK, Channel.HTTP, b"BODY")
+        assert calls == [b"p"]
+        assert "push_delivered" not in kinds(events)
+
+    def test_replay_answers_at_once(self):
+        reg, calls = counting_registry()
+        core = make_core(reg)
+        core.execute(core.receive(envelope(), TOKEN, FakeExchange(envelope())))
+        retry = envelope(trial=2)
+        exchange = FakeExchange(retry)
+        assert core.receive(retry, TOKEN, exchange) is None
+        [(resp, error)] = exchange.answers
+        assert error is None
+        assert (resp.rid, resp.channel, resp.body) == (retry.rid, Channel.CACHE_REPLAY, b"BODY")
+        assert calls == [b"p"]
+
+    def test_two_waiters_each_answered_under_their_own_rid(self):
+        reg, calls = counting_registry()
+        core = make_core(reg)
+        first, second = envelope(trial=1), envelope(trial=2)
+        owner, waiter = FakeExchange(first), FakeExchange(second)
+        ticket = core.receive(first, TOKEN, owner)
+        assert core.receive(second, TOKEN, waiter) is None
+        assert waiter.answers == []
+        core.execute(ticket)
+        assert [resp.rid for resp, _ in owner.answers] == [first.rid]
+        assert [resp.rid for resp, _ in waiter.answers] == [second.rid]
+        assert {resp.body for resp, _ in owner.answers + waiter.answers} == {b"BODY"}
+        assert calls == [b"p"]
+
+    def test_handler_that_raises_answers_service_error(self):
+        reg = HandlerRegistry().add(make_synthetic("orders", fail_times=1))
+        core, events = recording_core(reg)
+        env = envelope()
+        exchange = FakeExchange(env)
+        core.execute(core.receive(env, TOKEN, exchange))
+        [(resp, error)] = exchange.answers
+        assert error is None
+        assert resp.status is ResponseStatus.SERVICE_ERROR
+        assert resp.body == b"service error: HandlerFailure: scripted failure in orders"
+        assert core.record(env.rid.dedup_key).state is RecordState.FAILED
+        assert "record_failed" in kinds(events)
+        # A failed record runs again on the next trial.
+        retry = envelope(trial=2)
+        assert core.receive(retry, TOKEN, FakeExchange(retry)) is not None
+
+    def test_push_route_gets_the_body_under_its_rid(self):
+        core, events = recording_core()
+        env = envelope()
+        ticket = core.receive(env, TOKEN, FakeExchange(env))
+        conn = FakePushConn()
+        assert core.register_push(env.rid.with_trial(2), conn, TOKEN) == ("OK", None)
+        core.execute(ticket)
+        [resp] = conn.sent
+        assert (resp.rid, resp.channel, resp.body) == (env.rid.with_trial(2), Channel.PUSH, b"BODY")
+        assert events[-1] == ("push_delivered", {"key": env.rid.dedup_key, "size": 4, "t": 0})
+
+    def test_failed_push_write_leaves_the_body_replayable(self):
+        core, events = recording_core()
+        env = envelope()
+        ticket = core.receive(env, TOKEN, FakeExchange(env))
+        conn = FakePushConn(writes_ok=False)
+        core.register_push(env.rid.with_trial(2), conn, TOKEN)
+        core.execute(ticket)
+        assert len(conn.sent) == 1
+        assert events[-1] == ("push_write_failed", {"key": env.rid.dedup_key, "t": 0})
+        assert core.presence_route(env.rid.dedup_key) is None
+        retry = envelope(trial=3)
+        exchange = FakeExchange(retry)
+        assert core.receive(retry, TOKEN, exchange) is None
+        [(resp, _)] = exchange.answers
+        assert (resp.channel, resp.body) == (Channel.CACHE_REPLAY, b"BODY")
 
 
 class TestValidate:

@@ -5,7 +5,10 @@ server core, the server-side push sessions, and the client send machines
 are the same classes the live stack uses; only transports and timers are
 virtual. The server side of a request is ``ServerCore.receive`` and
 ``execute``, as in the live server, with the handler's ``delay_ms``
-scheduled in between. The push client acts as ``PushClient`` does: its
+scheduled in between. An abandoned or offline exchange is only marked
+dead: the core holds no registration for it to remove, and when the
+execution answers it, the answer is dropped (``http_write_dead``), as on
+a closed live connection. The push client acts as ``PushClient`` does: its
 connection stays open after a release, and a Register lost on a reused
 connection goes out once more on a new one. Requests travel as real
 encoded bytes through the real codecs, so wire accounting and body
@@ -43,7 +46,7 @@ from ..envelope import (
     status_from_code,
 )
 from ..push import ConnState, PushSession
-from ..server.core import HttpRoute, PushRoute, RecordState, ServerCore, ValidationError
+from ..server.core import RecordState, ServerCore, ValidationError
 from ..server.handlers import HandlerRegistry, make_synthetic, synthetic_body
 from .scenario import DROP_FAULT_KINDS, TIMED_FAULT_KINDS, ScenarioSpec
 from .trace import Trace, TraceRecorder, body_digest
@@ -277,9 +280,6 @@ class SimWorld:
             return
         exchange.alive = False
         self.trace.emit("http_abandon", send=send.index, trial=exchange.trial)
-        key = exchange.env.rid.dedup_key
-        self.schedule(self.lat_req, lambda: self.core.deregister_presence(
-            key, HttpRoute(exchange)))
 
     # -- server side --------------------------------------------------------
 
@@ -449,9 +449,6 @@ class SimWorld:
                 if send.client is client and send.current_exchange is not None \
                         and send.current_exchange.alive:
                     send.current_exchange.alive = False
-                    self.core.deregister_presence(
-                        send.current_exchange.env.rid.dedup_key,
-                        HttpRoute(send.current_exchange))
             self._kill_conn(client, reason="offline")
         elif fault.kind == "client_online":
             if not client.online:
@@ -510,8 +507,7 @@ class SimWorld:
             client = self.clients[name]
             if client.conn is not None and client.conn.alive:
                 open_regs.extend(client.conn.slots.keys())
-        push_presence = [key for key in counts
-                         if isinstance(self.core.presence_route(key), PushRoute)]
+        push_presence = [key for key in counts if self.core.presence_route(key) is not None]
 
         return Trace(
             scenario_name=self.scenario.name,

@@ -35,9 +35,11 @@ class ConnState(str, Enum):
 class PushSession:
     """One accepted push connection.
 
-    Registrations are one-shot: a key is dropped from the session (and
-    from server presence) as soon as its Deliver frame is written. One
-    connection may hold registrations for many request ids.
+    One connection may hold registrations for many request ids. They
+    live in the core's presence table, not in the session: the core
+    consumes a key's registration when its execution finishes, drops it
+    when an HTTP arrival for the key supersedes it, and drops all of the
+    connection's registrations in ``mark_dead``.
     """
 
     def __init__(self, core, send, conn_id: str):
@@ -45,7 +47,6 @@ class PushSession:
         self._send = send
         self.conn_id = conn_id
         self.state = ConnState.OPEN
-        self.keys: set[str] = set()
 
     def _write(self, frame) -> bool:
         try:
@@ -88,7 +89,6 @@ class PushSession:
             # right away so the race never loses the response.
             ok = self._write(register_ack_frame(frame.rid, meta))
             return ok and self._write(deliver_frame(immediate))
-        self.keys.add(frame.rid.dedup_key)
         return self._write(register_ack_frame(frame.rid, meta))
 
     def push_response(self, resp: ResponseEnvelope) -> bool:
@@ -96,17 +96,13 @@ class PushSession:
         connection and the response stays in the cache for replay."""
         if self.state is not ConnState.OPEN:
             return False
-        if self._write(deliver_frame(resp)):
-            self.keys.discard(resp.rid.dedup_key)
-            return True
-        return False
+        return self._write(deliver_frame(resp))
 
     def mark_dead(self) -> None:
         if self.state is ConnState.CLOSED:
             return
         self.state = ConnState.CLOSED
         self.core.conn_closed(self)
-        self.keys.clear()
 
     def send_goodbye(self) -> None:
         """Best-effort Close frame ahead of dropping the transport."""

@@ -1,6 +1,5 @@
 from .core import (
     ExecutionRecord,
-    HttpRoute,
     PushRoute,
     RecordState,
     ServerCore,
@@ -14,7 +13,6 @@ __all__ = [
     "ExecutionRecord",
     "HandlerFailure",
     "HandlerRegistry",
-    "HttpRoute",
     "MemoryStore",
     "PushRoute",
     "RecordState",

@@ -8,6 +8,15 @@ The drivers keep only transport and timers: they decode envelopes,
 carry each answer back through their exchange's ``complete(resp,
 error)``, and wait out a handler's ``delay_ms`` before ``execute``.
 
+A completed response goes where the client waits. An open HTTP exchange
+waits in its key's entry, among the execution's waiters. The presence
+table holds only push registrations: a map from dedup key to the
+``PushRoute`` that ``register_push`` stored. An HTTP arrival that is
+granted the execution or attached to it supersedes the key's push
+registration, since the client now waits on that exchange; ``finish``
+consumes whatever registration is left, and a closed push connection
+drops its own.
+
 Locking: a single registry lock guards all record and presence mutations.
 It is held only for bookkeeping (microseconds), never while a handler
 runs, so executions for different keys proceed in parallel while all
@@ -70,26 +79,11 @@ class ValidationError:
 
 
 @dataclass
-class HttpRoute:
-    """Client is waiting on an open HTTP exchange."""
-
-    exchange: object
-
-
-@dataclass
 class PushRoute:
     """Client is waiting on a push connection, registered under ``rid``."""
 
     conn: object
     rid: RequestId
-
-
-def _same_route(a, b) -> bool:
-    if isinstance(a, HttpRoute) and isinstance(b, HttpRoute):
-        return a.exchange is b.exchange
-    if isinstance(a, PushRoute) and isinstance(b, PushRoute):
-        return a.conn is b.conn
-    return False
 
 
 @dataclass
@@ -134,9 +128,6 @@ class DeliveryPlan:
     waiters: list
     push: PushRoute | None
 
-    def response_for(self, rid: RequestId, channel: Channel) -> ResponseEnvelope:
-        return _response(rid, self.result, channel)
-
 
 @dataclass
 class SubmitResult:
@@ -169,7 +160,7 @@ class ServerCore:
         self._events = events
         self._lock = threading.RLock()
         self._entries: dict[str, _Entry] = {}
-        self._presence: dict[str, HttpRoute | PushRoute] = {}
+        self._presence: dict[str, PushRoute] = {}
         if store is not None:
             for key, rec in store.load_all().items():
                 entry = _Entry(key, created_at=rec.completed_at)
@@ -218,7 +209,7 @@ class ServerCore:
             and now - entry.completed_at > self.cache_ttl_ms
         )
 
-    def submit(self, env: RequestEnvelope, waiter, route=None) -> SubmitResult:
+    def submit(self, env: RequestEnvelope, waiter) -> SubmitResult:
         """Run the cache check and claim or join an execution.
 
         "replay": a completed response exists; respond immediately.
@@ -226,9 +217,11 @@ class ServerCore:
         "wait": joined an in-flight execution; the waiter is notified.
         "reject": the key already belongs to a different payload; answer
         ``error`` (``IdentityConflict``) as a failed validation.
-        On "execute"/"wait" the given presence route (if any) replaces the
-        stored one for the key; replay and reject paths never touch
-        presence.
+        On "execute"/"wait" the exchange ``waiter`` takes the response, so
+        a push registration for the key is dropped; replay and reject
+        paths never touch presence. With ``break_dedup`` (a mutation mode
+        for the invariant checker) there is no replay and no wait: every
+        request executes.
 
         The conflict check compares payload digests on a live entry. It
         applies to forced requests too: ``is_forced`` re-runs the same
@@ -255,33 +248,16 @@ class ServerCore:
                 return SubmitResult("reject", error=ValidationError(
                     "IdentityConflict", "request id already used for a different payload"))
 
-            if self.break_dedup:
-                # Mutation mode for the invariant checker: every request
-                # executes, nothing replays or coalesces.
-                entry.execution_count += 1
-                entry.pending = True
-                entry.waiters.append(waiter)
-                if route is not None:
-                    self._register_presence_locked(key, route)
-                self.emit("execute_begin", key=key, count=entry.execution_count, forced=env.is_forced)
-                return SubmitResult("execute", ticket=ExecutionTicket(env, key, entry))
-
-            replayable = (
-                not env.is_forced
-                and entry.result is not None
-                and entry.result[0] == "ok"
-            )
-            if replayable:
-                self.emit("cache_hit", key=key, trial=env.rid.trial)
-                return SubmitResult("replay", response=_response(
-                    env.rid, entry.result, Channel.CACHE_REPLAY))
-
-            if entry.pending:
-                entry.waiters.append(waiter)
-                if route is not None:
-                    self._register_presence_locked(key, route)
-                self.emit("attach_wait", key=key, trial=env.rid.trial)
-                return SubmitResult("wait")
+            if not self.break_dedup:
+                if not env.is_forced and entry.result is not None and entry.result[0] == "ok":
+                    self.emit("cache_hit", key=key, trial=env.rid.trial)
+                    return SubmitResult("replay", response=_response(
+                        env.rid, entry.result, Channel.CACHE_REPLAY))
+                if entry.pending:
+                    entry.waiters.append(waiter)
+                    self._supersede_push_locked(key)
+                    self.emit("attach_wait", key=key, trial=env.rid.trial)
+                    return SubmitResult("wait")
 
             # Miss: fresh key, failed record, expired entry, or forced
             # re-execution (the prior completed result, if any, stays
@@ -289,8 +265,7 @@ class ServerCore:
             entry.pending = True
             entry.execution_count += 1
             entry.waiters.append(waiter)
-            if route is not None:
-                self._register_presence_locked(key, route)
+            self._supersede_push_locked(key)
             self.emit("execute_begin", key=key, count=entry.execution_count, forced=env.is_forced)
             return SubmitResult("execute", ticket=ExecutionTicket(env, key, entry))
 
@@ -298,9 +273,9 @@ class ServerCore:
                error_code: str | None = None) -> DeliveryPlan:
         """Record the execution result and plan its delivery.
 
-        The presence route for the key is consumed here; the plan holds
-        the exchanges waiting on the key and the push route, if it is the
-        stored one, for ``execute`` to answer.
+        The key's push registration, if any, is consumed here; the plan
+        holds it and the exchanges waiting on the key for ``execute`` to
+        answer.
         """
         now = self.clock()
         entry = ticket._entry
@@ -316,9 +291,9 @@ class ServerCore:
                 self.emit("record_failed", key=ticket.key, error=error_code)
             waiters = entry.waiters
             entry.waiters = []
-            route = self._presence.pop(ticket.key, None)
-            if route is not None:
-                self.emit("presence_consumed", key=ticket.key, route=_route_name(route))
+            push = self._presence.pop(ticket.key, None)
+            if push is not None:
+                self.emit("presence_consumed", key=ticket.key, route="push")
             if self.store is not None:
                 self.store.save(ticket.key, StoredRecord(
                     status="ok" if error_code is None else "failed",
@@ -327,8 +302,7 @@ class ServerCore:
                     completed_at=now,
                     execution_count=entry.execution_count,
                 ))
-        return DeliveryPlan(ticket.key, entry.result, waiters,
-                            route if isinstance(route, PushRoute) else None)
+        return DeliveryPlan(ticket.key, entry.result, waiters, push)
 
     # -- request sequence ------------------------------------------------
 
@@ -343,7 +317,7 @@ class ServerCore:
         ``execute``."""
         err = self.validate(env, token)
         if err is None:
-            result = self.submit(env, exchange, route=HttpRoute(exchange))
+            result = self.submit(env, exchange)
             if result.kind == "execute":
                 return result.ticket
             if result.kind == "replay":
@@ -369,9 +343,9 @@ class ServerCore:
             body, error = None, f"{type(exc).__name__}: {exc}"
         plan = self.finish(ticket, body=body, error_code=error)
         for waiter in plan.waiters:
-            waiter.complete(plan.response_for(waiter.env.rid, Channel.HTTP), None)
+            waiter.complete(_response(waiter.env.rid, plan.result, Channel.HTTP), None)
         if plan.push is not None:
-            resp = plan.response_for(plan.push.rid, Channel.PUSH)
+            resp = _response(plan.push.rid, plan.result, Channel.PUSH)
             if plan.push.conn.push_response(resp):
                 self.emit("push_delivered", key=plan.key, size=len(resp.body))
             else:
@@ -379,28 +353,10 @@ class ServerCore:
 
     # -- presence -------------------------------------------------------
 
-    def _register_presence_locked(self, key: str, route) -> None:
-        prev = self._presence.get(key)
-        self._presence[key] = route
-        self.emit(
-            "presence_register",
-            key=key,
-            route=_route_name(route),
-            replaced=_route_name(prev) if prev is not None else None,
-        )
-
-    def register_presence(self, dedup_key: str, route) -> None:
-        """Register where the client waits; replaces any existing route."""
-        with self._lock:
-            self._register_presence_locked(dedup_key, route)
-
-    def deregister_presence(self, dedup_key: str, route) -> None:
-        """Remove the route if it is still the stored one (stale-safe)."""
-        with self._lock:
-            cur = self._presence.get(dedup_key)
-            if cur is not None and _same_route(cur, route):
-                del self._presence[dedup_key]
-                self.emit("presence_deregister", key=dedup_key, route=_route_name(route))
+    def _supersede_push_locked(self, key: str) -> None:
+        """An HTTP exchange now waits for the key: drop its push route."""
+        if self._presence.pop(key, None) is not None:
+            self.emit("presence_deregister", key=key, route="push", reason="http_arrival")
 
     def presence_route(self, dedup_key: str):
         with self._lock:
@@ -424,7 +380,7 @@ class ServerCore:
         key = rid.dedup_key
         with self._lock:
             cur = self._presence.get(key)
-            if isinstance(cur, PushRoute) and cur.conn is conn:
+            if cur is not None and cur.conn is conn:
                 self.emit("push_register_duplicate", key=key)
                 return "DUP", None
             entry = self._entries.get(key)
@@ -432,7 +388,9 @@ class ServerCore:
                     and not self._expired(entry, now):
                 self.emit("push_register_completed", key=key)
                 return "OK", _response(rid, entry.result, Channel.PUSH)
-            self._register_presence_locked(key, PushRoute(conn, rid))
+            self._presence[key] = PushRoute(conn, rid)
+            self.emit("presence_register", key=key, route="push",
+                      replaced="push" if cur is not None else None)
             return ("OK" if entry is not None else "NC"), None
 
     def conn_closed(self, conn) -> None:
@@ -440,7 +398,7 @@ class ServerCore:
         with self._lock:
             stale = [
                 key for key, route in self._presence.items()
-                if isinstance(route, PushRoute) and route.conn is conn
+                if route.conn is conn
             ]
             for key in stale:
                 del self._presence[key]
@@ -480,7 +438,3 @@ class ServerCore:
                 completed_at=entry.completed_at,
                 execution_count=entry.execution_count,
             )
-
-
-def _route_name(route) -> str:
-    return "http" if isinstance(route, HttpRoute) else "push"

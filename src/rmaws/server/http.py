@@ -40,7 +40,7 @@ import socketserver
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .. import http1, ws
 from ..envelope import (
@@ -89,39 +89,65 @@ class ServerConfig:
     store_path: str | None = None
     services: list = field(default_factory=list)
 
+    def __post_init__(self):
+        # A negative TTL would make every retry run again. A negative idle
+        # timeout makes settimeout raise in each /push connection thread,
+        # and zero makes the socket non-blocking, which closes it at once.
+        if self.cache_ttl_ms is not None and self.cache_ttl_ms < 0:
+            raise ValueError(f"cache_ttl_ms must be null or at least 0, got {self.cache_ttl_ms}")
+        if self.push_idle_timeout_ms < 1:
+            raise ValueError(f"push_idle_timeout_ms must be at least 1, "
+                             f"got {self.push_idle_timeout_ms}")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ServerConfig":
-        cfg = cls()
+        fields = {"store_path": raw.get("store_path"), "services": list(raw.get("services", []))}
         if "bind" in raw:
-            host, _, port = str(raw["bind"]).rpartition(":")
-            cfg.bind_host, cfg.bind_port = host or "127.0.0.1", int(port)
-        cfg.auth_token = str(raw.get("auth_token", cfg.auth_token))
+            fields["bind_host"], fields["bind_port"] = _bind(raw["bind"])
+        if "auth_token" in raw:
+            fields["auth_token"] = str(raw["auth_token"])
         if "cache_ttl_ms" in raw:
             ttl = raw["cache_ttl_ms"]
-            cfg.cache_ttl_ms = None if ttl is None else int(ttl)
-        cfg.push_idle_timeout_ms = int(raw.get("push_idle_timeout_ms", cfg.push_idle_timeout_ms))
-        cfg.store_path = raw.get("store_path")
-        cfg.services = list(raw.get("services", []))
-        return cfg
+            fields["cache_ttl_ms"] = None if ttl is None else _int("cache_ttl_ms", ttl)
+        if "push_idle_timeout_ms" in raw:
+            fields["push_idle_timeout_ms"] = _int("push_idle_timeout_ms",
+                                                  raw["push_idle_timeout_ms"])
+        return cls(**fields)
 
     @classmethod
     def load(cls, path: str, env: dict | None = None) -> "ServerConfig":
-        """Read the JSON config file, then apply RMAWS_* env overrides."""
+        """Read the JSON config file, then apply RMAWS_* env overrides.
+        A value that ``__post_init__`` refuses raises ``ValueError``,
+        whether it came from the file or from the environment."""
         with open(path, "r", encoding="utf-8") as fh:
             cfg = cls.from_dict(json.load(fh))
         env = env if env is not None else os.environ
+        fields = {}
         if env.get("RMAWS_BIND"):
-            host, _, port = env["RMAWS_BIND"].rpartition(":")
-            cfg.bind_host, cfg.bind_port = host or "127.0.0.1", int(port)
-        if env.get("RMAWS_AUTH_TOKEN") is not None and "RMAWS_AUTH_TOKEN" in env:
-            cfg.auth_token = env["RMAWS_AUTH_TOKEN"]
+            fields["bind_host"], fields["bind_port"] = _bind(env["RMAWS_BIND"])
+        if "RMAWS_AUTH_TOKEN" in env:
+            fields["auth_token"] = env["RMAWS_AUTH_TOKEN"]
         if env.get("RMAWS_CACHE_TTL_MS"):
-            cfg.cache_ttl_ms = int(env["RMAWS_CACHE_TTL_MS"])
+            fields["cache_ttl_ms"] = _int("RMAWS_CACHE_TTL_MS", env["RMAWS_CACHE_TTL_MS"])
         if env.get("RMAWS_PUSH_IDLE_TIMEOUT_MS"):
-            cfg.push_idle_timeout_ms = int(env["RMAWS_PUSH_IDLE_TIMEOUT_MS"])
+            fields["push_idle_timeout_ms"] = _int("RMAWS_PUSH_IDLE_TIMEOUT_MS",
+                                                  env["RMAWS_PUSH_IDLE_TIMEOUT_MS"])
         if env.get("RMAWS_STORE_PATH"):
-            cfg.store_path = env["RMAWS_STORE_PATH"]
-        return cfg
+            fields["store_path"] = env["RMAWS_STORE_PATH"]
+        return replace(cfg, **fields)
+
+
+def _bind(text) -> tuple[str, int]:
+    """``host:port``; an empty host means the loopback address."""
+    host, _, port = str(text).rpartition(":")
+    return host or "127.0.0.1", int(port)
+
+
+def _int(name: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class LiveExchange:

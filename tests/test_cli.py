@@ -1,5 +1,6 @@
 import http.client
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -21,6 +22,17 @@ def _free_port() -> int:
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return s.getsockname()[1]
+
+
+def serve_and_exit(cfg, env=None, timeout_s=20.0):
+    """Run ``rmaws serve`` in its own process and return its exit code and
+    stderr. A bad config that the server accepts would serve until a
+    signal; the timeout then fails the test instead of hanging it."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "rmaws.cli", "serve", "--config", str(cfg)],
+        capture_output=True, text=True, timeout=timeout_s,
+        env=dict(os.environ, **(env or {})))
+    return proc.returncode, proc.stderr
 
 
 def _wait_for_health(port: int, timeout_s: float = 10.0) -> None:
@@ -146,14 +158,14 @@ class TestServeConfig:
     def test_bad_config_path_exits_two(self, capsys):
         assert run_cli("serve", "--config", "/nonexistent/config.json") == 2
 
-    def test_negative_output_size_exits_two(self, tmp_path, capsys):
+    def test_negative_output_size_exits_two(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "bind": "127.0.0.1:0",
             "services": [{"name": "orders", "output_size": -1}],
         }))
-        assert run_cli("serve", "--config", str(cfg)) == 2
-        err = capsys.readouterr().err
+        code, err = serve_and_exit(cfg)
+        assert code == 2
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "output_size" in err
 
@@ -161,11 +173,25 @@ class TestServeConfig:
         ({"name": "orders", "delay_ms": -5}, "delay_ms"),
         ({"output_size": 5}, "services[0]"),
     ])
-    def test_bad_service_row_exits_two_with_one_line(self, tmp_path, capsys, row, named):
+    def test_bad_service_row_exits_two_with_one_line(self, tmp_path, row, named):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bind": "127.0.0.1:0", "services": [row]}))
-        assert run_cli("serve", "--config", str(cfg)) == 2
-        err = capsys.readouterr().err
+        code, err = serve_and_exit(cfg)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("fields,env,named", [
+        ({"cache_ttl_ms": -1}, {}, "cache_ttl_ms"),
+        ({"push_idle_timeout_ms": 0}, {}, "push_idle_timeout_ms"),
+        ({}, {"RMAWS_PUSH_IDLE_TIMEOUT_MS": "-5"}, "push_idle_timeout_ms"),
+    ])
+    def test_bad_server_setting_exits_two_with_one_line(self, tmp_path, fields, env, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(fields, bind="127.0.0.1:0",
+                                       services=[{"name": "orders"}])))
+        code, err = serve_and_exit(cfg, env)
+        assert code == 2
         assert err.count("\n") == 1
         assert err.startswith("error: ") and named in err
 
@@ -233,3 +259,39 @@ class TestConfigLoading:
         assert (cfg.bind_host, cfg.bind_port) == ("0.0.0.0", 9999)
         assert cfg.auth_token == "from-env"
         assert cfg.cache_ttl_ms == 5000
+        # An empty token in the environment still overrides the file's.
+        assert ServerConfig.load(str(cfg_path), env={"RMAWS_AUTH_TOKEN": ""}).auth_token == ""
+
+    @pytest.mark.parametrize("fields,env,named", [
+        ({"cache_ttl_ms": -1}, {}, "cache_ttl_ms"),
+        ({"push_idle_timeout_ms": 0}, {}, "push_idle_timeout_ms"),
+        ({"push_idle_timeout_ms": -1}, {}, "push_idle_timeout_ms"),
+        ({"push_idle_timeout_ms": None}, {}, "push_idle_timeout_ms"),
+        ({"cache_ttl_ms": "soon"}, {}, "cache_ttl_ms"),
+        ({}, {"RMAWS_CACHE_TTL_MS": "-1"}, "cache_ttl_ms"),
+        ({}, {"RMAWS_PUSH_IDLE_TIMEOUT_MS": "-1"}, "push_idle_timeout_ms"),
+        ({}, {"RMAWS_PUSH_IDLE_TIMEOUT_MS": "0"}, "push_idle_timeout_ms"),
+        ({}, {"RMAWS_CACHE_TTL_MS": "soon"}, "RMAWS_CACHE_TTL_MS"),
+    ])
+    def test_settings_that_break_the_protocol_are_refused(self, tmp_path, fields, env, named):
+        from rmaws.server.http import ServerConfig
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(fields))
+        with pytest.raises(ValueError) as info:
+            ServerConfig.load(str(cfg_path), env=env)
+        assert named in str(info.value)
+
+    @pytest.mark.parametrize("fields", [{"cache_ttl_ms": -1}, {"push_idle_timeout_ms": 0}])
+    def test_direct_construction_is_refused_too(self, fields):
+        from rmaws.server.http import ServerConfig
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            ServerConfig(**fields)
+
+    def test_boundary_settings_are_accepted(self, tmp_path):
+        from rmaws.server.http import ServerConfig
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"cache_ttl_ms": 0, "push_idle_timeout_ms": 1}))
+        cfg = ServerConfig.load(str(cfg_path), env={})
+        assert (cfg.cache_ttl_ms, cfg.push_idle_timeout_ms) == (0, 1)
+        cfg_path.write_text(json.dumps({"cache_ttl_ms": None}))
+        assert ServerConfig.load(str(cfg_path), env={}).cache_ttl_ms is None

@@ -1,3 +1,4 @@
+import http.client
 import socket
 import threading
 import time
@@ -5,17 +6,20 @@ import time
 import pytest
 
 from rmaws import ws
-from rmaws.client import Client, SendOptions
+from rmaws.client import Client, SendOptions, build
 from rmaws.envelope import (
+    CHANNEL_HEADER,
+    TOKEN_HEADER,
     Channel,
     FrameKind,
     close_frame,
     decode_push_frame,
     encode_push_frame,
+    encode_request,
     make_request_id,
     register_frame,
 )
-from rmaws.server.handlers import HandlerRegistry, ServiceHandler, make_synthetic
+from rmaws.server.handlers import HandlerRegistry, ServiceHandler, make_synthetic, synthetic_body
 
 from conftest import TOKEN
 
@@ -152,6 +156,34 @@ def test_client_close_deregisters_presence(live_server):
         time.sleep(0.02)
     assert server.core.presence_route(rid.dedup_key) is None
     sender.join()
+    raw.close()
+
+
+def test_http_arrival_supersedes_push_registration(live_server):
+    """A client registered on /push that sends the key's next trial over
+    HTTP waits on that exchange: the body comes back there, and no Deliver
+    frame for the key reaches the push connection."""
+    server = live_server(registry=HandlerRegistry().add(
+        make_synthetic("slow", output_size=64, delay_ms=300)))
+    env = build("slow", b"p", False, 2, lambda: 1_700_000_000_000, "devS")
+    raw = RawPushClient(server)
+    raw.send(register_frame(env.rid.with_trial(1), TOKEN))
+    assert raw.recv().meta == "NC"
+
+    conn = http.client.HTTPConnection(*server.address, timeout=5)
+    try:
+        conn.request("POST", "/services/slow", body=encode_request(env),
+                     headers={TOKEN_HEADER: TOKEN})
+        resp = conn.getresponse()
+        body = resp.read()
+    finally:
+        conn.close()
+    assert (resp.status, resp.getheader(CHANNEL_HEADER)) == (200, Channel.HTTP.value)
+    assert body == synthetic_body("slow", b"p", 64)
+    # The execution wrote any push delivery before this HTTP answer, so a
+    # Deliver frame would arrive ahead of the close.
+    raw.send(close_frame())
+    assert raw.recv() is None
     raw.close()
 
 

@@ -7,13 +7,12 @@ from rmaws.envelope import Channel, RequestEnvelope, ResponseStatus, make_reques
 from rmaws.server import (
     AppendOnlyFileStore,
     HandlerRegistry,
-    HttpRoute,
-    PushRoute,
     RecordState,
     ServerCore,
     make_synthetic,
     synthetic_body,
 )
+from rmaws.server.core import _response
 
 TOKEN = "sekrit"
 
@@ -64,7 +63,7 @@ def run_once(core, env, waiter=None):
         plan = core.finish(result.ticket, body=body)
     except Exception as exc:
         plan = core.finish(result.ticket, error_code=f"{type(exc).__name__}: {exc}")
-    return plan.response_for(env.rid, Channel.HTTP), plan
+    return _response(env.rid, plan.result, Channel.HTTP), plan
 
 
 class FakeExchange:
@@ -205,6 +204,20 @@ class TestReceiveExecute:
         assert (resp.rid, resp.channel, resp.body) == (env.rid.with_trial(2), Channel.PUSH, b"BODY")
         assert events[-1] == ("push_delivered", {"key": env.rid.dedup_key, "size": 4, "t": 0})
 
+    def test_http_arrival_supersedes_push_registration(self):
+        core = make_core()
+        first, second = envelope(trial=1), envelope(trial=2)
+        ticket = core.receive(first, TOKEN, FakeExchange(first))
+        conn = FakePushConn()
+        assert core.register_push(first.rid, conn, TOKEN) == ("OK", None)
+        waiter = FakeExchange(second)
+        assert core.receive(second, TOKEN, waiter) is None
+        core.execute(ticket)
+        [(resp, error)] = waiter.answers
+        assert error is None
+        assert (resp.rid, resp.channel, resp.body) == (second.rid, Channel.HTTP, b"BODY")
+        assert conn.sent == []
+
     def test_failed_push_write_leaves_the_body_replayable(self):
         core, events = recording_core()
         env = envelope()
@@ -333,7 +346,7 @@ class TestDeduplication:
         plan = core.finish(grant.ticket, body=body)
         assert len(plan.waiters) == 6
         assert len(calls) == 1
-        assert plan.response_for(env.rid, Channel.HTTP).body == b"BODY"
+        assert _response(env.rid, plan.result, Channel.HTTP).body == b"BODY"
 
     def test_single_flight_under_threads(self):
         release = threading.Event()
@@ -427,7 +440,7 @@ class TestIdentityConflict:
         core = make_core(reg)
         owner = envelope(payload=b"p")
         run_once(core, owner)
-        result = core.submit(envelope(trial=2, payload=b"q"), "w", route=HttpRoute("ex"))
+        result = core.submit(envelope(trial=2, payload=b"q"), "w")
         assert result.kind == "reject"
         assert result.error.reason == "IdentityConflict"
         resp = result.error.response_for(owner.rid, Channel.HTTP)
@@ -440,9 +453,9 @@ class TestIdentityConflict:
 
     def test_pending_key_rejects_instead_of_coalescing(self):
         core = make_core()
-        grant = core.submit(envelope(payload=b"p"), "owner", route=HttpRoute("ex1"))
+        grant = core.submit(envelope(payload=b"p"), "owner")
         assert grant.kind == "execute"
-        result = core.submit(envelope(trial=2, payload=b"q"), "other", route=HttpRoute("ex2"))
+        result = core.submit(envelope(trial=2, payload=b"q"), "other")
         assert result.kind == "reject"
         plan = core.finish(grant.ticket, body=b"BODY")
         assert plan.waiters == ["owner"]
@@ -475,43 +488,68 @@ class TestIdentityConflict:
 
 
 class TestPresence:
-    def test_register_replaces(self):
-        core = make_core()
-        key = envelope().rid.dedup_key
-        http = HttpRoute(exchange="ex1")
-        push = PushRoute(conn="c1", rid=envelope().rid)
-        core.register_presence(key, http)
-        core.register_presence(key, push)
-        assert core.presence_route(key) is push
+    """Presence holds push registrations only. An HTTP arrival that is
+    granted the execution or attached to it supersedes the key's push
+    registration; replays and rejections leave it alone."""
 
-    def test_stale_deregister_ignored(self):
-        core = make_core()
-        key = envelope().rid.dedup_key
-        http = HttpRoute(exchange="ex1")
-        push = PushRoute(conn="c1", rid=envelope().rid)
-        core.register_presence(key, http)
-        core.register_presence(key, push)
-        core.deregister_presence(key, http)
-        assert core.presence_route(key) is push
-        core.deregister_presence(key, push)
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_http_arrival_supersedes_push_registration(self, pending):
+        core, events = recording_core()
+        env = envelope()
+        key = env.rid.dedup_key
+        grant = core.submit(env, "w1") if pending else None
+        assert core.register_push(env.rid, "conn1", TOKEN)[0] == ("OK" if pending else "NC")
+        result = core.submit(envelope(trial=2), "w2")
+        assert result.kind == ("wait" if pending else "execute")
         assert core.presence_route(key) is None
+        assert ("presence_deregister", {"key": key, "route": "push",
+                                        "reason": "http_arrival", "t": 0}) in events
+        plan = core.finish((grant or result).ticket, body=b"B")
+        assert plan.push is None
+        assert plan.waiters == (["w1", "w2"] if pending else ["w2"])
 
-    def test_deregister_then_finish_caches_only(self):
+    def test_register_after_supersede_is_stored_again(self):
         core = make_core()
         env = envelope()
-        ex = HttpRoute(exchange="ex1")
-        grant = core.submit(env, "w", route=ex)
-        core.deregister_presence(env.rid.dedup_key, ex)
+        grant = core.submit(env, "w1")
+        core.register_push(env.rid, "conn1", TOKEN)
+        assert core.submit(envelope(trial=2), "w2").kind == "wait"
+        # The client gives up on trial 2's exchange and registers again on
+        # the same connection: a new registration, not a duplicate.
+        assert core.register_push(env.rid.with_trial(2), "conn1", TOKEN) == ("OK", None)
         plan = core.finish(grant.ticket, body=b"B")
-        assert plan.push is None
+        assert (plan.push.conn, plan.push.rid) == ("conn1", env.rid.with_trial(2))
+
+    def test_replay_and_reject_leave_push_registration(self):
+        core = make_core()
+        run_once(core, envelope(payload=b"p"))
+        forced = core.submit(envelope(trial=2, forced=True, payload=b"p"), "w")
+        key = envelope().rid.dedup_key
+        core.register_push(envelope().rid.with_trial(3), "conn1", TOKEN)
+        assert core.submit(envelope(trial=4, payload=b"p"), "w").kind == "replay"
+        assert core.submit(envelope(trial=5, payload=b"q"), "w").kind == "reject"
+        assert core.presence_route(key).conn == "conn1"
+        assert core.finish(forced.ticket, body=b"B").push.conn == "conn1"
+
+    def test_abandoned_exchange_leaves_body_cached(self):
+        core = make_core()
+        env = envelope()
+        # The client has abandoned the exchange, so its answer goes nowhere.
+        ticket = core.receive(env, TOKEN, FakeExchange(env))
+        core.execute(ticket)
         assert core.record(env.rid.dedup_key).state is RecordState.COMPLETED
-        follow, _ = run_once(core, envelope(trial=2))
-        assert follow.channel is Channel.CACHE_REPLAY
+        retry = envelope(trial=2)
+        exchange = FakeExchange(retry)
+        assert core.receive(retry, TOKEN, exchange) is None
+        [(resp, _)] = exchange.answers
+        assert (resp.channel, resp.body) == (Channel.CACHE_REPLAY, b"BODY")
+        meta, pushed = core.register_push(env.rid.with_trial(3), "conn1", TOKEN)
+        assert (meta, pushed.channel, pushed.body) == ("OK", Channel.PUSH, b"BODY")
 
     def test_finish_returns_push_route(self):
         core = make_core()
         env = envelope()
-        grant = core.submit(env, "w", route=HttpRoute(exchange="ex1"))
+        grant = core.submit(env, "w")
         meta, resp = core.register_push(env.rid.with_trial(2), "conn1", TOKEN)
         assert (meta, resp) == ("OK", None)
         plan = core.finish(grant.ticket, body=b"B")

@@ -14,6 +14,10 @@ response that cannot be framed (no plain ``Content-Length``, any
 ``Transfer-Encoding``, a body cut short) or that answers another rid
 counts as a broken exchange: its connection closes and the send falls
 back to push, as after a timeout.
+
+``PushClient`` keeps the push connection's socket, lock and reader
+thread; what is sent on it and what each frame from the server means is
+``rmaws.push.PushWaits``, which the simulator drives too.
 """
 
 from __future__ import annotations
@@ -38,16 +42,14 @@ from .envelope import (
     RequestId,
     ResponseEnvelope,
     ResponseStatus,
-    FrameKind,
     close_frame,
-    decode_push_frame,
     encode_push_frame,
     encode_request,
     make_request_id,
-    register_frame,
-    status_from_code,
+    payload_digest,
     wall_ms,
 )
+from .push import Heard, PushWaits
 
 log = logging.getLogger(__name__)
 
@@ -161,6 +163,7 @@ class RegisterPush:
     rid: RequestId
     wait_ms: int
     epoch: int
+    digest: bytes  # of the payload, for the server to check the key against
 
 
 @dataclass(frozen=True)
@@ -172,6 +175,7 @@ class Pause:
 @dataclass(frozen=True)
 class ReleasePush:
     rid: RequestId
+    digest: bytes  # the one the send registered with
 
 
 @dataclass(frozen=True)
@@ -206,7 +210,7 @@ class SendMachine:
         self.service = self.rid.service_name.rstrip()
         self.state = SendMachine.WAIT_HTTP
         self.epoch = 0
-        self.registered = False
+        self.digest: bytes | None = None  # the payload's, once a push wait began
         self.result: Outcome | ClientError | None = None
 
     @property
@@ -227,8 +231,8 @@ class SendMachine:
     def _finish(self, resp: ResponseEnvelope) -> list:
         self.state = SendMachine.DONE
         effects = []
-        if self.registered:
-            effects.append(ReleasePush(self.rid))
+        if self.digest is not None:
+            effects.append(ReleasePush(self.rid, self.digest))
         if resp.status is ResponseStatus.VALIDATION_ERROR:
             self.result = ClientError("Rejected", resp.body.decode("utf-8", "replace"),
                                       rid=self.rid, trials_used=self.rid.trial)
@@ -248,8 +252,8 @@ class SendMachine:
         self.state = SendMachine.DONE
         self.result = ClientError(kind, detail, rid=self.rid, trials_used=self.rid.trial)
         effects = []
-        if self.registered:
-            effects.append(ReleasePush(self.rid))
+        if self.digest is not None:
+            effects.append(ReleasePush(self.rid, self.digest))
         effects.append(Failed(self.result))
         return effects
 
@@ -273,10 +277,11 @@ class SendMachine:
             return []
         self.state = SendMachine.WAIT_PUSH
         self.epoch += 1
-        self.registered = True
+        if self.digest is None:
+            self.digest = payload_digest(self.payload)
         return [
             AbandonHttp(self.rid.trial),
-            RegisterPush(self.rid, self.opts.push_wait_ms, self.epoch),
+            RegisterPush(self.rid, self.opts.push_wait_ms, self.epoch, self.digest),
         ]
 
     def on_http_transport_error(self, refused: bool) -> list:
@@ -321,29 +326,24 @@ class SendMachine:
 # -- live driver -----------------------------------------------------------
 
 class _PushSlot:
+    """One send's wait on the push connection; the reader thread settles it."""
+
     def __init__(self):
         self.event = threading.Event()
-        self.resp: ResponseEnvelope | None = None
-        self.dead = False
-        # Whether the last Register went out on a connection that was
-        # already open, and whether the server has answered it since.
-        self.reused = False
-        self.answered = False
+        self.outcome: tuple[str, ResponseEnvelope | None] = ("timeout", None)
 
-    @property
-    def lost_on_reuse(self) -> bool:
-        """The connection died before answering a Register sent on it
-        after it had been kept open: most likely the server closed it
-        while idle just as the Register went out, and dropped it."""
-        return self.dead and self.reused and not self.answered
+    def settle(self, kind: str, resp: ResponseEnvelope | None = None) -> None:
+        self.outcome = (kind, resp)
+        self.event.set()
 
 
 class PushClient:
-    """Shared push connection: one reader thread dispatches Deliver frames
-    to waiting sends by dedup key. Opened lazily on first timeout and kept
-    open across sends until ``close()``, or until the PushClient is freed.
-    When the server closes it (after ``push_idle_timeout_ms`` idle, or on
-    stop), the next registration connects again."""
+    """Shared push connection: one reader thread hands each frame to the
+    connection's ``PushWaits`` and wakes the send it answers. Opened
+    lazily on first timeout and kept open across sends until ``close()``,
+    or until the PushClient is freed. When the server closes it (after
+    ``push_idle_timeout_ms`` idle, or on stop), the next registration
+    connects again."""
 
     def __init__(self, host: str, port: int, token: str, *, connect_timeout_s: float = 5.0):
         self.host = host
@@ -352,18 +352,15 @@ class PushClient:
         self.connect_timeout_s = connect_timeout_s
         self._lock = threading.Lock()
         self._conn: ws.WsConnection | None = None
-        self._slots: dict[str, _PushSlot] = {}
+        self._waits: PushWaits | None = None
 
-    def register(self, rid: RequestId) -> _PushSlot | None:
+    def register(self, rid: RequestId, digest: bytes) -> _PushSlot | None:
         """Ensure a live connection and a registration for rid's key.
 
-        The Register frame is re-sent even when a local slot already
-        exists: an interleaved HTTP retry may have replaced and consumed
-        the server-side registration. The server treats a still-standing
-        duplicate as idempotent. Returns the wait slot, or None when the
-        channel is unavailable."""
+        Each Register gets its own slot; one with the same digest replaces
+        the key's earlier waiter. Returns the wait slot, or None when the
+        channel is unavailable or the key waits for another payload."""
         with self._lock:
-            reused = self._conn is not None
             if self._conn is None:
                 try:
                     sock = socket.create_connection((self.host, self.port),
@@ -372,22 +369,26 @@ class PushClient:
                     log.debug("push connect failed: %s", exc)
                     return None
                 try:
-                    sock.settimeout(None)
+                    # The connect timeout bounds the handshake too; the
+                    # reader thread then blocks without one.
                     self._conn = ws.client_handshake(sock, f"{self.host}:{self.port}", "/push")
+                    sock.settimeout(None)
                 except (OSError, ws.WsError) as exc:
                     log.debug("push handshake failed: %s", exc)
                     sock.close()
                     return None
+                self._waits = PushWaits(self.token)
                 self._close_conn = weakref.finalize(self, self._conn.shutdown)
-                threading.Thread(target=PushClient._reader, args=(weakref.ref(self), self._conn),
+                threading.Thread(target=PushClient._reader,
+                                 args=(weakref.ref(self), self._conn, self._waits),
                                  daemon=True).start()
-            slot = self._slots.get(rid.dedup_key)
-            if slot is None:
-                slot = _PushSlot()
-                self._slots[rid.dedup_key] = slot
-            slot.reused, slot.answered = reused, False
+            slot = _PushSlot()
+            frame = self._waits.register(rid, digest, slot)
+            if frame is None:
+                log.debug("push register refused: %s waits for another payload", rid.short())
+                return None
             try:
-                self._conn.send_binary(encode_push_frame(register_frame(rid, self.token)))
+                self._conn.send_binary(frame)
             except ws.WsError as exc:
                 log.debug("push register failed: %s", exc)
                 self._mark_dead_locked()
@@ -395,17 +396,16 @@ class PushClient:
             return slot
 
     def wait(self, slot: _PushSlot, timeout_ms: int) -> tuple[str, ResponseEnvelope | None]:
+        """("deliver", resp), ("dead", None), ("lost", None) when the
+        connection died with the Register lost, or ("timeout", None)."""
         slot.event.wait(timeout_ms / 1000.0)
-        if slot.resp is not None:
-            return "deliver", slot.resp
-        if slot.dead:
-            return "dead", None
-        return "timeout", None
+        return slot.outcome
 
-    def release(self, rid: RequestId) -> None:
+    def release(self, rid: RequestId, digest: bytes) -> None:
         """Drop the registration; the connection stays open."""
         with self._lock:
-            self._slots.pop(rid.dedup_key, None)
+            if self._waits is not None:
+                self._waits.release(rid.dedup_key, digest)
 
     def close(self) -> None:
         """Send a Close frame and close the connection; a send still
@@ -422,13 +422,11 @@ class PushClient:
         if self._conn is not None:
             self._close_conn()
             self._conn = None
-        for slot in self._slots.values():
-            slot.dead = True
-            slot.event.set()
-        self._slots.clear()
+            for slot, lost in self._waits.dead():
+                slot.settle("lost" if lost else "dead")
 
     @staticmethod
-    def _reader(ref: weakref.ref, conn: ws.WsConnection) -> None:
+    def _reader(ref: weakref.ref, conn: ws.WsConnection, waits: PushWaits) -> None:
         # Holds the PushClient only while handling a message: a dropped
         # Client frees it, and its finalizer closes the connection.
         while True:
@@ -436,55 +434,19 @@ class PushClient:
                 message = conn.recv_message()
             except (ws.WsError, OSError):
                 message = None
+            frame = PushWaits.decode(message) if message is not None else None
             push = ref()
             if push is None:
                 return
-            if message is None or not push._dispatch(message):
-                with push._lock:
-                    if push._conn is conn:
-                        push._mark_dead_locked()
+            with push._lock:
+                heard = waits.on_frame(frame) if message is not None else Heard(open=False)
+                if not heard.open and push._conn is conn:
+                    push._mark_dead_locked()
+            if heard.waiter is not None:
+                heard.waiter.settle("deliver", heard.resp)
+            if not heard.open:
                 return
             del push
-
-    def _dispatch(self, message: bytes) -> bool:
-        """Handle one push frame; False when the connection must close."""
-        try:
-            frame = decode_push_frame(message)
-        except Exception as exc:
-            log.warning("undecodable push frame: %s", exc)
-            return True
-        if frame.kind is FrameKind.DELIVER:
-            resp = ResponseEnvelope(
-                frame.rid,
-                _status_from_meta(frame.meta),
-                Channel.PUSH,
-                frame.body,
-            )
-            with self._lock:
-                slot = self._slots.pop(frame.rid.dedup_key, None)
-            if slot is None:
-                log.debug("dropping unmatched Deliver for %s", frame.rid.short())
-                return True
-            slot.resp = resp
-            slot.event.set()
-        elif frame.kind is FrameKind.REGISTER_ACK:
-            if frame.meta == "UA":
-                log.warning("push registration unauthorized; closing")
-                return False
-            log.debug("register ack %s for %s", frame.meta, frame.rid.short())
-            with self._lock:
-                slot = self._slots.get(frame.rid.dedup_key)
-                if slot is not None:
-                    slot.answered = True
-        elif frame.kind is FrameKind.CLOSE:
-            # The server is closing the connection (idle, or stopping):
-            # a Register sent from now on would be lost.
-            return False
-        return True
-
-
-def _status_from_meta(meta: str | None) -> ResponseStatus:
-    return status_from_code(meta) if meta else ResponseStatus.OK
 
 
 class Client:
@@ -554,7 +516,7 @@ class Client:
                 if isinstance(eff, Failed):
                     raise eff.error
                 if isinstance(eff, ReleasePush):
-                    self._push.release(eff.rid)
+                    self._push.release(eff.rid, eff.digest)
                 elif isinstance(eff, AbandonHttp):
                     log.debug("abandoning HTTP exchange for trial %d", eff.trial)
                 elif isinstance(eff, SendHttp):
@@ -579,20 +541,20 @@ class Client:
     def _drive_push(self, machine: SendMachine, eff: RegisterPush) -> list:
         deadline = time.monotonic() + eff.wait_ms / 1000.0
         for _ in range(2):
-            slot = self._push.register(eff.rid)
+            slot = self._push.register(eff.rid, eff.digest)
             if slot is None:
                 return machine.on_push_register_failed()
             kind, resp = self._push.wait(slot, max(0.0, deadline - time.monotonic()) * 1000.0)
             # A Register lost to the server closing the kept-open push
             # connection goes out once more, on a new connection, within
             # the same wait and trial. Registering a key again is safe.
-            if not slot.lost_on_reuse:
+            if kind != "lost":
                 break
         if kind == "deliver":
             return machine.on_push_delivered(resp)
-        if kind == "dead":
-            return machine.on_push_dead()
-        return machine.on_push_timeout(eff.epoch)
+        if kind == "timeout":
+            return machine.on_push_timeout(eff.epoch)
+        return machine.on_push_dead()
 
     def _post(self, path: str, body: bytes, field_block: bytes, timeout_s: float,
               rid: RequestId | None = None) -> tuple[http1.ResponseHead, bytes]:
@@ -612,7 +574,8 @@ class Client:
         A response that ``http1`` cannot frame (no plain Content-Length,
         any Transfer-Encoding, a body cut short) raises ``HttpError``, and
         so does one whose rid header names another identity than ``rid``:
-        in both cases the stream is out of step.
+        in both cases the stream is out of step. The body is read in
+        bounded chunks, so a huge Content-Length reserves nothing.
         """
         request = http1.request("POST", path, field_block, body)
         with self._idle_lock:
@@ -640,9 +603,7 @@ class Client:
             length = http1.body_length(head.fields)
             if length is None:
                 raise http1.HttpError(400, "response without Content-Length")
-            data = conn.rfile.read(length) if length else b""
-            if len(data) < length:
-                raise http1.HttpError(400, f"response body cut short at {len(data)} of {length} B")
+            data = http1.read_body(conn.rfile, length)
             answered = head.fields.get(RID_HEADER)
             # Leading white space of a field value is not part of it; a
             # rid is fixed-width, so padding restores that of a device id.

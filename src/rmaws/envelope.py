@@ -20,6 +20,7 @@ made once.
 from __future__ import annotations
 
 import functools
+import hashlib
 import re
 import string
 import time
@@ -40,6 +41,7 @@ MAX_TRIAL = 99
 MAX_TIMESTAMP_MS = 10**TIMESTAMP_WIDTH - 1
 LENGTH_WIDTH = 10
 MAX_PAYLOAD = 10**LENGTH_WIDTH - 1
+PAYLOAD_DIGEST_BYTES = 32  # SHA-256: what the server compares a key's payloads by
 
 # Request header layout (all offsets in bytes):
 #   RMAWS1|<rid:87>|<forced:1>|<trial:2>|<svc:32>|<pad:81>|<len:10>|<payload>
@@ -311,8 +313,9 @@ class PushFrame:
     """One message on the push channel.
 
     Deliver frames keep status metadata and the raw body in distinct
-    segments so the body stays byte-exact. Register frames carry the auth
-    token in the body segment; Close frames carry no rid.
+    segments so the body stays byte-exact. A Register frame's body is the
+    SHA-256 digest of the send's payload (``PAYLOAD_DIGEST_BYTES`` raw
+    bytes) followed by the auth token; Close frames carry no rid.
     """
 
     kind: FrameKind
@@ -321,8 +324,12 @@ class PushFrame:
     body: bytes = b""
 
 
-def register_frame(rid: RequestId, token: str) -> PushFrame:
-    return PushFrame(FrameKind.REGISTER, rid, None, token.encode("utf-8"))
+def payload_digest(payload: bytes) -> bytes:
+    return hashlib.sha256(payload).digest()
+
+
+def register_frame(rid: RequestId, digest: bytes, token: str) -> PushFrame:
+    return PushFrame(FrameKind.REGISTER, rid, None, digest + token.encode("utf-8"))
 
 
 def register_ack_frame(rid: RequestId, meta: str) -> PushFrame:

@@ -8,11 +8,11 @@ virtual. The server side of a request is ``ServerCore.receive`` and
 scheduled in between. An abandoned or offline exchange is only marked
 dead: the core holds no registration for it to remove, and when the
 execution answers it, the answer is dropped (``http_write_dead``), as on
-a closed live connection. The push client acts as ``PushClient`` does: its
-connection stays open after a release, and a Register lost on a reused
-connection goes out once more on a new one. Requests travel as real
-encoded bytes through the real codecs, so wire accounting and body
-transparency are checked end to end.
+a closed live connection. The client's end of a push connection is a
+``PushWaits``, driven as ``PushClient`` drives it: the connection stays
+open after a release, and a lost Register goes out once more on a new
+one. Requests travel as real encoded bytes through the real codecs, so
+wire accounting and body transparency are checked end to end.
 
 Everything is deterministic for a given scenario: time advances only
 through the event queue and no unordered collection feeds the trace.
@@ -34,18 +34,8 @@ from ..client import (
     SendOptions,
     TimestampAllocator,
 )
-from ..envelope import (
-    Channel,
-    FrameKind,
-    ResponseEnvelope,
-    decode_push_frame,
-    decode_request,
-    encode_push_frame,
-    encode_request,
-    register_frame,
-    status_from_code,
-)
-from ..push import ConnState, PushSession
+from ..envelope import ResponseEnvelope, decode_request, encode_request
+from ..push import ConnState, PushSession, PushWaits
 from ..server.core import RecordState, ServerCore, ValidationError
 from ..server.handlers import HandlerRegistry, make_synthetic, synthetic_body
 from .scenario import DROP_FAULT_KINDS, TIMED_FAULT_KINDS, ScenarioSpec
@@ -73,11 +63,11 @@ class SimExchange:
 class SimPushConn:
     """One client<->server push connection over the in-process pipe."""
 
-    def __init__(self, conn_id: str, client: "SimClient"):
+    def __init__(self, conn_id: str, client: "SimClient", token: str):
         self.id = conn_id
         self.client = client
         self.session: PushSession | None = None
-        self.slots: dict[str, "SimSend"] = {}
+        self.waits = PushWaits(token)
         self.alive = True
 
 
@@ -96,10 +86,6 @@ class SimSend:
         self.client = client
         self.machine: SendMachine | None = None
         self.current_exchange: SimExchange | None = None
-        # The push wait whose first Register went out on a connection
-        # already open and has no answer yet: ``_PushSlot.lost_on_reuse``
-        # holds if that connection dies.
-        self.unanswered_reuse: RegisterPush | None = None
         self.done = False
         self.outcome = None
         self.error = None
@@ -289,6 +275,9 @@ class SimWorld:
                         key=env.rid.dedup_key)
         ticket = self.core.receive(env, self.scenario.auth_token, exchange)
         if ticket is not None:
+            # The key's body is the one its owner's payload gives; with a
+            # reused id, the owner need not be the first send under it.
+            self.expected_bodies[ticket.key] = self.send_expected_bodies[send.index]
             self.schedule(self.profiles[env.service_name].delay_ms,
                           lambda: self.core.execute(ticket))
 
@@ -331,29 +320,31 @@ class SimWorld:
         if not retry:
             self.schedule(eff.wait_ms, lambda s=send, e=eff: self._push_timer(s, e.epoch))
         if not client.online:
-            self.trace.emit("push_register_failed", send=send.index, reason="offline")
-            self.schedule(self.lat_push, lambda s=send: self._interpret(
-                s, s.machine.on_push_register_failed()))
+            self._push_register_failed(send, "offline")
             return
         conn = client.conn
-        reused = conn is not None and conn.alive
-        send.unanswered_reuse = eff if reused and not retry else None
-        if not reused:
+        if conn is None or not conn.alive:
             client.conn_counter += 1
-            conn = SimPushConn(f"{client.name}-p{client.conn_counter}", client)
+            conn = SimPushConn(f"{client.name}-p{client.conn_counter}", client,
+                               self.scenario.auth_token)
             conn.session = PushSession(self.core, self._pipe_to_client(conn), conn.id)
             client.conn = conn
             self.trace.emit("push_conn_open", conn=conn.id)
-        # Always (re)send the Register frame: an interleaved HTTP retry may
-        # have replaced and consumed the server-side registration, so the
-        # local slot alone does not prove the server still routes here.
-        # Redundant registers are idempotent on the server.
-        conn.slots[key] = send
-        data = encode_push_frame(register_frame(eff.rid, self.scenario.auth_token))
+        # The waiter is the send and, for the wait's first Register only,
+        # the effect to register again if that Register is lost.
+        data = conn.waits.register(eff.rid, eff.digest, (send, None if retry else eff))
+        if data is None:
+            self._push_register_failed(send, "key_waits_for_other_payload")
+            return
         self.wire["push_bytes"] += len(data)
         self.trace.emit("push_register_sent", send=send.index, key=key, conn=conn.id,
                         bytes=len(data))
         self.schedule(self.lat_push, lambda c=conn, d=data: self._server_push_message(c, d))
+
+    def _push_register_failed(self, send: SimSend, reason: str) -> None:
+        self.trace.emit("push_register_failed", send=send.index, reason=reason)
+        self.schedule(self.lat_push, lambda s=send: self._interpret(
+            s, s.machine.on_push_register_failed()))
 
     def _pipe_to_client(self, conn: SimPushConn):
         def pipe(data: bytes) -> None:
@@ -378,29 +369,24 @@ class SimWorld:
         if not conn.alive or not conn.client.online:
             self.trace.emit("frame_lost", conn=conn.id, direction="down")
             return
-        frame = decode_push_frame(data)
-        if frame.kind is FrameKind.DELIVER:
-            key = frame.rid.dedup_key
-            resp = ResponseEnvelope(frame.rid, status_from_code(frame.meta or "OK"),
-                                    Channel.PUSH, frame.body)
-            self.trace.emit("push_deliver", conn=conn.id, key=key,
-                            status=resp.status.value, bytes=len(frame.body),
-                            body_sha=body_digest(frame.body))
-            send = conn.slots.pop(key, None)
-            if send is None:
+        heard = conn.waits.on_frame(PushWaits.decode(data))
+        if heard.ack is not None:
+            self.trace.emit("push_ack", conn=conn.id, meta=heard.ack)
+        if heard.resp is not None:
+            resp = heard.resp
+            self.trace.emit("push_deliver", conn=conn.id, key=resp.rid.dedup_key,
+                            status=resp.status.value, bytes=len(resp.body),
+                            body_sha=body_digest(resp.body))
+            if heard.waiter is None:
                 self.trace.emit("duplicate_dropped", conn=conn.id, via="push")
                 return
+            send = heard.waiter[0]
             effects = send.machine.on_push_delivered(resp)
             if not effects:
                 self.trace.emit("duplicate_dropped", send=send.index, via="push")
                 return
             self._interpret(send, effects)
-        elif frame.kind is FrameKind.REGISTER_ACK:
-            self.trace.emit("push_ack", conn=conn.id, meta=frame.meta or "OK")
-            send = conn.slots.get(frame.rid.dedup_key)
-            if send is not None:
-                send.unanswered_reuse = None
-        elif frame.kind is FrameKind.CLOSE:
+        if not heard.open:
             self.trace.emit("push_conn_closed", conn=conn.id, by="server_goodbye")
             self._push_conn_died(conn)
 
@@ -411,11 +397,8 @@ class SimWorld:
         more, on a new connection, within the same wait and trial. Every
         other waiting send sees the channel die."""
         conn.alive = False
-        waiting = list(conn.slots.values())
-        conn.slots.clear()
-        for send in waiting:
-            eff = send.unanswered_reuse
-            if eff is not None and send.machine.state == SendMachine.WAIT_PUSH \
+        for (send, eff), lost in conn.waits.dead():
+            if lost and eff is not None and send.machine.state == SendMachine.WAIT_PUSH \
                     and send.machine.epoch == eff.epoch:
                 self.trace.emit("push_register_lost", send=send.index, conn=conn.id)
                 self._register_push(send, eff, retry=True)
@@ -432,7 +415,7 @@ class SimWorld:
         """Drop the registration; the connection stays open, as in
         ``PushClient.release``."""
         if send.client.conn is not None:
-            send.client.conn.slots.pop(eff.rid.dedup_key, None)
+            send.client.conn.waits.release(eff.rid.dedup_key, eff.digest)
 
     # -- faults ----------------------------------------------------------------
 
@@ -506,7 +489,7 @@ class SimWorld:
         for name in sorted(self.clients):
             client = self.clients[name]
             if client.conn is not None and client.conn.alive:
-                open_regs.extend(client.conn.slots.keys())
+                open_regs.extend(client.conn.waits.keys())
         push_presence = [key for key in counts if self.core.presence_route(key) is not None]
 
         return Trace(

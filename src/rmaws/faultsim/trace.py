@@ -41,7 +41,7 @@ class Trace:
     execution_counts: dict[str, int]
     forced_keys: list[str]
     failed_keys: list[str]
-    expected_bodies: dict[str, str]  # dedup key -> reference body sha256
+    expected_bodies: dict[str, str]  # dedup key -> reference body sha256 of its owner's payload
     cached_keys_at_end: list[str]
     open_client_registrations: list[str]
     push_presence_at_end: list[str]

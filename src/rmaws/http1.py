@@ -17,6 +17,8 @@ carrying the status a server answers it with:
 ``body_length`` adds the message-body framing rule: a plain
 ``Content-Length`` or no body at all. Any ``Transfer-Encoding``, and a
 ``Content-Length`` that is repeated or not one run of digits, get 400.
+``read_body`` reads a body so framed, in bounded chunks; a body cut
+short gets 400 too.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from http import HTTPStatus
 MAX_LINE = 65536
 MAX_FIELD_BYTES = 65536
 MAX_FIELDS = 100
+# A body is read at most this many bytes at a time, so a reader holds only
+# the bytes that arrived, whatever Content-Length the peer claims.
+BODY_CHUNK_BYTES = 64 * 1024
 
 _TOKEN = r"[!#$%&'*+.^_`|~0-9A-Za-z-]+"
 _REQUEST_LINE = re.compile(rf"({_TOKEN}) ([^\x00-\x20\x7f]+) (HTTP/(\d)\.(\d))")
@@ -209,6 +214,20 @@ def body_length(fields: Fields) -> int | None:
     if not (length.isascii() and length.isdigit()):
         raise HttpError(400, f"invalid Content-Length {length!r}")
     return int(length)
+
+
+def read_body(rfile, length: int) -> bytes:
+    """``length`` bytes from a buffered binary reader. Raises ``HttpError``
+    400 when the stream ends first."""
+    chunks = []
+    missing = length
+    while missing:
+        chunk = rfile.read(min(missing, BODY_CHUNK_BYTES))
+        if not chunk:
+            raise HttpError(400, f"body cut short at {length - missing} of {length} B")
+        chunks.append(chunk)
+        missing -= len(chunk)
+    return b"".join(chunks)
 
 
 # -- writing -------------------------------------------------------------

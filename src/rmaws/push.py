@@ -1,26 +1,36 @@
-"""Server side of the push channel: per-connection session state.
+"""Both ends of one push connection, as sans-IO state.
 
-A session is transport-agnostic: it is fed decoded-from-the-wire frame
-bytes via :meth:`PushSession.on_message` and writes frames through a
-``send`` callable. The live server wires it to a WebSocket; the simulator
-wires it to an in-process pipe carrying the same frame encodings.
+``PushSession`` is the server's end: it is fed frame bytes through
+:meth:`PushSession.on_message` and writes frames through a ``send``
+callable. ``PushWaits`` is the client's end: it builds each Register
+frame and says what each frame from the server means. Neither touches a
+transport. The live server and ``PushClient`` wire them to a WebSocket;
+the simulator wires both to an in-process pipe carrying the same frame
+encodings, so the live stack and the simulator run one protocol.
 """
 
 from __future__ import annotations
 
 import logging
 from enum import Enum
+from typing import NamedTuple
 
 from .envelope import (
+    Channel,
     FrameKind,
     MalformedFrame,
     META_UNAUTHORIZED,
+    PAYLOAD_DIGEST_BYTES,
+    PushFrame,
     ResponseEnvelope,
+    RequestId,
     close_frame,
     decode_push_frame,
     deliver_frame,
     encode_push_frame,
     register_ack_frame,
+    register_frame,
+    status_from_code,
 )
 
 log = logging.getLogger(__name__)
@@ -33,13 +43,15 @@ class ConnState(str, Enum):
 
 
 class PushSession:
-    """One accepted push connection.
+    """The server's end of one accepted push connection.
 
-    One connection may hold registrations for many request ids. They
-    live in the core's presence table, not in the session: the core
-    consumes a key's registration when its execution finishes, drops it
-    when an HTTP arrival for the key supersedes it, and drops all of the
-    connection's registrations in ``mark_dead``.
+    A Register's body is the payload digest, then the auth token; a body
+    too short to hold the digest closes the connection, as a malformed
+    frame does. One connection may hold registrations for many request
+    ids. They live in the core's presence table, not in the session: the
+    core consumes a key's registration when its execution finishes, drops
+    it when an HTTP arrival for the key supersedes it, and drops all of
+    the connection's registrations in ``mark_dead``.
     """
 
     def __init__(self, core, send, conn_id: str):
@@ -77,16 +89,20 @@ class PushSession:
         return False
 
     def _on_register(self, frame) -> bool:
-        token = frame.body.decode("utf-8", errors="replace")
-        meta, immediate = self.core.register_push(frame.rid, self, token)
+        if len(frame.body) < PAYLOAD_DIGEST_BYTES:
+            log.warning("Register without a payload digest on %s", self.conn_id)
+            return False
+        digest = frame.body[:PAYLOAD_DIGEST_BYTES]
+        token = frame.body[PAYLOAD_DIGEST_BYTES:].decode("utf-8", errors="replace")
+        meta, immediate = self.core.register_push(frame.rid, digest, self, token)
         if meta == META_UNAUTHORIZED:
             self._write(register_ack_frame(frame.rid, META_UNAUTHORIZED))
             return False
         if meta == "DUP":
             return True  # idempotent re-registration: no second ack
         if immediate is not None:
-            # Completed before the registration landed: ack, then deliver
-            # right away so the race never loses the response.
+            # Completed before the registration landed, or refused as an
+            # identity conflict: ack, then deliver the answer right away.
             ok = self._write(register_ack_frame(frame.rid, meta))
             return ok and self._write(deliver_frame(immediate))
         return self._write(register_ack_frame(frame.rid, meta))
@@ -109,3 +125,94 @@ class PushSession:
         if self.state is ConnState.OPEN:
             self._write(close_frame())
         self.mark_dead()
+
+
+class Heard(NamedTuple):
+    """What one frame from the server means for the connection."""
+
+    resp: ResponseEnvelope | None = None  # a Deliver's response
+    waiter: object = None  # the waiter it answers, now forgotten
+    ack: str | None = None  # a RegisterAck's meta
+    open: bool = True  # False: the connection must close
+
+
+class PushWaits:
+    """The client's end of one push connection: its waiters by dedup key.
+
+    A waiter is whatever its caller wakes: a ``_PushSlot`` in
+    ``PushClient``, a send in the simulator. A Deliver names only its
+    key, so the connection waits on a key for one payload at a time: a
+    Register whose digest differs from the one the key waits with is
+    refused, and a Register with the same digest replaces the waiter.
+    A Register that followed another on the connection and got no answer
+    before it died is lost: most likely the server closed the connection
+    while idle just as the Register went out. The caller may send it once
+    more, on a new connection, while the send still waits.
+    """
+
+    def __init__(self, token: str):
+        self.token = token
+        # key -> [waiter, payload digest, followed another, answered]
+        self._waits: dict[str, list] = {}
+        self._used = False
+
+    def keys(self) -> list[str]:
+        return list(self._waits)
+
+    def register(self, rid: RequestId, digest: bytes, waiter) -> bytes | None:
+        """Make ``waiter`` the one rid's key answers; return the Register
+        frame, which carries ``digest``, the payload's. It goes out even
+        when the key already waits: an HTTP arrival may have superseded
+        the server's registration, and the server ignores one that still
+        stands. None, and nothing to send, when the key waits for another
+        payload: its Deliver could not be told from this one's answer."""
+        key = rid.dedup_key
+        wait = self._waits.get(key)
+        if wait is not None and wait[1] != digest:
+            return None
+        self._waits[key] = [waiter, digest, self._used, False]
+        self._used = True
+        return encode_push_frame(register_frame(rid, digest, self.token))
+
+    def release(self, key: str, digest: bytes) -> None:
+        """Forget the key's waiter, if it waits for this payload."""
+        wait = self._waits.get(key)
+        if wait is not None and wait[1] == digest:
+            del self._waits[key]
+
+    @staticmethod
+    def decode(data: bytes) -> PushFrame | None:
+        """The frame in ``data``, or None when it does not decode. It needs
+        no state, so a reader may decode outside the lock it holds for
+        :meth:`on_frame`."""
+        try:
+            return decode_push_frame(data)
+        except MalformedFrame as exc:
+            log.warning("undecodable push frame: %s", exc)
+            return None
+
+    def on_frame(self, frame: PushFrame | None) -> Heard:
+        """What a decoded frame from the server means; an undecodable one
+        (None) is ignored."""
+        if frame is None:
+            return Heard()
+        if frame.kind is FrameKind.DELIVER:
+            wait = self._waits.pop(frame.rid.dedup_key, None)
+            return Heard(ResponseEnvelope(frame.rid, status_from_code(frame.meta), Channel.PUSH,
+                                          frame.body), wait and wait[0])
+        if frame.kind is FrameKind.REGISTER_ACK:
+            wait = self._waits.get(frame.rid.dedup_key)
+            if wait is not None:
+                wait[3] = True
+            return Heard(ack=frame.meta, open=frame.meta != META_UNAUTHORIZED)
+        # Close: the server is closing the connection (idle, or stopping),
+        # so a Register sent from now on would be lost.
+        return Heard(open=frame.kind is not FrameKind.CLOSE)
+
+    def dead(self) -> list[tuple[object, bool]]:
+        """Every waiter, in registration order, with whether its Register
+        was lost; all are forgotten."""
+        waits = [(waiter, followed and not answered)
+                 for waiter, _, followed, answered in self._waits.values()]
+        self._waits.clear()
+        return waits

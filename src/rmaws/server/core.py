@@ -25,7 +25,6 @@ mutations for one dedup key are serialized.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import logging
 import threading
@@ -41,6 +40,7 @@ from ..envelope import (
     RequestId,
     ResponseEnvelope,
     ResponseStatus,
+    payload_digest,
     wall_ms,
 )
 from .handlers import HandlerRegistry
@@ -76,6 +76,10 @@ class ValidationError:
     def response_for(self, rid: RequestId, channel: Channel) -> ResponseEnvelope:
         body = f"{self.reason}: {self.detail}".encode("utf-8")
         return ResponseEnvelope(rid, ResponseStatus.VALIDATION_ERROR, channel, body)
+
+
+_IDENTITY_CONFLICT = ValidationError(
+    "IdentityConflict", "request id already used for a different payload")
 
 
 @dataclass
@@ -231,7 +235,7 @@ class ServerCore:
         """
         now = self.clock()
         key = env.rid.dedup_key
-        digest = hashlib.sha256(env.payload).digest()
+        digest = payload_digest(env.payload)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -245,8 +249,7 @@ class ServerCore:
                     entry.payload_digest = digest
             if entry.payload_digest is not None and entry.payload_digest != digest:
                 self.emit("identity_conflict", key=key, trial=env.rid.trial)
-                return SubmitResult("reject", error=ValidationError(
-                    "IdentityConflict", "request id already used for a different payload"))
+                return SubmitResult("reject", error=_IDENTITY_CONFLICT)
 
             if not self.break_dedup:
                 if not env.is_forced and entry.result is not None and entry.result[0] == "ok":
@@ -364,14 +367,19 @@ class ServerCore:
 
     # -- push channel ----------------------------------------------------
 
-    def register_push(self, rid: RequestId, conn, token: str) -> tuple[str, ResponseEnvelope | None]:
-        """Bind a rid to a push connection.
+    def register_push(self, rid: RequestId, digest: bytes, conn,
+                      token: str) -> tuple[str, ResponseEnvelope | None]:
+        """Bind a rid to a push connection; ``digest`` is the SHA-256 of
+        the payload that the client sent under it.
 
         Returns (ack_meta, immediate_response). ack_meta is "UA" for a bad
         token, "DUP" for an idempotent re-registration (no ack is sent),
         "NC" when the key has no record yet, else "OK". When the record is
         already complete the response is returned for immediate delivery
         and no presence is stored (the registration is consumed at once).
+        A digest that differs from a live or pending entry's is answered
+        as ``submit`` answers it: ``IdentityConflict``, for immediate
+        delivery. Records loaded from a store are not checked.
         """
         if not self._token_ok(token):
             self.emit("push_register_denied", rid=rid.canonical())
@@ -379,13 +387,16 @@ class ServerCore:
         now = self.clock()
         key = rid.dedup_key
         with self._lock:
+            entry = self._entries.get(key)
+            live = entry is not None and (entry.pending or not self._expired(entry, now))
+            if live and entry.payload_digest not in (None, digest):
+                self.emit("identity_conflict", key=key, trial=rid.trial)
+                return "OK", _IDENTITY_CONFLICT.response_for(rid, Channel.PUSH)
             cur = self._presence.get(key)
             if cur is not None and cur.conn is conn:
                 self.emit("push_register_duplicate", key=key)
                 return "DUP", None
-            entry = self._entries.get(key)
-            if entry is not None and entry.result is not None and not entry.pending \
-                    and not self._expired(entry, now):
+            if live and entry.result is not None and not entry.pending:
                 self.emit("push_register_completed", key=key)
                 return "OK", _response(rid, entry.result, Channel.PUSH)
             self._presence[key] = PushRoute(conn, rid)

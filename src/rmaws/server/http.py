@@ -73,9 +73,6 @@ WAITER_CAP_S = 600.0
 # Until it ends, an idle connection holds a thread and about 28 KB; a
 # client that sends again within the bound saves a connect per send.
 KEEPALIVE_IDLE_S = 5.0
-# A request body is read at most this many bytes at a time, so a request
-# holds only the bytes that arrived, whatever Content-Length it claims.
-BODY_CHUNK_BYTES = 64 * 1024
 SERVER_NAME = "rmaws/0.1"
 
 
@@ -448,10 +445,9 @@ class RmawsRequestHandler(socketserver.StreamRequestHandler):
         """The request body, or None once the request has been answered
         400: its body is not framed by a plain Content-Length, or the peer
         closed before sending all of it. The connection then closes: the
-        rest of the stream cannot be framed. The body is read in chunks of
-        at most ``BODY_CHUNK_BYTES``, so a huge Content-Length reserves
-        nothing up front. ``Expect: 100-continue`` gets its interim
-        response first."""
+        rest of the stream cannot be framed. ``http1.read_body`` reads it
+        in bounded chunks, so a huge Content-Length reserves nothing up
+        front. ``Expect: 100-continue`` gets its interim response first."""
         fields = self.head.fields
         try:
             size = http1.body_length(fields) or 0
@@ -461,17 +457,12 @@ class RmawsRequestHandler(socketserver.StreamRequestHandler):
             return None
         if self.head.version != "HTTP/1.0" and fields.get("expect", "").lower() == "100-continue":
             self.connection.sendall(http1.CONTINUE)
-        chunks = []
-        missing = size
-        while missing:
-            chunk = self.rfile.read(min(missing, BODY_CHUNK_BYTES))
-            if not chunk:
-                self.close_connection = True
-                self.write_response(400, b"request body cut short")
-                return None
-            chunks.append(chunk)
-            missing -= len(chunk)
-        return b"".join(chunks)
+        try:
+            return http1.read_body(self.rfile, size)
+        except http1.HttpError:
+            self.close_connection = True
+            self.write_response(400, b"request body cut short")
+            return None
 
     def write_response(self, code: int, body: bytes, headers: dict | None = None) -> bool:
         """Write the status line, headers and body with one sendall, so a

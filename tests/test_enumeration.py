@@ -133,8 +133,53 @@ class TestMisbehavingClock:
         assert check_invariants(trace) == []
 
     def test_enumeration_holds(self):
-        sites = standard_sites()
+        # The send that reuses the id is faulted too: when its rejection is
+        # lost it falls back to push, and its Register's payload digest
+        # gets it the same rejection, never the first send's body.
+        sites = standard_sites() + [FaultSpec(kind="drop_http_response", send=1, trial=1)]
         report = enumerate_and_check(misbehaving_clock_template(), sites)
+        assert report.total_scenarios == 2 ** len(sites)
+        assert report.ok, report.findings[0].to_dict() if report.findings else None
+
+
+def one_connection_template():
+    """The misbehaving clock on one client: the second send reuses the
+    first one's id while the first still waits on push, so both would
+    wait on one push connection under one key."""
+    return ScenarioSpec(
+        name="one_connection",
+        end_time_ms=60_000,
+        services=[ServiceProfile(name="svc", delay_ms=600, output_size=64)],
+        sends=[SendSpec(t=t, service="svc", client="c1", device_id="dev", timestamp_ms=100,
+                        payload_size=25, http_timeout_ms=200, push_wait_ms=1_000, max_trials=3)
+               for t in (100, 400)],
+    )
+
+
+class TestReusedIdOnOneConnection:
+    LOST_REJECTION = FaultSpec(kind="drop_http_response", send=1, trial=1)
+
+    def test_other_payload_waits_its_turn_and_each_send_gets_its_own_answer(self):
+        # A Deliver names only its key, so the second payload's Register
+        # is not sent while the first waits on the key: it pauses, and its
+        # next trial gets the rejection.
+        scenario = one_connection_template()
+        scenario.faults = [self.LOST_REJECTION]
+        trace = run(scenario)
+        first, second = trace.outcomes
+        assert (first["status"], first["channel"]) == ("Ok", "Push")
+        assert first["body_sha"] == trace.send_expected_bodies[0]
+        assert (second["error"], second["trials"]) == ("Rejected", 2)
+        assert [e["send"] for e in trace.events if e["kind"] == "push_register_failed"
+                and e["reason"] == "key_waits_for_other_payload"] == [1]
+        assert check_invariants(trace) == []
+
+    def test_enumeration_holds(self):
+        # With send 0's request dropped, send 1 owns the key and gets its
+        # own body over push.
+        sites = standard_sites() + [self.LOST_REJECTION,
+                                    FaultSpec(kind="drop_http_response", send=1, trial=2)]
+        report = enumerate_and_check(one_connection_template(), sites)
         assert report.total_scenarios == 2 ** len(sites)
         assert report.ok, report.findings[0].to_dict() if report.findings else None
 

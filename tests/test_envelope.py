@@ -10,6 +10,7 @@ from rmaws.envelope import (
     _decode_checked,
     _decode_matched,
     OVERHEAD_BYTES,
+    PAYLOAD_DIGEST_BYTES,
     RID_WIDTH,
     EnvelopeError,
     FrameKind,
@@ -28,6 +29,7 @@ from rmaws.envelope import (
     encode_push_frame,
     encode_request,
     make_request_id,
+    payload_digest,
     register_ack_frame,
     register_frame,
     Channel,
@@ -306,10 +308,12 @@ class TestPushFrameCodec:
 
     def test_register_round_trip(self):
         rid = make_request_id("devA", 42, "orders")
-        frame = register_frame(rid, "secret-token")
+        digest = payload_digest(b"payload")
+        frame = register_frame(rid, digest, "secret-token")
         decoded = decode_push_frame(encode_push_frame(frame))
         assert decoded == frame
-        assert decoded.body == b"secret-token"
+        assert decoded.body == digest + b"secret-token"
+        assert len(digest) == PAYLOAD_DIGEST_BYTES
 
     @pytest.mark.parametrize("size", [0, 1, 191745])
     def test_deliver_body_exact(self, size):
@@ -339,7 +343,7 @@ class TestPushFrameCodec:
 
     def test_malformed_frames(self):
         rid = make_request_id("devA", 42, "orders")
-        good = encode_push_frame(register_frame(rid, "t"))
+        good = encode_push_frame(register_frame(rid, payload_digest(b""), "t"))
         with pytest.raises(MalformedFrame):
             decode_push_frame(b"X" + good[1:])  # unknown kind tag
         with pytest.raises(MalformedFrame):

@@ -12,10 +12,11 @@ import pytest
 
 import rmaws.server.http
 from rmaws import http1, ws
-from rmaws.client import Client, ClientError, SendOptions, build
+from rmaws.client import Client, ClientError, PushClient, SendOptions, build
 from rmaws.push import PushSession
 from rmaws.envelope import (CHANNEL_HEADER, RID_HEADER, STATUS_HEADER, Channel, ResponseStatus,
-                            decode_request, encode_request)
+                            decode_request, encode_request, make_request_id,
+                            payload_digest)
 from rmaws.server.handlers import HandlerRegistry, ServiceHandler, make_synthetic
 from rmaws.server.http import _Httpd
 
@@ -218,6 +219,92 @@ def test_reused_identity_with_other_payload_rejected(live_server):
     assert "IdentityConflict" in err.value.detail
     assert calls == [b"p"]
     assert server.core.execution_count(first.rid.dedup_key) == 1
+
+
+def test_reused_identity_whose_rejection_is_lost_is_rejected_over_push(live_server,
+                                                                       monkeypatch):
+    # The 409 of the second send is lost, so it falls back to push: its
+    # Register carries the digest of its own payload, and the server
+    # answers it as it answered the request, not with the first body.
+    handler, calls = counting_handler("orders")
+    server = live_server(registry=HandlerRegistry().add(handler))
+    swallowed = []
+    post_envelope = Client._post_envelope
+
+    def swallowing_post_envelope(self, env, timeout_ms):
+        kind, resp = post_envelope(self, env, timeout_ms)
+        if kind == "response" and resp.status is ResponseStatus.VALIDATION_ERROR:
+            swallowed.append(resp)
+            return "timeout", None
+        return kind, resp
+
+    with make_client(server, clock=FrozenClock()) as client:
+        first = client.send("orders", b"p")
+        monkeypatch.setattr(Client, "_post_envelope", swallowing_post_envelope)
+        with pytest.raises(ClientError) as err:
+            client.send("orders", b"q", SendOptions(http_timeout_ms=2_000, push_wait_ms=5_000,
+                                                    max_trials=1, auth_token=TOKEN))
+    assert err.value.kind == "Rejected"
+    assert err.value.detail.startswith("IdentityConflict")
+    assert [resp.body for resp in swallowed] == [err.value.detail.encode("utf-8")]
+    assert calls == [b"p"]
+    assert server.core.execution_count(first.rid.dedup_key) == 1
+
+
+def test_reused_identity_on_one_push_connection_leaves_each_send_its_own_answer(
+        live_server, monkeypatch):
+    # The first send waits on push while the second reuses its id, and the
+    # second's 409 is lost. A Deliver names only its key, so the second's
+    # Register waits until the first's answer has come: the first ends
+    # with its own body over push, the second with the rejection.
+    calls = []
+
+    def fn(payload):
+        calls.append(payload)
+        return b"BODY-" + payload
+
+    server = live_server(registry=HandlerRegistry().add(
+        ServiceHandler(name="orders", fn=fn, delay_ms=600)))
+    post_envelope = Client._post_envelope
+
+    def swallowing_post_envelope(self, env, timeout_ms):
+        kind, resp = post_envelope(self, env, timeout_ms)
+        if kind == "response" and resp.status is ResponseStatus.VALIDATION_ERROR:
+            return "timeout", None
+        return kind, resp
+
+    monkeypatch.setattr(Client, "_post_envelope", swallowing_post_envelope)
+    results = {}
+
+    def send(name, payload, push_wait_ms):
+        try:
+            results[name] = client.send("orders", payload, SendOptions(
+                http_timeout_ms=100, push_wait_ms=push_wait_ms, max_trials=3,
+                auth_token=TOKEN))
+        except ClientError as exc:
+            results[name] = exc
+
+    key = make_request_id("client", FrozenClock()(), "orders", 1).dedup_key
+    with make_client(server, clock=FrozenClock()) as client:
+        first = threading.Thread(target=send, args=("first", b"p", 5_000))
+        first.start()
+        deadline = time.monotonic() + 5
+        while server.core.presence_route(key) is None:
+            assert time.monotonic() < deadline, "the first send never waited on push"
+            time.sleep(0.01)
+        second = threading.Thread(target=send, args=("second", b"q", 1_000))
+        second.start()
+        first.join(10)
+        second.join(10)
+        assert not first.is_alive() and not second.is_alive()
+    done = results["first"]
+    assert (done.body, done.channel, done.trials_used) == (b"BODY-p", Channel.PUSH, 1)
+    err = results["second"]
+    assert isinstance(err, ClientError) and err.kind == "Rejected", err
+    assert err.detail.startswith("IdentityConflict")
+    assert err.trials_used >= 2  # its first Register waited its turn
+    assert calls == [b"p"]
+    assert server.core.execution_count(done.rid.dedup_key) == 1
 
 
 def test_failed_execution_reexecutes_on_retry(live_server):
@@ -494,9 +581,10 @@ CANNED_HEAD = (b"HTTP/1.1 200 OK\r\nX-RMAWS-Rid: {rid}\r\nX-RMAWS-Channel: Http\
     (b"Transfer-Encoding: chunked\r\n\r\n4\r\nBODY\r\n0\r\n\r\n", True),
     (b"\r\nBODY", True),
     (b"Content-Length: 10\r\n\r\nBODY", True),
+    (b"Content-Length: 10000000000000\r\n\r\nBODY", True),
     (b"Content-Length: 4\r\n\r\nBODY", False),
 ], ids=["duplicate-content-length", "conflicting-content-length", "transfer-encoding",
-        "no-content-length", "body-cut-short", "well-framed"])
+        "no-content-length", "body-cut-short", "huge-content-length", "well-framed"])
 def test_unframeable_response_is_broken(framing, broken):
     stub = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _CannedHandler)
     stub.canned = CANNED_HEAD + framing
@@ -522,6 +610,23 @@ def test_unframeable_response_is_broken(framing, broken):
         stub.server_close()
         thread.join(timeout=5.0)
     assert not thread.is_alive()
+
+
+def test_push_handshake_without_an_answer_fails_the_registration():
+    # A peer that takes the connection and never answers the upgrade: the
+    # connect timeout bounds the handshake, and the lock is free again.
+    with socket.create_server(("127.0.0.1", 0)) as silent:
+        push = PushClient(*silent.getsockname()[:2], TOKEN, connect_timeout_s=0.2)
+        rid = build("echo", b"p", False, 1, lambda: 1, "dev").rid
+        results = []
+        thread = threading.Thread(
+            target=lambda: results.append(push.register(rid, payload_digest(b"p"))), daemon=True)
+        started = time.monotonic()
+        thread.start()
+        thread.join(timeout=5.0)
+        assert results == [None]
+        assert time.monotonic() - started < 2.0
+        push.close()
 
 
 def count_handshakes(monkeypatch):

@@ -12,11 +12,13 @@ from rmaws.envelope import (
     TOKEN_HEADER,
     Channel,
     FrameKind,
+    PushFrame,
     close_frame,
     decode_push_frame,
     encode_push_frame,
     encode_request,
     make_request_id,
+    payload_digest,
     register_frame,
 )
 from rmaws.server.handlers import HandlerRegistry, ServiceHandler, make_synthetic, synthetic_body
@@ -48,11 +50,14 @@ def frozen_clock(t=1_700_000_000_000):
     return lambda: t
 
 
+P_DIGEST = payload_digest(b"p")
+
+
 def test_register_acks_not_cached_for_unknown_rid(live_server):
     server = live_server([{"name": "echo"}])
     raw = RawPushClient(server)
     rid = make_request_id("devP", 1, "echo")
-    raw.send(register_frame(rid, TOKEN))
+    raw.send(register_frame(rid, P_DIGEST, TOKEN))
     ack = raw.recv()
     assert ack.kind is FrameKind.REGISTER_ACK
     assert ack.meta == "NC"
@@ -63,11 +68,34 @@ def test_register_bad_token_gets_error_frame_then_close(live_server):
     server = live_server([{"name": "echo"}])
     raw = RawPushClient(server)
     rid = make_request_id("devP", 1, "echo")
-    raw.send(register_frame(rid, "wrong"))
+    raw.send(register_frame(rid, P_DIGEST, "wrong"))
     ack = raw.recv()
     assert ack.kind is FrameKind.REGISTER_ACK
     assert ack.meta == "UA"
     assert raw.recv() is None  # server closed the connection
+    raw.close()
+
+
+def test_register_without_a_payload_digest_closes_the_connection(live_server):
+    server = live_server([{"name": "echo"}])
+    raw = RawPushClient(server)
+    rid = make_request_id("devP", 1, "echo")
+    raw.send(PushFrame(FrameKind.REGISTER, rid, None, TOKEN.encode("utf-8")))
+    assert raw.recv() is None  # no ack: the server closed the connection
+    raw.close()
+
+
+def test_register_for_another_payload_gets_identity_conflict(live_server):
+    server = live_server(registry=HandlerRegistry().add(make_synthetic("echo")))
+    client = Client(*server.address, auth_token=TOKEN, clock=frozen_clock())
+    outcome = client.send("echo", b"p")
+    raw = RawPushClient(server)
+    raw.send(register_frame(outcome.rid.with_trial(2), payload_digest(b"q"), TOKEN))
+    ack, deliver = raw.recv(), raw.recv()
+    assert (ack.kind, ack.meta) == (FrameKind.REGISTER_ACK, "OK")
+    assert (deliver.kind, deliver.meta) == (FrameKind.DELIVER, "VE")
+    assert deliver.body.startswith(b"IdentityConflict: ")
+    assert server.core.presence_route(outcome.rid.dedup_key) is None
     raw.close()
 
 
@@ -83,7 +111,7 @@ def test_register_before_completion_gets_deliver(live_server):
             http_timeout_ms=5_000, auth_token=TOKEN)))
     start.start()
     time.sleep(0.1)  # execution is pending now
-    raw.send(register_frame(rid, TOKEN))
+    raw.send(register_frame(rid, P_DIGEST, TOKEN))
     ack = raw.recv()
     assert ack.meta == "OK"
     deliver = raw.recv()
@@ -102,7 +130,8 @@ def test_register_after_completion_delivers_immediately(live_server):
     assert outcome.channel is Channel.HTTP
 
     raw = RawPushClient(server)
-    raw.send(register_frame(outcome.rid.with_trial(2), TOKEN))
+    raw.send(register_frame(outcome.rid.with_trial(2), payload_digest(b"cached-bytes"),
+                                  TOKEN))
     ack = raw.recv()
     assert ack.kind is FrameKind.REGISTER_ACK and ack.meta == "OK"
     deliver = raw.recv()
@@ -126,8 +155,8 @@ def test_double_register_one_ack_one_deliver(live_server):
             http_timeout_ms=5_000, auth_token=TOKEN)))
     sender.start()
     time.sleep(0.1)
-    raw.send(register_frame(rid, TOKEN))
-    raw.send(register_frame(rid, TOKEN))  # duplicate: idempotent
+    raw.send(register_frame(rid, P_DIGEST, TOKEN))
+    raw.send(register_frame(rid, P_DIGEST, TOKEN))  # duplicate: idempotent
     frames = [raw.recv(), raw.recv()]
     sender.join()
     kinds = [f.kind for f in frames]
@@ -147,7 +176,7 @@ def test_client_close_deregisters_presence(live_server):
             http_timeout_ms=5_000, auth_token=TOKEN)))
     sender.start()
     time.sleep(0.1)
-    raw.send(register_frame(rid, TOKEN))
+    raw.send(register_frame(rid, P_DIGEST, TOKEN))
     assert raw.recv().kind is FrameKind.REGISTER_ACK
     assert server.core.presence_route(rid.dedup_key) is not None
     raw.send(close_frame())
@@ -167,7 +196,7 @@ def test_http_arrival_supersedes_push_registration(live_server):
         make_synthetic("slow", output_size=64, delay_ms=300)))
     env = build("slow", b"p", False, 2, lambda: 1_700_000_000_000, "devS")
     raw = RawPushClient(server)
-    raw.send(register_frame(env.rid.with_trial(1), TOKEN))
+    raw.send(register_frame(env.rid.with_trial(1), P_DIGEST, TOKEN))
     assert raw.recv().meta == "NC"
 
     conn = http.client.HTTPConnection(*server.address, timeout=5)
@@ -211,7 +240,7 @@ def test_push_after_client_death_leaves_response_cached(live_server):
             http_timeout_ms=5_000, auth_token=TOKEN)))
     sender.start()
     time.sleep(0.1)
-    raw.send(register_frame(rid, TOKEN))
+    raw.send(register_frame(rid, P_DIGEST, TOKEN))
     assert raw.recv().kind is FrameKind.REGISTER_ACK
     # Kill the socket hard before the execution completes.
     raw.conn.sock.close()

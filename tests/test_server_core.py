@@ -3,7 +3,8 @@ import threading
 
 import pytest
 
-from rmaws.envelope import Channel, RequestEnvelope, ResponseStatus, make_request_id
+from rmaws.envelope import (Channel, RequestEnvelope, ResponseStatus, make_request_id,
+                            payload_digest)
 from rmaws.server import (
     AppendOnlyFileStore,
     HandlerRegistry,
@@ -15,6 +16,7 @@ from rmaws.server import (
 from rmaws.server.core import _response
 
 TOKEN = "sekrit"
+P = payload_digest(b"p")  # the digest of ``envelope()``'s payload
 
 
 class FakeClock:
@@ -198,7 +200,7 @@ class TestReceiveExecute:
         env = envelope()
         ticket = core.receive(env, TOKEN, FakeExchange(env))
         conn = FakePushConn()
-        assert core.register_push(env.rid.with_trial(2), conn, TOKEN) == ("OK", None)
+        assert core.register_push(env.rid.with_trial(2), P, conn, TOKEN) == ("OK", None)
         core.execute(ticket)
         [resp] = conn.sent
         assert (resp.rid, resp.channel, resp.body) == (env.rid.with_trial(2), Channel.PUSH, b"BODY")
@@ -209,7 +211,7 @@ class TestReceiveExecute:
         first, second = envelope(trial=1), envelope(trial=2)
         ticket = core.receive(first, TOKEN, FakeExchange(first))
         conn = FakePushConn()
-        assert core.register_push(first.rid, conn, TOKEN) == ("OK", None)
+        assert core.register_push(first.rid, P, conn, TOKEN) == ("OK", None)
         waiter = FakeExchange(second)
         assert core.receive(second, TOKEN, waiter) is None
         core.execute(ticket)
@@ -223,7 +225,7 @@ class TestReceiveExecute:
         env = envelope()
         ticket = core.receive(env, TOKEN, FakeExchange(env))
         conn = FakePushConn(writes_ok=False)
-        core.register_push(env.rid.with_trial(2), conn, TOKEN)
+        core.register_push(env.rid.with_trial(2), P, conn, TOKEN)
         core.execute(ticket)
         assert len(conn.sent) == 1
         assert events[-1] == ("push_write_failed", {"key": env.rid.dedup_key, "t": 0})
@@ -262,7 +264,7 @@ class TestValidate:
         core = make_core()
         err = core.validate(envelope(), token)
         assert err is not None and err.reason == "Unauthorized"
-        assert core.register_push(envelope().rid, "conn", token) == ("UA", None)
+        assert core.register_push(envelope().rid, P, "conn", token) == ("UA", None)
         assert core.presence_route(envelope().rid.dedup_key) is None
 
     def test_non_ascii_server_token(self):
@@ -498,7 +500,7 @@ class TestPresence:
         env = envelope()
         key = env.rid.dedup_key
         grant = core.submit(env, "w1") if pending else None
-        assert core.register_push(env.rid, "conn1", TOKEN)[0] == ("OK" if pending else "NC")
+        assert core.register_push(env.rid, P, "conn1", TOKEN)[0] == ("OK" if pending else "NC")
         result = core.submit(envelope(trial=2), "w2")
         assert result.kind == ("wait" if pending else "execute")
         assert core.presence_route(key) is None
@@ -512,11 +514,11 @@ class TestPresence:
         core = make_core()
         env = envelope()
         grant = core.submit(env, "w1")
-        core.register_push(env.rid, "conn1", TOKEN)
+        core.register_push(env.rid, P, "conn1", TOKEN)
         assert core.submit(envelope(trial=2), "w2").kind == "wait"
         # The client gives up on trial 2's exchange and registers again on
         # the same connection: a new registration, not a duplicate.
-        assert core.register_push(env.rid.with_trial(2), "conn1", TOKEN) == ("OK", None)
+        assert core.register_push(env.rid.with_trial(2), P, "conn1", TOKEN) == ("OK", None)
         plan = core.finish(grant.ticket, body=b"B")
         assert (plan.push.conn, plan.push.rid) == ("conn1", env.rid.with_trial(2))
 
@@ -525,7 +527,7 @@ class TestPresence:
         run_once(core, envelope(payload=b"p"))
         forced = core.submit(envelope(trial=2, forced=True, payload=b"p"), "w")
         key = envelope().rid.dedup_key
-        core.register_push(envelope().rid.with_trial(3), "conn1", TOKEN)
+        core.register_push(envelope().rid.with_trial(3), P, "conn1", TOKEN)
         assert core.submit(envelope(trial=4, payload=b"p"), "w").kind == "replay"
         assert core.submit(envelope(trial=5, payload=b"q"), "w").kind == "reject"
         assert core.presence_route(key).conn == "conn1"
@@ -543,14 +545,14 @@ class TestPresence:
         assert core.receive(retry, TOKEN, exchange) is None
         [(resp, _)] = exchange.answers
         assert (resp.channel, resp.body) == (Channel.CACHE_REPLAY, b"BODY")
-        meta, pushed = core.register_push(env.rid.with_trial(3), "conn1", TOKEN)
+        meta, pushed = core.register_push(env.rid.with_trial(3), P, "conn1", TOKEN)
         assert (meta, pushed.channel, pushed.body) == ("OK", Channel.PUSH, b"BODY")
 
     def test_finish_returns_push_route(self):
         core = make_core()
         env = envelope()
         grant = core.submit(env, "w")
-        meta, resp = core.register_push(env.rid.with_trial(2), "conn1", TOKEN)
+        meta, resp = core.register_push(env.rid.with_trial(2), P, "conn1", TOKEN)
         assert (meta, resp) == ("OK", None)
         plan = core.finish(grant.ticket, body=b"B")
         assert plan.push is not None and plan.push.conn == "conn1"
@@ -560,18 +562,18 @@ class TestPresence:
 class TestRegisterPush:
     def test_bad_token(self):
         core = make_core()
-        assert core.register_push(envelope().rid, "c", "nope") == ("UA", None)
+        assert core.register_push(envelope().rid, P, "c", "nope") == ("UA", None)
 
     def test_no_record_acks_not_cached(self):
         core = make_core()
-        meta, resp = core.register_push(envelope().rid, "c", TOKEN)
+        meta, resp = core.register_push(envelope().rid, P, "c", TOKEN)
         assert (meta, resp) == ("NC", None)
 
     def test_completed_record_delivers_immediately(self):
         core = make_core()
         env = envelope()
         run_once(core, env)
-        meta, resp = core.register_push(env.rid.with_trial(2), "c", TOKEN)
+        meta, resp = core.register_push(env.rid.with_trial(2), P, "c", TOKEN)
         assert meta == "OK"
         assert resp.channel is Channel.PUSH
         assert resp.body == b"BODY"
@@ -581,8 +583,41 @@ class TestRegisterPush:
         core = make_core()
         env = envelope()
         core.submit(env, "w")
-        assert core.register_push(env.rid, "c", TOKEN)[0] == "OK"
-        assert core.register_push(env.rid, "c", TOKEN)[0] == "DUP"
+        assert core.register_push(env.rid, P, "c", TOKEN)[0] == "OK"
+        assert core.register_push(env.rid, P, "c", TOKEN)[0] == "DUP"
+
+    @pytest.mark.parametrize("pending", [True, False])
+    def test_other_payload_gets_identity_conflict(self, pending):
+        core, events = recording_core()
+        env = envelope()
+        grant = core.submit(env, "w")
+        core.register_push(env.rid, P, "owner", TOKEN)
+        if not pending:
+            core.finish(grant.ticket, body=b"BODY")
+        meta, resp = core.register_push(env.rid.with_trial(2), payload_digest(b"q"), "c", TOKEN)
+        assert meta == "OK"
+        assert (resp.rid, resp.status, resp.channel) == \
+            (env.rid.with_trial(2), ResponseStatus.VALIDATION_ERROR, Channel.PUSH)
+        assert resp.body.startswith(b"IdentityConflict: ")
+        assert ("identity_conflict", {"key": env.rid.dedup_key, "trial": 2, "t": 0}) in events
+        route = core.presence_route(env.rid.dedup_key)
+        assert (route and route.conn) == ("owner" if pending else None)
+
+    def test_expired_entry_is_not_checked(self):
+        clock = FakeClock(0)
+        core = make_core(clock=clock, cache_ttl_ms=100)
+        run_once(core, envelope())
+        clock.t = 150
+        meta, resp = core.register_push(envelope(trial=2).rid, payload_digest(b"q"), "c", TOKEN)
+        assert (meta, resp) == ("OK", None)
+        assert core.presence_route(envelope().rid.dedup_key).conn == "c"
+
+    def test_record_loaded_from_a_store_is_not_checked(self, tmp_path):
+        store = AppendOnlyFileStore(str(tmp_path / "records.log"))
+        run_once(make_core(store=store), envelope())
+        core = make_core(store=store)
+        meta, resp = core.register_push(envelope(trial=2).rid, payload_digest(b"q"), "c", TOKEN)
+        assert (meta, resp.status, resp.body) == ("OK", ResponseStatus.OK, b"BODY")
 
     def test_conn_closed_clears_only_its_keys(self):
         core = make_core()
@@ -590,8 +625,8 @@ class TestRegisterPush:
         ridB = envelope(ts=2).rid
         core.submit(envelope(ts=1), "w1")
         core.submit(envelope(ts=2), "w2")
-        core.register_push(ridA, "connA", TOKEN)
-        core.register_push(ridB, "connB", TOKEN)
+        core.register_push(ridA, P, "connA", TOKEN)
+        core.register_push(ridB, P, "connB", TOKEN)
         core.conn_closed("connA")
         assert core.presence_route(ridA.dedup_key) is None
         assert core.presence_route(ridB.dedup_key) is not None

@@ -1,9 +1,11 @@
 """Live threaded server: /services, /direct, /push and /healthz.
 
-Each accepted connection runs on its own thread and serves HTTP/1.1
-keep-alive requests one after another; an idle connection is closed
-after ``KEEPALIVE_IDLE_S``. Heads are read, parsed and written by
-``rmaws.http1`` on a ``socketserver`` base: a head or body length that
+The server owns its listening socket and one thread per accepted
+connection. Each connection serves HTTP/1.1 keep-alive requests one
+after another through one buffered reader, which a /push upgrade hands
+on to the WebSocket, so frames sent with the upgrade are not lost; an
+idle connection is closed after ``KEEPALIVE_IDLE_S``. Heads are read,
+parsed and written by ``rmaws.http1``: a head or body length that
 breaks its framing rules gets that module's status code (400, 414, 431
 or 505) and the connection closes, since the rest of the stream cannot
 be framed; so does a body cut short, which gets 400 and never reaches a
@@ -18,14 +20,14 @@ completes every exchange waiting on that key. Duplicate arrivals for
 the key park on a one-shot latch until then. Every live exchange writes
 the completed response on its own connection, in one write with Nagle's
 algorithm off. Push deliveries are written by the executing thread. A
-client abandons an exchange by closing its connection. Before each
-write, one ``poll`` with a zero timeout checks whether the connection
-has anything to read; only then does a one-byte peek tell a closed peer
-from a pipelined request. That is what turns an abandoned exchange into
-the push/cache fallback path.
+client abandons an exchange by closing its connection; the answer is
+cached by then, and delivered on push if the client registered there,
+so its write on the closed connection fails or is discarded unread.
 
 ``stop()`` wakes the accept loop through a socket pair, so it does not
-wait for a polling interval to end.
+wait for a polling interval to end. One registry holds every open
+connection, for ``stop()`` to say goodbye on push connections and shut
+each one down.
 """
 
 from __future__ import annotations
@@ -33,10 +35,8 @@ from __future__ import annotations
 import json
 import logging
 import os
-import select
 import selectors
 import socket
-import socketserver
 import threading
 import time
 import uuid
@@ -177,8 +177,6 @@ class LiveExchange:
             self.respond(*self.answer)
 
     def respond(self, resp: ResponseEnvelope, http_code: int) -> bool:
-        if not _socket_alive(self.handler.connection):
-            return False
         return self.handler.write_response(http_code, resp.body, {
             RID_HEADER: resp.rid.canonical(),
             CHANNEL_HEADER: resp.channel.value,
@@ -186,31 +184,8 @@ class LiveExchange:
         })
 
 
-def _socket_alive(sock: socket.socket) -> bool:
-    """Whether the peer still holds the connection open, found without
-    consuming a byte or waiting. A connection with nothing to read is
-    alive: one ``poll`` with a zero timeout tells, and that is the common
-    case. Only a readable one is peeked at, which tells EOF or a reset
-    (dead) from a pipelined request (alive); the peek does not wait, as
-    the socket is readable. ``poll``, since ``select`` fails on file
-    descriptors numbered 1024 or higher."""
-    fd = sock.fileno()
-    if fd < 0:
-        return False
-    poller = select.poll()
-    poller.register(fd, select.POLLIN)
-    if not poller.poll(0):
-        return True
-    try:
-        return bool(sock.recv(1, socket.MSG_PEEK))
-    except (BlockingIOError, InterruptedError):
-        return True
-    except OSError:
-        return False
-
-
 class RmawsServer:
-    """Composition root for the live server."""
+    """Composition root for the live server; it owns the listening socket."""
 
     def __init__(self, config: ServerConfig, registry: HandlerRegistry | None = None,
                  *, clock=None, break_dedup: bool = False):
@@ -225,32 +200,27 @@ class RmawsServer:
             cache_ttl_ms=config.cache_ttl_ms,
             break_dedup=break_dedup,
         )
-        self._httpd = _Httpd((config.bind_host, config.bind_port), RmawsRequestHandler)
-        self._httpd.rmaws = self
+        # A backlog of 5 overflows when more clients connect at once; the
+        # kernel drops their SYNs, and they retry only after 1 s.
+        self._listener = socket.create_server((config.bind_host, config.bind_port),
+                                              backlog=socket.SOMAXCONN)
+        # Read once: stop() closes the socket, and it may run twice.
+        self.address: tuple[str, int] = self._listener.getsockname()[:2]
+        self.port = self.address[1]
+        self._fixed_fields: tuple[int, bytes] = (-1, b"")
         self._thread: threading.Thread | None = None
         self._wake: tuple[socket.socket, socket.socket] | None = None
-        self._sessions: set[PushSession] = set()
-        self._sessions_lock = threading.Lock()
-        # Guarded by _active_lock: requests in flight, each connection
-        # with the thread serving it, and whether stop() has drained
-        # (after which no request starts).
+        # Guarded by _active_lock: requests in flight, each open connection
+        # with the thread serving it, and whether stop() has drained (after
+        # which no request starts).
         self._active = 0
-        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._connections: dict[RmawsRequestHandler, threading.Thread] = {}
         self._drained = False
         self._active_lock = threading.Lock()
         self._idle = threading.Condition(self._active_lock)
         self._stopping = False
 
     # -- lifecycle ------------------------------------------------------
-
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._httpd.server_address[:2]
-        return host, port
-
-    @property
-    def port(self) -> int:
-        return self.address[1]
 
     def start(self) -> "RmawsServer":
         self._wake = socket.socketpair()
@@ -261,19 +231,31 @@ class RmawsServer:
         return self
 
     def _accept_loop(self, wake: socket.socket) -> None:
-        """Accept connections until stop() writes to ``wake``. This is
-        socketserver's serve_forever, less its 0.5 s poll for a stop flag:
-        the loop sleeps until a connection or the wake-up arrives."""
+        """Accept connections until stop() writes to ``wake``, sleeping
+        until one or the other arrives. A connection is registered before
+        its thread starts, so stop(), which waits for this loop, finds it."""
         with selectors.DefaultSelector() as selector:
-            selector.register(self._httpd.socket, selectors.EVENT_READ)
+            selector.register(self._listener, selectors.EVENT_READ)
             selector.register(wake, selectors.EVENT_READ)
-            while not self._stopping:
+            while True:
                 selector.select()
-                if not self._stopping:
-                    # What serve_forever calls once the socket is readable:
-                    # accept, then process_request, with handle_error on
-                    # failure.
-                    self._httpd._handle_request_noblock()
+                if self._stopping:
+                    return
+                try:
+                    sock, address = self._listener.accept()
+                except OSError as exc:
+                    log.debug("accept failed: %s", exc)
+                    continue
+                handler = RmawsRequestHandler(self, sock, address)
+                thread = threading.Thread(target=handler.run, name=f"rmaws-conn-{self.port}",
+                                          daemon=True)
+                with self._active_lock:
+                    self._connections[handler] = thread
+                try:
+                    thread.start()
+                except RuntimeError as exc:  # no thread to be had
+                    log.warning("connection from %s refused: %s", address[0], exc)
+                    handler.close()
 
     def stop(self, *, drain_timeout_s: float = 30.0) -> None:
         """Graceful stop: stop accepting, drain in-flight requests, say
@@ -291,30 +273,16 @@ class RmawsServer:
                 self._idle.wait(timeout=max(0.0, deadline - time.monotonic()))
             self._drained = True
             connections = list(self._connections.items())
-        with self._sessions_lock:
-            sessions = list(self._sessions)
-        for session in sessions:
-            session.send_goodbye()
-        for sock, _ in connections:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+        for handler, _ in connections:
+            handler.shut_down()
         join_until = max(deadline, time.monotonic() + 1.0)
         for _, thread in connections:
             thread.join(timeout=max(0.0, join_until - time.monotonic()))
-        self._httpd.server_close()
+        self._listener.close()
         if self._wake is not None:
             for sock in self._wake:
                 sock.close()
             self._wake = None
-
-    def _track(self, sock: socket.socket, thread: threading.Thread) -> None:
-        # Threads are forgotten only once they have ended, so stop() also
-        # waits for one that has closed its socket but not yet returned.
-        with self._active_lock:
-            self._connections = {s: t for s, t in self._connections.items() if t.is_alive()}
-            self._connections[sock] = thread
 
     def _begin_request(self) -> bool:
         """Count a request in flight; False once stop() has drained."""
@@ -330,6 +298,17 @@ class RmawsServer:
             if self._active == 0:
                 self._idle.notify_all()
 
+    def fixed_fields(self) -> bytes:
+        """The Server, Date and Content-Type lines of every response. The
+        date changes once a second, so it is formatted once a second."""
+        now = int(time.time())
+        second, block = self._fixed_fields
+        if second != now:
+            block = (f"Server: {SERVER_NAME}\r\nDate: {http1.http_date(now)}\r\n"
+                     "Content-Type: application/octet-stream\r\n").encode("ascii")
+            self._fixed_fields = (now, block)
+        return block
+
     # -- direct (baseline) route ------------------------------------------
 
     def run_direct(self, name: str, payload: bytes) -> tuple[int, bytes]:
@@ -343,66 +322,55 @@ class RmawsServer:
         except Exception as exc:
             return 500, f"service error: {type(exc).__name__}: {exc}".encode("utf-8")
 
-    # -- push sessions ------------------------------------------------------
-
-    def attach_session(self, session: PushSession) -> None:
-        with self._sessions_lock:
-            self._sessions.add(session)
-
-    def detach_session(self, session: PushSession) -> None:
-        with self._sessions_lock:
-            self._sessions.discard(session)
-
-
-class _Httpd(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    # The default listen backlog of 5 overflows when more clients than
-    # that connect at once; the kernel drops their SYNs and they retry
-    # only after 1 s.
-    request_queue_size = socket.SOMAXCONN
-    rmaws: "RmawsServer"
-    _fixed_fields: tuple[int, bytes] = (-1, b"")
-
-    def process_request(self, request, client_address):
-        # One thread per connection, tracked so that stop() can shut the
-        # connection down and wait for its thread.
-        thread = threading.Thread(target=self.process_request_thread,
-                                  args=(request, client_address),
-                                  name=f"rmaws-conn-{self.server_address[1]}", daemon=True)
-        self.rmaws._track(request, thread)
-        thread.start()
-
-    def fixed_fields(self) -> bytes:
-        """The Server, Date and Content-Type lines of every response. The
-        date changes once a second, so it is formatted once a second."""
-        now = int(time.time())
-        second, block = self._fixed_fields
-        if second != now:
-            block = (f"Server: {SERVER_NAME}\r\nDate: {http1.http_date(now)}\r\n"
-                     "Content-Type: application/octet-stream\r\n").encode("ascii")
-            self._fixed_fields = (now, block)
-        return block
-
 
 _VALIDATION_HEADERS = {STATUS_HEADER: ResponseStatus.VALIDATION_ERROR.value,
                        CHANNEL_HEADER: Channel.HTTP.value}
 
 
-class RmawsRequestHandler(socketserver.StreamRequestHandler):
-    """Serves the requests of one connection, one after another."""
+class RmawsRequestHandler:
+    """Serves one connection's requests one after another, through one
+    buffered reader for its whole life; a /push upgrade hands it on."""
 
-    # TCP_NODELAY on every accepted socket, /push included: a response or
-    # push frame leaves at once instead of waiting for the peer's delayed
-    # ACK of the previous segment.
-    disable_nagle_algorithm = True
+    def __init__(self, server: RmawsServer, sock: socket.socket, address):
+        self.server = server
+        self.connection = sock
+        self.client_address = address
+        self.session: PushSession | None = None
+        # TCP_NODELAY on every accepted socket, /push included: a response
+        # or push frame leaves at once instead of waiting for the peer's
+        # delayed ACK of the previous segment.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(KEEPALIVE_IDLE_S)
+        self.rfile = sock.makefile("rb")
 
-    @property
-    def rmaws(self) -> RmawsServer:
-        return self.server.rmaws
+    def run(self):
+        """The connection thread: however ``handle`` ends, the connection
+        closes, and an exception it did not expect reaches the excepthook."""
+        try:
+            self.handle()
+        finally:
+            self.close()
 
-    def setup(self):
-        self.timeout = KEEPALIVE_IDLE_S
-        super().setup()
+    def close(self) -> None:
+        # FIN first, so a peer whose last bytes went unread reads EOF, not a reset.
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+        self.rfile.close()
+        self.connection.close()
+        with self.server._active_lock:
+            self.server._connections.pop(self, None)
+
+    def shut_down(self) -> None:
+        """Called by stop(): say goodbye on a push connection, then shut
+        the socket down, which ends the connection thread's blocking read."""
+        if self.session is not None:
+            self.session.send_goodbye()
+        try:
+            self.connection.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
 
     def handle(self):
         self.close_connection = False
@@ -469,7 +437,7 @@ class RmawsRequestHandler(socketserver.StreamRequestHandler):
         kept-alive response never waits on Nagle's algorithm. Returns
         False if the write failed. Says ``Connection: close`` when the
         connection ends after this response."""
-        if self.rmaws._stopping:
+        if self.server._stopping:
             self.close_connection = True
         fields = self.server.fixed_fields()
         if headers:
@@ -490,7 +458,7 @@ class RmawsRequestHandler(socketserver.StreamRequestHandler):
         """Read the body, route, answer. The request counts as in flight,
         so stop() drains it; a request that got no complete answer closes
         its connection, because the client may still wait for one."""
-        server = self.rmaws
+        server = self.server
         self._responded = False
         if not server._begin_request():
             self.close_connection = True
@@ -523,7 +491,7 @@ class RmawsRequestHandler(socketserver.StreamRequestHandler):
         if self.path[len("/services/"):] != env.service_name:
             self.write_response(400, b"path does not match envelope service", _VALIDATION_HEADERS)
             return
-        core = self.rmaws.core
+        core = self.server.core
         exchange = LiveExchange(self, env)
         ticket = core.receive(env, self.head.fields.get(TOKEN_HEADER, ""), exchange)
         if ticket is not None:
@@ -534,22 +502,18 @@ class RmawsRequestHandler(socketserver.StreamRequestHandler):
         exchange.deliver()
 
     def _handle_push_upgrade(self):
-        server = self.rmaws
+        server = self.server
+        self.close_connection = True
         try:
             response = ws.server_handshake_response(self.head.fields)
         except ws.WsError as exc:
-            self.close_connection = True
             self.write_response(400, str(exc).encode("utf-8"))
             return
-        try:
-            self.connection.sendall(response)
-        except OSError:
-            return
-        conn = ws.WsConnection(self.connection, mask_outgoing=False)
-        session = PushSession(server.core, conn.send_binary, conn_id=uuid.uuid4().hex[:8])
-        server.attach_session(session)
-        idle_s = server.config.push_idle_timeout_ms / 1000.0
-        self.connection.settimeout(idle_s)
+        self.connection.sendall(response)
+        conn = ws.WsConnection(self.connection, self.rfile, mask_outgoing=False)
+        self.session = session = PushSession(server.core, conn.send_binary,
+                                             conn_id=uuid.uuid4().hex[:8])
+        self.connection.settimeout(server.config.push_idle_timeout_ms / 1000.0)
         try:
             while True:
                 try:
@@ -560,12 +524,8 @@ class RmawsRequestHandler(socketserver.StreamRequestHandler):
                     break
                 except (ws.WsError, OSError):
                     break
-                if message is None:
-                    break
-                if not session.on_message(message):
+                if message is None or not session.on_message(message):
                     break
         finally:
             session.mark_dead()
             conn.send_close()
-            server.detach_session(session)
-            self.close_connection = True

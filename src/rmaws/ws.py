@@ -28,10 +28,6 @@ OP_CLOSE = 0x8
 OP_PING = 0x9
 OP_PONG = 0xA
 
-_MAX_HANDSHAKE = 16 * 1024
-_RECV_CHUNK = 65536
-
-
 class WsError(ConnectionError):
     """Protocol violation or transport failure on a WebSocket connection."""
 
@@ -48,16 +44,6 @@ def _mask(data: bytes, key: bytes) -> bytes:
     stream = (key * reps)[: len(data)]
     n = int.from_bytes(data, "little") ^ int.from_bytes(stream, "little")
     return n.to_bytes(len(data), "little")
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(min(n - len(buf), _RECV_CHUNK))
-        if not chunk:
-            raise WsError("connection closed mid-frame")
-        buf += chunk
-    return bytes(buf)
 
 
 def _encode_frame(opcode: int, payload: bytes, mask: bool) -> bytes:
@@ -81,25 +67,26 @@ def _encode_frame(opcode: int, payload: bytes, mask: bool) -> bytes:
 class WsConnection:
     """One open WebSocket. ``mask_outgoing`` is True on the client side.
 
-    Writes are serialized with a lock so multiple threads may push frames;
-    reads are expected from a single reader thread.
+    Frames are read from ``rfile``, the connection's one buffered reader,
+    so bytes read ahead of a frame are never lost; a payload is read in
+    bounded chunks, so memory grows with the bytes that arrive, not with
+    the length a frame claims. Writes are serialized with a lock so
+    multiple threads may push frames; reads are expected from a single
+    reader thread.
     """
 
-    def __init__(self, sock: socket.socket, mask_outgoing: bool, initial: bytes = b""):
+    def __init__(self, sock: socket.socket, rfile, mask_outgoing: bool):
         self.sock = sock
+        self.rfile = rfile
         self.mask_outgoing = mask_outgoing
         self._write_lock = threading.Lock()
         self._close_sent = False
-        self._pending = bytearray(initial)  # bytes read past the handshake
 
-    def _recv_exact(self, n: int) -> bytes:
-        if self._pending:
-            take = bytes(self._pending[:n])
-            del self._pending[:len(take)]
-            if len(take) == n:
-                return take
-            return take + _recv_exact(self.sock, n - len(take))
-        return _recv_exact(self.sock, n)
+    def _read(self, n: int) -> bytes:
+        try:
+            return http1.read_body(self.rfile, n)
+        except (http1.HttpError, ValueError):  # EOF, or a reader closed meanwhile
+            raise WsError("connection closed mid-frame") from None
 
     def send_binary(self, payload: bytes) -> None:
         self._send(OP_BINARY, payload)
@@ -115,7 +102,7 @@ class WsConnection:
                 raise WsError(f"send failed: {exc}") from exc
 
     def _read_frame(self) -> tuple[int, bytes]:
-        b1, b2 = self._recv_exact(2)
+        b1, b2 = self._read(2)
         fin = b1 & 0x80
         if b1 & 0x70:
             raise WsError("reserved bits set")
@@ -125,11 +112,11 @@ class WsConnection:
         masked = b2 & 0x80
         n = b2 & 0x7F
         if n == 126:
-            (n,) = struct.unpack(">H", self._recv_exact(2))
+            (n,) = struct.unpack(">H", self._read(2))
         elif n == 127:
-            (n,) = struct.unpack(">Q", self._recv_exact(8))
-        key = self._recv_exact(4) if masked else b""
-        payload = self._recv_exact(n) if n else b""
+            (n,) = struct.unpack(">Q", self._read(8))
+        key = self._read(4) if masked else b""
+        payload = self._read(n)
         if masked:
             payload = _mask(payload, key)
         return opcode, payload
@@ -170,6 +157,7 @@ class WsConnection:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self.rfile.close()
         self.sock.close()
 
 
@@ -220,25 +208,22 @@ def client_handshake(sock: socket.socket, host: str, path: str) -> WsConnection:
         "\r\n"
     )
     sock.sendall(request.encode("ascii"))
-
-    buf = bytearray()
-    while b"\r\n\r\n" not in buf:
-        if len(buf) > _MAX_HANDSHAKE:
-            raise WsError("oversized handshake response")
-        chunk = sock.recv(4096)
-        if not chunk:
-            raise WsError("connection closed during handshake")
-        buf += chunk
-    head_bytes, rest = bytes(buf).split(b"\r\n\r\n", 1)
+    rfile = sock.makefile("rb")
     try:
-        head = http1.parse_response(head_bytes)
-    except http1.HttpError as exc:
-        raise WsError(f"malformed handshake response: {exc.reason}") from exc
-    if head.status != 101:
-        raise WsError(f"upgrade refused: {head.status} {head.reason}")
-    fields = head.fields
-    if fields.get("sec-websocket-accept") != accept_key(key):
-        raise WsError("bad Sec-WebSocket-Accept")
-    if fields.get("sec-websocket-protocol") != SUBPROTOCOL:
-        raise WsError("server did not select subprotocol")
-    return WsConnection(sock, mask_outgoing=True, initial=rest)
+        try:
+            block = http1.read_head(rfile)
+            if block is None:
+                raise WsError("connection closed during handshake")
+            head = http1.parse_response(block)
+        except http1.HttpError as exc:
+            raise WsError(f"malformed handshake response: {exc.reason}") from exc
+        if head.status != 101:
+            raise WsError(f"upgrade refused: {head.status} {head.reason}")
+        if head.fields.get("sec-websocket-accept") != accept_key(key):
+            raise WsError("bad Sec-WebSocket-Accept")
+        if head.fields.get("sec-websocket-protocol") != SUBPROTOCOL:
+            raise WsError("server did not select subprotocol")
+    except BaseException:
+        rfile.close()
+        raise
+    return WsConnection(sock, rfile, mask_outgoing=True)

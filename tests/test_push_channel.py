@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from rmaws import ws
+from rmaws import http1, ws
 from rmaws.client import Client, SendOptions, build
 from rmaws.envelope import (
     CHANNEL_HEADER,
@@ -242,7 +242,9 @@ def test_push_after_client_death_leaves_response_cached(live_server):
     time.sleep(0.1)
     raw.send(register_frame(rid, P_DIGEST, TOKEN))
     assert raw.recv().kind is FrameKind.REGISTER_ACK
-    # Kill the socket hard before the execution completes.
+    # Kill the socket hard before the execution completes. Its reader
+    # holds it open until that closes too.
+    raw.conn.rfile.close()
     raw.conn.sock.close()
     sender.join()
     record = server.core.record(rid.dedup_key)
@@ -269,3 +271,32 @@ def test_zero_length_body_deliver(live_server):
         http_timeout_ms=100, push_wait_ms=10_000, auth_token=TOKEN))
     assert outcome.channel is Channel.PUSH
     assert outcome.body == b""
+
+
+def test_register_sent_with_the_upgrade_is_answered(live_server):
+    # The upgrade head is read through a buffered reader, which may take
+    # in the Register frame too; the WebSocket must read on from there.
+    server = live_server([{"name": "echo"}])
+    upgrade = (b"GET /push HTTP/1.1\r\nHost: x\r\nUpgrade: websocket\r\nConnection: Upgrade\r\n"
+               b"Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\nSec-WebSocket-Version: 13\r\n"
+               b"Sec-WebSocket-Protocol: %s\r\n\r\n" % ws.SUBPROTOCOL.encode("ascii"))
+    register = encode_push_frame(register_frame(make_request_id("devP", 1, "echo"), P_DIGEST, TOKEN))
+    with socket.create_connection(server.address, timeout=5.0) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.sendall(upgrade + ws._encode_frame(ws.OP_BINARY, register, mask=True))
+        assert http1.parse_response(http1.read_head(rfile)).status == 101
+        opcode, length = rfile.read(2)  # an unmasked frame, shorter than 126 B
+        ack = decode_push_frame(rfile.read(length))
+    assert (opcode, ack.kind, ack.meta) == (0x80 | ws.OP_BINARY, FrameKind.REGISTER_ACK, "NC")
+
+
+def test_stop_says_goodbye_on_a_push_connection(live_server):
+    server = live_server([{"name": "echo"}])
+    raw = RawPushClient(server)
+    raw.send(register_frame(make_request_id("devP", 1, "echo"), P_DIGEST, TOKEN))
+    assert raw.recv().kind is FrameKind.REGISTER_ACK  # the server's end is up
+    server.stop(drain_timeout_s=5.0)
+    goodbye = raw.recv()
+    assert goodbye is not None and goodbye.kind is FrameKind.CLOSE
+    assert raw.conn.rfile.read() == b""  # then EOF
+    raw.close()

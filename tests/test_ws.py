@@ -8,7 +8,8 @@ from rmaws import http1, ws
 
 def frame_pair():
     a, b = socket.socketpair()
-    return ws.WsConnection(a, mask_outgoing=True), ws.WsConnection(b, mask_outgoing=False)
+    return (ws.WsConnection(a, a.makefile("rb"), mask_outgoing=True),
+            ws.WsConnection(b, b.makefile("rb"), mask_outgoing=False))
 
 
 def test_masked_binary_round_trip():
@@ -76,12 +77,10 @@ def test_handshake_over_tcp():
 
     def serve():
         conn, _ = listener.accept()
-        buf = b""
-        while b"\r\n\r\n" not in buf:
-            buf += conn.recv(4096)
-        head = http1.parse_request(buf.split(b"\r\n\r\n", 1)[0])
+        rfile = conn.makefile("rb")
+        head = http1.parse_request(http1.read_head(rfile))
         conn.sendall(ws.server_handshake_response(head.fields))
-        server_conn = ws.WsConnection(conn, mask_outgoing=False)
+        server_conn = ws.WsConnection(conn, rfile, mask_outgoing=False)
         results["got"] = server_conn.recv_message()
         server_conn.send_binary(b"pong")
         server_conn.shutdown()

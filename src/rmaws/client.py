@@ -42,8 +42,6 @@ from .envelope import (
     RequestId,
     ResponseEnvelope,
     ResponseStatus,
-    close_frame,
-    encode_push_frame,
     encode_request,
     make_request_id,
     payload_digest,
@@ -408,14 +406,9 @@ class PushClient:
                 self._waits.release(rid.dedup_key, digest)
 
     def close(self) -> None:
-        """Send a Close frame and close the connection; a send still
-        waiting on it sees the channel die."""
+        """Close the connection; ``WsConnection.shutdown`` sends the
+        WebSocket close. A send still waiting on it sees the channel die."""
         with self._lock:
-            if self._conn is not None:
-                try:
-                    self._conn.send_binary(encode_push_frame(close_frame()))
-                except ws.WsError:
-                    pass
             self._mark_dead_locked()
 
     def _mark_dead_locked(self) -> None:

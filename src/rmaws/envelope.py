@@ -77,8 +77,6 @@ _NAME_CHARS = frozenset(string.printable) - frozenset("|\t\n\r\x0b\x0c")
 # The same set as a bytes character class, for the header patterns below.
 _NAME_CLASS = ("[" + re.escape("".join(sorted(_NAME_CHARS))) + "]").encode("ascii")
 
-NIL_RID_FIELD = "0" * RID_WIDTH  # rid slot of frames that carry no rid
-
 # HTTP headers of /services exchanges. Metadata rides here so that the
 # response body stays byte-identical to the service output.
 TOKEN_HEADER = "X-RMAWS-Token"
@@ -146,14 +144,12 @@ class FrameKind(str, Enum):
     REGISTER = "Register"
     REGISTER_ACK = "RegisterAck"
     DELIVER = "Deliver"
-    CLOSE = "Close"
 
 
 _KIND_TAGS = {
     FrameKind.REGISTER: b"R",
     FrameKind.REGISTER_ACK: b"A",
     FrameKind.DELIVER: b"D",
-    FrameKind.CLOSE: b"C",
 }
 _TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
 
@@ -315,11 +311,12 @@ class PushFrame:
     Deliver frames keep status metadata and the raw body in distinct
     segments so the body stays byte-exact. A Register frame's body is the
     SHA-256 digest of the send's payload (``PAYLOAD_DIGEST_BYTES`` raw
-    bytes) followed by the auth token; Close frames carry no rid.
+    bytes) followed by the auth token. Every frame carries a rid; a
+    connection ends with the WebSocket close, not with a frame.
     """
 
     kind: FrameKind
-    rid: RequestId | None
+    rid: RequestId
     meta: str | None
     body: bytes = b""
 
@@ -338,10 +335,6 @@ def register_ack_frame(rid: RequestId, meta: str) -> PushFrame:
 
 def deliver_frame(resp: ResponseEnvelope) -> PushFrame:
     return PushFrame(FrameKind.DELIVER, resp.rid, status_code(resp.status), resp.body)
-
-
-def close_frame() -> PushFrame:
-    return PushFrame(FrameKind.CLOSE, None, None, b"")
 
 
 def _rid_canonical_bytes(rid: RequestId) -> bytes:
@@ -519,8 +512,8 @@ def _decode_checked(data: bytes) -> RequestEnvelope:
     )
 
 
-# Push frame layout: 1-byte kind tag, 87-byte rid (all zeros when absent),
-# 2-byte meta code, 10-digit body length, raw body.
+# Push frame layout: 1-byte kind tag, 87-byte rid, 2-byte meta code,
+# 10-digit body length, raw body.
 FRAME_HEADER_BYTES = 1 + RID_WIDTH + 2 + LENGTH_WIDTH  # 100
 
 _FRAME_OFF_RID = 1
@@ -529,7 +522,6 @@ _FRAME_OFF_LEN = _FRAME_OFF_META + 2
 
 _VALID_META = {
     FrameKind.REGISTER: {META_NONE},
-    FrameKind.CLOSE: {META_NONE},
     FrameKind.REGISTER_ACK: {"OK", META_UNAUTHORIZED, "NC"},
     FrameKind.DELIVER: set(_CODE_STATUSES),
 }
@@ -538,14 +530,7 @@ _VALID_META = {
 def encode_push_frame(frame: PushFrame) -> bytes:
     if len(frame.body) > MAX_PAYLOAD:
         raise EnvelopeError(f"frame body exceeds {MAX_PAYLOAD} bytes")
-    if frame.kind is FrameKind.CLOSE:
-        if frame.rid is not None:
-            raise EnvelopeError("Close frames carry no rid")
-        rid_field = NIL_RID_FIELD.encode("ascii")
-    else:
-        if frame.rid is None:
-            raise EnvelopeError(f"{frame.kind.value} frames require a rid")
-        rid_field = _rid_canonical_bytes(frame.rid)
+    rid_field = _rid_canonical_bytes(frame.rid)
     meta = frame.meta if frame.meta is not None else META_NONE
     if meta not in _VALID_META[frame.kind]:
         raise EnvelopeError(f"meta {meta!r} not valid for {frame.kind.value}")
@@ -564,16 +549,10 @@ def decode_push_frame(data: bytes) -> PushFrame:
     kind = _TAG_KINDS.get(data[:1])
     if kind is None:
         raise MalformedFrame(0, f"unknown frame kind tag {data[:1]!r}")
-    rid_field = data[_FRAME_OFF_RID:_FRAME_OFF_RID + RID_WIDTH]
-    if kind is FrameKind.CLOSE:
-        if rid_field != NIL_RID_FIELD.encode("ascii"):
-            raise MalformedFrame(_FRAME_OFF_RID, "Close frame rid slot is not nil")
-        rid = None
-    else:
-        try:
-            rid = _parse_rid_field(rid_field, _FRAME_OFF_RID)
-        except MalformedEnvelope as exc:
-            raise MalformedFrame(exc.offset, exc.reason) from None
+    try:
+        rid = _parse_rid_field(data[_FRAME_OFF_RID:_FRAME_OFF_RID + RID_WIDTH], _FRAME_OFF_RID)
+    except MalformedEnvelope as exc:
+        raise MalformedFrame(exc.offset, exc.reason) from None
     meta = data[_FRAME_OFF_META:_FRAME_OFF_META + 2].decode("ascii", errors="replace")
     if meta not in _VALID_META[kind]:
         raise MalformedFrame(_FRAME_OFF_META, f"meta {meta!r} not valid for {kind.value}")

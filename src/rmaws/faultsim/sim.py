@@ -8,11 +8,14 @@ virtual. The server side of a request is ``ServerCore.receive`` and
 scheduled in between. An abandoned or offline exchange is only marked
 dead: the core holds no registration for it to remove, and when the
 execution answers it, the answer is dropped (``http_write_dead``), as on
-a closed live connection. The client's end of a push connection is a
+a closed live connection. A ``PushSession`` writes and closes through
+its ``SimPushConn`` as through a live WebSocket, and every way a push
+connection ends runs ``PushSession.close``. The client's end is a
 ``PushWaits``, driven as ``PushClient`` drives it: the connection stays
-open after a release, and a lost Register goes out once more on a new
-one. Requests travel as real encoded bytes through the real codecs, so
-wire accounting and body transparency are checked end to end.
+open after a release, the server's close reaches it as None, and a lost
+Register goes out once more on a new one. Requests travel as real
+encoded bytes through the real codecs, so wire accounting and body
+transparency are checked end to end.
 
 Everything is deterministic for a given scenario: time advances only
 through the event queue and no unordered collection feeds the trace.
@@ -35,7 +38,7 @@ from ..client import (
     TimestampAllocator,
 )
 from ..envelope import ResponseEnvelope, decode_request, encode_request
-from ..push import ConnState, PushSession, PushWaits
+from ..push import Heard, PushSession, PushWaits
 from ..server.core import RecordState, ServerCore, ValidationError
 from ..server.handlers import HandlerRegistry, make_synthetic, synthetic_body
 from .scenario import DROP_FAULT_KINDS, TIMED_FAULT_KINDS, ScenarioSpec
@@ -61,14 +64,32 @@ class SimExchange:
 
 
 class SimPushConn:
-    """One client<->server push connection over the in-process pipe."""
+    """One client<->server push connection over the in-process pipe, and
+    the transport of its ``PushSession``: each frame, and the close (as
+    None), reaches the client ``push_ms`` later. Nothing crosses a dead
+    pipe."""
 
-    def __init__(self, conn_id: str, client: "SimClient", token: str):
+    def __init__(self, world: "SimWorld", conn_id: str, client: "SimClient", token: str):
+        self.world = world
         self.id = conn_id
         self.client = client
-        self.session: PushSession | None = None
+        self.session = PushSession(world.core, self, conn_id)
         self.waits = PushWaits(token)
         self.alive = True
+
+    def send_binary(self, data: bytes) -> None:
+        if not self.alive:
+            raise ConnectionError(f"push connection {self.id} is dead")
+        world = self.world
+        world.wire["push_bytes"] += len(data)
+        world.trace.emit("push_write", conn=self.id, bytes=len(data))
+        world.schedule(world.lat_push, lambda: world._client_push_message(self, data))
+
+    def send_close(self) -> None:
+        if self.alive:
+            world = self.world
+            world.trace.emit("push_close", conn=self.id)
+            world.schedule(world.lat_push, lambda: world._client_push_message(self, None))
 
 
 class SimClient:
@@ -325,9 +346,8 @@ class SimWorld:
         conn = client.conn
         if conn is None or not conn.alive:
             client.conn_counter += 1
-            conn = SimPushConn(f"{client.name}-p{client.conn_counter}", client,
+            conn = SimPushConn(self, f"{client.name}-p{client.conn_counter}", client,
                                self.scenario.auth_token)
-            conn.session = PushSession(self.core, self._pipe_to_client(conn), conn.id)
             client.conn = conn
             self.trace.emit("push_conn_open", conn=conn.id)
         # The waiter is the send and, for the wait's first Register only,
@@ -346,30 +366,19 @@ class SimWorld:
         self.schedule(self.lat_push, lambda s=send: self._interpret(
             s, s.machine.on_push_register_failed()))
 
-    def _pipe_to_client(self, conn: SimPushConn):
-        def pipe(data: bytes) -> None:
-            if not conn.alive:
-                raise ConnectionError(f"push connection {conn.id} is dead")
-            self.wire["push_bytes"] += len(data)
-            self.trace.emit("push_write", conn=conn.id, bytes=len(data))
-            self.schedule(self.lat_push, lambda: self._client_push_message(conn, data))
-
-        return pipe
-
     def _server_push_message(self, conn: SimPushConn, data: bytes) -> None:
-        if not conn.alive or conn.session.state is not ConnState.OPEN:
+        if not conn.alive or not conn.session.open:
             self.trace.emit("frame_lost", conn=conn.id, direction="up")
             return
-        if not conn.session.on_message(data):
-            conn.session.mark_dead()
-            conn.alive = False
-            self.trace.emit("push_conn_closed", conn=conn.id, by="server")
+        conn.session.on_message(data)
 
-    def _client_push_message(self, conn: SimPushConn, data: bytes) -> None:
+    def _client_push_message(self, conn: SimPushConn, data: bytes | None) -> None:
+        """Handle a frame, or the server's close (None), as ``PushClient``'s
+        reader does."""
         if not conn.alive or not conn.client.online:
             self.trace.emit("frame_lost", conn=conn.id, direction="down")
             return
-        heard = conn.waits.on_frame(PushWaits.decode(data))
+        heard = conn.waits.on_frame(PushWaits.decode(data)) if data is not None else Heard(open=False)
         if heard.ack is not None:
             self.trace.emit("push_ack", conn=conn.id, meta=heard.ack)
         if heard.resp is not None:
@@ -441,19 +450,21 @@ class SimWorld:
             self._kill_conn(client, reason="killed")
         elif fault.kind == "push_idle_close":
             # What the live server does once the connection has been idle
-            # for push_idle_timeout_ms: a Close frame, then it stops
-            # reading. The client learns of it when the frame arrives.
+            # for push_idle_timeout_ms: it closes the session, which sends
+            # the close and stops reading. The client learns of it when
+            # the close arrives.
             conn = client.conn
-            if conn is not None and conn.session.state is ConnState.OPEN:
+            if conn is not None and conn.session.open:
                 self.trace.emit("fault_push_idle_close", conn=conn.id)
-                conn.session.send_goodbye()
+                conn.session.close()
 
     def _kill_conn(self, client: SimClient, reason: str) -> None:
         conn = client.conn
         if conn is None or not conn.alive:
             return
         self.trace.emit("push_conn_killed", conn=conn.id, reason=reason)
-        conn.session.mark_dead()
+        conn.alive = False  # first, so the session's close does not cross it
+        conn.session.close()
         self._push_conn_died(conn)
 
     # -- assembly ----------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Both ends of one push connection, as sans-IO state.
 
-``PushSession`` is the server's end: it is fed frame bytes through
-:meth:`PushSession.on_message` and writes frames through a ``send``
-callable. ``PushWaits`` is the client's end: it builds each Register
-frame and says what each frame from the server means. Neither touches a
-transport. The live server and ``PushClient`` wire them to a WebSocket;
-the simulator wires both to an in-process pipe carrying the same frame
-encodings, so the live stack and the simulator run one protocol.
+``PushSession`` is the server's end: it is fed each message through
+:meth:`PushSession.on_message`, None when the client closes, and writes
+frames and closes through a transport. ``PushWaits`` is the client's
+end: it builds each Register frame and says what each frame from the
+server means. The live server and ``PushClient`` wire them to a
+WebSocket, whose close ends a connection; the simulator wires both to an
+in-process pipe carrying the same frame encodings and the same close, so
+the live stack and the simulator run one protocol.
 """
 
 from __future__ import annotations
 
 import logging
-from enum import Enum
+import threading
 from typing import NamedTuple
 
 from .envelope import (
@@ -24,7 +25,6 @@ from .envelope import (
     PushFrame,
     ResponseEnvelope,
     RequestId,
-    close_frame,
     decode_push_frame,
     deliver_frame,
     encode_push_frame,
@@ -36,14 +36,13 @@ from .envelope import (
 log = logging.getLogger(__name__)
 
 
-class ConnState(str, Enum):
-    OPEN = "Open"
-    CLOSING = "Closing"
-    CLOSED = "Closed"
-
-
 class PushSession:
     """The server's end of one accepted push connection.
+
+    ``conn`` is the transport, with ``send_binary`` and ``send_close``.
+    Every way the connection ends (the client's close, a bad token, a
+    malformed or unexpected frame, a failed write, the idle timeout, the
+    server's stop) runs :meth:`close`.
 
     A Register's body is the payload digest, then the auth token; a body
     too short to hold the digest closes the connection, as a malformed
@@ -51,80 +50,76 @@ class PushSession:
     ids. They live in the core's presence table, not in the session: the
     core consumes a key's registration when its execution finishes, drops
     it when an HTTP arrival for the key supersedes it, and drops all of
-    the connection's registrations in ``mark_dead``.
+    the connection's registrations when the session closes.
     """
 
-    def __init__(self, core, send, conn_id: str):
+    def __init__(self, core, conn, conn_id: str):
         self.core = core
-        self._send = send
+        self.conn = conn
         self.conn_id = conn_id
-        self.state = ConnState.OPEN
+        self.open = True
+        # stop(), the connection thread and a failed Deliver write may close at once.
+        self._closing = threading.Lock()
 
     def _write(self, frame) -> bool:
         try:
-            self._send(encode_push_frame(frame))
+            self.conn.send_binary(encode_push_frame(frame))
             return True
         except Exception as exc:
             log.debug("push write failed on %s: %s", self.conn_id, exc)
-            self.mark_dead()
+            self.close()
             return False
 
-    def on_message(self, data: bytes) -> bool:
-        """Handle one inbound frame. Returns False when the connection
-        must close (client Close, auth failure, protocol violation)."""
-        if self.state is not ConnState.OPEN:
-            return False
+    def on_message(self, data: bytes | None) -> None:
+        """Handle one inbound message; None is the client's close. A
+        message that ends the connection closes the session."""
+        if not self.open or data is None:
+            self.close()  # does nothing once closed
+            return
         try:
             frame = decode_push_frame(data)
         except MalformedFrame as exc:
             log.warning("malformed frame on %s: %s", self.conn_id, exc)
-            return False
+            self.close()
+            return
         if frame.kind is FrameKind.REGISTER:
-            return self._on_register(frame)
-        if frame.kind is FrameKind.CLOSE:
-            self.core.emit("push_close_received", conn=self.conn_id)
-            self.state = ConnState.CLOSING
-            return False
-        log.warning("unexpected %s frame from client on %s", frame.kind.value, self.conn_id)
-        return False
+            self._on_register(frame)
+        else:
+            log.warning("unexpected %s frame from client on %s", frame.kind.value, self.conn_id)
+            self.close()
 
-    def _on_register(self, frame) -> bool:
+    def _on_register(self, frame) -> None:
         if len(frame.body) < PAYLOAD_DIGEST_BYTES:
             log.warning("Register without a payload digest on %s", self.conn_id)
-            return False
+            self.close()
+            return
         digest = frame.body[:PAYLOAD_DIGEST_BYTES]
         token = frame.body[PAYLOAD_DIGEST_BYTES:].decode("utf-8", errors="replace")
         meta, immediate = self.core.register_push(frame.rid, digest, self, token)
-        if meta == META_UNAUTHORIZED:
-            self._write(register_ack_frame(frame.rid, META_UNAUTHORIZED))
-            return False
         if meta == "DUP":
-            return True  # idempotent re-registration: no second ack
-        if immediate is not None:
+            return  # idempotent re-registration: no second ack
+        acked = self._write(register_ack_frame(frame.rid, meta))
+        if meta == META_UNAUTHORIZED:
+            self.close()
+        elif acked and immediate is not None:
             # Completed before the registration landed, or refused as an
-            # identity conflict: ack, then deliver the answer right away.
-            ok = self._write(register_ack_frame(frame.rid, meta))
-            return ok and self._write(deliver_frame(immediate))
-        return self._write(register_ack_frame(frame.rid, meta))
+            # identity conflict: deliver the answer right after the ack.
+            self._write(deliver_frame(immediate))
 
     def push_response(self, resp: ResponseEnvelope) -> bool:
         """Write a Deliver frame; on failure the registration dies with the
         connection and the response stays in the cache for replay."""
-        if self.state is not ConnState.OPEN:
-            return False
-        return self._write(deliver_frame(resp))
+        return self.open and self._write(deliver_frame(resp))
 
-    def mark_dead(self) -> None:
-        if self.state is ConnState.CLOSED:
-            return
-        self.state = ConnState.CLOSED
+    def close(self) -> None:
+        """Send the transport's close and drop the connection's
+        registrations; a second call does nothing."""
+        with self._closing:
+            if not self.open:
+                return
+            self.open = False
+        self.conn.send_close()
         self.core.conn_closed(self)
-
-    def send_goodbye(self) -> None:
-        """Best-effort Close frame ahead of dropping the transport."""
-        if self.state is ConnState.OPEN:
-            self._write(close_frame())
-        self.mark_dead()
 
 
 class Heard(NamedTuple):
@@ -133,7 +128,7 @@ class Heard(NamedTuple):
     resp: ResponseEnvelope | None = None  # a Deliver's response
     waiter: object = None  # the waiter it answers, now forgotten
     ack: str | None = None  # a RegisterAck's meta
-    open: bool = True  # False: the connection must close
+    open: bool = True  # False after an unauthorized ack: the connection must close
 
 
 class PushWaits:
@@ -193,21 +188,17 @@ class PushWaits:
 
     def on_frame(self, frame: PushFrame | None) -> Heard:
         """What a decoded frame from the server means; an undecodable one
-        (None) is ignored."""
-        if frame is None:
+        (None), or a Register, is ignored."""
+        if frame is None or frame.kind is FrameKind.REGISTER:
             return Heard()
         if frame.kind is FrameKind.DELIVER:
             wait = self._waits.pop(frame.rid.dedup_key, None)
             return Heard(ResponseEnvelope(frame.rid, status_from_code(frame.meta), Channel.PUSH,
                                           frame.body), wait and wait[0])
-        if frame.kind is FrameKind.REGISTER_ACK:
-            wait = self._waits.get(frame.rid.dedup_key)
-            if wait is not None:
-                wait[3] = True
-            return Heard(ack=frame.meta, open=frame.meta != META_UNAUTHORIZED)
-        # Close: the server is closing the connection (idle, or stopping),
-        # so a Register sent from now on would be lost.
-        return Heard(open=frame.kind is not FrameKind.CLOSE)
+        wait = self._waits.get(frame.rid.dedup_key)  # a RegisterAck
+        if wait is not None:
+            wait[3] = True
+        return Heard(ack=frame.meta, open=frame.meta != META_UNAUTHORIZED)
 
     def dead(self) -> list[tuple[object, bool]]:
         """Every waiter, in registration order, with whether its Register

@@ -26,12 +26,13 @@ so its write on the closed connection fails or is discarded unread.
 
 ``stop()`` wakes the accept loop through a socket pair, so it does not
 wait for a polling interval to end. One registry holds every open
-connection, for ``stop()`` to say goodbye on push connections and shut
-each one down.
+connection, for ``stop()`` to close each push session, which sends the
+WebSocket close, and to shut each connection down.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import os
@@ -73,6 +74,11 @@ WAITER_CAP_S = 600.0
 # Until it ends, an idle connection holds a thread and about 28 KB; a
 # client that sends again within the bound saves a connect per send.
 KEEPALIVE_IDLE_S = 5.0
+# How long the accept loop rests when accept() fails for want of
+# descriptors or memory: the connection stays queued, so the listener
+# would be ready again at once and the loop would spin.
+ACCEPT_REST_S = 0.1
+_ACCEPT_EXHAUSTED = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM})
 SERVER_NAME = "rmaws/0.1"
 
 
@@ -232,11 +238,14 @@ class RmawsServer:
 
     def _accept_loop(self, wake: socket.socket) -> None:
         """Accept connections until stop() writes to ``wake``, sleeping
-        until one or the other arrives. A connection is registered before
-        its thread starts, so stop(), which waits for this loop, finds it."""
-        with selectors.DefaultSelector() as selector:
+        until one or the other arrives; out of descriptors or memory, rest
+        ``ACCEPT_REST_S`` on ``wake`` alone. A connection is registered
+        before its thread starts, so stop(), which waits for this loop,
+        finds it."""
+        with selectors.DefaultSelector() as selector, selectors.DefaultSelector() as wake_only:
             selector.register(self._listener, selectors.EVENT_READ)
             selector.register(wake, selectors.EVENT_READ)
+            wake_only.register(wake, selectors.EVENT_READ)
             while True:
                 selector.select()
                 if self._stopping:
@@ -245,6 +254,8 @@ class RmawsServer:
                     sock, address = self._listener.accept()
                 except OSError as exc:
                     log.debug("accept failed: %s", exc)
+                    if exc.errno in _ACCEPT_EXHAUSTED:
+                        wake_only.select(ACCEPT_REST_S)
                     continue
                 handler = RmawsRequestHandler(self, sock, address)
                 thread = threading.Thread(target=handler.run, name=f"rmaws-conn-{self.port}",
@@ -258,11 +269,12 @@ class RmawsServer:
                     handler.close()
 
     def stop(self, *, drain_timeout_s: float = 30.0) -> None:
-        """Graceful stop: stop accepting, drain in-flight requests, say
-        goodbye on push connections, shut down every connection that is
-        left (idle keep-alive ones included), wait for their threads to
-        end and release the socket. A thread still running a handler
-        when the drain times out is given one more second."""
+        """Graceful stop: stop accepting, drain in-flight requests, close
+        push connections with the WebSocket close, shut down every
+        connection that is left (idle keep-alive ones included), wait for
+        their threads to end and release the socket. A thread still
+        running a handler when the drain times out is given one more
+        second."""
         self._stopping = True
         if self._wake is not None:
             self._wake[1].send(b"\0")
@@ -363,10 +375,11 @@ class RmawsRequestHandler:
             self.server._connections.pop(self, None)
 
     def shut_down(self) -> None:
-        """Called by stop(): say goodbye on a push connection, then shut
-        the socket down, which ends the connection thread's blocking read."""
+        """Called by stop(): close a push connection's session, which sends
+        the WebSocket close, then shut the socket down, which ends the
+        connection thread's blocking read."""
         if self.session is not None:
-            self.session.send_goodbye()
+            self.session.close()
         try:
             self.connection.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -511,21 +524,17 @@ class RmawsRequestHandler:
             return
         self.connection.sendall(response)
         conn = ws.WsConnection(self.connection, self.rfile, mask_outgoing=False)
-        self.session = session = PushSession(server.core, conn.send_binary,
-                                             conn_id=uuid.uuid4().hex[:8])
+        self.session = session = PushSession(server.core, conn, conn_id=uuid.uuid4().hex[:8])
         self.connection.settimeout(server.config.push_idle_timeout_ms / 1000.0)
         try:
-            while True:
+            while session.open:
                 try:
                     message = conn.recv_message()
                 except socket.timeout:
                     log.info("closing idle push connection %s", session.conn_id)
-                    session.send_goodbye()
                     break
                 except (ws.WsError, OSError):
                     break
-                if message is None or not session.on_message(message):
-                    break
+                session.on_message(message)
         finally:
-            session.mark_dead()
-            conn.send_close()
+            session.close()

@@ -210,6 +210,9 @@ class TestPushIdleClose:
                      if e["send"] == 1]
         assert registers == [("c1-p1", 1_200), ("c1-p2", 1_205)]
         assert [e["conn"] for e in trace.events_of("push_register_lost")] == ["c1-p1"]
+        # The idle close is the transport's close, not a frame written on the pipe.
+        assert [(e["conn"], e["t"]) for e in trace.events_of("push_close")] == [("c1-p1", 1_200)]
+        assert [e for e in trace.events_of("push_write") if e["t"] == 1_200] == []
         assert [e["trial"] for e in trace.events_of("http_post") if e["send"] == 1] == [1]
         second = trace.outcomes[1]
         assert (second["status"], second["channel"], second["trials"]) == ("Ok", "Push", 1)

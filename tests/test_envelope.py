@@ -22,7 +22,6 @@ from rmaws.envelope import (
     PushFrame,
     RequestEnvelope,
     TrialOverflow,
-    close_frame,
     decode_push_frame,
     decode_request,
     deliver_frame,
@@ -323,12 +322,6 @@ class TestPushFrameCodec:
         assert len(decoded.body) == size
         assert decoded.body == b"\xff" * size
 
-    def test_close_round_trip(self):
-        frame = close_frame()
-        decoded = decode_push_frame(encode_push_frame(frame))
-        assert decoded == frame
-        assert decoded.rid is None
-
     def test_ack_round_trip(self):
         rid = make_request_id("devA", 42, "orders")
         for meta in ("OK", "UA", "NC"):
@@ -350,14 +343,8 @@ class TestPushFrameCodec:
             decode_push_frame(good[:50])  # short header
         with pytest.raises(MalformedFrame):
             decode_push_frame(good + b"extra")  # length mismatch
-        nil_rid = encode_push_frame(close_frame())
         with pytest.raises(MalformedFrame):
-            decode_push_frame(b"R" + nil_rid[1:])  # Register requires a real rid
-
-    def test_close_with_rid_rejected(self):
-        rid = make_request_id("devA", 42, "orders")
-        with pytest.raises(EnvelopeError):
-            encode_push_frame(PushFrame(FrameKind.CLOSE, rid, None, b""))
+            decode_push_frame(good[:1] + b"0" * RID_WIDTH + good[1 + RID_WIDTH:])  # zero rid
 
     def test_bad_meta_rejected(self):
         rid = make_request_id("devA", 42, "orders")

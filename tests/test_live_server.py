@@ -1,6 +1,9 @@
 import http.client
+import os
 import socket
 import socketserver
+import subprocess
+import sys
 import threading
 import time
 import zlib
@@ -651,7 +654,10 @@ def test_register_lost_to_idle_close_goes_out_again(live_server, monkeypatch):
 
     def dropping_on_register(session, frame):
         registers.append(frame.rid.dedup_key)
-        return len(registers) != 2 and on_register(session, frame)
+        if len(registers) == 2:
+            session.close()
+        else:
+            on_register(session, frame)
 
     monkeypatch.setattr(PushSession, "_on_register", dropping_on_register)
     handshakes = count_handshakes(monkeypatch)
@@ -734,3 +740,53 @@ def test_dropped_client_closes_its_connections(live_server):
     while open_connections() and time.monotonic() < deadline:
         time.sleep(0.01)
     assert open_connections() == 0
+
+
+# A server whose process may hold 64 descriptors; it stops on a line from stdin.
+_FD_STARVED_SERVER = """
+import resource, sys
+from rmaws.server.http import RmawsServer, ServerConfig
+resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+server = RmawsServer(ServerConfig()).start()
+print(server.port, flush=True)
+sys.stdin.readline()
+server.stop(drain_timeout_s=1.0)
+"""
+
+
+def _cpu_s(pid: int) -> float:
+    """User plus system CPU time a process has used so far."""
+    with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+        fields = fh.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def test_accept_loop_rests_while_out_of_file_descriptors():
+    # Past the limit, accept() fails with EMFILE and the connection stays
+    # queued, so the listener is ready again at once.
+    src = os.path.dirname(os.path.dirname(rmaws.__file__))
+    proc = subprocess.Popen([sys.executable, "-c", _FD_STARVED_SERVER], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    socks = []
+    try:
+        port = int(proc.stdout.readline())
+        socks = [socket.create_connection(("127.0.0.1", port), timeout=5.0) for _ in range(80)]
+        time.sleep(0.2)  # the server accepts what it can
+        before = _cpu_s(proc.pid)
+        time.sleep(2.0)
+        used = _cpu_s(proc.pid) - before
+        start = time.monotonic()
+        proc.stdin.write(b"stop\n")
+        proc.stdin.flush()
+        code = proc.wait(timeout=10.0)
+        stop_s = time.monotonic() - start
+    finally:
+        for sock in socks:
+            sock.close()
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdin.close()
+        proc.stdout.close()
+    assert used < 0.4, f"{used:.2f} s of CPU in 2 s while out of descriptors"
+    assert (code, stop_s < 3.0) == (0, True)

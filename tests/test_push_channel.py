@@ -13,7 +13,6 @@ from rmaws.envelope import (
     Channel,
     FrameKind,
     PushFrame,
-    close_frame,
     decode_push_frame,
     encode_push_frame,
     encode_request,
@@ -138,7 +137,7 @@ def test_register_after_completion_delivers_immediately(live_server):
     assert deliver.kind is FrameKind.DELIVER
     assert deliver.body == b"cached-bytes"
     # Exactly one Deliver frame: nothing further arrives before close.
-    raw.send(close_frame())
+    raw.conn.send_close()
     assert raw.recv() is None
     raw.close()
 
@@ -179,7 +178,7 @@ def test_client_close_deregisters_presence(live_server):
     raw.send(register_frame(rid, P_DIGEST, TOKEN))
     assert raw.recv().kind is FrameKind.REGISTER_ACK
     assert server.core.presence_route(rid.dedup_key) is not None
-    raw.send(close_frame())
+    raw.conn.send_close()  # the WebSocket close: the server drops the registration
     deadline = time.time() + 2
     while server.core.presence_route(rid.dedup_key) is not None and time.time() < deadline:
         time.sleep(0.02)
@@ -211,7 +210,7 @@ def test_http_arrival_supersedes_push_registration(live_server):
     assert body == synthetic_body("slow", b"p", 64)
     # The execution wrote any push delivery before this HTTP answer, so a
     # Deliver frame would arrive ahead of the close.
-    raw.send(close_frame())
+    raw.conn.send_close()
     assert raw.recv() is None
     raw.close()
 
@@ -256,9 +255,7 @@ def test_idle_connection_closed_by_server(live_server):
     server = live_server([{"name": "echo"}], push_idle_timeout_ms=300)
     raw = RawPushClient(server)
     start = time.time()
-    goodbye = raw.recv()  # server announces the close with a Close frame
-    assert goodbye is not None and goodbye.kind is FrameKind.CLOSE
-    assert raw.recv() is None  # then drops the socket
+    assert raw.recv() is None  # the server's WebSocket close
     assert time.time() - start < 3.0
     raw.close()
 
@@ -296,7 +293,6 @@ def test_stop_says_goodbye_on_a_push_connection(live_server):
     raw.send(register_frame(make_request_id("devP", 1, "echo"), P_DIGEST, TOKEN))
     assert raw.recv().kind is FrameKind.REGISTER_ACK  # the server's end is up
     server.stop(drain_timeout_s=5.0)
-    goodbye = raw.recv()
-    assert goodbye is not None and goodbye.kind is FrameKind.CLOSE
+    assert raw.recv() is None  # the server's WebSocket close
     assert raw.conn.rfile.read() == b""  # then EOF
     raw.close()

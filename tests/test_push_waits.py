@@ -8,7 +8,6 @@ from rmaws.envelope import (
     FrameKind,
     ResponseEnvelope,
     ResponseStatus,
-    close_frame,
     decode_push_frame,
     deliver_frame,
     encode_push_frame,
@@ -76,8 +75,7 @@ def test_deliver_for_an_unknown_key_keeps_the_connection():
     (ack(rid(), "OK"), True),
     (ack(rid(), "NC"), True),
     (ack(rid(), "UA"), False),
-    (encode_push_frame(close_frame()), False),
-], ids=["ack-ok", "ack-nc", "ack-unauthorized", "close"])
+], ids=["ack-ok", "ack-nc", "ack-unauthorized"])
 def test_unauthorized_ack_and_close_close_the_connection(frame, is_open):
     waits = PushWaits("tok")
     waits.register(rid(), DIGEST, "w")

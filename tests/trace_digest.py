@@ -1,0 +1,56 @@
+"""Fingerprint every simulator run of the benchmark's fault enumeration.
+
+Runs ``perfbench/faults_template.json`` (payloads drawn from
+``random.Random(42)``) through ``enumerate_and_check``, first as is and
+then with ``break_dedup``, and prints the number of runs, the number of
+findings, and one SHA-256 over each run's ``Trace.to_jsonl()`` in
+enumeration order. A change that must not alter simulated behaviour
+prints the same three values before and after it.
+
+    PYTHONPATH=src python tests/trace_digest.py
+
+pytest does not collect this file: its name does not start with
+``test_``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import random
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import rmaws.faultsim.enumeration as enumeration  # noqa: E402
+from workloads import load_template  # noqa: E402
+
+
+def main() -> None:
+    template, sites = load_template(random.Random(42))
+    digest = hashlib.sha256()
+    runs = 0
+    real_run = enumeration.run
+
+    def hashing_run(scenario, **kwargs):
+        nonlocal runs
+        trace = real_run(scenario, **kwargs)
+        digest.update(trace.to_jsonl().encode("utf-8"))
+        runs += 1
+        return trace
+
+    enumeration.run = hashing_run
+    try:
+        findings = sum(len(enumeration.enumerate_and_check(template, sites,
+                                                           break_dedup=broken).findings)
+                       for broken in (False, True))
+    finally:
+        enumeration.run = real_run
+    print(f"runs {runs}")
+    print(f"findings {findings}")
+    print(f"sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

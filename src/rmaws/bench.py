@@ -31,11 +31,6 @@ def bench_registry(response_sizes: list[int]) -> HandlerRegistry:
     return registry
 
 
-def bench_services_config(response_sizes: list[int]) -> list[dict]:
-    return [{"name": service_name_for(size), "output_size": size, "delay_ms": 0}
-            for size in response_sizes]
-
-
 @dataclass
 class BenchReport:
     payload_sizes: list[int]

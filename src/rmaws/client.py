@@ -209,6 +209,7 @@ class SendMachine:
         self.state = SendMachine.WAIT_HTTP
         self.epoch = 0
         self.digest: bytes | None = None  # the payload's, once a push wait began
+        self.register_lost = False  # the push wait's Register was lost once
         self.result: Outcome | ClientError | None = None
 
     @property
@@ -275,6 +276,7 @@ class SendMachine:
             return []
         self.state = SendMachine.WAIT_PUSH
         self.epoch += 1
+        self.register_lost = False
         if self.digest is None:
             self.digest = payload_digest(self.payload)
         return [
@@ -315,6 +317,18 @@ class SendMachine:
             return []
         return self._next_trial()
 
+    def on_push_lost(self) -> list:
+        """The push connection died with the wait's Register unanswered,
+        most likely closed by the server while idle just then: register
+        once more in the same wait, which is safe. A second loss in one
+        wait is the channel dying."""
+        if self.state != SendMachine.WAIT_PUSH:
+            return []
+        if self.register_lost:
+            return self.on_push_dead()
+        self.register_lost = True
+        return [RegisterPush(self.rid, self.opts.push_wait_ms, self.epoch, self.digest)]
+
     def on_pause_done(self, epoch: int) -> list:
         if self.state != SendMachine.PAUSED or epoch != self.epoch:
             return []
@@ -353,11 +367,13 @@ class PushClient:
         self._waits: PushWaits | None = None
 
     def register(self, rid: RequestId, digest: bytes) -> _PushSlot | None:
-        """Ensure a live connection and a registration for rid's key.
+        """Ensure a live connection and a registration for rid's key and
+        the payload ``digest``.
 
-        Each Register gets its own slot; one with the same digest replaces
-        the key's earlier waiter. Returns the wait slot, or None when the
-        channel is unavailable or the key waits for another payload."""
+        Each Register gets its own slot, which replaces the key's earlier
+        waiter for the same payload; a waiter for another payload keeps
+        its own. Returns the wait slot, or None when the channel is
+        unavailable."""
         with self._lock:
             if self._conn is None:
                 try:
@@ -381,12 +397,8 @@ class PushClient:
                                  args=(weakref.ref(self), self._conn, self._waits),
                                  daemon=True).start()
             slot = _PushSlot()
-            frame = self._waits.register(rid, digest, slot)
-            if frame is None:
-                log.debug("push register refused: %s waits for another payload", rid.short())
-                return None
             try:
-                self._conn.send_binary(frame)
+                self._conn.send_binary(self._waits.register(rid, digest, slot))
             except ws.WsError as exc:
                 log.debug("push register failed: %s", exc)
                 self._mark_dead_locked()
@@ -501,6 +513,7 @@ class Client:
         opts = opts if opts is not None else self.defaults
         machine = SendMachine(service, payload, opts, self.device_id, self.clock())
         effects = machine.start()
+        deadlines = {}  # push wait's epoch -> its deadline, kept if a Register goes out again
         while True:
             produced = None
             for eff in effects:
@@ -515,7 +528,9 @@ class Client:
                 elif isinstance(eff, SendHttp):
                     produced = self._drive_http(machine, eff)
                 elif isinstance(eff, RegisterPush):
-                    produced = self._drive_push(machine, eff)
+                    deadline = time.monotonic() + eff.wait_ms / 1000.0
+                    produced = self._drive_push(machine, eff,
+                                                deadlines.setdefault(eff.epoch, deadline))
                 elif isinstance(eff, Pause):
                     time.sleep(eff.ms / 1000.0)
                     produced = machine.on_pause_done(eff.epoch)
@@ -531,22 +546,17 @@ class Client:
             return machine.on_http_timeout(eff.epoch)
         return machine.on_http_transport_error(refused=(kind == "refused"))
 
-    def _drive_push(self, machine: SendMachine, eff: RegisterPush) -> list:
-        deadline = time.monotonic() + eff.wait_ms / 1000.0
-        for _ in range(2):
-            slot = self._push.register(eff.rid, eff.digest)
-            if slot is None:
-                return machine.on_push_register_failed()
-            kind, resp = self._push.wait(slot, max(0.0, deadline - time.monotonic()) * 1000.0)
-            # A Register lost to the server closing the kept-open push
-            # connection goes out once more, on a new connection, within
-            # the same wait and trial. Registering a key again is safe.
-            if kind != "lost":
-                break
+    def _drive_push(self, machine: SendMachine, eff: RegisterPush, deadline: float) -> list:
+        slot = self._push.register(eff.rid, eff.digest)
+        if slot is None:
+            return machine.on_push_register_failed()
+        kind, resp = self._push.wait(slot, max(0.0, deadline - time.monotonic()) * 1000.0)
         if kind == "deliver":
             return machine.on_push_delivered(resp)
         if kind == "timeout":
             return machine.on_push_timeout(eff.epoch)
+        if kind == "lost":
+            return machine.on_push_lost()
         return machine.on_push_dead()
 
     def _post(self, path: str, body: bytes, field_block: bytes, timeout_s: float,

@@ -308,11 +308,11 @@ class ResponseEnvelope:
 class PushFrame:
     """One message on the push channel.
 
-    Deliver frames keep status metadata and the raw body in distinct
-    segments so the body stays byte-exact. A Register frame's body is the
-    SHA-256 digest of the send's payload (``PAYLOAD_DIGEST_BYTES`` raw
-    bytes) followed by the auth token. Every frame carries a rid; a
-    connection ends with the WebSocket close, not with a frame.
+    A Register frame's body is the SHA-256 digest of the send's payload
+    (``PAYLOAD_DIGEST_BYTES`` raw bytes), then the auth token; a Deliver
+    frame's body is the digest of the payload it answers, then the
+    byte-exact response body, whose status is the meta segment. Every
+    frame carries a rid; a connection ends with the WebSocket close.
     """
 
     kind: FrameKind
@@ -333,8 +333,8 @@ def register_ack_frame(rid: RequestId, meta: str) -> PushFrame:
     return PushFrame(FrameKind.REGISTER_ACK, rid, meta, b"")
 
 
-def deliver_frame(resp: ResponseEnvelope) -> PushFrame:
-    return PushFrame(FrameKind.DELIVER, resp.rid, status_code(resp.status), resp.body)
+def deliver_frame(resp: ResponseEnvelope, digest: bytes) -> PushFrame:
+    return PushFrame(FrameKind.DELIVER, resp.rid, status_code(resp.status), digest + resp.body)
 
 
 def _rid_canonical_bytes(rid: RequestId) -> bytes:
@@ -564,4 +564,6 @@ def decode_push_frame(data: bytes) -> PushFrame:
         raise MalformedFrame(
             FRAME_HEADER_BYTES, f"expected {body_len} body bytes, got {len(data) - FRAME_HEADER_BYTES}"
         )
+    if kind is FrameKind.DELIVER and body_len < PAYLOAD_DIGEST_BYTES:
+        raise MalformedFrame(FRAME_HEADER_BYTES, "Deliver body too short for a payload digest")
     return PushFrame(kind, rid, None if meta == META_NONE else meta, data[FRAME_HEADER_BYTES:])

@@ -13,7 +13,8 @@ its ``SimPushConn`` as through a live WebSocket, and every way a push
 connection ends runs ``PushSession.close``. The client's end is a
 ``PushWaits``, driven as ``PushClient`` drives it: the connection stays
 open after a release, the server's close reaches it as None, and a lost
-Register goes out once more on a new one. Requests travel as real
+Register goes out once more, on a new connection, when
+``SendMachine.on_push_lost`` says so. Requests travel as real
 encoded bytes through the real codecs, so wire accounting and body
 transparency are checked end to end.
 
@@ -107,6 +108,7 @@ class SimSend:
         self.client = client
         self.machine: SendMachine | None = None
         self.current_exchange: SimExchange | None = None
+        self.push_epoch: int | None = None  # of the push wait whose timer runs
         self.done = False
         self.outcome = None
         self.error = None
@@ -333,15 +335,18 @@ class SimWorld:
 
     # -- push channel ---------------------------------------------------------
 
-    def _register_push(self, send: SimSend, eff: RegisterPush, *, retry: bool = False) -> None:
-        """Register for ``eff``'s push wait. A retry is the wait's second
-        Register: it keeps the first one's timer, so the deadline stays."""
+    def _register_push(self, send: SimSend, eff: RegisterPush) -> None:
+        """Register for ``eff``'s push wait. A lost Register sent again
+        keeps its wait's timer, so the deadline stays."""
         client = send.client
         key = eff.rid.dedup_key
-        if not retry:
+        if eff.epoch != send.push_epoch:
+            send.push_epoch = eff.epoch
             self.schedule(eff.wait_ms, lambda s=send, e=eff: self._push_timer(s, e.epoch))
         if not client.online:
-            self._push_register_failed(send, "offline")
+            self.trace.emit("push_register_failed", send=send.index, reason="offline")
+            self.schedule(self.lat_push, lambda s=send: self._interpret(
+                s, s.machine.on_push_register_failed()))
             return
         conn = client.conn
         if conn is None or not conn.alive:
@@ -350,21 +355,11 @@ class SimWorld:
                                self.scenario.auth_token)
             client.conn = conn
             self.trace.emit("push_conn_open", conn=conn.id)
-        # The waiter is the send and, for the wait's first Register only,
-        # the effect to register again if that Register is lost.
-        data = conn.waits.register(eff.rid, eff.digest, (send, None if retry else eff))
-        if data is None:
-            self._push_register_failed(send, "key_waits_for_other_payload")
-            return
+        data = conn.waits.register(eff.rid, eff.digest, send)
         self.wire["push_bytes"] += len(data)
         self.trace.emit("push_register_sent", send=send.index, key=key, conn=conn.id,
                         bytes=len(data))
         self.schedule(self.lat_push, lambda c=conn, d=data: self._server_push_message(c, d))
-
-    def _push_register_failed(self, send: SimSend, reason: str) -> None:
-        self.trace.emit("push_register_failed", send=send.index, reason=reason)
-        self.schedule(self.lat_push, lambda s=send: self._interpret(
-            s, s.machine.on_push_register_failed()))
 
     def _server_push_message(self, conn: SimPushConn, data: bytes) -> None:
         if not conn.alive or not conn.session.open:
@@ -389,7 +384,7 @@ class SimWorld:
             if heard.waiter is None:
                 self.trace.emit("duplicate_dropped", conn=conn.id, via="push")
                 return
-            send = heard.waiter[0]
+            send = heard.waiter
             effects = send.machine.on_push_delivered(resp)
             if not effects:
                 self.trace.emit("duplicate_dropped", send=send.index, via="push")
@@ -400,19 +395,15 @@ class SimWorld:
             self._push_conn_died(conn)
 
     def _push_conn_died(self, conn: SimPushConn) -> None:
-        """The client sees its push connection die. As in ``Client``, a
-        Register that went out on a reused connection and got no answer
-        was most likely lost to the server's idle close: it goes out once
-        more, on a new connection, within the same wait and trial. Every
-        other waiting send sees the channel die."""
+        """The client sees its push connection die, as in ``Client``: a
+        send whose Register was lost is told so, and may register again;
+        every other waiting send sees the channel die."""
         conn.alive = False
-        for (send, eff), lost in conn.waits.dead():
-            if lost and eff is not None and send.machine.state == SendMachine.WAIT_PUSH \
-                    and send.machine.epoch == eff.epoch:
+        for send, lost in conn.waits.dead():
+            effects = send.machine.on_push_lost() if lost else send.machine.on_push_dead()
+            if any(isinstance(eff, RegisterPush) for eff in effects):
                 self.trace.emit("push_register_lost", send=send.index, conn=conn.id)
-                self._register_push(send, eff, retry=True)
-            else:
-                self._interpret(send, send.machine.on_push_dead())
+            self._interpret(send, effects)
 
     def _push_timer(self, send: SimSend, epoch: int) -> None:
         effects = send.machine.on_push_timeout(epoch)

@@ -46,11 +46,12 @@ class PushSession:
 
     A Register's body is the payload digest, then the auth token; a body
     too short to hold the digest closes the connection, as a malformed
-    frame does. One connection may hold registrations for many request
-    ids. They live in the core's presence table, not in the session: the
-    core consumes a key's registration when its execution finishes, drops
-    it when an HTTP arrival for the key supersedes it, and drops all of
-    the connection's registrations when the session closes.
+    frame does. A Deliver's body is the digest of the payload it answers,
+    then the response body. One connection may hold registrations for
+    many request ids. They live in the core's presence table, not in the
+    session: the core consumes a key's registration when its execution
+    finishes, drops it when an HTTP arrival for the key supersedes it, and
+    drops all of the connection's registrations when the session closes.
     """
 
     def __init__(self, core, conn, conn_id: str):
@@ -102,14 +103,16 @@ class PushSession:
         if meta == META_UNAUTHORIZED:
             self.close()
         elif acked and immediate is not None:
-            # Completed before the registration landed, or refused as an
-            # identity conflict: deliver the answer right after the ack.
-            self._write(deliver_frame(immediate))
+            # Completed before the registration landed (for this payload,
+            # or from a store), or refused as an identity conflict: deliver
+            # the answer right after the ack, naming this Register's payload.
+            self._write(deliver_frame(immediate, digest))
 
-    def push_response(self, resp: ResponseEnvelope) -> bool:
-        """Write a Deliver frame; on failure the registration dies with the
-        connection and the response stays in the cache for replay."""
-        return self.open and self._write(deliver_frame(resp))
+    def push_response(self, resp: ResponseEnvelope, digest: bytes) -> bool:
+        """Write a Deliver frame naming the payload ``digest``; on failure
+        the registration dies with the connection and the response stays
+        in the cache for replay."""
+        return self.open and self._write(deliver_frame(resp, digest))
 
     def close(self) -> None:
         """Send the transport's close and drop the connection's
@@ -132,48 +135,40 @@ class Heard(NamedTuple):
 
 
 class PushWaits:
-    """The client's end of one push connection: its waiters by dedup key.
+    """The client's end of one push connection: its waiters by dedup key
+    and payload digest.
 
     A waiter is whatever its caller wakes: a ``_PushSlot`` in
-    ``PushClient``, a send in the simulator. A Deliver names only its
-    key, so the connection waits on a key for one payload at a time: a
-    Register whose digest differs from the one the key waits with is
-    refused, and a Register with the same digest replaces the waiter.
-    A Register that followed another on the connection and got no answer
-    before it died is lost: most likely the server closed the connection
-    while idle just as the Register went out. The caller may send it once
-    more, on a new connection, while the send still waits.
+    ``PushClient``, a send in the simulator. A Deliver names the digest of
+    the payload it answers and wakes only the waiter for its key and
+    digest, so sends under one reused id each get their own answer. A
+    RegisterAck names only a rid, so it answers every Register for its
+    key. A Register that followed another on the connection and got no
+    answer before it died is lost: most likely the server closed the
+    connection while idle just as the Register went out.
     """
 
     def __init__(self, token: str):
         self.token = token
-        # key -> [waiter, payload digest, followed another, answered]
-        self._waits: dict[str, list] = {}
+        # (key, payload digest) -> [waiter, followed another, answered]
+        self._waits: dict[tuple[str, bytes], list] = {}
         self._used = False
 
     def keys(self) -> list[str]:
-        return list(self._waits)
+        return [key for key, _ in self._waits]
 
-    def register(self, rid: RequestId, digest: bytes, waiter) -> bytes | None:
-        """Make ``waiter`` the one rid's key answers; return the Register
-        frame, which carries ``digest``, the payload's. It goes out even
-        when the key already waits: an HTTP arrival may have superseded
-        the server's registration, and the server ignores one that still
-        stands. None, and nothing to send, when the key waits for another
-        payload: its Deliver could not be told from this one's answer."""
-        key = rid.dedup_key
-        wait = self._waits.get(key)
-        if wait is not None and wait[1] != digest:
-            return None
-        self._waits[key] = [waiter, digest, self._used, False]
+    def register(self, rid: RequestId, digest: bytes, waiter) -> bytes:
+        """Make ``waiter`` the one that rid's key and ``digest``, the
+        payload's, answer; return the Register frame. It goes out even when
+        they already wait: an HTTP arrival may have superseded the server's
+        registration, and the server ignores one that still stands."""
+        self._waits[rid.dedup_key, digest] = [waiter, self._used, False]
         self._used = True
         return encode_push_frame(register_frame(rid, digest, self.token))
 
     def release(self, key: str, digest: bytes) -> None:
-        """Forget the key's waiter, if it waits for this payload."""
-        wait = self._waits.get(key)
-        if wait is not None and wait[1] == digest:
-            del self._waits[key]
+        """Forget the waiter for the key and payload, if any."""
+        self._waits.pop((key, digest), None)
 
     @staticmethod
     def decode(data: bytes) -> PushFrame | None:
@@ -191,19 +186,20 @@ class PushWaits:
         (None), or a Register, is ignored."""
         if frame is None or frame.kind is FrameKind.REGISTER:
             return Heard()
+        key = frame.rid.dedup_key
         if frame.kind is FrameKind.DELIVER:
-            wait = self._waits.pop(frame.rid.dedup_key, None)
+            wait = self._waits.pop((key, frame.body[:PAYLOAD_DIGEST_BYTES]), None)
             return Heard(ResponseEnvelope(frame.rid, status_from_code(frame.meta), Channel.PUSH,
-                                          frame.body), wait and wait[0])
-        wait = self._waits.get(frame.rid.dedup_key)  # a RegisterAck
-        if wait is not None:
-            wait[3] = True
+                                          frame.body[PAYLOAD_DIGEST_BYTES:]), wait and wait[0])
+        for (waited, _), wait in self._waits.items():  # a RegisterAck
+            if waited == key:
+                wait[2] = True
         return Heard(ack=frame.meta, open=frame.meta != META_UNAUTHORIZED)
 
     def dead(self) -> list[tuple[object, bool]]:
         """Every waiter, in registration order, with whether its Register
         was lost; all are forgotten."""
         waits = [(waiter, followed and not answered)
-                 for waiter, _, followed, answered in self._waits.values()]
+                 for waiter, followed, answered in self._waits.values()]
         self._waits.clear()
         return waits

@@ -88,6 +88,7 @@ class PushRoute:
 
     conn: object
     rid: RequestId
+    digest: bytes  # of the payload the Register named
 
 
 @dataclass
@@ -131,6 +132,7 @@ class DeliveryPlan:
     result: tuple
     waiters: list
     push: PushRoute | None
+    digest: bytes | None  # the key owner's payload's; None for a record loaded from a store
 
 
 @dataclass
@@ -305,7 +307,7 @@ class ServerCore:
                     completed_at=now,
                     execution_count=entry.execution_count,
                 ))
-        return DeliveryPlan(ticket.key, entry.result, waiters, push)
+            return DeliveryPlan(ticket.key, entry.result, waiters, push, entry.payload_digest)
 
     # -- request sequence ------------------------------------------------
 
@@ -336,8 +338,9 @@ class ServerCore:
     def execute(self, ticket: ExecutionTicket) -> None:
         """Run the handler for a granted execution and deliver its result:
         each waiting exchange gets a response under its own rid, and the
-        push route, if the client waits on one, gets a Deliver frame. A
-        push write that fails leaves the result in the cache for replay."""
+        push route, if the client waits on one, gets a Deliver frame naming
+        the payload. A push write that fails leaves the result in the
+        cache for replay."""
         env = ticket.env
         try:
             body, error = self.handlers.get(env.service_name).run(env.payload), None
@@ -349,7 +352,7 @@ class ServerCore:
             waiter.complete(_response(waiter.env.rid, plan.result, Channel.HTTP), None)
         if plan.push is not None:
             resp = _response(plan.push.rid, plan.result, Channel.PUSH)
-            if plan.push.conn.push_response(resp):
+            if plan.push.conn.push_response(resp, plan.digest or plan.push.digest):
                 self.emit("push_delivered", key=plan.key, size=len(resp.body))
             else:
                 self.emit("push_write_failed", key=plan.key)
@@ -373,13 +376,13 @@ class ServerCore:
         the payload that the client sent under it.
 
         Returns (ack_meta, immediate_response). ack_meta is "UA" for a bad
-        token, "DUP" for an idempotent re-registration (no ack is sent),
-        "NC" when the key has no record yet, else "OK". When the record is
-        already complete the response is returned for immediate delivery
-        and no presence is stored (the registration is consumed at once).
-        A digest that differs from a live or pending entry's is answered
-        as ``submit`` answers it: ``IdentityConflict``, for immediate
-        delivery. Records loaded from a store are not checked.
+        token, "DUP" for an idempotent re-registration (same connection and
+        digest; no ack is sent), "NC" when the key has no record yet, else
+        "OK". When the record is already complete the response is returned
+        for immediate delivery and no presence is stored (the registration
+        is consumed at once). A digest that differs from a live or pending
+        entry's is answered as ``submit`` answers it: ``IdentityConflict``,
+        for immediate delivery. Records loaded from a store are not checked.
         """
         if not self._token_ok(token):
             self.emit("push_register_denied", rid=rid.canonical())
@@ -393,13 +396,13 @@ class ServerCore:
                 self.emit("identity_conflict", key=key, trial=rid.trial)
                 return "OK", _IDENTITY_CONFLICT.response_for(rid, Channel.PUSH)
             cur = self._presence.get(key)
-            if cur is not None and cur.conn is conn:
+            if cur is not None and cur.conn is conn and cur.digest == digest:
                 self.emit("push_register_duplicate", key=key)
                 return "DUP", None
             if live and entry.result is not None and not entry.pending:
                 self.emit("push_register_completed", key=key)
                 return "OK", _response(rid, entry.result, Channel.PUSH)
-            self._presence[key] = PushRoute(conn, rid)
+            self._presence[key] = PushRoute(conn, rid, digest)
             self.emit("presence_register", key=key, route="push",
                       replaced="push" if cur is not None else None)
             return ("OK" if entry is not None else "NC"), None

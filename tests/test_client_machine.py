@@ -201,6 +201,46 @@ class TestPushChannelFailures:
         assert retry[0].env.rid.trial == 2
 
 
+class TestLostRegister:
+    def test_first_loss_registers_again_in_the_same_wait(self):
+        m = machine()
+        start = m.start()
+        reg = m.on_http_timeout(start[0].epoch)[1]
+        again = m.on_push_lost()
+        assert again == [reg]  # same rid, wait, epoch and digest
+        assert m.state == SendMachine.WAIT_PUSH and m.rid.trial == 1
+        assert m.on_push_timeout(reg.epoch)[0].env.rid.trial == 2  # the wait's timer still counts
+
+    def test_second_loss_in_one_wait_moves_to_the_next_trial(self):
+        m = machine()
+        start = m.start()
+        m.on_http_timeout(start[0].epoch)
+        m.on_push_lost()
+        retry = m.on_push_lost()
+        assert isinstance(retry[0], SendHttp)
+        assert retry[0].env.rid.trial == 2
+
+    def test_each_wait_may_register_again_once(self):
+        m = machine()
+        start = m.start()
+        reg = m.on_http_timeout(start[0].epoch)[1]
+        m.on_push_lost()
+        retry = m.on_push_timeout(reg.epoch)
+        reg2 = m.on_http_timeout(retry[0].epoch)[1]
+        assert m.on_push_lost() == [reg2]
+        assert reg2.rid.trial == 2 and reg2.digest == reg.digest
+
+    def test_loss_after_the_wait_ended_does_nothing(self):
+        m = machine()
+        start = m.start()
+        reg = m.on_http_timeout(start[0].epoch)[1]
+        m.on_push_timeout(reg.epoch)  # back to waiting on HTTP
+        assert m.on_push_lost() == []
+        m.on_http_response(ok_response(m))
+        assert m.state == SendMachine.DONE
+        assert m.on_push_lost() == []
+
+
 class TestRaces:
     def test_late_http_response_after_done_is_dropped(self):
         m = machine()

@@ -142,13 +142,14 @@ class TestMisbehavingClock:
         assert report.ok, report.findings[0].to_dict() if report.findings else None
 
 
-def one_connection_template():
+def one_connection_template(push_ms=5):
     """The misbehaving clock on one client: the second send reuses the
-    first one's id while the first still waits on push, so both would
-    wait on one push connection under one key."""
+    first one's id while the first still waits on push, so both may wait
+    on one push connection under one key."""
     return ScenarioSpec(
         name="one_connection",
         end_time_ms=60_000,
+        latency={"request_ms": 5, "response_ms": 5, "push_ms": push_ms},
         services=[ServiceProfile(name="svc", delay_ms=600, output_size=64)],
         sends=[SendSpec(t=t, service="svc", client="c1", device_id="dev", timestamp_ms=100,
                         payload_size=25, http_timeout_ms=200, push_wait_ms=1_000, max_trials=3)
@@ -159,29 +160,55 @@ def one_connection_template():
 class TestReusedIdOnOneConnection:
     LOST_REJECTION = FaultSpec(kind="drop_http_response", send=1, trial=1)
 
-    def test_other_payload_waits_its_turn_and_each_send_gets_its_own_answer(self):
-        # A Deliver names only its key, so the second payload's Register
-        # is not sent while the first waits on the key: it pauses, and its
-        # next trial gets the rejection.
+    def test_other_payload_registers_beside_it(self):
+        # A Deliver names the payload it answers, so the second payload's
+        # Register goes out while the first still waits on the key, and
+        # its rejection comes over push in its first trial.
         scenario = one_connection_template()
         scenario.faults = [self.LOST_REJECTION]
         trace = run(scenario)
         first, second = trace.outcomes
         assert (first["status"], first["channel"]) == ("Ok", "Push")
         assert first["body_sha"] == trace.send_expected_bodies[0]
-        assert (second["error"], second["trials"]) == ("Rejected", 2)
-        assert [e["send"] for e in trace.events if e["kind"] == "push_register_failed"
-                and e["reason"] == "key_waits_for_other_payload"] == [1]
+        assert (second["error"], second["trials"]) == ("Rejected", 1)
+        assert [e["send"] for e in trace.events_of("push_register_sent")] == [0, 1]
+        assert {e["conn"] for e in trace.events_of("push_register_sent")} == {"c1-p1"}
+        assert [e["status"] for e in trace.events_of("push_deliver")] == ["ValidationError", "Ok"]
+        assert trace.events_of("push_register_failed") == []
+        assert check_invariants(trace) == []
+
+    def test_deliver_in_flight_is_not_the_next_answer(self):
+        # Send 0 registers after its key completed, so the server answers
+        # the Register at once; with a slow push channel that Deliver is
+        # still in flight when send 0's next trial gets the cache replay
+        # and releases the key. Send 1 reuses the id, its 409 is lost and
+        # it registers as send 0's Deliver arrives, which names send 0's
+        # payload and so does not end send 1.
+        scenario = one_connection_template(push_ms=150)
+        scenario.services[0].delay_ms = 300
+        for send in scenario.sends:
+            send.push_wait_ms = 100
+        scenario.faults = [self.LOST_REJECTION]
+        trace = run(scenario)
+        first, second = trace.outcomes
+        assert (first["status"], first["channel"]) == ("Ok", "CacheReplay")
+        assert second["error"] == "Rejected"
+        assert [(e["t"], e["status"]) for e in trace.events_of("push_deliver")] == \
+            [(600, "Ok"), (900, "ValidationError")]
+        assert [e["t"] for e in trace.events_of("push_register_sent") if e["send"] == 1] == [600]
+        assert [e["t"] for e in trace.events_of("duplicate_dropped")] == [600, 900]
         assert check_invariants(trace) == []
 
     def test_enumeration_holds(self):
         # With send 0's request dropped, send 1 owns the key and gets its
-        # own body over push.
+        # own body over push. A push channel slower than the requests
+        # keeps Delivers in flight past the sends' next trials.
         sites = standard_sites() + [self.LOST_REJECTION,
                                     FaultSpec(kind="drop_http_response", send=1, trial=2)]
-        report = enumerate_and_check(one_connection_template(), sites)
-        assert report.total_scenarios == 2 ** len(sites)
-        assert report.ok, report.findings[0].to_dict() if report.findings else None
+        for push_ms in (5, 150, 600):
+            report = enumerate_and_check(one_connection_template(push_ms), sites)
+            assert report.total_scenarios == 2 ** len(sites)
+            assert report.ok, (push_ms, report.findings[0].to_dict() if report.findings else None)
 
 
 def idle_close_template():
@@ -234,7 +261,7 @@ class TestPushIdleClose:
         # Trial 2's Register is a duplicate the server does not ack, so it
         # stays unanswered on the reused connection; the connection dies in
         # trial 3, after that push wait ended. Only a send still in the
-        # wait re-registers, as in Client._drive_push.
+        # wait re-registers (SendMachine.on_push_lost).
         spec = ScenarioSpec(
             name="ended_wait",
             services=[ServiceProfile(name="svc", delay_ms=1_700, output_size=64)],

@@ -316,11 +316,12 @@ class TestPushFrameCodec:
 
     @pytest.mark.parametrize("size", [0, 1, 191745])
     def test_deliver_body_exact(self, size):
-        frame = deliver_frame(self.response(b"\xff" * size))
+        digest = payload_digest(b"payload")
+        frame = deliver_frame(self.response(b"\xff" * size), digest)
         decoded = decode_push_frame(encode_push_frame(frame))
         assert decoded.kind is FrameKind.DELIVER
-        assert len(decoded.body) == size
-        assert decoded.body == b"\xff" * size
+        assert len(decoded.body) == PAYLOAD_DIGEST_BYTES + size
+        assert decoded.body == digest + b"\xff" * size  # the digest, then the body
 
     def test_ack_round_trip(self):
         rid = make_request_id("devA", 42, "orders")
@@ -353,7 +354,7 @@ class TestPushFrameCodec:
 
     def test_deliver_with_ack_only_meta_rejected(self):
         # "NC" is a RegisterAck meta; no response status has that code.
-        good = encode_push_frame(deliver_frame(self.response(b"body")))
+        good = encode_push_frame(deliver_frame(self.response(b"body"), payload_digest(b"p")))
         meta_at = 1 + RID_WIDTH
         assert good[meta_at:meta_at + 2] == b"OK"
         with pytest.raises(MalformedFrame) as info:

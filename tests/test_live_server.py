@@ -255,9 +255,10 @@ def test_reused_identity_whose_rejection_is_lost_is_rejected_over_push(live_serv
 def test_reused_identity_on_one_push_connection_leaves_each_send_its_own_answer(
         live_server, monkeypatch):
     # The first send waits on push while the second reuses its id, and the
-    # second's 409 is lost. A Deliver names only its key, so the second's
-    # Register waits until the first's answer has come: the first ends
-    # with its own body over push, the second with the rejection.
+    # second's 409 is lost. A Deliver names the payload it answers, so the
+    # second registers on the same connection at once and gets the
+    # rejection over push in its first trial, while the first ends with
+    # its own body over push.
     calls = []
 
     def fn(payload):
@@ -303,7 +304,7 @@ def test_reused_identity_on_one_push_connection_leaves_each_send_its_own_answer(
     err = results["second"]
     assert isinstance(err, ClientError) and err.kind == "Rejected", err
     assert err.detail.startswith("IdentityConflict")
-    assert err.trials_used >= 2  # its first Register waited its turn
+    assert err.trials_used == 1
     assert calls == [b"p"]
     assert server.core.execution_count(done.rid.dedup_key) == 1
 

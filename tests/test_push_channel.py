@@ -11,6 +11,7 @@ from rmaws.envelope import (
     CHANNEL_HEADER,
     TOKEN_HEADER,
     Channel,
+    PAYLOAD_DIGEST_BYTES,
     FrameKind,
     PushFrame,
     decode_push_frame,
@@ -93,7 +94,8 @@ def test_register_for_another_payload_gets_identity_conflict(live_server):
     ack, deliver = raw.recv(), raw.recv()
     assert (ack.kind, ack.meta) == (FrameKind.REGISTER_ACK, "OK")
     assert (deliver.kind, deliver.meta) == (FrameKind.DELIVER, "VE")
-    assert deliver.body.startswith(b"IdentityConflict: ")
+    # The rejection names the payload whose Register it answers.
+    assert deliver.body.startswith(payload_digest(b"q") + b"IdentityConflict: ")
     assert server.core.presence_route(outcome.rid.dedup_key) is None
     raw.close()
 
@@ -116,7 +118,8 @@ def test_register_before_completion_gets_deliver(live_server):
     deliver = raw.recv()
     assert deliver.kind is FrameKind.DELIVER
     assert deliver.meta == "OK"
-    assert len(deliver.body) == 64
+    assert deliver.body[:PAYLOAD_DIGEST_BYTES] == P_DIGEST  # the executed payload's
+    assert len(deliver.body) == PAYLOAD_DIGEST_BYTES + 64
     start.join()
     raw.close()
 
@@ -135,7 +138,7 @@ def test_register_after_completion_delivers_immediately(live_server):
     assert ack.kind is FrameKind.REGISTER_ACK and ack.meta == "OK"
     deliver = raw.recv()
     assert deliver.kind is FrameKind.DELIVER
-    assert deliver.body == b"cached-bytes"
+    assert deliver.body == payload_digest(b"cached-bytes") + b"cached-bytes"
     # Exactly one Deliver frame: nothing further arrives before close.
     raw.conn.send_close()
     assert raw.recv() is None

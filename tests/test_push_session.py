@@ -66,7 +66,7 @@ def opened():
 
 def failed_write(session, conn):
     conn.fail_writes = True
-    assert not session.push_response(ResponseEnvelope(rid(), ResponseStatus.OK, Channel.PUSH, b""))
+    assert not session.push_response(ResponseEnvelope(rid(), ResponseStatus.OK, Channel.PUSH, b""), P)
 
 
 def close_twice(session, conn):
@@ -98,7 +98,7 @@ def test_each_end_closes_once_and_drops_the_registrations(opened, end):
     conn.fail_writes = False
     written = list(conn.log)
     session.on_message(register(ts=3))
-    assert not session.push_response(ResponseEnvelope(rid(3), ResponseStatus.OK, Channel.PUSH, b""))
+    assert not session.push_response(ResponseEnvelope(rid(3), ResponseStatus.OK, Channel.PUSH, b""), P)
     assert conn.log == written
     assert core.presence_route(rid(3).dedup_key) is None
 

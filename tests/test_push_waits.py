@@ -6,6 +6,7 @@ import pytest
 from rmaws.envelope import (
     Channel,
     FrameKind,
+    PushFrame,
     ResponseEnvelope,
     ResponseStatus,
     decode_push_frame,
@@ -25,8 +26,8 @@ def rid(ts=1, trial=1):
     return make_request_id("devW", ts, "echo", trial)
 
 
-def deliver(r, status=ResponseStatus.OK, body=b"BODY"):
-    return encode_push_frame(deliver_frame(ResponseEnvelope(r, status, Channel.PUSH, body)))
+def deliver(r, status=ResponseStatus.OK, body=b"BODY", digest=DIGEST):
+    return encode_push_frame(deliver_frame(ResponseEnvelope(r, status, Channel.PUSH, body), digest))
 
 
 def ack(r, meta="OK"):
@@ -92,6 +93,16 @@ def test_undecodable_frame_is_ignored():
     assert waits.keys() == [rid().dedup_key]
 
 
+def test_deliver_too_short_to_name_a_digest_is_undecodable():
+    waits = PushWaits("tok")
+    waits.register(rid(), DIGEST, "w")
+    short = encode_push_frame(PushFrame(FrameKind.DELIVER, rid(), "OK", DIGEST[:-1]))
+    assert PushWaits.decode(short) is None
+    assert hear(waits, short) == (None, None, None, True)
+    assert PushWaits.decode(deliver(rid(), body=b"")) is not None  # a digest and an empty body
+    assert waits.keys() == [rid().dedup_key]
+
+
 def test_on_death_only_an_unanswered_register_that_followed_another_is_lost():
     waits = PushWaits("tok")
     waits.register(rid(ts=1), DIGEST, "first")  # opened the connection
@@ -114,23 +125,52 @@ def test_register_again_needs_a_new_answer():
 def test_register_with_the_same_digest_replaces_the_waiter():
     waits = PushWaits("tok")
     waits.register(rid(), DIGEST, "old")
-    assert waits.register(rid(trial=2), DIGEST, "new") is not None
+    frame = decode_push_frame(waits.register(rid(trial=2), DIGEST, "new"))
+    assert (frame.kind, frame.rid) == (FrameKind.REGISTER, rid(trial=2))
     assert hear(waits, deliver(rid())).waiter == "new"
+    assert waits.keys() == []
 
 
-def test_register_for_another_payload_on_a_waited_key_is_refused():
-    # A Deliver names only its key: had this Register gone out, the
-    # server's answer to either payload would wake whichever waiter held
-    # the key.
+def test_register_for_another_payload_on_a_waited_key_waits_beside_it():
+    # A reused id: a Deliver names the payload it answers, so each
+    # payload's waiter gets its own answer, in whichever order they come.
+    waits = PushWaits("tok")
+    waits.register(rid(ts=1), DIGEST, "p")
+    frame = decode_push_frame(waits.register(rid(ts=1, trial=2), OTHER, "q"))
+    assert frame.body == OTHER + b"tok"
+    assert waits.keys() == [rid().dedup_key] * 2
+    heard = hear(waits, deliver(rid(ts=1), ResponseStatus.VALIDATION_ERROR, digest=OTHER))
+    assert (heard.waiter, heard.resp.status) == ("q", ResponseStatus.VALIDATION_ERROR)
+    assert hear(waits, deliver(rid(ts=1), body=b"P", digest=OTHER)).waiter is None
+    heard = hear(waits, deliver(rid(ts=1), body=b"P"))
+    assert (heard.waiter, heard.resp.body) == ("p", b"P")
+    assert waits.dead() == []
+
+
+def test_deliver_for_a_released_payload_wakes_nothing():
+    # The first payload's Deliver may still be in flight when its send
+    # has been answered elsewhere and a send under the same id waits.
+    waits = PushWaits("tok")
+    waits.register(rid(), DIGEST, "a")
+    waits.release(rid().dedup_key, DIGEST)
+    waits.register(rid(), OTHER, "b")
+    heard = hear(waits, deliver(rid(), body=b"A"))
+    assert heard.resp.body == b"A" and heard.waiter is None and heard.open
+    assert waits.keys() == [rid().dedup_key]
+    assert hear(waits, deliver(rid(), body=b"B", digest=OTHER)).waiter == "b"
+    assert waits.keys() == []
+
+
+def test_ack_answers_every_register_for_its_key():
+    # A RegisterAck names only a rid: it cannot tell which payload's
+    # Register it answers, so none of them counts as lost.
     waits = PushWaits("tok")
     waits.register(rid(ts=1), DIGEST, "first")
     waits.register(rid(ts=2), DIGEST, "p")
-    assert waits.register(rid(ts=2, trial=2), OTHER, "q") is None
-    assert waits.dead() == [("first", False), ("p", True)]
-    waits.register(rid(ts=2), DIGEST, "p")
-    assert hear(waits, deliver(rid(ts=2))).waiter == "p"
-    assert waits.register(rid(ts=2), OTHER, "q") is not None  # no longer waited
-    assert hear(waits, deliver(rid(ts=2), ResponseStatus.VALIDATION_ERROR)).waiter == "q"
+    waits.register(rid(ts=2), OTHER, "q")
+    waits.register(rid(ts=3), DIGEST, "other key")
+    hear(waits, ack(rid(ts=2)))
+    assert waits.dead() == [("first", False), ("p", False), ("q", False), ("other key", True)]
 
 
 def test_first_register_on_the_next_connection_is_not_lost():
@@ -155,5 +195,5 @@ def test_release_forgets_the_key():
 def test_release_for_another_payload_keeps_the_waiter():
     waits = PushWaits("tok")
     waits.register(rid(), DIGEST, "w")
-    waits.release(rid().dedup_key, OTHER)  # a send whose Register was refused
+    waits.release(rid().dedup_key, OTHER)  # another send under the key
     assert hear(waits, deliver(rid())).waiter == "w"

@@ -84,9 +84,11 @@ class FakePushConn:
     def __init__(self, writes_ok=True):
         self.writes_ok = writes_ok
         self.sent = []
+        self.digests = []  # the payload each Deliver names
 
-    def push_response(self, resp):
+    def push_response(self, resp, digest):
         self.sent.append(resp)
+        self.digests.append(digest)
         return self.writes_ok
 
 
@@ -204,7 +206,22 @@ class TestReceiveExecute:
         core.execute(ticket)
         [resp] = conn.sent
         assert (resp.rid, resp.channel, resp.body) == (env.rid.with_trial(2), Channel.PUSH, b"BODY")
+        assert conn.digests == [P]
         assert events[-1] == ("push_delivered", {"key": env.rid.dedup_key, "size": 4, "t": 0})
+
+    def test_push_route_for_a_record_loaded_from_a_store_names_the_registered_payload(
+            self, tmp_path):
+        # A loaded record has no payload digest to name, so the Deliver
+        # names the one its Register carried.
+        store = AppendOnlyFileStore(str(tmp_path / "records.log"))
+        run_once(make_core(store=store), envelope())
+        core = make_core(store=store)
+        forced = envelope(trial=2, forced=True, payload=b"q")
+        ticket = core.receive(forced, TOKEN, FakeExchange(forced))
+        conn = FakePushConn()
+        assert core.register_push(forced.rid, payload_digest(b"q"), conn, TOKEN) == ("OK", None)
+        core.execute(ticket)
+        assert conn.digests == [payload_digest(b"q")]
 
     def test_http_arrival_supersedes_push_registration(self):
         core = make_core()
@@ -585,6 +602,15 @@ class TestRegisterPush:
         core.submit(env, "w")
         assert core.register_push(env.rid, P, "c", TOKEN)[0] == "OK"
         assert core.register_push(env.rid, P, "c", TOKEN)[0] == "DUP"
+
+    def test_register_for_another_payload_on_the_same_connection_is_not_a_duplicate(self):
+        # No record yet, so nothing to check the payloads against: the
+        # later Register replaces the route, and the Deliver names its payload.
+        core = make_core()
+        rid = envelope().rid
+        assert core.register_push(rid, P, "c", TOKEN) == ("NC", None)
+        assert core.register_push(rid, payload_digest(b"q"), "c", TOKEN) == ("NC", None)
+        assert core.presence_route(rid.dedup_key).digest == payload_digest(b"q")
 
     @pytest.mark.parametrize("pending", [True, False])
     def test_other_payload_gets_identity_conflict(self, pending):

@@ -5,7 +5,11 @@ Runs ``perfbench/faults_template.json`` (payloads drawn from
 then with ``break_dedup``, and prints the number of runs, the number of
 findings, and one SHA-256 over each run's ``Trace.to_jsonl()`` in
 enumeration order. A change that must not alter simulated behaviour
-prints the same three values before and after it.
+prints the same values before and after it.
+
+``sha256_sans_push_sizes`` hashes the same traces with every
+``push_write`` event's ``bytes`` and the summary's ``wire.push_bytes``
+set to 0. A change that alters only the size of a push frame keeps it.
 
     PYTHONPATH=src python tests/trace_digest.py
 
@@ -15,6 +19,7 @@ pytest does not collect this file: its name does not start with
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import random
@@ -27,9 +32,17 @@ import rmaws.faultsim.enumeration as enumeration  # noqa: E402
 from workloads import load_template  # noqa: E402
 
 
+def sans_push_sizes(trace):
+    """``trace`` with the sizes of the frames the server writes on push
+    connections set to 0."""
+    events = [dict(e, bytes=0) if e["kind"] == "push_write" else e for e in trace.events]
+    return dataclasses.replace(trace, events=events, wire=dict(trace.wire, push_bytes=0))
+
+
 def main() -> None:
     template, sites = load_template(random.Random(42))
     digest = hashlib.sha256()
+    digest_sans_push_sizes = hashlib.sha256()
     runs = 0
     real_run = enumeration.run
 
@@ -37,6 +50,7 @@ def main() -> None:
         nonlocal runs
         trace = real_run(scenario, **kwargs)
         digest.update(trace.to_jsonl().encode("utf-8"))
+        digest_sans_push_sizes.update(sans_push_sizes(trace).to_jsonl().encode("utf-8"))
         runs += 1
         return trace
 
@@ -50,6 +64,7 @@ def main() -> None:
     print(f"runs {runs}")
     print(f"findings {findings}")
     print(f"sha256 {digest.hexdigest()}")
+    print(f"sha256_sans_push_sizes {digest_sans_push_sizes.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,12 @@ identical protocol behaviour.
 
 ``Client`` frames HTTP/1.1 itself through ``rmaws.http1``: each request
 goes out as head and body in one write on a kept-alive socket, and each
-response is read through the one buffered reader that socket keeps. A
+response is read through the buffered reader that socket keeps. A
+/services exchange that times out before any byte of its response
+arrives keeps its connection: once the send has its answer, the server
+has written that response too, so the connection is reused after the
+response is read and discarded (RFC 9112 §9.3). A /direct time-out, a
+time-out inside a response and any other error close the connection. A
 response that cannot be framed (no plain ``Content-Length``, any
 ``Transfer-Encoding``, a body cut short) or that answers another rid
 counts as a broken exchange: its connection closes and the send falls
@@ -56,7 +61,8 @@ DEFAULT_PUSH_WAIT_MS = 30_000
 _STATUSES = {status.value: status for status in ResponseStatus}
 _CHANNELS = {channel.value: channel for channel in Channel}
 # What a kept-alive connection that the server closed while idle raises
-# when it is used again, before any byte of a response arrives.
+# when it is used again, before any byte of a response arrives, and what
+# ``_Connection.read_owed`` raises when the response it owes cannot be read.
 _STALE_CONNECTION_ERRORS = (ConnectionResetError, BrokenPipeError)
 
 
@@ -488,6 +494,9 @@ class Client:
         self._direct_fields = http1.field_lines(fields)
         self._service_fields = http1.field_lines({**fields, TOKEN_HEADER: auth_token})
         self._idle: list[_Connection] = []
+        # The connections of timed-out /services exchanges, by the dedup
+        # key whose response each owes, until a send for that key ends.
+        self._owed: dict[str, list[_Connection]] = {}
         self._idle_lock = threading.Lock()
         # A Client dropped without close() still closes its connections.
         weakref.finalize(self, _close_all, self._idle)
@@ -514,29 +523,47 @@ class Client:
         machine = SendMachine(service, payload, opts, self.device_id, self.clock())
         effects = machine.start()
         deadlines = {}  # push wait's epoch -> its deadline, kept if a Register goes out again
-        while True:
-            produced = None
-            for eff in effects:
-                if isinstance(eff, Finished):
-                    return eff.outcome
-                if isinstance(eff, Failed):
-                    raise eff.error
-                if isinstance(eff, ReleasePush):
-                    self._push.release(eff.rid, eff.digest)
-                elif isinstance(eff, AbandonHttp):
-                    log.debug("abandoning HTTP exchange for trial %d", eff.trial)
-                elif isinstance(eff, SendHttp):
-                    produced = self._drive_http(machine, eff)
-                elif isinstance(eff, RegisterPush):
-                    deadline = time.monotonic() + eff.wait_ms / 1000.0
-                    produced = self._drive_push(machine, eff,
-                                                deadlines.setdefault(eff.epoch, deadline))
-                elif isinstance(eff, Pause):
-                    time.sleep(eff.ms / 1000.0)
-                    produced = machine.on_pause_done(eff.epoch)
-            if produced is None:
-                raise RuntimeError("send machine stalled")  # pragma: no cover
-            effects = produced
+        try:
+            while True:
+                produced = None
+                for eff in effects:
+                    if isinstance(eff, Finished):
+                        return eff.outcome
+                    if isinstance(eff, Failed):
+                        raise eff.error
+                    if isinstance(eff, ReleasePush):
+                        self._push.release(eff.rid, eff.digest)
+                    elif isinstance(eff, AbandonHttp):
+                        log.debug("abandoning HTTP exchange for trial %d", eff.trial)
+                    elif isinstance(eff, SendHttp):
+                        produced = self._drive_http(machine, eff)
+                    elif isinstance(eff, RegisterPush):
+                        deadline = time.monotonic() + eff.wait_ms / 1000.0
+                        produced = self._drive_push(machine, eff,
+                                                    deadlines.setdefault(eff.epoch, deadline))
+                    elif isinstance(eff, Pause):
+                        time.sleep(eff.ms / 1000.0)
+                        produced = machine.on_pause_done(eff.epoch)
+                if produced is None:
+                    raise RuntimeError("send machine stalled")  # pragma: no cover
+                effects = produced
+        finally:
+            self._release_owed(machine.key, isinstance(machine.result, Outcome))
+
+    def _release_owed(self, key: str, answered: bool) -> None:
+        """A send for ``key`` has ended: release the connections of its
+        timed-out exchanges. With an answer (an ``Outcome``) the execution
+        has completed, and the server writes each waiting exchange's
+        response then, so each connection goes back to the free-list,
+        still owing that response. Without one (``Exhausted``,
+        ``Transport``, ``Rejected``) they close. Sends that share a key
+        share its connections."""
+        with self._idle_lock:
+            owed = self._owed.pop(key, [])
+            if answered:
+                self._idle.extend(owed)
+        if not answered:
+            _close_all(owed)
 
     def _drive_http(self, machine: SendMachine, eff: SendHttp) -> list:
         kind, resp = self._post_envelope(eff.env, eff.timeout_ms)
@@ -563,16 +590,25 @@ class Client:
               rid: RequestId | None = None) -> tuple[http1.ResponseHead, bytes]:
         """POST on a kept-alive connection; return the response head and body.
 
-        Head and body go out in one write. The connection goes back to the
-        free-list only after a complete response that leaves it open.
-        After a timeout or any other error it is closed, never reused:
-        closing is how the server learns that the exchange was abandoned.
-        A reused connection that fails before any byte of a response
-        arrives was most likely closed by the server while idle, so the
-        request goes out once more on a new connection. That is safe: the
-        server closes an idle connection only between requests, and a
-        re-sent /services request carries the same rid, so the server
-        replays it or attaches it.
+        Head and body go out in one write. Reading a response that the
+        connection owes (below) counts against ``timeout_s``, and each later
+        read or write waits at most what is left of it. The connection goes
+        back to the free-list after a complete response that leaves it
+        open. A /services post (one with a ``rid``) that times out before
+        any byte of its response arrives keeps its connection, owing that
+        response to the send until the send ends (``_release_owed``). A
+        /direct time-out, a time-out inside a response and any other error
+        close the connection.
+
+        A connection taken from the free-list first reads and discards the
+        response it owes, if any. When that read fails, or a reused
+        connection fails before any byte of the new response arrives, the
+        connection is closed and the request goes out once more on a new
+        one. The usual cause is a server that closed the connection while
+        idle. A re-send is safe: the server closes an idle connection only
+        between requests, the request was not sent on a connection whose
+        owed read failed, and a re-sent /services request carries the same
+        rid, so the server replays it or attaches it.
 
         A response that ``http1`` cannot frame (no plain Content-Length,
         any Transfer-Encoding, a body cut short) raises ``HttpError``, and
@@ -581,37 +617,41 @@ class Client:
         bounded chunks, so a huge Content-Length reserves nothing.
         """
         request = http1.request("POST", path, field_block, body)
+        deadline = time.monotonic() + timeout_s
         with self._idle_lock:
             conn = self._idle.pop() if self._idle else None
         reused = conn is not None
         try:
-            if reused:
-                conn.sock.settimeout(timeout_s)
-            else:
+            if not reused:
                 conn = _Connection(self.host, self.port, timeout_s)
             while True:
                 try:
+                    if reused:
+                        if conn.owed is not None:
+                            conn.read_owed(_time_left(deadline))
+                        conn.sock.settimeout(_time_left(deadline))
                     conn.sock.sendall(request)
-                    block = http1.read_head(conn.rfile)
-                    if block is None:
+                    try:
+                        started = conn.rfile.peek(1)
+                    except TimeoutError:
+                        if rid is not None:
+                            conn.owe(rid.dedup_key)
+                            with self._idle_lock:
+                                self._owed.setdefault(rid.dedup_key, []).append(conn)
+                            conn = None
+                        raise
+                    if not started:
                         raise ConnectionResetError("connection closed before a response")
                     break
                 except _STALE_CONNECTION_ERRORS:
                     if not reused:
                         raise
                     conn.close()
-                    conn = _Connection(self.host, self.port, timeout_s)
+                    conn = _Connection(self.host, self.port, _time_left(deadline))
                     reused = False
-            head = http1.parse_response(block)
-            length = http1.body_length(head.fields)
-            if length is None:
-                raise http1.HttpError(400, "response without Content-Length")
-            data = http1.read_body(conn.rfile, length)
+            head, data = conn.read_response()
             answered = head.fields.get(RID_HEADER)
-            # Leading white space of a field value is not part of it; a
-            # rid is fixed-width, so padding restores that of a device id.
-            if rid is not None and answered is not None \
-                    and answered.rjust(RID_WIDTH)[:DEDUP_KEY_WIDTH] != rid.dedup_key:
+            if rid is not None and answered is not None and not _names_key(answered, rid.dedup_key):
                 raise http1.HttpError(400, f"response for another request: {answered!r}")
         except BaseException:
             if conn is not None:
@@ -658,17 +698,75 @@ class Client:
 
 
 class _Connection:
-    """A socket to the server and the one buffered reader it keeps for its
-    whole life, so bytes read ahead are never lost between responses."""
+    """A socket to the server and its buffered reader, kept from one
+    response to the next, so bytes read ahead are never lost.
+
+    ``owed`` is the dedup key of a /services exchange that timed out here
+    before any byte of its response arrived; the server still writes that
+    response on this connection, and ``read_owed`` reads it before the
+    connection carries another request. A reader refuses every read after
+    a socket time-out, so ``owe`` gives the connection a new one. Nothing
+    is lost by that: the time-out came while the old reader's buffer was
+    empty."""
 
     def __init__(self, host: str, port: int, timeout_s: float):
         self.sock = socket.create_connection((host, port), timeout=timeout_s)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.rfile = self.sock.makefile("rb")
+        self.owed: str | None = None
+
+    def owe(self, key: str) -> None:
+        self.rfile.close()
+        self.rfile = self.sock.makefile("rb")
+        self.owed = key
+
+    def read_response(self) -> tuple[http1.ResponseHead, bytes]:
+        """One response, framed by a plain Content-Length; raises
+        ``HttpError`` for any other framing."""
+        block = http1.read_head(self.rfile)
+        if block is None:
+            raise http1.HttpError(400, "connection closed before a response")
+        head = http1.parse_response(block)
+        length = http1.body_length(head.fields)
+        if length is None:
+            raise http1.HttpError(400, "response without Content-Length")
+        return head, http1.read_body(self.rfile, length)
+
+    def read_owed(self, timeout_s: float) -> None:
+        """Read and discard the owed response within ``timeout_s``. Unless
+        it is framed, keeps the connection open and names the owed key,
+        raise ``ConnectionResetError``, as a connection the server closed
+        does."""
+        self.sock.settimeout(timeout_s)
+        try:
+            head, _ = self.read_response()
+        except (OSError, http1.HttpError) as exc:
+            raise ConnectionResetError(f"owed response not read: {exc}") from exc
+        answered = head.fields.get(RID_HEADER)
+        if answered is None or not _names_key(answered, self.owed):
+            raise ConnectionResetError(f"owed response for another request: {answered!r}")
+        if not head.keep_alive:
+            raise ConnectionResetError("owed response closes the connection")
+        self.owed = None
 
     def close(self) -> None:
         self.rfile.close()
         self.sock.close()
+
+
+def _names_key(answered: str, key: str) -> bool:
+    """Whether an ``X-RMAWS-Rid`` value names the dedup key ``key``. Leading
+    white space of a field value is not part of it; a rid is fixed-width,
+    so padding restores that of a device id."""
+    return answered.rjust(RID_WIDTH)[:DEDUP_KEY_WIDTH] == key
+
+
+def _time_left(deadline: float) -> float:
+    """Seconds until ``deadline``; raises ``TimeoutError`` once it has passed."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    return left
 
 
 def _close_all(connections: list[_Connection]) -> None:

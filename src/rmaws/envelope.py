@@ -184,7 +184,8 @@ class RequestId:
     rendered id round-trips exactly. The (device, timestamp, service)
     prefix is the deduplication key; ``trial`` and ``forced`` ride along
     without changing identity. The canonical rendering and ``dedup_key``
-    are made once, when the id is built.
+    are made once, when the id is built; an id decoded from the wire
+    keeps the text it was matched from.
     """
 
     device_id: str
@@ -349,8 +350,8 @@ def _rid_canonical_bytes(rid: RequestId) -> bytes:
 # below, short of the CRC and the payload length, would pass; the
 # backreferences require each mirror to equal the rid's own digits.
 _RID_PATTERN = (
-    b"(?P<device>%s{%d})(?P<ts>[0-9]{%d})(?P<svc>(?! {%d})%s{%d})"
-    b"(?P<trial>0[1-9]|[1-9][0-9])(?P<forced>[01])"
+    b"(?P<rid>%s{%d}[0-9]{%d}(?P<svc>(?! {%d})%s{%d})"
+    b"(?P<trial>0[1-9]|[1-9][0-9])(?P<forced>[01]))"
     % (_NAME_CLASS, DEVICE_WIDTH, TIMESTAMP_WIDTH, SERVICE_WIDTH, _NAME_CLASS, SERVICE_WIDTH)
 )
 _RID = re.compile(_RID_PATTERN)
@@ -361,9 +362,22 @@ _HEADER = re.compile(
 
 
 def _rid_from_match(match: re.Match) -> RequestId:
-    device, ts, svc, trial, forced = match.group("device", "ts", "svc", "trial", "forced")
-    return RequestId(device.decode("ascii"), int(ts), svc.decode("ascii"), int(trial),
-                     forced == b"1")
+    """The rid a match found. Its fields are sliced from the matched text,
+    which is already the canonical rendering, so it is kept rather than
+    formatted again; the id equals, hashes and prints as one built by
+    ``RequestId(...)``."""
+    rendered = match["rid"].decode("ascii")
+    rid = object.__new__(RequestId)
+    rid.__dict__.update(
+        device_id=rendered[:DEVICE_WIDTH],
+        timestamp_ms=int(rendered[DEVICE_WIDTH:DEVICE_WIDTH + TIMESTAMP_WIDTH]),
+        service_name=rendered[DEVICE_WIDTH + TIMESTAMP_WIDTH:DEDUP_KEY_WIDTH],
+        trial=int(rendered[DEDUP_KEY_WIDTH:DEDUP_KEY_WIDTH + TRIAL_WIDTH]),
+        forced=rendered[-1] == "1",
+        _canonical=rendered,
+        dedup_key=rendered[:DEDUP_KEY_WIDTH],
+    )
+    return rid
 
 
 def _parse_rid_field(field: bytes, base: int) -> RequestId:

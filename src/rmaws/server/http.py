@@ -19,10 +19,14 @@ handler's ``delay_ms`` and calls ``execute``, which runs the handler and
 completes every exchange waiting on that key. Duplicate arrivals for
 the key park on a one-shot latch until then. Every live exchange writes
 the completed response on its own connection, in one write with Nagle's
-algorithm off. Push deliveries are written by the executing thread. A
-client abandons an exchange by closing its connection; the answer is
-cached by then, and delivered on push if the client registered there,
-so its write on the closed connection fails or is discarded unread.
+algorithm off, whether or not the client still waits for it. Push
+deliveries are written by the executing thread. A client whose /services
+wait timed out before the response began keeps the connection and reads
+that response before its next request on it, once its send has an
+answer; otherwise, and after a /direct time-out, it closes the
+connection, and the write fails or is discarded unread. Either way the
+answer is cached by then, and delivered on push if the client
+registered there.
 
 ``stop()`` wakes the accept loop through a socket pair, so it does not
 wait for a polling interval to end. One registry holds every open

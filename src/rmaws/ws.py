@@ -2,9 +2,11 @@
 
 Implements exactly what the push channel needs: the HTTP upgrade
 handshake, unfragmented binary messages, the close handshake, and
-ping/pong. Client-to-server frames are masked as the RFC requires.
-Fragmented messages, text frames and extensions are rejected with a
-protocol-error close.
+ping/pong. Client-to-server frames are masked as the RFC requires. A
+frame masked the wrong way for its sender (§5.1), a control frame over
+125 B or without FIN (§5.5), a fragmented message, a text frame and an
+extension bit are refused: reading raises ``WsError``, and the caller
+closes the connection.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from . import http1
 _GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 SUBPROTOCOL = "rmaws.v1"
 
-OP_CONT = 0x0
-OP_TEXT = 0x1
 OP_BINARY = 0x2
 OP_CLOSE = 0x8
 OP_PING = 0x9
@@ -107,10 +107,16 @@ class WsConnection:
         if b1 & 0x70:
             raise WsError("reserved bits set")
         opcode = b1 & 0x0F
-        if not fin and opcode in (OP_BINARY, OP_TEXT, OP_CONT):
-            raise WsError("fragmented messages not supported")
+        if not fin:  # §5.5: a control frame is never fragmented either
+            raise WsError("fragmented frames not supported")
         masked = b2 & 0x80
+        if bool(masked) == self.mask_outgoing:
+            # RFC 6455 §5.1: a client masks every frame, a server none.
+            raise WsError("masked frame from the server" if masked else
+                          "unmasked frame from the client")
         n = b2 & 0x7F
+        if opcode & 0x8 and n > 125:  # §5.5
+            raise WsError("control frame over 125 B")
         if n == 126:
             (n,) = struct.unpack(">H", self._read(2))
         elif n == 127:

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import string
 import zlib
 
 import pytest
@@ -41,6 +42,10 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 names = st.text(alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.", min_size=1, max_size=32)
 timestamps = st.integers(min_value=0, max_value=10**20 - 1)
 trials = st.integers(min_value=1, max_value=99)
+# Every character a device id or service name may hold; a service name
+# must keep one that is not a space.
+wire_names = st.text(alphabet=sorted(set(string.printable) - set("|\t\n\r\x0b\x0c")),
+                     min_size=1, max_size=32).filter(str.strip)
 
 
 def fixture_envelope(payload: bytes) -> RequestEnvelope:
@@ -49,7 +54,7 @@ def fixture_envelope(payload: bytes) -> RequestEnvelope:
 
 
 @st.composite
-def envelopes(draw):
+def envelopes(draw, names=names):
     rid = make_request_id(
         draw(names), draw(timestamps), draw(names), draw(trials), draw(st.booleans())
     )
@@ -212,6 +217,16 @@ class TestRequestCodec:
     @given(envelopes())
     def test_round_trip(self, env):
         assert decode_request(encode_request(env)) == env
+
+    @given(envelopes(wire_names))
+    def test_decoded_rid_is_the_encoded_one(self, env):
+        # The decoder keeps the rid's text rather than formatting it again.
+        rid, sent = decode_request(encode_request(env)).rid, env.rid
+        assert (rid, hash(rid), repr(rid)) == (sent, hash(sent), repr(sent))
+        assert (rid.canonical(), rid.dedup_key) == (sent.canonical(), sent.dedup_key)
+        assert rid.with_trial(99) == sent.with_trial(99)
+        frame = decode_push_frame(encode_push_frame(register_frame(sent, b"", "")))
+        assert (frame.rid, frame.rid.canonical()) == (sent, sent.canonical())
 
     @given(envelopes())
     def test_overhead_is_constant_for_any_envelope(self, env):

@@ -1,4 +1,5 @@
 import http.client
+import itertools
 import os
 import socket
 import socketserver
@@ -395,17 +396,69 @@ def test_sequential_sends_share_one_connection(live_server, monkeypatch):
     assert len(accepts) == 1
 
 
-def test_timed_out_connection_is_not_reused(live_server):
+def record_services_connections(monkeypatch):
+    """Record, from now on, the connection that serves each /services request."""
+    served = []
+    original = RmawsRequestHandler._handle_service
+
+    def handle_service(handler, raw):
+        served.append(handler)
+        original(handler, raw)
+
+    monkeypatch.setattr(RmawsRequestHandler, "_handle_service", handle_service)
+    return served
+
+
+PUSHED = SendOptions(http_timeout_ms=50, push_wait_ms=10_000, max_trials=1, auth_token=TOKEN)
+
+
+def test_owed_response_is_not_taken_for_the_next_answer(live_server, monkeypatch):
+    served = record_services_connections(monkeypatch)
     slow, _ = counting_handler("slow", body=b"slow body", delay_ms=300)
     server = live_server(registry=HandlerRegistry().add(slow).add(make_synthetic("echo")))
     client = make_client(server)
     pushed = client.send("slow", b"p", SendOptions(
         http_timeout_ms=100, push_wait_ms=10_000, auth_token=TOKEN))
     assert (pushed.channel, pushed.body) == (Channel.PUSH, b"slow body")
-    # Had the abandoned connection been pooled, the slow response written
-    # on it would now answer this send.
+    # The timed-out exchange's connection is reused: the slow response
+    # written on it is read and dropped before this send goes out.
     fast = client.send("echo", b"fast payload")
     assert (fast.channel, fast.body, fast.trials_used) == (Channel.HTTP, b"fast payload", 1)
+    assert len(served) == 2 and served[0] is served[1]
+
+
+def test_sends_answered_over_push_share_one_services_connection(live_server, monkeypatch):
+    served = record_services_connections(monkeypatch)
+    handler, calls = counting_handler("slow", body=b"late", delay_ms=150)
+    server = live_server(registry=HandlerRegistry().add(handler))
+    with make_client(server) as client:
+        outcomes = [client.send("slow", b"p%d" % i, PUSHED) for i in range(5)]
+    assert [(o.channel, o.body, o.trials_used) for o in outcomes] == \
+        [(Channel.PUSH, b"late", 1)] * 5
+    assert len(calls) == 5
+    assert len(served) == 5 and len(set(served)) == 1
+
+
+def test_send_exhausted_while_its_handler_runs_closes_its_connection(live_server, monkeypatch):
+    served = record_services_connections(monkeypatch)
+    slow, _ = counting_handler("slow", body=b"late", delay_ms=150)
+    stuck, _ = counting_handler("stuck", delay_ms=1_000)
+    server = live_server(registry=HandlerRegistry().add(slow).add(stuck)
+                         .add(make_synthetic("echo")))
+    with make_client(server) as client:
+        client.send("slow", b"p", PUSHED)
+        with pytest.raises(ClientError) as err:
+            client.send("stuck", b"q", SendOptions(http_timeout_ms=50, push_wait_ms=50,
+                                                   max_trials=1, auth_token=TOKEN))
+        assert err.value.kind == "Exhausted"
+        started = time.monotonic()
+        fast = client.send("echo", b"fast")
+        elapsed = time.monotonic() - started
+    assert (fast.channel, fast.body, fast.trials_used) == (Channel.HTTP, b"fast", 1)
+    # "stuck" went out on the connection "slow" left owing its answer; that
+    # connection then closed, and "echo" did not wait out the stuck handler.
+    assert served[1] is served[0] and served[2] is not served[1]
+    assert elapsed < 0.5
 
 
 def test_send_after_server_closed_idle_connection(live_server, monkeypatch):
@@ -590,6 +643,119 @@ def test_unframeable_response_is_broken(framing, broken):
     assert not thread.is_alive()
 
 
+class _OwingHandler(socketserver.StreamRequestHandler):
+    """The first request of all is answered with the peer's ``owed``
+    bytes once ``release`` is set, and its connection then closes if
+    ``then_close``; every other request is answered well. Each request is recorded
+    as (connection number, rid), and each connection's end too."""
+
+    def handle(self):
+        peer = self.server
+        number = next(peer.numbers)
+        try:
+            while (block := http1.read_head(self.rfile)) is not None:
+                head = http1.parse_request(block)
+                body = http1.read_body(self.rfile, http1.body_length(head.fields) or 0)
+                rid = decode_request(body).rid.canonical().encode("ascii")
+                peer.requests.append((number, rid))
+                if (number, rid) != peer.requests[0]:
+                    self.wfile.write((CANNED_HEAD + b"Content-Length: 4\r\n\r\nBODY")
+                                     .replace(b"{rid}", rid))
+                elif peer.release.wait(5.0):
+                    self.wfile.write(peer.owed.replace(b"{rid}", rid))
+                    if peer.then_close:
+                        return
+        except ConnectionError:
+            pass
+        finally:
+            peer.ended.append(number)
+
+
+class _OwingPeer(socketserver.ThreadingTCPServer):
+    daemon_threads = True
+
+    def __init__(self, owed: bytes, *, then_close: bool = False):
+        super().__init__(("127.0.0.1", 0), _OwingHandler)
+        self.owed, self.then_close = owed, then_close
+        self.release = threading.Event()
+        self.numbers = itertools.count()
+        self.requests: list[tuple[int, bytes]] = []
+        self.ended: list[int] = []
+
+    def __enter__(self):
+        self.thread = threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True)
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.release.set()
+        self.shutdown()
+        self.server_close()
+        self.thread.join(timeout=5.0)
+        assert not self.thread.is_alive()
+
+
+def envelope(payload: bytes, ts: int):
+    return build("echo", payload, False, 1, lambda: ts, "dev")
+
+
+FOREIGN_RID = build("echo", b"", False, 1, lambda: 1, "someone-else").rid.canonical()
+
+
+@pytest.mark.parametrize("owed, then_close, reused", [
+    (CANNED_HEAD + b"Content-Length: 4\r\n\r\nLATE", False, True),
+    (CANNED_HEAD.replace(b"{rid}", FOREIGN_RID.encode("ascii"))
+     + b"Content-Length: 4\r\n\r\nLATE", False, False),
+    (CANNED_HEAD + b"Content-Length: 10\r\n\r\nLATE", True, False),
+    # The peer keeps reading, to see whether the request comes on anyway.
+    (CANNED_HEAD + b"Connection: close\r\nContent-Length: 4\r\n\r\nLATE", False, False),
+], ids=["well-formed", "another-key", "cut-short", "connection-close"])
+def test_owed_response_decides_whether_its_connection_is_reused(owed, then_close, reused):
+    with _OwingPeer(owed, then_close=then_close) as peer, \
+            Client(*peer.server_address[:2], auth_token=TOKEN) as client:
+        first, second = envelope(b"first", 1), envelope(b"second", 2)
+        assert client._post_envelope(first, 100) == ("timeout", None)
+        client._release_owed(first.rid.dedup_key, answered=True)
+        peer.release.set()
+        kind, resp = client._post_envelope(second, 2_000)
+        assert (kind, resp.body) == ("response", b"BODY")
+    # The second request went out once: on the first connection after a
+    # good owed response, otherwise on a new one, the first one closed.
+    rids = [env.rid.canonical().encode("ascii") for env in (first, second)]
+    assert peer.requests == [(0, rids[0]), (0 if reused else 1, rids[1])]
+    assert peer.ended.count(0) == 1
+
+
+def test_time_out_inside_a_response_closes_the_connection():
+    with _OwingPeer(b"HTTP/1.1 200 OK\r\n") as peer, \
+            Client(*peer.server_address[:2], auth_token=TOKEN) as client:
+        peer.release.set()
+        first, second = envelope(b"first", 1), envelope(b"second", 2)
+        assert client._post_envelope(first, 200) == ("timeout", None)
+        assert client._owed == {}
+        deadline = time.monotonic() + 2.0
+        while peer.ended != [0] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert peer.ended == [0]
+        client._release_owed(first.rid.dedup_key, answered=True)
+        kind, resp = client._post_envelope(second, 2_000)
+        assert (kind, resp.body) == ("response", b"BODY")
+    assert [number for number, _ in peer.requests] == [0, 1]
+
+
+def test_owed_response_never_written_costs_no_more_than_the_timeout():
+    # The peer takes connections into its backlog and never writes a byte.
+    with socket.create_server(("127.0.0.1", 0)) as silent, \
+            Client(*silent.getsockname()[:2], auth_token=TOKEN) as client:
+        first = envelope(b"first", 1)
+        assert client._post_envelope(first, 100) == ("timeout", None)
+        client._release_owed(first.rid.dedup_key, answered=True)
+        started = time.monotonic()
+        assert client._post_envelope(envelope(b"second", 2), 300) == ("timeout", None)
+        elapsed = time.monotonic() - started
+    assert 0.25 < elapsed < 0.45
+
+
 def test_push_handshake_without_an_answer_fails_the_registration():
     # A peer that takes the connection and never answers the upgrade: the
     # connect timeout bounds the handshake, and the lock is free again.
@@ -730,8 +896,8 @@ def test_dropped_client_closes_its_connections(live_server):
     def open_connections():
         return sum(t.name == name for t in threading.enumerate())
 
-    # The abandoned exchange's connection ends once it has written its
-    # answer, which can come after the push delivery that ended the send.
+    # "echo" reuses the connection "slow" timed out on, once the answer it
+    # owes has arrived, which can come after the push delivery.
     deadline = time.monotonic() + 2.0
     while open_connections() > 2 and time.monotonic() < deadline:
         time.sleep(0.01)

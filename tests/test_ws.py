@@ -8,6 +8,9 @@ from rmaws import http1, ws
 
 def frame_pair():
     a, b = socket.socketpair()
+    # A frame refused at the wrong point leaves a read waiting: fail, not hang.
+    a.settimeout(5.0)
+    b.settimeout(5.0)
     return (ws.WsConnection(a, a.makefile("rb"), mask_outgoing=True),
             ws.WsConnection(b, b.makefile("rb"), mask_outgoing=False))
 
@@ -64,6 +67,62 @@ def test_fragmented_rejected():
     server.sock.sendall(bytes([ws.OP_BINARY, 1]) + b"x")
     with pytest.raises(ws.WsError):
         client.recv_message()
+    client.shutdown()
+    server.shutdown()
+
+
+def test_unmasked_client_frame_is_refused():
+    client, server = frame_pair()
+    client.sock.sendall(ws._encode_frame(ws.OP_BINARY, b"x", mask=False))
+    with pytest.raises(ws.WsError, match="unmasked"):
+        server.recv_message()
+    client.shutdown()
+    server.shutdown()
+
+
+def test_masked_server_frame_is_refused():
+    client, server = frame_pair()
+    server.sock.sendall(ws._encode_frame(ws.OP_BINARY, b"x", mask=True))
+    with pytest.raises(ws.WsError, match="masked"):
+        client.recv_message()
+    client.shutdown()
+    server.shutdown()
+
+
+CONTROL_OPCODES = pytest.mark.parametrize("opcode", [ws.OP_CLOSE, ws.OP_PING, ws.OP_PONG],
+                                          ids=["close", "ping", "pong"])
+
+
+@CONTROL_OPCODES
+@pytest.mark.parametrize("length_field", [bytes([126]) + (126).to_bytes(2, "big"),
+                                          bytes([127]) + (1 << 40).to_bytes(8, "big")],
+                         ids=["126-bytes", "1-TiB"])
+def test_control_frame_over_125_bytes_is_refused_before_its_payload(opcode, length_field):
+    # Only the head is sent: reading the payload it announces would block.
+    client, server = frame_pair()
+    server.sock.sendall(bytes([0x80 | opcode]) + length_field)
+    with pytest.raises(ws.WsError, match="125"):
+        client.recv_message()
+    client.shutdown()
+    server.shutdown()
+
+
+@CONTROL_OPCODES
+def test_control_frame_without_fin_is_refused(opcode):
+    client, server = frame_pair()
+    server.sock.sendall(bytes([opcode, 1]) + b"p")
+    with pytest.raises(ws.WsError, match="fragmented"):
+        client.recv_message()
+    client.shutdown()
+    server.shutdown()
+
+
+def test_control_frame_of_125_bytes_is_answered():
+    client, server = frame_pair()
+    server.sock.sendall(ws._encode_frame(ws.OP_PING, b"p" * 125, mask=False))
+    server.sock.sendall(ws._encode_frame(ws.OP_BINARY, b"data", mask=False))
+    assert client.recv_message() == b"data"
+    assert server._read_frame() == (ws.OP_PONG, b"p" * 125)
     client.shutdown()
     server.shutdown()
 

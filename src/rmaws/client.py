@@ -1,11 +1,11 @@
 """Client SDK: identified sends with timeout fallback and stable retries.
 
 ``SendMachine`` is the sans-IO state machine behind one logical send: it
-builds the request identity once, walks HTTP wait -> push wait -> retry
-transitions, and emits effects for a driver to perform. The live driver
-(``Client``) interprets effects with blocking sockets; the simulator
-interprets the same machine with virtual-clock events, so both exercise
-identical protocol behaviour.
+builds the request identity once and walks HTTP wait -> push wait ->
+retry. Each transition returns one step: the driver's next action or the
+send's result. The live driver (``Client``) takes each step with
+blocking sockets; the simulator takes the same steps with virtual-clock
+events, so both exercise identical protocol behaviour.
 
 ``Client`` frames HTTP/1.1 itself through ``rmaws.http1``: each request
 goes out as head and body in one write on a kept-alive socket, and each
@@ -148,18 +148,13 @@ class TimestampAllocator:
 _PROCESS_TIMESTAMPS = TimestampAllocator()
 
 
-# -- machine effects -------------------------------------------------------
+# -- machine steps ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class SendHttp:
     env: RequestEnvelope
     timeout_ms: int
     epoch: int
-
-
-@dataclass(frozen=True)
-class AbandonHttp:
-    trial: int
 
 
 @dataclass(frozen=True)
@@ -176,22 +171,6 @@ class Pause:
     epoch: int
 
 
-@dataclass(frozen=True)
-class ReleasePush:
-    rid: RequestId
-    digest: bytes  # the one the send registered with
-
-
-@dataclass(frozen=True)
-class Finished:
-    outcome: Outcome
-
-
-@dataclass(frozen=True)
-class Failed:
-    error: ClientError
-
-
 class SendMachine:
     """State machine for one logical send.
 
@@ -199,6 +178,13 @@ class SendMachine:
     retries only increment the trial digits, so every attempt shares one
     dedup key. The first completed delivery wins; later deliveries for the
     same key are dropped.
+
+    Each transition returns one step: the driver's next action
+    (``SendHttp``, ``RegisterPush`` or ``Pause``); the send's result, the
+    ``Outcome`` or ``ClientError`` it also keeps in ``result``; or None
+    when the event changes nothing (a stale epoch, a duplicate or foreign
+    delivery, a send already done). Once ``result`` is set, the driver
+    releases the push wait, if ``digest`` says that one began.
     """
 
     WAIT_HTTP = "wait_http"
@@ -222,122 +208,107 @@ class SendMachine:
     def key(self) -> str:
         return self.rid.dedup_key
 
-    def _envelope(self) -> RequestEnvelope:
-        return RequestEnvelope(self.rid, self.opts.forced, self.service, self.payload)
-
-    def _send_effects(self) -> list:
+    def _send_http(self) -> SendHttp:
         self.state = SendMachine.WAIT_HTTP
         self.epoch += 1
-        return [SendHttp(self._envelope(), self.opts.http_timeout_ms, self.epoch)]
+        env = RequestEnvelope(self.rid, self.opts.forced, self.service, self.payload)
+        return SendHttp(env, self.opts.http_timeout_ms, self.epoch)
 
-    def start(self) -> list:
-        return self._send_effects()
+    def _register_push(self) -> RegisterPush:
+        return RegisterPush(self.rid, self.opts.push_wait_ms, self.epoch, self.digest)
 
-    def _finish(self, resp: ResponseEnvelope) -> list:
+    def start(self) -> SendHttp:
+        return self._send_http()
+
+    def _end(self, result: Outcome | ClientError) -> Outcome | ClientError:
         self.state = SendMachine.DONE
-        effects = []
-        if self.digest is not None:
-            effects.append(ReleasePush(self.rid, self.digest))
-        if resp.status is ResponseStatus.VALIDATION_ERROR:
-            self.result = ClientError("Rejected", resp.body.decode("utf-8", "replace"),
-                                      rid=self.rid, trials_used=self.rid.trial)
-            effects.append(Failed(self.result))
-        else:
-            self.result = Outcome(
-                status=resp.status,
-                body=resp.body if resp.status is ResponseStatus.OK else None,
-                channel=resp.channel,
-                trials_used=self.rid.trial,
-                rid=self.rid,
-            )
-            effects.append(Finished(self.result))
-        return effects
+        self.result = result
+        return result
 
-    def _fail(self, kind: str, detail: str) -> list:
-        self.state = SendMachine.DONE
-        self.result = ClientError(kind, detail, rid=self.rid, trials_used=self.rid.trial)
-        effects = []
-        if self.digest is not None:
-            effects.append(ReleasePush(self.rid, self.digest))
-        effects.append(Failed(self.result))
-        return effects
+    def _fail(self, kind: str, detail: str) -> ClientError:
+        return self._end(ClientError(kind, detail, rid=self.rid, trials_used=self.rid.trial))
 
-    def _next_trial(self) -> list:
+    def _next_trial(self) -> SendHttp | ClientError:
         if self.rid.trial >= self.opts.max_trials:
             return self._fail("Exhausted", f"no response after {self.rid.trial} trials")
         self.rid = self.rid.with_trial(self.rid.trial + 1)
-        return self._send_effects()
+        return self._send_http()
 
-    def _delivery(self, resp: ResponseEnvelope) -> list:
+    def _delivery(self, resp: ResponseEnvelope) -> Outcome | ClientError | None:
         if self.state == SendMachine.DONE or resp.rid.dedup_key != self.key:
             log.debug("dropping duplicate/foreign delivery for %s", resp.rid.short())
-            return []
-        return self._finish(resp)
+            return None
+        if resp.status is ResponseStatus.VALIDATION_ERROR:
+            return self._fail("Rejected", resp.body.decode("utf-8", "replace"))
+        return self._end(Outcome(
+            status=resp.status,
+            body=resp.body if resp.status is ResponseStatus.OK else None,
+            channel=resp.channel,
+            trials_used=self.rid.trial,
+            rid=self.rid,
+        ))
 
-    def on_http_response(self, resp: ResponseEnvelope) -> list:
+    def on_http_response(self, resp: ResponseEnvelope) -> Outcome | ClientError | None:
         return self._delivery(resp)
 
-    def on_http_timeout(self, epoch: int) -> list:
+    def on_http_timeout(self, epoch: int) -> RegisterPush | None:
         if self.state != SendMachine.WAIT_HTTP or epoch != self.epoch:
-            return []
+            return None
         self.state = SendMachine.WAIT_PUSH
         self.epoch += 1
         self.register_lost = False
         if self.digest is None:
             self.digest = payload_digest(self.payload)
-        return [
-            AbandonHttp(self.rid.trial),
-            RegisterPush(self.rid, self.opts.push_wait_ms, self.epoch, self.digest),
-        ]
+        return self._register_push()
 
-    def on_http_transport_error(self, refused: bool) -> list:
+    def on_http_transport_error(self, refused: bool) -> RegisterPush | ClientError | None:
         """Connection refused is terminal; a reset after sending means the
         response may be lost in flight, which is exactly what the push
         fallback recovers, so it is treated like a timeout."""
         if self.state != SendMachine.WAIT_HTTP:
-            return []
+            return None
         if refused:
             return self._fail("Transport", "connection refused")
         return self.on_http_timeout(self.epoch)
 
-    def on_push_delivered(self, resp: ResponseEnvelope) -> list:
+    def on_push_delivered(self, resp: ResponseEnvelope) -> Outcome | ClientError | None:
         return self._delivery(resp)
 
-    def on_push_timeout(self, epoch: int) -> list:
+    def on_push_timeout(self, epoch: int) -> SendHttp | ClientError | None:
         if self.state != SendMachine.WAIT_PUSH or epoch != self.epoch:
-            return []
+            return None
         return self._next_trial()
 
-    def on_push_register_failed(self) -> list:
+    def on_push_register_failed(self) -> Pause | None:
         """Could not open or register on the push channel: keep the push
         wait as a pacing delay, then retry over HTTP."""
         if self.state != SendMachine.WAIT_PUSH:
-            return []
+            return None
         self.state = SendMachine.PAUSED
         self.epoch += 1
-        return [Pause(self.opts.push_wait_ms, self.epoch)]
+        return Pause(self.opts.push_wait_ms, self.epoch)
 
-    def on_push_dead(self) -> list:
+    def on_push_dead(self) -> SendHttp | ClientError | None:
         """An established push connection died: retry immediately."""
         if self.state != SendMachine.WAIT_PUSH:
-            return []
+            return None
         return self._next_trial()
 
-    def on_push_lost(self) -> list:
+    def on_push_lost(self) -> RegisterPush | SendHttp | ClientError | None:
         """The push connection died with the wait's Register unanswered,
         most likely closed by the server while idle just then: register
         once more in the same wait, which is safe. A second loss in one
         wait is the channel dying."""
         if self.state != SendMachine.WAIT_PUSH:
-            return []
+            return None
         if self.register_lost:
             return self.on_push_dead()
         self.register_lost = True
-        return [RegisterPush(self.rid, self.opts.push_wait_ms, self.epoch, self.digest)]
+        return self._register_push()
 
-    def on_pause_done(self, epoch: int) -> list:
+    def on_pause_done(self, epoch: int) -> SendHttp | ClientError | None:
         if self.state != SendMachine.PAUSED or epoch != self.epoch:
-            return []
+            return None
         return self._next_trial()
 
 
@@ -521,34 +492,28 @@ class Client:
     def send(self, service: str, payload: bytes, opts: SendOptions | None = None) -> Outcome:
         opts = opts if opts is not None else self.defaults
         machine = SendMachine(service, payload, opts, self.device_id, self.clock())
-        effects = machine.start()
-        deadlines = {}  # push wait's epoch -> its deadline, kept if a Register goes out again
+        step = machine.start()
+        wait_epoch, deadline = None, 0.0  # a Register sent again keeps its wait's deadline
         try:
-            while True:
-                produced = None
-                for eff in effects:
-                    if isinstance(eff, Finished):
-                        return eff.outcome
-                    if isinstance(eff, Failed):
-                        raise eff.error
-                    if isinstance(eff, ReleasePush):
-                        self._push.release(eff.rid, eff.digest)
-                    elif isinstance(eff, AbandonHttp):
-                        log.debug("abandoning HTTP exchange for trial %d", eff.trial)
-                    elif isinstance(eff, SendHttp):
-                        produced = self._drive_http(machine, eff)
-                    elif isinstance(eff, RegisterPush):
-                        deadline = time.monotonic() + eff.wait_ms / 1000.0
-                        produced = self._drive_push(machine, eff,
-                                                    deadlines.setdefault(eff.epoch, deadline))
-                    elif isinstance(eff, Pause):
-                        time.sleep(eff.ms / 1000.0)
-                        produced = machine.on_pause_done(eff.epoch)
-                if produced is None:
+            while machine.result is None:
+                if isinstance(step, SendHttp):
+                    step = self._drive_http(machine, step)
+                elif isinstance(step, RegisterPush):
+                    if step.epoch != wait_epoch:
+                        wait_epoch, deadline = step.epoch, time.monotonic() + step.wait_ms / 1000.0
+                    step = self._drive_push(machine, step, deadline)
+                elif isinstance(step, Pause):
+                    time.sleep(step.ms / 1000.0)
+                    step = machine.on_pause_done(step.epoch)
+                else:
                     raise RuntimeError("send machine stalled")  # pragma: no cover
-                effects = produced
         finally:
+            if machine.digest is not None:
+                self._push.release(machine.rid, machine.digest)
             self._release_owed(machine.key, isinstance(machine.result, Outcome))
+        if isinstance(machine.result, ClientError):
+            raise machine.result
+        return machine.result
 
     def _release_owed(self, key: str, answered: bool) -> None:
         """A send for ``key`` has ended: release the connections of its
@@ -565,23 +530,23 @@ class Client:
         if not answered:
             _close_all(owed)
 
-    def _drive_http(self, machine: SendMachine, eff: SendHttp) -> list:
-        kind, resp = self._post_envelope(eff.env, eff.timeout_ms)
+    def _drive_http(self, machine: SendMachine, step: SendHttp):
+        kind, resp = self._post_envelope(step.env, step.timeout_ms)
         if kind == "response":
             return machine.on_http_response(resp)
         if kind == "timeout":
-            return machine.on_http_timeout(eff.epoch)
+            return machine.on_http_timeout(step.epoch)
         return machine.on_http_transport_error(refused=(kind == "refused"))
 
-    def _drive_push(self, machine: SendMachine, eff: RegisterPush, deadline: float) -> list:
-        slot = self._push.register(eff.rid, eff.digest)
+    def _drive_push(self, machine: SendMachine, step: RegisterPush, deadline: float):
+        slot = self._push.register(step.rid, step.digest)
         if slot is None:
             return machine.on_push_register_failed()
         kind, resp = self._push.wait(slot, max(0.0, deadline - time.monotonic()) * 1000.0)
         if kind == "deliver":
             return machine.on_push_delivered(resp)
         if kind == "timeout":
-            return machine.on_push_timeout(eff.epoch)
+            return machine.on_push_timeout(step.epoch)
         if kind == "lost":
             return machine.on_push_lost()
         return machine.on_push_dead()
@@ -590,9 +555,8 @@ class Client:
               rid: RequestId | None = None) -> tuple[http1.ResponseHead, bytes]:
         """POST on a kept-alive connection; return the response head and body.
 
-        Head and body go out in one write. Reading a response that the
-        connection owes (below) counts against ``timeout_s``, and each later
-        read or write waits at most what is left of it. The connection goes
+        Head and body go out in one write, and each read or write waits at
+        most what is left of ``timeout_s``. The connection goes
         back to the free-list after a complete response that leaves it
         open. A /services post (one with a ``rid``) that times out before
         any byte of its response arrives keeps its connection, owing that
@@ -601,14 +565,17 @@ class Client:
         close the connection.
 
         A connection taken from the free-list first reads and discards the
-        response it owes, if any. When that read fails, or a reused
-        connection fails before any byte of the new response arrives, the
-        connection is closed and the request goes out once more on a new
-        one. The usual cause is a server that closed the connection while
-        idle. A re-send is safe: the server closes an idle connection only
-        between requests, the request was not sent on a connection whose
-        owed read failed, and a re-sent /services request carries the same
-        rid, so the server replays it or attaches it.
+        response it owes, if any, within ``timeout_s``. When that read
+        fails, or a reused connection fails before any byte of the new
+        response arrives, the connection is closed and the request goes out
+        once more on a new one. The usual cause is a server that closed the
+        connection while idle. After a failed owed read, a time-out
+        included, the request gets all of ``timeout_s`` again on the new
+        connection, since it was never sent. A re-send is safe: the server
+        closes an idle connection only between requests, the request was
+        not sent on a connection whose owed read failed, and a re-sent
+        /services request carries the same rid, so the server replays it or
+        attaches it.
 
         A response that ``http1`` cannot frame (no plain Content-Length,
         any Transfer-Encoding, a body cut short) raises ``HttpError``, and
@@ -646,6 +613,8 @@ class Client:
                 except _STALE_CONNECTION_ERRORS:
                     if not reused:
                         raise
+                    if conn.owed is not None:  # the owed read failed: the request was not sent
+                        deadline = time.monotonic() + timeout_s
                     conn.close()
                     conn = _Connection(self.host, self.port, _time_left(deadline))
                     reused = False

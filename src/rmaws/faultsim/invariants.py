@@ -44,19 +44,25 @@ def check_invariants(trace: Trace) -> list[Violation]:
             violations.append(Violation(
                 AT_MOST_ONCE, f"key {key!r} executed {count} times without is_forced"))
 
-    completed_keys = {e.get("key") for e in trace.events
-                      if e["kind"] == "server_record_completed"}
-
     # Eventual delivery: a completed response must reach any client that
-    # is reachable again by the end of the scenario. A send the server
-    # refused as IdentityConflict is exempt: it reused another request's
-    # id, so the body completed under that key was never its to receive,
-    # and the rejection was its answer.
-    conflicted = {e["send"] for e in trace.events if e["kind"] == "send_failed"
-                  and e.get("detail", "").startswith("IdentityConflict")}
+    # is reachable again by the end of the scenario. Two failed sends are
+    # exempt. One the server refused as IdentityConflict reused another
+    # request's id, so the body completed under that key was never its to
+    # receive, and the rejection was its answer. One that gave up before
+    # its key first completed had nothing to receive while it waited.
+    key_of = {out["send"]: out.get("key") for out in trace.outcomes}
+    completed_keys = set()
+    exempt = set()
+    for e in trace.events:
+        if e["kind"] == "server_record_completed":
+            completed_keys.add(e.get("key"))
+        elif e["kind"] == "send_failed" and (
+                key_of.get(e["send"]) not in completed_keys
+                or e.get("detail", "").startswith("IdentityConflict")):
+            exempt.add(e["send"])
     for out in trace.outcomes:
         key = out.get("key")
-        if key is None or out.get("status") == "Ok" or out["send"] in conflicted:
+        if key is None or out.get("status") == "Ok" or out["send"] in exempt:
             continue
         if key in completed_keys and trace.clients_online_at_end.get(out["client"], False):
             violations.append(Violation(
@@ -82,12 +88,18 @@ def check_invariants(trace: Trace) -> list[Violation]:
                 violations.append(Violation(
                     BODY_MISMATCH, f"push delivery for {event.get('key')!r} body mismatch"))
 
-    # Socket hygiene: a finished send leaves no registration behind.
+    # Socket hygiene: once every send for a key has ended (Ok, Exhausted,
+    # Rejected, ...), the client holds no registration for it; once one is
+    # answered, neither does the server. The server cannot tell a send that
+    # gave up from one still waiting, so its registration may outlive one.
     ok_keys = {out["key"] for out in trace.outcomes if out.get("status") == "Ok"}
-    for key in sorted(set(trace.open_client_registrations) | set(trace.push_presence_at_end)):
-        if key in ok_keys:
-            violations.append(Violation(
-                SOCKET_HYGIENE, f"registration for {key!r} survived a successful outcome"))
+    waiting_keys = {out.get("key") for out in trace.outcomes if out.get("status") == "incomplete"}
+    for key in sorted(set(trace.open_client_registrations) - waiting_keys):
+        violations.append(Violation(
+            SOCKET_HYGIENE, f"client registration for {key!r} survived its sends"))
+    for key in sorted(set(trace.push_presence_at_end) & ok_keys):
+        violations.append(Violation(
+            SOCKET_HYGIENE, f"registration for {key!r} survived a successful outcome"))
 
     # Wire accounting: the codec's constant envelope overhead holds inside
     # a full system run, for every request that went on the wire.
@@ -102,7 +114,7 @@ def check_invariants(trace: Trace) -> list[Violation]:
     receipt_keys = set()
     for event in trace.events:
         if event["kind"] == "http_response":
-            receipt_keys.add(_key_of_send(trace, event.get("send")))
+            receipt_keys.add(key_of.get(event.get("send")))
         elif event["kind"] == "push_deliver":
             receipt_keys.add(event.get("key"))
     cached = set(trace.cached_keys_at_end)
@@ -112,10 +124,3 @@ def check_invariants(trace: Trace) -> list[Violation]:
                 RESPONSE_CONSERVATION, f"completed response for {key!r} vanished"))
 
     return violations
-
-
-def _key_of_send(trace: Trace, send_index) -> str | None:
-    for out in trace.outcomes:
-        if out.get("send") == send_index:
-            return out.get("key")
-    return None

@@ -3,7 +3,10 @@
 One single-threaded event loop drives real protocol components: the
 server core, the server-side push sessions, and the client send machines
 are the same classes the live stack uses; only transports and timers are
-virtual. The server side of a request is ``ServerCore.receive`` and
+virtual. Each event a send's ``SendMachine`` is told of returns one step,
+which ``SimWorld._interpret`` takes as ``Client.send`` does: the next
+action, or the send's result, on which the push wait is released. The
+server side of a request is ``ServerCore.receive`` and
 ``execute``, as in the live server, with the handler's ``delay_ms``
 scheduled in between. An abandoned or offline exchange is only marked
 dead: the core holds no registration for it to remove, and when the
@@ -27,12 +30,9 @@ from __future__ import annotations
 import heapq
 
 from ..client import (
-    AbandonHttp,
-    Failed,
-    Finished,
+    Outcome,
     Pause,
     RegisterPush,
-    ReleasePush,
     SendHttp,
     SendMachine,
     SendOptions,
@@ -109,9 +109,6 @@ class SimSend:
         self.machine: SendMachine | None = None
         self.current_exchange: SimExchange | None = None
         self.push_epoch: int | None = None  # of the push wait whose timer runs
-        self.done = False
-        self.outcome = None
-        self.error = None
 
 
 class SimWorld:
@@ -230,33 +227,27 @@ class SimWorld:
                         rid=send.machine.rid.canonical(), forced=spec.forced)
         self._interpret(send, send.machine.start())
 
-    def _interpret(self, send: SimSend, effects: list) -> None:
-        for eff in effects:
-            if isinstance(eff, SendHttp):
-                self._post(send, eff)
-            elif isinstance(eff, AbandonHttp):
-                self._abandon(send)
-            elif isinstance(eff, RegisterPush):
-                self._register_push(send, eff)
-            elif isinstance(eff, Pause):
-                self.trace.emit("pause", send=send.index, ms=eff.ms)
-                self.schedule(eff.ms, lambda s=send, e=eff: self._interpret(
-                    s, s.machine.on_pause_done(e.epoch)))
-            elif isinstance(eff, ReleasePush):
-                self._release_push(send, eff)
-            elif isinstance(eff, Finished):
-                send.done = True
-                send.outcome = eff.outcome
-                self.trace.emit("send_done", send=send.index,
-                                status=eff.outcome.status.value,
-                                channel=eff.outcome.channel.value,
-                                trials=eff.outcome.trials_used,
-                                body_len=len(eff.outcome.body or b""))
-            elif isinstance(eff, Failed):
-                send.done = True
-                send.error = eff.error
-                self.trace.emit("send_failed", send=send.index, error=eff.error.kind,
-                                detail=eff.error.detail, trials=eff.error.trials_used)
+    def _interpret(self, send: SimSend, step) -> None:
+        """Take one step of ``send``'s machine. On its result, release the
+        push wait, as ``PushClient.release`` does: the connection stays open."""
+        machine = send.machine
+        if isinstance(step, SendHttp):
+            self._post(send, step)
+        elif isinstance(step, RegisterPush):
+            self._register_push(send, step)
+        elif isinstance(step, Pause):
+            self.trace.emit("pause", send=send.index, ms=step.ms)
+            self.schedule(step.ms, lambda: self._interpret(send, machine.on_pause_done(step.epoch)))
+        elif step is not None:
+            if machine.digest is not None and send.client.conn is not None:
+                send.client.conn.waits.release(machine.key, machine.digest)
+            if isinstance(step, Outcome):
+                self.trace.emit("send_done", send=send.index, status=step.status.value,
+                                channel=step.channel.value, trials=step.trials_used,
+                                body_len=len(step.body or b""))
+            else:
+                self.trace.emit("send_failed", send=send.index, error=step.kind,
+                                detail=step.detail, trials=step.trials_used)
 
     def _post(self, send: SimSend, eff: SendHttp) -> None:
         data = encode_request(eff.env)
@@ -278,17 +269,16 @@ class SimWorld:
         self.schedule(self.lat_req, lambda: self._server_receive(send, exchange, data))
 
     def _http_timer(self, send: SimSend, epoch: int) -> None:
-        effects = send.machine.on_http_timeout(epoch)
-        if effects:
-            self.trace.emit("http_timeout", send=send.index, trial=send.machine.rid.trial)
-            self._interpret(send, effects)
-
-    def _abandon(self, send: SimSend) -> None:
-        exchange = send.current_exchange
-        if exchange is None or not exchange.alive:
+        """The HTTP wait ran out: abandon its exchange, then register."""
+        step = send.machine.on_http_timeout(epoch)
+        if step is None:
             return
-        exchange.alive = False
-        self.trace.emit("http_abandon", send=send.index, trial=exchange.trial)
+        self.trace.emit("http_timeout", send=send.index, trial=send.machine.rid.trial)
+        exchange = send.current_exchange
+        if exchange.alive:
+            exchange.alive = False
+            self.trace.emit("http_abandon", send=send.index, trial=exchange.trial)
+        self._interpret(send, step)
 
     # -- server side --------------------------------------------------------
 
@@ -327,11 +317,11 @@ class SimWorld:
         self.trace.emit("http_response", send=send.index, trial=exchange.trial,
                         status=resp.status.value, channel=resp.channel.value,
                         bytes=len(resp.body), body_sha=body_digest(resp.body))
-        effects = send.machine.on_http_response(resp)
-        if not effects:
+        step = send.machine.on_http_response(resp)
+        if step is None:
             self.trace.emit("duplicate_dropped", send=send.index, via="http")
             return
-        self._interpret(send, effects)
+        self._interpret(send, step)
 
     # -- push channel ---------------------------------------------------------
 
@@ -385,11 +375,11 @@ class SimWorld:
                 self.trace.emit("duplicate_dropped", conn=conn.id, via="push")
                 return
             send = heard.waiter
-            effects = send.machine.on_push_delivered(resp)
-            if not effects:
+            step = send.machine.on_push_delivered(resp)
+            if step is None:
                 self.trace.emit("duplicate_dropped", send=send.index, via="push")
                 return
-            self._interpret(send, effects)
+            self._interpret(send, step)
         if not heard.open:
             self.trace.emit("push_conn_closed", conn=conn.id, by="server_goodbye")
             self._push_conn_died(conn)
@@ -400,22 +390,16 @@ class SimWorld:
         every other waiting send sees the channel die."""
         conn.alive = False
         for send, lost in conn.waits.dead():
-            effects = send.machine.on_push_lost() if lost else send.machine.on_push_dead()
-            if any(isinstance(eff, RegisterPush) for eff in effects):
+            step = send.machine.on_push_lost() if lost else send.machine.on_push_dead()
+            if isinstance(step, RegisterPush):
                 self.trace.emit("push_register_lost", send=send.index, conn=conn.id)
-            self._interpret(send, effects)
+            self._interpret(send, step)
 
     def _push_timer(self, send: SimSend, epoch: int) -> None:
-        effects = send.machine.on_push_timeout(epoch)
-        if effects:
+        step = send.machine.on_push_timeout(epoch)
+        if step is not None:
             self.trace.emit("push_timeout", send=send.index)
-            self._interpret(send, effects)
-
-    def _release_push(self, send: SimSend, eff: ReleasePush) -> None:
-        """Drop the registration; the connection stays open, as in
-        ``PushClient.release``."""
-        if send.client.conn is not None:
-            send.client.conn.waits.release(eff.rid.dedup_key, eff.digest)
+            self._interpret(send, step)
 
     # -- faults ----------------------------------------------------------------
 
@@ -466,19 +450,21 @@ class SimWorld:
         for send in self.sends:
             row: dict = {"send": send.index, "client": send.client.name,
                          "forced": send.spec.forced}
+            result = None
             if send.machine is not None:
                 row["key"] = send.machine.key
                 row["rid"] = send.machine.rid.canonical()
                 row["trials"] = send.machine.rid.trial
-            if send.outcome is not None:
-                row["status"] = send.outcome.status.value
-                row["channel"] = send.outcome.channel.value
-                row["body_len"] = len(send.outcome.body or b"")
-                row["body_sha"] = body_digest(send.outcome.body or b"")
-                if send.outcome.body is not None:
-                    raw_bodies[send.index] = send.outcome.body
-            elif send.error is not None:
-                row["error"] = send.error.kind
+                result = send.machine.result
+            if isinstance(result, Outcome):
+                row["status"] = result.status.value
+                row["channel"] = result.channel.value
+                row["body_len"] = len(result.body or b"")
+                row["body_sha"] = body_digest(result.body or b"")
+                if result.body is not None:
+                    raw_bodies[send.index] = result.body
+            elif result is not None:
+                row["error"] = result.kind
             else:
                 row["status"] = "incomplete"
             outcomes.append(row)

@@ -132,6 +132,36 @@ class TestOfflineRecovery:
         assert check_invariants(trace) == []
 
 
+class TestSendsThatGiveUp:
+    """Whether a send that ends Exhausted lost a delivery depends on when
+    its key completed."""
+
+    def test_gave_up_before_its_key_completed_is_not_a_lost_delivery(self):
+        services = [ServiceProfile(name="svc", delay_ms=900, output_size=64)]
+        trace = run(scenario([one_send(push_wait_ms=100)], services=services))
+        assert [(e["t"], e["error"]) for e in trace.events_of("send_failed")] == \
+            [(1000, "Exhausted")]
+        assert [e["t"] for e in trace.events_of("server_record_completed")] == [1005]
+        assert trace.open_client_registrations == []
+        assert check_invariants(trace) == []
+
+    def test_gave_up_after_its_key_completed_is_a_lost_delivery(self):
+        # Every HTTP response is dropped, and no Register reaches the
+        # server before the end.
+        trace = run(ScenarioSpec(
+            name="t", end_time_ms=3_000,
+            latency={"request_ms": 5, "response_ms": 5, "push_ms": 5_000},
+            services=[ServiceProfile(name="svc", delay_ms=50, output_size=64)],
+            sends=[one_send(push_wait_ms=100)],
+            faults=[FaultSpec(kind="drop_http_response", send=0)]))
+        assert [(e["t"], e["error"]) for e in trace.events_of("send_failed")] == \
+            [(1000, "Exhausted")]
+        assert [e["t"] for e in trace.events_of("server_record_completed")] == [155]
+        assert len(trace.events_of("push_register_sent")) == 3
+        assert trace.open_client_registrations == []
+        assert [v.kind for v in check_invariants(trace)] == ["DeliveryLost"]
+
+
 class TestForcedInSim:
     def test_forced_reexecution(self):
         sends = [
@@ -409,6 +439,23 @@ class TestInvariantPredicates:
         )
         kinds = [v.kind for v in check_invariants(trace)]
         assert kinds == ["SocketHygieneViolated"]
+
+    @pytest.mark.parametrize("outcome,where,kinds", [
+        ({"status": "Ok", "body_sha": "aa"}, "open_client_registrations",
+         ["SocketHygieneViolated"]),
+        ({"error": "Exhausted"}, "open_client_registrations", ["SocketHygieneViolated"]),
+        ({"error": "Rejected"}, "open_client_registrations", ["SocketHygieneViolated"]),
+        ({"status": "incomplete"}, "open_client_registrations", []),
+        # The server cannot tell a send that gave up from one still waiting.
+        ({"error": "Exhausted"}, "push_presence_at_end", []),
+    ], ids=["ok", "exhausted", "rejected", "still-waiting", "exhausted-server-side"])
+    def test_socket_hygiene_covers_every_ended_send(self, outcome, where, kinds):
+        trace = synthetic_trace(
+            outcomes=[{"send": 0, "client": "c1", "key": "k", "forced": False, **outcome}],
+            clients_online_at_end={"c1": True},
+            **{where: ["k"]},
+        )
+        assert [v.kind for v in check_invariants(trace)] == kinds
 
     def test_wire_accounting_flagged(self):
         trace = synthetic_trace(request_sizes=[[100, 10]])

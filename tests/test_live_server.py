@@ -461,6 +461,20 @@ def test_send_exhausted_while_its_handler_runs_closes_its_connection(live_server
     assert elapsed < 0.5
 
 
+def test_a_send_that_ends_leaves_no_push_waiter(live_server):
+    slow, _ = counting_handler("slow", body=b"late", delay_ms=150)
+    stuck, _ = counting_handler("stuck", delay_ms=1_000)
+    server = live_server(registry=HandlerRegistry().add(slow).add(stuck))
+    with make_client(server) as client:
+        assert client.send("slow", b"p", PUSHED).channel is Channel.PUSH
+        assert client._push._waits._waits == {}
+        with pytest.raises(ClientError) as err:
+            client.send("stuck", b"q", SendOptions(http_timeout_ms=50, push_wait_ms=50,
+                                                   max_trials=2, auth_token=TOKEN))
+        assert (err.value.kind, err.value.trials_used) == ("Exhausted", 2)
+        assert client._push._waits._waits == {}
+
+
 def test_send_after_server_closed_idle_connection(live_server, monkeypatch):
     monkeypatch.setattr(rmaws.server.http, "KEEPALIVE_IDLE_S", 0.2)
     accepts = count_accepts(monkeypatch)
@@ -743,17 +757,28 @@ def test_time_out_inside_a_response_closes_the_connection():
     assert [number for number, _ in peer.requests] == [0, 1]
 
 
-def test_owed_response_never_written_costs_no_more_than_the_timeout():
+def test_owed_response_never_written_leaves_the_request_its_own_timeout():
     # The peer takes connections into its backlog and never writes a byte.
     with socket.create_server(("127.0.0.1", 0)) as silent, \
             Client(*silent.getsockname()[:2], auth_token=TOKEN) as client:
-        first = envelope(b"first", 1)
+        first, second = envelope(b"first", 1), envelope(b"second", 2)
         assert client._post_envelope(first, 100) == ("timeout", None)
         client._release_owed(first.rid.dedup_key, answered=True)
         started = time.monotonic()
-        assert client._post_envelope(envelope(b"second", 2), 300) == ("timeout", None)
+        assert client._post_envelope(second, 300) == ("timeout", None)
         elapsed = time.monotonic() - started
-    assert 0.25 < elapsed < 0.45
+        client._release_owed(second.rid.dedup_key, answered=False)
+        # The owed read spent the first 300 ms; the request then went out
+        # on a second connection with 300 ms of its own.
+        received = []
+        silent.settimeout(5.0)
+        for _ in range(2):
+            conn, _ = silent.accept()
+            with conn:
+                conn.settimeout(5.0)
+                received.append(conn.recv(65536))
+    assert [second.rid.canonical().encode("ascii") in data for data in received] == [False, True]
+    assert 0.55 < elapsed < 0.75
 
 
 def test_push_handshake_without_an_answer_fails_the_registration():

@@ -13,8 +13,9 @@ set to 0. A change that alters only the size of a push frame keeps it.
 
     PYTHONPATH=src python tests/trace_digest.py
 
-pytest does not collect this file: its name does not start with
-``test_``.
+``tests/test_trace_digest.py`` compares these lines with
+``tests/golden/trace_digest.txt`` on every test run; a change that
+alters simulated behaviour updates that file and says why.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ def sans_push_sizes(trace):
     return dataclasses.replace(trace, events=events, wire=dict(trace.wire, push_bytes=0))
 
 
-def main() -> None:
+def fingerprint() -> list[str]:
+    """The lines that ``main`` prints."""
     template, sites = load_template(random.Random(42))
     digest = hashlib.sha256()
     digest_sans_push_sizes = hashlib.sha256()
@@ -61,10 +63,12 @@ def main() -> None:
                        for broken in (False, True))
     finally:
         enumeration.run = real_run
-    print(f"runs {runs}")
-    print(f"findings {findings}")
-    print(f"sha256 {digest.hexdigest()}")
-    print(f"sha256_sans_push_sizes {digest_sans_push_sizes.hexdigest()}")
+    return [f"runs {runs}", f"findings {findings}", f"sha256 {digest.hexdigest()}",
+            f"sha256_sans_push_sizes {digest_sans_push_sizes.hexdigest()}"]
+
+
+def main() -> None:
+    print("\n".join(fingerprint()))
 
 
 if __name__ == "__main__":

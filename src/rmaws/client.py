@@ -11,14 +11,16 @@ events, so both exercise identical protocol behaviour.
 goes out as head and body in one write on a kept-alive socket, and each
 response is read through the buffered reader that socket keeps. A
 /services exchange that times out before any byte of its response
-arrives keeps its connection: once the send has its answer, the server
-has written that response too, so the connection is reused after the
-response is read and discarded (RFC 9112 §9.3). A /direct time-out, a
-time-out inside a response and any other error close the connection. A
-response that cannot be framed (no plain ``Content-Length``, any
-``Transfer-Encoding``, a body cut short) or that answers another rid
-counts as a broken exchange: its connection closes and the send falls
-back to push, as after a timeout.
+arrives keeps its connection, which stays with its send. When the send
+ends with an answer, the server has written that response too, so the
+send reads and drops it within its own timeout, and the connection is
+reused if that response is framed, names the send's key and keeps it
+open (RFC 9112 §9.3). A send that ends any other way, a /direct
+time-out, a time-out inside a response and any other error close the
+connection. A response that cannot be framed (no plain
+``Content-Length``, any ``Transfer-Encoding``, a body cut short) or that
+answers another rid counts as a broken exchange: its connection closes
+and the send falls back to push, as after a timeout.
 
 ``PushClient`` keeps the push connection's socket, lock and reader
 thread; what is sent on it and what each frame from the server means is
@@ -61,8 +63,7 @@ DEFAULT_PUSH_WAIT_MS = 30_000
 _STATUSES = {status.value: status for status in ResponseStatus}
 _CHANNELS = {channel.value: channel for channel in Channel}
 # What a kept-alive connection that the server closed while idle raises
-# when it is used again, before any byte of a response arrives, and what
-# ``_Connection.read_owed`` raises when the response it owes cannot be read.
+# when it is used again, before any byte of a response arrives.
 _STALE_CONNECTION_ERRORS = (ConnectionResetError, BrokenPipeError)
 
 
@@ -465,9 +466,6 @@ class Client:
         self._direct_fields = http1.field_lines(fields)
         self._service_fields = http1.field_lines({**fields, TOKEN_HEADER: auth_token})
         self._idle: list[_Connection] = []
-        # The connections of timed-out /services exchanges, by the dedup
-        # key whose response each owes, until a send for that key ends.
-        self._owed: dict[str, list[_Connection]] = {}
         self._idle_lock = threading.Lock()
         # A Client dropped without close() still closes its connections.
         weakref.finalize(self, _close_all, self._idle)
@@ -494,10 +492,11 @@ class Client:
         machine = SendMachine(service, payload, opts, self.device_id, self.clock())
         step = machine.start()
         wait_epoch, deadline = None, 0.0  # a Register sent again keeps its wait's deadline
+        owed: list[_Connection] = []  # of the send's timed-out exchanges
         try:
             while machine.result is None:
                 if isinstance(step, SendHttp):
-                    step = self._drive_http(machine, step)
+                    step = self._drive_http(machine, step, owed)
                 elif isinstance(step, RegisterPush):
                     if step.epoch != wait_epoch:
                         wait_epoch, deadline = step.epoch, time.monotonic() + step.wait_ms / 1000.0
@@ -510,28 +509,29 @@ class Client:
         finally:
             if machine.digest is not None:
                 self._push.release(machine.rid, machine.digest)
-            self._release_owed(machine.key, isinstance(machine.result, Outcome))
+            if isinstance(machine.result, Outcome):
+                self._drain(owed, machine.key, opts.http_timeout_ms / 1000.0)
+            else:  # Exhausted, Transport or Rejected: nothing says the server answers
+                _close_all(owed)
         if isinstance(machine.result, ClientError):
             raise machine.result
         return machine.result
 
-    def _release_owed(self, key: str, answered: bool) -> None:
-        """A send for ``key`` has ended: release the connections of its
-        timed-out exchanges. With an answer (an ``Outcome``) the execution
-        has completed, and the server writes each waiting exchange's
-        response then, so each connection goes back to the free-list,
-        still owing that response. Without one (``Exhausted``,
-        ``Transport``, ``Rejected``) they close. Sends that share a key
-        share its connections."""
-        with self._idle_lock:
-            owed = self._owed.pop(key, [])
-            if answered:
-                self._idle.extend(owed)
-        if not answered:
-            _close_all(owed)
+    def _drain(self, owed: list[_Connection], key: str, timeout_s: float) -> None:
+        """The send for ``key`` has its answer, so the server has written,
+        or is writing, the response each connection in ``owed`` holds. Read
+        and drop them within ``timeout_s`` in all; a connection is reused
+        only if its response is framed, names ``key`` and keeps it open."""
+        deadline = time.monotonic() + timeout_s
+        for conn in owed:
+            if conn.read_owed(key, deadline):
+                with self._idle_lock:
+                    self._idle.append(conn)
+            else:
+                conn.close()
 
-    def _drive_http(self, machine: SendMachine, step: SendHttp):
-        kind, resp = self._post_envelope(step.env, step.timeout_ms)
+    def _drive_http(self, machine: SendMachine, step: SendHttp, owed: list[_Connection]):
+        kind, resp = self._post_envelope(step.env, step.timeout_ms, owed)
         if kind == "response":
             return machine.on_http_response(resp)
         if kind == "timeout":
@@ -552,30 +552,27 @@ class Client:
         return machine.on_push_dead()
 
     def _post(self, path: str, body: bytes, field_block: bytes, timeout_s: float,
-              rid: RequestId | None = None) -> tuple[http1.ResponseHead, bytes]:
+              rid: RequestId | None = None,
+              owed: list[_Connection] | None = None) -> tuple[http1.ResponseHead, bytes]:
         """POST on a kept-alive connection; return the response head and body.
 
         Head and body go out in one write, and each read or write waits at
-        most what is left of ``timeout_s``. The connection goes
-        back to the free-list after a complete response that leaves it
-        open. A /services post (one with a ``rid``) that times out before
-        any byte of its response arrives keeps its connection, owing that
-        response to the send until the send ends (``_release_owed``). A
-        /direct time-out, a time-out inside a response and any other error
-        close the connection.
+        most what is left of ``timeout_s``. The connection goes back to the
+        free-list after a complete response that leaves it open, so a
+        connection on the free-list owes nothing. A /services post that
+        times out before any byte of its response arrives appends its
+        connection to ``owed``, its send's list, and the send decides when
+        it ends whether that connection is reused (``send``). A /direct
+        time-out, a time-out inside a response and any other error close
+        the connection.
 
-        A connection taken from the free-list first reads and discards the
-        response it owes, if any, within ``timeout_s``. When that read
-        fails, or a reused connection fails before any byte of the new
-        response arrives, the connection is closed and the request goes out
-        once more on a new one. The usual cause is a server that closed the
-        connection while idle. After a failed owed read, a time-out
-        included, the request gets all of ``timeout_s`` again on the new
-        connection, since it was never sent. A re-send is safe: the server
-        closes an idle connection only between requests, the request was
-        not sent on a connection whose owed read failed, and a re-sent
-        /services request carries the same rid, so the server replays it or
-        attaches it.
+        When a reused connection fails before any byte of the response
+        arrives, it is closed and the request goes out once more on a new
+        one, within what is left of ``timeout_s``. The usual cause is a
+        server that closed the connection while idle. A re-send is safe:
+        the server closes an idle connection only between requests, and a
+        re-sent /services request carries the same rid, so the server
+        replays it or attaches it.
 
         A response that ``http1`` cannot frame (no plain Content-Length,
         any Transfer-Encoding, a body cut short) raises ``HttpError``, and
@@ -593,18 +590,14 @@ class Client:
                 conn = _Connection(self.host, self.port, timeout_s)
             while True:
                 try:
-                    if reused:
-                        if conn.owed is not None:
-                            conn.read_owed(_time_left(deadline))
-                        conn.sock.settimeout(_time_left(deadline))
+                    conn.sock.settimeout(_time_left(deadline))
                     conn.sock.sendall(request)
                     try:
                         started = conn.rfile.peek(1)
                     except TimeoutError:
-                        if rid is not None:
-                            conn.owe(rid.dedup_key)
-                            with self._idle_lock:
-                                self._owed.setdefault(rid.dedup_key, []).append(conn)
+                        if owed is not None:
+                            conn.owe()
+                            owed.append(conn)
                             conn = None
                         raise
                     if not started:
@@ -613,8 +606,6 @@ class Client:
                 except _STALE_CONNECTION_ERRORS:
                     if not reused:
                         raise
-                    if conn.owed is not None:  # the owed read failed: the request was not sent
-                        deadline = time.monotonic() + timeout_s
                     conn.close()
                     conn = _Connection(self.host, self.port, _time_left(deadline))
                     reused = False
@@ -633,10 +624,10 @@ class Client:
             conn.close()
         return head, data
 
-    def _post_envelope(self, env: RequestEnvelope, timeout_ms: int):
+    def _post_envelope(self, env: RequestEnvelope, timeout_ms: int, owed: list[_Connection]):
         try:
             head, body = self._post(f"/services/{env.service_name}", encode_request(env),
-                                    self._service_fields, timeout_ms / 1000.0, env.rid)
+                                    self._service_fields, timeout_ms / 1000.0, env.rid, owed)
         except ConnectionRefusedError:
             return "refused", None
         except (socket.timeout, TimeoutError):
@@ -670,10 +661,10 @@ class _Connection:
     """A socket to the server and its buffered reader, kept from one
     response to the next, so bytes read ahead are never lost.
 
-    ``owed`` is the dedup key of a /services exchange that timed out here
-    before any byte of its response arrived; the server still writes that
-    response on this connection, and ``read_owed`` reads it before the
-    connection carries another request. A reader refuses every read after
+    A /services exchange that timed out here before any byte of its
+    response arrived leaves the connection owing that response, which the
+    server still writes on it; the send reads it with ``read_owed`` when
+    it ends, before the connection carries another request. A reader refuses every read after
     a socket time-out, so ``owe`` gives the connection a new one. Nothing
     is lost by that: the time-out came while the old reader's buffer was
     empty."""
@@ -682,12 +673,10 @@ class _Connection:
         self.sock = socket.create_connection((host, port), timeout=timeout_s)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.rfile = self.sock.makefile("rb")
-        self.owed: str | None = None
 
-    def owe(self, key: str) -> None:
+    def owe(self) -> None:
         self.rfile.close()
         self.rfile = self.sock.makefile("rb")
-        self.owed = key
 
     def read_response(self) -> tuple[http1.ResponseHead, bytes]:
         """One response, framed by a plain Content-Length; raises
@@ -701,22 +690,18 @@ class _Connection:
             raise http1.HttpError(400, "response without Content-Length")
         return head, http1.read_body(self.rfile, length)
 
-    def read_owed(self, timeout_s: float) -> None:
-        """Read and discard the owed response within ``timeout_s``. Unless
-        it is framed, keeps the connection open and names the owed key,
-        raise ``ConnectionResetError``, as a connection the server closed
-        does."""
-        self.sock.settimeout(timeout_s)
+    def read_owed(self, key: str, deadline: float) -> bool:
+        """Read and discard the owed response by ``deadline``; return
+        whether it was framed, named the dedup key ``key`` and kept the
+        connection open."""
         try:
+            self.sock.settimeout(_time_left(deadline))
             head, _ = self.read_response()
         except (OSError, http1.HttpError) as exc:
-            raise ConnectionResetError(f"owed response not read: {exc}") from exc
+            log.debug("owed response not read: %s", exc)
+            return False
         answered = head.fields.get(RID_HEADER)
-        if answered is None or not _names_key(answered, self.owed):
-            raise ConnectionResetError(f"owed response for another request: {answered!r}")
-        if not head.keep_alive:
-            raise ConnectionResetError("owed response closes the connection")
-        self.owed = None
+        return answered is not None and _names_key(answered, key) and head.keep_alive
 
     def close(self) -> None:
         self.rfile.close()

@@ -10,8 +10,8 @@ server side of a request is ``ServerCore.receive`` and
 ``execute``, as in the live server, with the handler's ``delay_ms``
 scheduled in between. An abandoned or offline exchange is only marked
 dead: the core holds no registration for it to remove, and when the
-execution answers it, the answer is dropped (``http_write_dead``), as on
-a closed live connection. A ``PushSession`` writes and closes through
+execution answers it, the answer is dropped (``http_write_dead``), as
+the live send that abandoned it drops it when it ends. A ``PushSession`` writes and closes through
 its ``SimPushConn`` as through a live WebSocket, and every way a push
 connection ends runs ``PushSession.close``. The client's end is a
 ``PushWaits``, driven as ``PushClient`` drives it: the connection stays

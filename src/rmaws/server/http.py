@@ -21,12 +21,12 @@ the key park on a one-shot latch until then. Every live exchange writes
 the completed response on its own connection, in one write with Nagle's
 algorithm off, whether or not the client still waits for it. Push
 deliveries are written by the executing thread. A client whose /services
-wait timed out before the response began keeps the connection and reads
-that response before its next request on it, once its send has an
-answer; otherwise, and after a /direct time-out, it closes the
-connection, and the write fails or is discarded unread. Either way the
-answer is cached by then, and delivered on push if the client
-registered there.
+wait timed out before the response began keeps the connection until its
+send ends; a send that has its answer reads that response and then
+reuses the connection. Otherwise, and after a /direct time-out, the
+client closes the connection, and the write fails or is discarded
+unread. Either way the answer is cached by then, and delivered on push
+if the client registered there.
 
 ``stop()`` wakes the accept loop through a socket pair, so it does not
 wait for a polling interval to end. One registry holds every open
@@ -50,6 +50,8 @@ from dataclasses import dataclass, field, replace
 from .. import http1, ws
 from ..envelope import (
     CHANNEL_HEADER,
+    FRAME_HEADER_BYTES,
+    PAYLOAD_DIGEST_BYTES,
     RID_HEADER,
     STATUS_HEADER,
     TOKEN_HEADER,
@@ -527,7 +529,10 @@ class RmawsRequestHandler:
             self.write_response(400, str(exc).encode("utf-8"))
             return
         self.connection.sendall(response)
-        conn = ws.WsConnection(self.connection, self.rfile, mask_outgoing=False)
+        # No message may be longer than the largest Register this server accepts.
+        token_bytes = len(server.config.auth_token.encode("utf-8", "surrogatepass"))
+        conn = ws.WsConnection(self.connection, self.rfile, mask_outgoing=False,
+                               max_message=FRAME_HEADER_BYTES + PAYLOAD_DIGEST_BYTES + token_bytes)
         self.session = session = PushSession(server.core, conn, conn_id=uuid.uuid4().hex[:8])
         self.connection.settimeout(server.config.push_idle_timeout_ms / 1000.0)
         try:

@@ -6,7 +6,9 @@ ping/pong. Client-to-server frames are masked as the RFC requires. A
 frame masked the wrong way for its sender (§5.1), a control frame over
 125 B or without FIN (§5.5), a fragmented message, a text frame and an
 extension bit are refused: reading raises ``WsError``, and the caller
-closes the connection.
+closes the connection. So is a message longer than the reader's
+``max_message``, with close 1009 (§7.4.1) before any of its payload is
+read.
 """
 
 from __future__ import annotations
@@ -75,10 +77,12 @@ class WsConnection:
     reader thread.
     """
 
-    def __init__(self, sock: socket.socket, rfile, mask_outgoing: bool):
+    def __init__(self, sock: socket.socket, rfile, mask_outgoing: bool,
+                 max_message: int | None = None):
         self.sock = sock
         self.rfile = rfile
         self.mask_outgoing = mask_outgoing
+        self.max_message = max_message
         self._write_lock = threading.Lock()
         self._close_sent = False
 
@@ -122,6 +126,9 @@ class WsConnection:
         elif n == 127:
             (n,) = struct.unpack(">Q", self._read(8))
         key = self._read(4) if masked else b""
+        if self.max_message is not None and n > self.max_message:
+            self.send_close(1009)
+            raise WsError(f"{n} B message over {self.max_message} B")
         payload = self._read(n)
         if masked:
             payload = _mask(payload, key)

@@ -16,8 +16,8 @@ import rmaws.server.http
 from rmaws import http1, ws
 from rmaws.client import Client, ClientError, PushClient, SendOptions, build
 from rmaws.push import PushSession
-from rmaws.envelope import (CHANNEL_HEADER, RID_HEADER, STATUS_HEADER, Channel, ResponseStatus,
-                            decode_request, encode_request, make_request_id,
+from rmaws.envelope import (CHANNEL_HEADER, RID_HEADER, STATUS_HEADER, Channel, ResponseEnvelope,
+                            ResponseStatus, decode_request, encode_request, make_request_id,
                             payload_digest)
 from rmaws.server.handlers import HandlerRegistry, ServiceHandler, make_synthetic
 from rmaws.server.http import RmawsRequestHandler
@@ -233,8 +233,8 @@ def test_reused_identity_whose_rejection_is_lost_is_rejected_over_push(live_serv
     swallowed = []
     post_envelope = Client._post_envelope
 
-    def swallowing_post_envelope(self, env, timeout_ms):
-        kind, resp = post_envelope(self, env, timeout_ms)
+    def swallowing_post_envelope(self, env, timeout_ms, owed):
+        kind, resp = post_envelope(self, env, timeout_ms, owed)
         if kind == "response" and resp.status is ResponseStatus.VALIDATION_ERROR:
             swallowed.append(resp)
             return "timeout", None
@@ -270,8 +270,8 @@ def test_reused_identity_on_one_push_connection_leaves_each_send_its_own_answer(
         ServiceHandler(name="orders", fn=fn, delay_ms=600)))
     post_envelope = Client._post_envelope
 
-    def swallowing_post_envelope(self, env, timeout_ms):
-        kind, resp = post_envelope(self, env, timeout_ms)
+    def swallowing_post_envelope(self, env, timeout_ms, owed):
+        kind, resp = post_envelope(self, env, timeout_ms, owed)
         if kind == "response" and resp.status is ResponseStatus.VALIDATION_ERROR:
             return "timeout", None
         return kind, resp
@@ -420,8 +420,8 @@ def test_owed_response_is_not_taken_for_the_next_answer(live_server, monkeypatch
     pushed = client.send("slow", b"p", SendOptions(
         http_timeout_ms=100, push_wait_ms=10_000, auth_token=TOKEN))
     assert (pushed.channel, pushed.body) == (Channel.PUSH, b"slow body")
-    # The timed-out exchange's connection is reused: the slow response
-    # written on it is read and dropped before this send goes out.
+    # The timed-out exchange's connection is reused: "slow" read and
+    # dropped the response written on it before it returned.
     fast = client.send("echo", b"fast payload")
     assert (fast.channel, fast.body, fast.trials_used) == (Channel.HTTP, b"fast payload", 1)
     assert len(served) == 2 and served[0] is served[1]
@@ -455,8 +455,9 @@ def test_send_exhausted_while_its_handler_runs_closes_its_connection(live_server
         fast = client.send("echo", b"fast")
         elapsed = time.monotonic() - started
     assert (fast.channel, fast.body, fast.trials_used) == (Channel.HTTP, b"fast", 1)
-    # "stuck" went out on the connection "slow" left owing its answer; that
-    # connection then closed, and "echo" did not wait out the stuck handler.
+    # "stuck" went out on the connection "slow" timed out on and read its
+    # answer from; "stuck" ended without an answer, so that connection
+    # closed, and "echo" did not wait out the stuck handler.
     assert served[1] is served[0] and served[2] is not served[1]
     assert elapsed < 0.5
 
@@ -728,10 +729,11 @@ def test_owed_response_decides_whether_its_connection_is_reused(owed, then_close
     with _OwingPeer(owed, then_close=then_close) as peer, \
             Client(*peer.server_address[:2], auth_token=TOKEN) as client:
         first, second = envelope(b"first", 1), envelope(b"second", 2)
-        assert client._post_envelope(first, 100) == ("timeout", None)
-        client._release_owed(first.rid.dedup_key, answered=True)
+        owed = []
+        assert client._post_envelope(first, 100, owed) == ("timeout", None)
         peer.release.set()
-        kind, resp = client._post_envelope(second, 2_000)
+        client._drain(owed, first.rid.dedup_key, 2.0)
+        kind, resp = client._post_envelope(second, 2_000, [])
         assert (kind, resp.body) == ("response", b"BODY")
     # The second request went out once: on the first connection after a
     # good owed response, otherwise on a new one, the first one closed.
@@ -745,40 +747,70 @@ def test_time_out_inside_a_response_closes_the_connection():
             Client(*peer.server_address[:2], auth_token=TOKEN) as client:
         peer.release.set()
         first, second = envelope(b"first", 1), envelope(b"second", 2)
-        assert client._post_envelope(first, 200) == ("timeout", None)
-        assert client._owed == {}
+        owed = []
+        assert client._post_envelope(first, 200, owed) == ("timeout", None)
+        assert owed == []
         deadline = time.monotonic() + 2.0
         while peer.ended != [0] and time.monotonic() < deadline:
             time.sleep(0.01)
         assert peer.ended == [0]
-        client._release_owed(first.rid.dedup_key, answered=True)
-        kind, resp = client._post_envelope(second, 2_000)
+        kind, resp = client._post_envelope(second, 2_000, [])
         assert (kind, resp.body) == ("response", b"BODY")
     assert [number for number, _ in peer.requests] == [0, 1]
 
 
-def test_owed_response_never_written_leaves_the_request_its_own_timeout():
+def answered_over_push(client, machine, step, deadline):
+    """Stands in for ``Client._drive_push``: the push wait ends at once
+    with the send's answer."""
+    return machine.on_push_delivered(
+        ResponseEnvelope(machine.rid, ResponseStatus.OK, Channel.PUSH, b"pushed"))
+
+
+def test_owed_response_never_written_costs_its_send_at_most_one_timeout(monkeypatch):
     # The peer takes connections into its backlog and never writes a byte.
+    monkeypatch.setattr(Client, "_drive_push", answered_over_push)
     with socket.create_server(("127.0.0.1", 0)) as silent, \
             Client(*silent.getsockname()[:2], auth_token=TOKEN) as client:
-        first, second = envelope(b"first", 1), envelope(b"second", 2)
-        assert client._post_envelope(first, 100) == ("timeout", None)
-        client._release_owed(first.rid.dedup_key, answered=True)
         started = time.monotonic()
-        assert client._post_envelope(second, 300) == ("timeout", None)
+        outcome = client.send("echo", b"first", SendOptions(http_timeout_ms=200,
+                                                            auth_token=TOKEN))
         elapsed = time.monotonic() - started
-        client._release_owed(second.rid.dedup_key, answered=False)
-        # The owed read spent the first 300 ms; the request then went out
-        # on a second connection with 300 ms of its own.
-        received = []
+        assert (outcome.channel, outcome.body) == (Channel.PUSH, b"pushed")
+        assert client._idle == []
         silent.settimeout(5.0)
+        conn, _ = silent.accept()
+        with conn:
+            conn.settimeout(5.0)
+            data = b""
+            while chunk := conn.recv(65536):  # ends only once the client closes
+                data += chunk
+    assert outcome.rid.canonical().encode("ascii") in data
+    # 200 ms for the post, then at most 200 ms for the owed response.
+    assert 0.38 < elapsed < 0.55
+
+
+def test_owed_response_never_written_leaves_the_next_post_its_own_timeout(monkeypatch):
+    monkeypatch.setattr(Client, "_drive_push", answered_over_push)
+    with socket.create_server(("127.0.0.1", 0)) as silent, \
+            Client(*silent.getsockname()[:2], auth_token=TOKEN) as client:
+        client.send("echo", b"first", SendOptions(http_timeout_ms=100, auth_token=TOKEN))
+        second, owed = envelope(b"second", 2), []
+        started = time.monotonic()
+        assert client._post_envelope(second, 300, owed) == ("timeout", None)
+        elapsed = time.monotonic() - started
+        silent.settimeout(5.0)
+        received = []
         for _ in range(2):
             conn, _ = silent.accept()
             with conn:
                 conn.settimeout(5.0)
                 received.append(conn.recv(65536))
+        for conn in owed:
+            conn.close()
+    # The first send closed its connection; the request went out once, on
+    # a new one, and got 300 ms in all.
     assert [second.rid.canonical().encode("ascii") in data for data in received] == [False, True]
-    assert 0.55 < elapsed < 0.75
+    assert 0.28 < elapsed < 0.45
 
 
 def test_push_handshake_without_an_answer_fails_the_registration():
@@ -921,11 +953,8 @@ def test_dropped_client_closes_its_connections(live_server):
     def open_connections():
         return sum(t.name == name for t in threading.enumerate())
 
-    # "echo" reuses the connection "slow" timed out on, once the answer it
-    # owes has arrived, which can come after the push delivery.
-    deadline = time.monotonic() + 2.0
-    while open_connections() > 2 and time.monotonic() < deadline:
-        time.sleep(0.01)
+    # "echo" reused the connection "slow" timed out on: "slow" read the
+    # answer it owed before it returned.
     assert open_connections() == 2  # the push connection and the idle HTTP one
     del client
     deadline = time.monotonic() + 2.0

@@ -1,5 +1,7 @@
 import http.client
+import os
 import socket
+import struct
 import threading
 import time
 
@@ -9,6 +11,7 @@ from rmaws import http1, ws
 from rmaws.client import Client, SendOptions, build
 from rmaws.envelope import (
     CHANNEL_HEADER,
+    FRAME_HEADER_BYTES,
     TOKEN_HEADER,
     Channel,
     PAYLOAD_DIGEST_BYTES,
@@ -297,5 +300,20 @@ def test_stop_says_goodbye_on_a_push_connection(live_server):
     assert raw.recv().kind is FrameKind.REGISTER_ACK  # the server's end is up
     server.stop(drain_timeout_s=5.0)
     assert raw.recv() is None  # the server's WebSocket close
+    assert raw.conn.rfile.read() == b""  # then EOF
+    raw.close()
+
+
+@pytest.mark.parametrize("length", [FRAME_HEADER_BYTES + PAYLOAD_DIGEST_BYTES + len(TOKEN) + 1,
+                                    300 << 20], ids=["largest-register-plus-one", "300-MiB"])
+def test_message_longer_than_the_largest_register_gets_close_1009(live_server, length):
+    # Only the frame's header is sent: the server must refuse the message
+    # before it waits for the payload.
+    server = live_server([{"name": "echo"}])
+    raw = RawPushClient(server)
+    raw.conn.sock.settimeout(1.0)
+    raw.conn.sock.sendall(bytes([0x80 | ws.OP_BINARY, 0x80 | 127]) + struct.pack(">Q", length)
+                          + os.urandom(4))
+    assert raw.conn._read_frame() == (ws.OP_CLOSE, struct.pack(">H", 1009))
     assert raw.conn.rfile.read() == b""  # then EOF
     raw.close()

@@ -19,6 +19,17 @@ carrying the status a server answers it with:
 ``Content-Length`` that is repeated or not one run of digits, get 400.
 ``read_body`` reads a body so framed, in bounded chunks; a body cut
 short gets 400 too.
+
+A head normally takes one pass. ``read_head`` looks for the head's end,
+its first empty line (``\\n\\r?\\n``), in the bytes a reader with ``peek``
+already holds, and takes the whole head with one ``read``. It falls back
+to reading line by line for a reader without ``peek``, a head not yet
+wholly buffered, a leading empty line and a head longer than the
+limits. The parsers take a head whose every line ends in CR LF with one
+precompiled match. They fall back to the strict line parser for a head
+that does not match, repeats a field name or has more than
+``MAX_FIELDS`` field lines. Only the strict parser raises, so both
+paths give the same head or the same ``HttpError`` for the same bytes.
 """
 
 from __future__ import annotations
@@ -35,14 +46,25 @@ MAX_FIELDS = 100
 BODY_CHUNK_BYTES = 64 * 1024
 
 _TOKEN = r"[!#$%&'*+.^_`|~0-9A-Za-z-]+"
-_REQUEST_LINE = re.compile(rf"({_TOKEN}) ([^\x00-\x20\x7f]+) (HTTP/(\d)\.(\d))")
-_STATUS_LINE = re.compile(r"(HTTP/(\d)\.(\d)) (\d{3})(?: ([^\x00-\x08\x0a-\x1f\x7f]*))?")
-# A value may hold SP, HTAB, visible ASCII and obs-text; leading white
-# space is dropped here, trailing white space by the caller.
-_FIELD_LINE = re.compile(rf"({_TOKEN}):[ \t]*([^\x00-\x08\x0a-\x1f\x7f]*)")
-_TARGET = re.compile(r"[^\x00-\x20\x7f]+")
+_TARGET_TEXT = r"[^\x00-\x20\x7f]+"
+# A value may hold SP, HTAB, visible ASCII and obs-text.
+_VALUE_TEXT = r"[^\x00-\x08\x0a-\x1f\x7f]*"
+_REQUEST_LINE = re.compile(rf"({_TOKEN}) ({_TARGET_TEXT}) (HTTP/(\d)\.(\d))")
+_STATUS_LINE = re.compile(rf"(HTTP/(\d)\.(\d)) (\d{{3}})(?: ({_VALUE_TEXT}))?")
+# Leading white space of a value is dropped here, trailing white space
+# by the caller.
+_FIELD_LINE = re.compile(rf"({_TOKEN}):[ \t]*({_VALUE_TEXT})")
+_TARGET = re.compile(_TARGET_TEXT)
 _FIELD_NAME = re.compile(_TOKEN)
-_FIELD_VALUE = re.compile(r"[^\x00-\x08\x0a-\x1f\x7f]*")
+_FIELD_VALUE = re.compile(_VALUE_TEXT)
+# The fast path: a whole head, every line ended by CR LF, HTTP major
+# version 1. Group "fields" holds the field lines, each with its CR LF.
+_FIELD_LINES = rf"(?P<fields>(?:{_TOKEN}:{_VALUE_TEXT}\r\n)*)\r\n"
+_REQUEST_HEAD = re.compile(rf"({_TOKEN}) ({_TARGET_TEXT}) (HTTP/1\.\d)\r\n{_FIELD_LINES}")
+_RESPONSE_HEAD = re.compile(rf"(HTTP/1\.\d) (\d{{3}})(?: ({_VALUE_TEXT}))?\r\n{_FIELD_LINES}")
+_HEAD_END = re.compile(rb"\n\r?\n")
+# A whole head no longer than this is within both reading limits.
+_HEAD_FITS = min(MAX_LINE, MAX_FIELD_BYTES)
 
 _STATUS_LINES = {status.value: f"HTTP/1.1 {status.value} {status.phrase}\r\n".encode("ascii")
                  for status in HTTPStatus}
@@ -66,7 +88,8 @@ class HttpError(Exception):
 class Fields(dict):
     """Field values by lower-cased name, looked up case-insensitively.
     A name that occurs on several lines maps to its values joined with
-    ", " (RFC 9110 §5.3)."""
+    ", " (RFC 9110 §5.3). Code that reads a field on every message passes
+    its lower-case name to ``dict.get``, which skips the fold."""
 
     def get(self, name, default=None):
         return dict.get(self, name.lower(), default)
@@ -105,7 +128,7 @@ def _keep_alive(version: str, fields: Fields) -> bool:
     ``Connection: close``; HTTP/1.0 closes it."""
     if version == "HTTP/1.0":
         return False
-    connection = fields.get("connection")
+    connection = dict.get(fields, "connection")
     return connection is None or "close" not in (
         token.strip().lower() for token in connection.split(","))
 
@@ -118,6 +141,14 @@ def read_head(rfile) -> bytes | None:
     one empty line before the start line is skipped (RFC 9112 §2.2).
     Raises ``HttpError`` 414 or 431 past the limits, and 400 when the
     stream ends inside the head."""
+    # The line loop below stops at the first empty line, as _HEAD_END does.
+    peek = getattr(rfile, "peek", None)
+    if peek is not None:
+        buffered = peek(1)
+        if not buffered.startswith((b"\n", b"\r\n")):
+            end = _HEAD_END.search(buffered)
+            if end is not None and end.end() <= _HEAD_FITS:
+                return rfile.read(end.end())
     line = rfile.readline(MAX_LINE + 1)
     if line in (b"\r\n", b"\n"):
         line = rfile.readline(MAX_LINE + 1)
@@ -140,8 +171,8 @@ def read_head(rfile) -> bytes | None:
 
 # -- parsing -------------------------------------------------------------
 
-def _lines(block: bytes) -> list[str]:
-    lines = block.decode("latin-1").replace("\r\n", "\n").split("\n")
+def _lines(text: str) -> list[str]:
+    lines = text.replace("\r\n", "\n").split("\n")
     while lines and not lines[-1]:
         lines.pop()  # the empty line that ends the head
     if not lines:
@@ -179,9 +210,36 @@ def _field_problem(line: str) -> str:
     return "malformed field line"
 
 
+def _matched_fields(match: re.Match) -> Fields | None:
+    """The fields of a head ``_REQUEST_HEAD`` or ``_RESPONSE_HEAD`` matched;
+    None when a name repeats or there are more than ``MAX_FIELDS`` lines,
+    which the strict parser joins or refuses."""
+    lines = match["fields"].split("\r\n")
+    lines.pop()  # what follows the last CR LF
+    if len(lines) > MAX_FIELDS:
+        return None
+    fields = Fields()
+    for line in lines:
+        name, _, value = line.partition(":")
+        fields[name.lower()] = value.strip(" \t")
+    return fields if len(fields) == len(lines) else None
+
+
 def parse_request(block: bytes) -> RequestHead:
     """Parse a request head; raises ``HttpError`` (400, 431, 505)."""
-    lines = _lines(block)
+    text = block.decode("latin-1")
+    match = _REQUEST_HEAD.fullmatch(text)
+    if match is not None:
+        fields = _matched_fields(match)
+        if fields is not None:
+            return RequestHead(match[1], match[2], match[3], fields)
+    return _strict_request(text)
+
+
+def _strict_request(text: str) -> RequestHead:
+    """The strict line parser behind ``parse_request``, for a head decoded
+    as latin-1."""
+    lines = _lines(text)
     match = _REQUEST_LINE.fullmatch(lines[0])
     if match is None:
         raise HttpError(400, "malformed request line")
@@ -192,7 +250,18 @@ def parse_request(block: bytes) -> RequestHead:
 
 def parse_response(block: bytes) -> ResponseHead:
     """Parse a response head; raises ``HttpError`` as ``parse_request``."""
-    lines = _lines(block)
+    text = block.decode("latin-1")
+    match = _RESPONSE_HEAD.fullmatch(text)
+    if match is not None:
+        fields = _matched_fields(match)
+        if fields is not None:
+            return ResponseHead(int(match[2]), match[3] or "", match[1], fields)
+    return _strict_response(text)
+
+
+def _strict_response(text: str) -> ResponseHead:
+    """The strict line parser behind ``parse_response``."""
+    lines = _lines(text)
     match = _STATUS_LINE.fullmatch(lines[0])
     if match is None:
         raise HttpError(400, "malformed status line")
@@ -206,9 +275,9 @@ def body_length(fields: Fields) -> int | None:
     ``HttpError`` 400 for any Transfer-Encoding and for a Content-Length
     that is not one run of ASCII digits: a repeated or conflicting one
     reads as "3, 40" here (RFC 9112 §6.3)."""
-    if "transfer-encoding" in fields:
+    if dict.__contains__(fields, "transfer-encoding"):
         raise HttpError(400, "Transfer-Encoding is not supported")
-    length = fields.get("content-length")
+    length = dict.get(fields, "content-length")
     if length is None:
         return None
     if not (length.isascii() and length.isdigit()):
@@ -244,19 +313,29 @@ def field_lines(fields: dict) -> bytes:
     return "".join(out).encode("latin-1")
 
 
-def request(method: str, target: str, field_block: bytes, body: bytes) -> bytes:
-    """A whole request, head and body, for one write. ``field_block`` comes
-    from ``field_lines``; Content-Length is added here."""
+def request_head(method: str, target: str, field_block: bytes) -> bytes:
+    """A request line and ``field_block``, from ``field_lines``: the part
+    of a head that ``with_body`` completes."""
     if not _TARGET.fullmatch(target):
         raise ValueError(f"invalid request target {target!r}")
-    return b"%s %s HTTP/1.1\r\n%sContent-Length: %d\r\n\r\n%s" % (
-        method.encode("ascii"), target.encode("latin-1"), field_block, len(body), body)
+    return b"%s %s HTTP/1.1\r\n%s" % (method.encode("ascii"), target.encode("latin-1"),
+                                       field_block)
+
+
+def with_body(head: bytes, body: bytes) -> bytes:
+    """A whole message for one write: ``head`` without its Content-Length,
+    which is added here, then the empty line and ``body``."""
+    return b"%sContent-Length: %d\r\n\r\n%s" % (head, len(body), body)
+
+
+def request(method: str, target: str, field_block: bytes, body: bytes) -> bytes:
+    """A whole request, head and body, for one write."""
+    return with_body(request_head(method, target, field_block), body)
 
 
 def response(status: int, field_block: bytes, body: bytes) -> bytes:
     """A whole response, head and body, for one write."""
-    return b"%s%sContent-Length: %d\r\n\r\n%s" % (
-        _STATUS_LINES[status], field_block, len(body), body)
+    return with_body(_STATUS_LINES[status] + field_block, body)
 
 
 def http_date(seconds: float) -> str:

@@ -9,8 +9,10 @@ parsed and written by ``rmaws.http1``: a head or body length that
 breaks its framing rules gets that module's status code (400, 414, 431
 or 505) and the connection closes, since the rest of the stream cannot
 be framed; so does a body cut short, which gets 400 and never reaches a
-handler. A body is read in bounded chunks, so memory grows with the
-bytes that arrive, not with the length a request claims.
+handler. A ``Content-Length`` over ``max_body_bytes`` gets 413 before
+any of the body is read, and the connection closes. A body is read in
+bounded chunks, so memory grows with the bytes that arrive, not with
+the length a request claims.
 
 The request sequence itself runs in ``ServerCore``, the same code the
 simulator drives: ``receive`` validates and submits a request, and when
@@ -73,6 +75,7 @@ _HTTP_CODES = {ResponseStatus.OK: 200, ResponseStatus.SERVICE_ERROR: 500}
 _VALIDATION_HTTP_CODES = {"BadId": 400, "UnknownService": 404, "Unauthorized": 401,
                           "IdentityConflict": 409}
 DEFAULT_CACHE_TTL_MS = 24 * 60 * 60 * 1000
+DEFAULT_MAX_BODY_BYTES = 16 * 1024 * 1024
 WAITER_CAP_S = 600.0
 # Bounds every blocking read and write on an HTTP connection: the wait
 # for the next keep-alive request, and a peer that stalls mid-request or
@@ -95,6 +98,7 @@ class ServerConfig:
     auth_token: str = ""
     cache_ttl_ms: int | None = DEFAULT_CACHE_TTL_MS
     push_idle_timeout_ms: int = 300_000
+    max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
     store_path: str | None = None
     services: list = field(default_factory=list)
 
@@ -107,6 +111,9 @@ class ServerConfig:
         if self.push_idle_timeout_ms < 1:
             raise ValueError(f"push_idle_timeout_ms must be at least 1, "
                              f"got {self.push_idle_timeout_ms}")
+        # A negative bound would refuse even a request without a body.
+        if self.max_body_bytes < 0:
+            raise ValueError(f"max_body_bytes must be at least 0, got {self.max_body_bytes}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ServerConfig":
@@ -121,6 +128,8 @@ class ServerConfig:
         if "push_idle_timeout_ms" in raw:
             fields["push_idle_timeout_ms"] = _int("push_idle_timeout_ms",
                                                   raw["push_idle_timeout_ms"])
+        if "max_body_bytes" in raw:
+            fields["max_body_bytes"] = _int("max_body_bytes", raw["max_body_bytes"])
         return cls(**fields)
 
     @classmethod
@@ -141,6 +150,8 @@ class ServerConfig:
         if env.get("RMAWS_PUSH_IDLE_TIMEOUT_MS"):
             fields["push_idle_timeout_ms"] = _int("RMAWS_PUSH_IDLE_TIMEOUT_MS",
                                                   env["RMAWS_PUSH_IDLE_TIMEOUT_MS"])
+        if env.get("RMAWS_MAX_BODY_BYTES"):
+            fields["max_body_bytes"] = _int("RMAWS_MAX_BODY_BYTES", env["RMAWS_MAX_BODY_BYTES"])
         if env.get("RMAWS_STORE_PATH"):
             fields["store_path"] = env["RMAWS_STORE_PATH"]
         return replace(cfg, **fields)
@@ -189,11 +200,9 @@ class LiveExchange:
             self.respond(*self.answer)
 
     def respond(self, resp: ResponseEnvelope, http_code: int) -> bool:
-        return self.handler.write_response(http_code, resp.body, {
-            RID_HEADER: resp.rid.canonical(),
-            CHANNEL_HEADER: resp.channel.value,
-            STATUS_HEADER: resp.status.value,
-        })
+        return self.handler.write_response(http_code, resp.body, (
+            f"{RID_HEADER}: {resp.rid.canonical()}\r\n{CHANNEL_HEADER}: {resp.channel.value}\r\n"
+            f"{STATUS_HEADER}: {resp.status.value}\r\n").encode("latin-1"))
 
 
 class RmawsServer:
@@ -341,8 +350,9 @@ class RmawsServer:
             return 500, f"service error: {type(exc).__name__}: {exc}".encode("utf-8")
 
 
-_VALIDATION_HEADERS = {STATUS_HEADER: ResponseStatus.VALIDATION_ERROR.value,
-                       CHANNEL_HEADER: Channel.HTTP.value}
+_VALIDATION_FIELDS = (f"{STATUS_HEADER}: {ResponseStatus.VALIDATION_ERROR.value}\r\n"
+                      f"{CHANNEL_HEADER}: {Channel.HTTP.value}\r\n").encode("ascii")
+_TOKEN_FIELD = TOKEN_HEADER.lower()
 
 
 class RmawsRequestHandler:
@@ -430,11 +440,15 @@ class RmawsRequestHandler:
 
     def _read_body(self) -> bytes | None:
         """The request body, or None once the request has been answered
-        400: its body is not framed by a plain Content-Length, or the peer
-        closed before sending all of it. The connection then closes: the
-        rest of the stream cannot be framed. ``http1.read_body`` reads it
-        in bounded chunks, so a huge Content-Length reserves nothing up
-        front. ``Expect: 100-continue`` gets its interim response first."""
+        400 or 413, after which the connection closes: the rest of the
+        stream cannot be framed. 400: the body is not framed by a plain
+        Content-Length, or the peer closed before sending all of it. 413:
+        the Content-Length is over ``max_body_bytes``; no byte of the body
+        is read, and on /services the answer carries the validation
+        fields, so the client ends its send rejected. ``http1.read_body``
+        reads the body in bounded chunks, so a huge Content-Length
+        reserves nothing up front. ``Expect: 100-continue`` gets its
+        interim response first."""
         fields = self.head.fields
         try:
             size = http1.body_length(fields) or 0
@@ -442,7 +456,14 @@ class RmawsRequestHandler:
             self.close_connection = True
             self.write_response(exc.status, exc.reason.encode("latin-1"))
             return None
-        if self.head.version != "HTTP/1.0" and fields.get("expect", "").lower() == "100-continue":
+        limit = self.server.config.max_body_bytes
+        if size > limit:
+            self.close_connection = True
+            self.write_response(413, b"request body over %d B" % limit,
+                                _VALIDATION_FIELDS if self.path.startswith("/services/") else b"")
+            return None
+        if (self.head.version != "HTTP/1.0"
+                and dict.get(fields, "expect", "").lower() == "100-continue"):
             self.connection.sendall(http1.CONTINUE)
         try:
             return http1.read_body(self.rfile, size)
@@ -451,17 +472,15 @@ class RmawsRequestHandler:
             self.write_response(400, b"request body cut short")
             return None
 
-    def write_response(self, code: int, body: bytes, headers: dict | None = None) -> bool:
-        """Write the status line, headers and body with one sendall, so a
-        kept-alive response never waits on Nagle's algorithm. Returns
-        False if the write failed. Says ``Connection: close`` when the
-        connection ends after this response."""
+    def write_response(self, code: int, body: bytes, field_block: bytes = b"") -> bool:
+        """Write the status line, the fixed fields, ``field_block`` and the
+        body with one sendall, so a kept-alive response never waits on
+        Nagle's algorithm. Returns False if the write failed. Says
+        ``Connection: close`` when the connection ends after this
+        response."""
         if self.server._stopping:
             self.close_connection = True
-        fields = self.server.fixed_fields()
-        if headers:
-            fields += "".join(f"{name}: {value}\r\n"
-                              for name, value in headers.items()).encode("latin-1")
+        fields = self.server.fixed_fields() + field_block
         if self.close_connection:
             fields += b"Connection: close\r\n"
         try:
@@ -505,14 +524,14 @@ class RmawsRequestHandler:
         except EnvelopeError as exc:
             # MalformedEnvelope, or a well-formed header whose fields name
             # no valid envelope, such as a service field with a leading space.
-            self.write_response(400, str(exc).encode("utf-8"), _VALIDATION_HEADERS)
+            self.write_response(400, str(exc).encode("utf-8"), _VALIDATION_FIELDS)
             return
         if self.path[len("/services/"):] != env.service_name:
-            self.write_response(400, b"path does not match envelope service", _VALIDATION_HEADERS)
+            self.write_response(400, b"path does not match envelope service", _VALIDATION_FIELDS)
             return
         core = self.server.core
         exchange = LiveExchange(self, env)
-        ticket = core.receive(env, self.head.fields.get(TOKEN_HEADER, ""), exchange)
+        ticket = core.receive(env, dict.get(self.head.fields, _TOKEN_FIELD, ""), exchange)
         if ticket is not None:
             delay_ms = core.handlers.get(env.service_name).delay_ms
             if delay_ms:

@@ -248,3 +248,172 @@ def test_request_rejects_a_target_that_would_split_the_line(target):
 @given(st.integers(0, 2**32))
 def test_http_date_matches_email_utils(seconds):
     assert http1.http_date(seconds) == email.utils.formatdate(seconds, usegmt=True)
+
+
+# -- the fast paths agree with the strict ones -------------------------------
+
+class Trickle(io.RawIOBase):
+    """A raw stream that returns at most ``step`` bytes per read, as a
+    socket may."""
+
+    def __init__(self, data: bytes, step: int):
+        self.data, self.at, self.step = memoryview(data), 0, step
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        n = min(len(buffer), self.step, len(self.data) - self.at)
+        buffer[:n] = self.data[self.at:self.at + n]
+        self.at += n
+        return n
+
+
+class NoLineReads(io.BufferedReader):
+    """A buffered reader that fails a test whose head falls back to the
+    line loop."""
+
+    def readline(self, size=-1):
+        raise AssertionError("read_head read line by line")
+
+
+def head_and_rest(stream):
+    """What ``read_head`` takes from ``stream`` and what it leaves there,
+    or the status and reason it raises."""
+    try:
+        head = http1.read_head(stream)
+    except http1.HttpError as exc:
+        return exc.status, exc.reason
+    return head, stream.read()
+
+
+def parsed(parse, block: bytes):
+    """A parsed head as a tuple of its attributes, or the status and
+    reason of the ``HttpError`` raised."""
+    try:
+        head = parse(block)
+    except http1.HttpError as exc:
+        return exc.status, exc.reason
+    return tuple(dict(value) if isinstance(value, dict) else value
+                 for value in (getattr(head, name) for name in head.__slots__))
+
+
+def strictly(strict):
+    return lambda block: strict(block.decode("latin-1"))
+
+
+START_LINES = [b"GET / HTTP/1.1", b"POST /services/echo HTTP/1.0", b"HTTP/1.1 200 OK",
+               b"HTTP/1.1 204", b"HTTP/1.0 404 Not Found", b"GET / HTTP/2.0", b"HTTP/2.0 200 OK",
+               b"GET  / HTTP/1.1", b"", b"\r", b"GET /\xff HTTP/1.1", b"HTTP/1.1 200 \xe9t\xe9"]
+FIELD_LINES = [b"Host: x", b"host: y", b"Content-Length: 3", b"Connection: close",
+               b"X-RMAWS-Rid: \xff", b"A:\t b \t", b"A:", b" folded", b"\tfolded", b"X : y",
+               b"X y", b": x", b"X(y): z", b"X: a\x00b", b"X: a\rb", b""]
+ENDINGS = [b"\r\n", b"\r\n", b"\r\n", b"\n", b"\r", b""]
+heads = st.builds(
+    lambda start, end, lines, last, rest: start + end + b"".join(a + b for a, b in lines)
+    + last + rest,
+    st.sampled_from(START_LINES), st.sampled_from(ENDINGS),
+    st.lists(st.tuples(st.sampled_from(FIELD_LINES), st.sampled_from(ENDINGS)), max_size=8),
+    st.sampled_from([b"\r\n", b"\n", b"", b"\r\n\r\n"]), st.binary(max_size=8))
+any_bytes = st.one_of(
+    heads,
+    st.binary(max_size=200),
+    st.tuples(st.integers(0, len(VALID)), st.integers(0, 8), st.binary(max_size=8)).map(
+        lambda t: VALID[:t[0]] + t[2] + VALID[t[0] + t[1]:]),
+)
+
+
+@given(any_bytes, st.integers(1, 300), st.sampled_from([1, 16, 64, 8192]))
+@example(b"GET / HTTP/1.1\n\nX\r\n\r\n", 300, 8192)
+@example(b"\r\nGET / HTTP/1.1\r\n\r\nX", 300, 8192)
+@example(b"GET / HTTP/1.1\r\nA: b\n\r\n", 300, 8192)
+def test_buffered_read_agrees_with_the_line_loop(data, step, buffer_size):
+    buffered = io.BufferedReader(Trickle(data, step), buffer_size)
+    assert head_and_rest(buffered) == head_and_rest(io.BytesIO(data))
+
+
+@given(any_bytes)
+@example(b"GET / HTTP/1.1\r\nX-A: 1\r\nx-a: 2\r\n\r\n")
+@example(b"GET / HTTP/1.1\r\nHost: x\r\n folded\r\n\r\n")
+@example(b"GET / HTTP/1.1\r\n\r\n\r\n")
+@example(b"HTTP/1.1 200 OK\r\nX: y\r\n")
+def test_parsers_agree_with_the_strict_ones(block):
+    assert parsed(http1.parse_request, block) == parsed(strictly(http1._strict_request), block)
+    assert parsed(http1.parse_response, block) == parsed(strictly(http1._strict_response), block)
+
+
+def fast_read(data: bytes, buffer_size: int = 8192) -> bytes:
+    return http1.read_head(NoLineReads(io.BytesIO(data), buffer_size))
+
+
+def test_fast_read_ends_a_head_at_its_first_empty_line():
+    # A search for CR LF CR LF alone would take "X\r\n" into this head.
+    data = b"GET / HTTP/1.1\n\nX\r\n\r\n"
+    reader = NoLineReads(io.BytesIO(data))
+    assert http1.read_head(reader) == b"GET / HTTP/1.1\n\n"
+    assert reader.read() == b"X\r\n\r\n"
+    assert fast_read(b"GET / HTTP/1.1\r\nA: b\n\r\nC: d\r\n\r\n") == b"GET / HTTP/1.1\r\nA: b\n\r\n"
+
+
+@pytest.mark.parametrize("data", [
+    b"\r\nGET / HTTP/1.1\r\n\r\n",  # a leading empty line
+    b"\nGET / HTTP/1.1\r\n\r\n",
+    b"GET / HTTP/1.1\r\nHost: x\r\n",  # no empty line yet
+])
+def test_fast_read_leaves_other_heads_to_the_line_loop(data):
+    with pytest.raises(AssertionError, match="line by line"):
+        fast_read(data)
+    assert head_and_rest(io.BufferedReader(io.BytesIO(data))) == head_and_rest(io.BytesIO(data))
+
+
+AT_FIELD_LIMIT = b"GET / HTTP/1.1\r\nX: " + b"a" * (http1.MAX_FIELD_BYTES - 7) + b"\r\n\r\n"
+AT_LINE_LIMIT = b"GET /" + b"a" * (http1.MAX_LINE - 16) + b" HTTP/1.1\r\n\r\n"
+# The longest head the fast path takes, and one byte more.
+AT_FAST_LIMIT = b"GET / HTTP/1.1\r\nX: " + b"a" * (http1._HEAD_FITS - 23) + b"\r\n\r\n"
+
+
+@pytest.mark.parametrize("data", [
+    AT_FIELD_LIMIT, AT_LINE_LIMIT, AT_FAST_LIMIT,
+    AT_FAST_LIMIT.replace(b"X: ", b"X:  "),
+    AT_FIELD_LIMIT.replace(b"X: ", b"X:  "),  # 431
+    AT_LINE_LIMIT.replace(b"GET /", b"GET //"),  # 414
+    b"GET / HTTP/1.1\r\n" + b"X: aaaaaaaaaa\r\n" * (http1.MAX_FIELD_BYTES // 15 + 1),  # 431
+], ids=["fields-at-limit", "line-at-limit", "fast-limit", "fast-limit+1", "fields-over-limit",
+        "line-over-limit", "many-fields-over-limit"])
+def test_heads_at_the_limits_read_alike_through_a_buffer(data):
+    assert len(AT_FAST_LIMIT) == http1._HEAD_FITS
+    buffered = io.BufferedReader(io.BytesIO(data + b"rest"), 2 * len(data))
+    assert head_and_rest(buffered) == head_and_rest(io.BytesIO(data + b"rest"))
+
+
+def test_fast_read_takes_heads_up_to_its_limit():
+    assert fast_read(AT_FAST_LIMIT, 2 * len(AT_FAST_LIMIT)) == AT_FAST_LIMIT
+    with pytest.raises(AssertionError, match="line by line"):
+        fast_read(AT_FAST_LIMIT.replace(b"X: ", b"X:  "), 2 * len(AT_FAST_LIMIT))
+
+
+def test_field_count_limit_reads_alike_through_both_parsers():
+    names = [f"X-{i}: v" for i in range(http1.MAX_FIELDS + 1)]
+    for count in (http1.MAX_FIELDS, http1.MAX_FIELDS + 1):
+        block = request_block(names[:count])
+        assert parsed(http1.parse_request, block) == \
+            parsed(strictly(http1._strict_request), block)
+    assert len(http1.parse_request(request_block(names[:http1.MAX_FIELDS])).fields) == \
+        http1.MAX_FIELDS
+
+
+@given(st.lists(field_lines, max_size=http1.MAX_FIELDS))
+@example(["Content-Length: 3", "content-length:40"])
+@example(["X:  spaced value \t"])
+def test_valid_heads_agree_with_http_client_through_the_fast_path(lines):
+    block = request_block(lines)
+    assert fast_read(block + b"rest") == block
+    match = http1._REQUEST_HEAD.fullmatch(block.decode("latin-1"))
+    assert match is not None
+    names = [line.partition(":")[0].lower() for line in lines]
+    fields = http1._matched_fields(match)
+    if len(set(names)) == len(names):
+        assert dict(fields) == stdlib_fields(lines)
+    else:
+        assert fields is None  # the strict parser joins repeated names
+    assert dict(http1.parse_request(block).fields) == stdlib_fields(lines)

@@ -575,14 +575,55 @@ def test_expect_100_continue_gets_an_interim_response(live_server):
         resp.close()
 
 
+SPLIT_IDS = ["after-the-first-byte", "inside-a-field-line", "before-the-empty-line",
+             "inside-the-empty-line", "after-the-head"]
+
+
+@pytest.mark.parametrize("split_after", [
+    b"P", b"X-RMAWS-To", b"Content-Length: 231\r\n", b"Content-Length: 231\r\n\r",
+    b"Content-Length: 231\r\n\r\n"], ids=SPLIT_IDS)
+def test_request_head_split_across_writes_is_answered(live_server, split_after):
+    server = live_server([{"name": "echo"}])
+    body = encode_request(envelope(b"split", 1))
+    assert len(body) == 231
+    data = (b"POST /services/echo HTTP/1.1\r\nHost: x\r\nX-RMAWS-Token: %s\r\n"
+            b"Content-Length: 231\r\n\r\n%s" % (TOKEN.encode("ascii"), body))
+    at = data.index(split_after) + len(split_after)
+    with socket.create_connection(server.address, timeout=2.0) as sock:
+        sock.sendall(data[:at])
+        time.sleep(0.05)
+        sock.sendall(data[at:])
+        resp = http.client.HTTPResponse(sock)
+        resp.begin()
+        assert (resp.status, resp.getheader(STATUS_HEADER), resp.read(), resp.will_close) == \
+            (200, ResponseStatus.OK.value, b"split", False)
+        resp.close()
+
+
+def test_send_over_the_body_bound_is_rejected(live_server):
+    handler, calls = counting_handler("echo")
+    server = live_server(registry=HandlerRegistry().add(handler), max_body_bytes=1000)
+    overhead = len(encode_request(envelope(b"", 1)))
+    client = make_client(server)
+    assert client.send("echo", b"x" * (1000 - overhead)).body == b"BODY"  # at the bound
+    with pytest.raises(ClientError) as err:
+        client.send("echo", b"x" * (1001 - overhead))
+    assert (err.value.kind, err.value.trials_used) == ("Rejected", 1)
+    with pytest.raises(ClientError) as err:
+        client.send_direct("echo", b"x" * 1001)
+    assert err.value.detail == "direct call failed: HTTP 413"
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("path", ["/direct/echo", "/services/echo"])
 @pytest.mark.parametrize("length", [10, 10**13], ids=["short", "huge"])
 def test_body_cut_short_gets_400_and_reaches_no_handler(live_server, path, length):
     # The peer sends 3 of the bytes it announced, then closes its side. A
-    # huge Content-Length must not be allocated up front either: the
-    # fixture fails a connection thread that ends in MemoryError.
+    # huge Content-Length within the server's bound must not be allocated
+    # up front either: the fixture fails a connection thread that ends in
+    # MemoryError.
     handler, calls = counting_handler("echo")
-    server = live_server(registry=HandlerRegistry().add(handler))
+    server = live_server(registry=HandlerRegistry().add(handler), max_body_bytes=length)
     with socket.create_connection(server.address, timeout=2.0) as sock:
         sock.sendall(b"POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\nabc"
                      % (path.encode("ascii"), length))
@@ -614,7 +655,21 @@ class _CannedHandler(socketserver.StreamRequestHandler):
         head = http1.parse_request(http1.read_head(self.rfile))
         body = self.rfile.read(http1.body_length(head.fields) or 0)
         rid = decode_request(body).rid.canonical() if head.target.startswith("/services/") else ""
-        self.wfile.write(self.server.canned.replace(b"{rid}", rid.encode("ascii")))
+        self.send(self.server.canned.replace(b"{rid}", rid.encode("ascii")))
+
+    def send(self, response: bytes) -> None:
+        self.wfile.write(response)
+
+
+class _SplitHandler(_CannedHandler):
+    """As ``_CannedHandler``, but the response goes out in two writes
+    50 ms apart, split after the first ``server.split_after``."""
+
+    def send(self, response: bytes) -> None:
+        at = response.index(self.server.split_after) + len(self.server.split_after)
+        self.wfile.write(response[:at])
+        time.sleep(0.05)
+        self.wfile.write(response[at:])
 
 
 CANNED_HEAD = (b"HTTP/1.1 200 OK\r\nX-RMAWS-Rid: {rid}\r\nX-RMAWS-Channel: Http\r\n"
@@ -656,6 +711,29 @@ def test_unframeable_response_is_broken(framing, broken):
         stub.server_close()
         thread.join(timeout=5.0)
     assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("split_after", [
+    b"H", b"X-RMAWS-Ri", b"Content-Length: 4\r\n", b"Content-Length: 4\r\n\r",
+    b"Content-Length: 4\r\n\r\n"], ids=SPLIT_IDS)
+def test_response_head_split_across_writes_is_read_whole(split_after):
+    stub = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _SplitHandler)
+    stub.canned = CANNED_HEAD + b"Content-Length: 4\r\n\r\nBODY"
+    stub.split_after = split_after
+    thread = threading.Thread(target=stub.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        with Client(*stub.server_address[:2], auth_token=TOKEN) as client:
+            opts = SendOptions(http_timeout_ms=5_000, push_wait_ms=50, max_trials=1,
+                               auth_token=TOKEN)
+            outcome = client.send("echo", b"mine", opts)
+    finally:
+        stub.shutdown()
+        stub.server_close()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert (outcome.status, outcome.channel, outcome.body, outcome.trials_used) == \
+        (ResponseStatus.OK, Channel.HTTP, b"BODY", 1)
 
 
 class _OwingHandler(socketserver.StreamRequestHandler):
@@ -1011,3 +1089,51 @@ def test_accept_loop_rests_while_out_of_file_descriptors():
         proc.stdout.close()
     assert used < 0.4, f"{used:.2f} s of CPU in 2 s while out of descriptors"
     assert (code, stop_s < 3.0) == (0, True)
+
+
+# A server with the default configuration; it stops on a line from stdin.
+_DEFAULT_SERVER = """
+import sys
+from rmaws.server.http import RmawsServer, ServerConfig
+server = RmawsServer(ServerConfig(services=[{"name": "echo"}])).start()
+print(server.port, flush=True)
+sys.stdin.readline()
+server.stop(drain_timeout_s=1.0)
+"""
+
+
+@pytest.mark.parametrize("path, expect", [
+    (b"/services/echo", b""),
+    (b"/direct/echo", b""),
+    (b"/services/echo", b"Expect: 100-continue\r\n"),
+], ids=["services", "direct", "services-expecting-100"])
+def test_body_over_the_default_bound_gets_413_before_it_is_read(path, expect):
+    # Only the head goes out, with no token, declaring 200 MiB: a server
+    # that waited for the body would leave the socket's 1 s read timing out.
+    src = os.path.dirname(os.path.dirname(rmaws.__file__))
+    proc = subprocess.Popen([sys.executable, "-c", _DEFAULT_SERVER], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    try:
+        port = int(proc.stdout.readline())
+        with socket.create_connection(("127.0.0.1", port), timeout=1.0) as sock:
+            sock.sendall(b"POST %s HTTP/1.1\r\nHost: x\r\n%sContent-Length: %d\r\n\r\n"
+                         % (path, expect, 200 * 2**20))
+            data = b""
+            while chunk := sock.recv(65536):
+                data += chunk
+        proc.stdin.write(b"stop\n")
+        proc.stdin.flush()
+        assert proc.wait(timeout=10.0) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdin.close()
+        proc.stdout.close()
+    head, _, body = data.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 413 ")
+    assert b"\r\nConnection: close" in head
+    assert body == b"request body over %d B" % rmaws.server.http.DEFAULT_MAX_BODY_BYTES
+    validation = b"\r\n%s: %s" % (STATUS_HEADER.encode("ascii"),
+                                    ResponseStatus.VALIDATION_ERROR.value.encode("ascii"))
+    assert (validation in head) == path.startswith(b"/services/")

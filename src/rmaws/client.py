@@ -62,13 +62,10 @@ DEFAULT_PUSH_WAIT_MS = 30_000
 # X-RMAWS-Status and X-RMAWS-Channel values; any other value is broken.
 _STATUSES = {status.value: status for status in ResponseStatus}
 _CHANNELS = {channel.value: channel for channel in Channel}
-# Read by their stored lower-case names; see ``http1.Fields``.
+# Read with ``Fields.get_lower``, which skips the case fold.
 _RID_FIELD = RID_HEADER.lower()
 _STATUS_FIELD = STATUS_HEADER.lower()
 _CHANNEL_FIELD = CHANNEL_HEADER.lower()
-# A Client renders at most this many paths' request heads once; a head
-# for any further path is rendered on each post.
-_REQUEST_HEADS_KEPT = 256
 # What a kept-alive connection that the server closed while idle raises
 # when it is used again, before any byte of a response arrives.
 _STALE_CONNECTION_ERRORS = (ConnectionResetError, BrokenPipeError)
@@ -472,9 +469,6 @@ class Client:
         fields = {"Host": f"{authority}:{port}", "Content-Type": "application/octet-stream"}
         self._direct_fields = http1.field_lines(fields)
         self._service_fields = http1.field_lines({**fields, TOKEN_HEADER: auth_token})
-        # The request line and fixed fields of each path posted to, by path:
-        # /services/ paths carry _service_fields, /direct/ ones _direct_fields.
-        self._request_heads: dict[str, bytes] = {}
         self._idle: list[_Connection] = []
         self._idle_lock = threading.Lock()
         # A Client dropped without close() still closes its connections.
@@ -590,12 +584,7 @@ class Client:
         in both cases the stream is out of step. The body is read in
         bounded chunks, so a huge Content-Length reserves nothing.
         """
-        head = self._request_heads.get(path)
-        if head is None:
-            head = http1.request_head("POST", path, field_block)
-            if len(self._request_heads) < _REQUEST_HEADS_KEPT:
-                self._request_heads[path] = head
-        request = http1.with_body(head, body)
+        request = http1.request("POST", path, field_block, body)
         deadline = time.monotonic() + timeout_s
         with self._idle_lock:
             conn = self._idle.pop() if self._idle else None
@@ -625,7 +614,7 @@ class Client:
                     conn = _Connection(self.host, self.port, _time_left(deadline))
                     reused = False
             head, data = conn.read_response()
-            answered = dict.get(head.fields, _RID_FIELD)
+            answered = head.fields.get_lower(_RID_FIELD)
             if rid is not None and answered is not None and not _names_key(answered, rid.dedup_key):
                 raise http1.HttpError(400, f"response for another request: {answered!r}")
         except BaseException:
@@ -650,8 +639,8 @@ class Client:
         except (OSError, ValueError, http1.HttpError) as exc:
             log.debug("http transport error: %s", exc)
             return "broken", None
-        status = _STATUSES.get(dict.get(head.fields, _STATUS_FIELD))
-        channel = _CHANNELS.get(dict.get(head.fields, _CHANNEL_FIELD))
+        status = _STATUSES.get(head.fields.get_lower(_STATUS_FIELD))
+        channel = _CHANNELS.get(head.fields.get_lower(_CHANNEL_FIELD))
         if status is None or channel is None:
             return "broken", None
         return "response", ResponseEnvelope(env.rid, status, channel, body)
@@ -715,7 +704,7 @@ class _Connection:
         except (OSError, http1.HttpError) as exc:
             log.debug("owed response not read: %s", exc)
             return False
-        answered = dict.get(head.fields, _RID_FIELD)
+        answered = head.fields.get_lower(_RID_FIELD)
         return answered is not None and _names_key(answered, key) and head.keep_alive
 
     def close(self) -> None:

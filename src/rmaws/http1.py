@@ -18,7 +18,8 @@ carrying the status a server answers it with:
 ``Content-Length`` or no body at all. Any ``Transfer-Encoding``, and a
 ``Content-Length`` that is repeated or not one run of digits, get 400.
 ``read_body`` reads a body so framed, in bounded chunks; a body cut
-short gets 400 too.
+short gets 400 too. A server answers a body over ``MAX_BODY_BYTES``
+with 413 before reading any of it.
 
 A head normally takes one pass. ``read_head`` looks for the head's end,
 its first empty line (``\\n\\r?\\n``), in the bytes a reader with ``peek``
@@ -44,6 +45,8 @@ MAX_FIELDS = 100
 # A body is read at most this many bytes at a time, so a reader holds only
 # the bytes that arrived, whatever Content-Length the peer claims.
 BODY_CHUNK_BYTES = 64 * 1024
+# A server answers a request whose Content-Length is over this with 413.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 _TOKEN = r"[!#$%&'*+.^_`|~0-9A-Za-z-]+"
 _TARGET_TEXT = r"[^\x00-\x20\x7f]+"
@@ -88,11 +91,14 @@ class HttpError(Exception):
 class Fields(dict):
     """Field values by lower-cased name, looked up case-insensitively.
     A name that occurs on several lines maps to its values joined with
-    ", " (RFC 9110 §5.3). Code that reads a field on every message passes
-    its lower-case name to ``dict.get``, which skips the fold."""
+    ", " (RFC 9110 §5.3)."""
 
     def get(self, name, default=None):
         return dict.get(self, name.lower(), default)
+
+    # For a name already in lower case, as code that reads a field on
+    # every message passes: no fold.
+    get_lower = dict.get
 
     def __getitem__(self, name):
         return dict.__getitem__(self, name.lower())
@@ -128,7 +134,7 @@ def _keep_alive(version: str, fields: Fields) -> bool:
     ``Connection: close``; HTTP/1.0 closes it."""
     if version == "HTTP/1.0":
         return False
-    connection = dict.get(fields, "connection")
+    connection = fields.get_lower("connection")
     return connection is None or "close" not in (
         token.strip().lower() for token in connection.split(","))
 
@@ -194,7 +200,7 @@ def _fields(lines: list[str]) -> Fields:
         if match is None:
             raise HttpError(400, _field_problem(line))
         name, value = match.group(1).lower(), match.group(2).rstrip(" \t")
-        previous = dict.get(fields, name)
+        previous = fields.get_lower(name)
         fields[name] = value if previous is None else f"{previous}, {value}"
     return fields
 
@@ -275,9 +281,9 @@ def body_length(fields: Fields) -> int | None:
     ``HttpError`` 400 for any Transfer-Encoding and for a Content-Length
     that is not one run of ASCII digits: a repeated or conflicting one
     reads as "3, 40" here (RFC 9112 §6.3)."""
-    if dict.__contains__(fields, "transfer-encoding"):
+    if fields.get_lower("transfer-encoding") is not None:
         raise HttpError(400, "Transfer-Encoding is not supported")
-    length = dict.get(fields, "content-length")
+    length = fields.get_lower("content-length")
     if length is None:
         return None
     if not (length.isascii() and length.isdigit()):
@@ -313,29 +319,19 @@ def field_lines(fields: dict) -> bytes:
     return "".join(out).encode("latin-1")
 
 
-def request_head(method: str, target: str, field_block: bytes) -> bytes:
-    """A request line and ``field_block``, from ``field_lines``: the part
-    of a head that ``with_body`` completes."""
+def request(method: str, target: str, field_block: bytes, body: bytes) -> bytes:
+    """A whole request, head and body, for one write. ``field_block`` comes
+    from ``field_lines``; Content-Length is added here."""
     if not _TARGET.fullmatch(target):
         raise ValueError(f"invalid request target {target!r}")
-    return b"%s %s HTTP/1.1\r\n%s" % (method.encode("ascii"), target.encode("latin-1"),
-                                       field_block)
-
-
-def with_body(head: bytes, body: bytes) -> bytes:
-    """A whole message for one write: ``head`` without its Content-Length,
-    which is added here, then the empty line and ``body``."""
-    return b"%sContent-Length: %d\r\n\r\n%s" % (head, len(body), body)
-
-
-def request(method: str, target: str, field_block: bytes, body: bytes) -> bytes:
-    """A whole request, head and body, for one write."""
-    return with_body(request_head(method, target, field_block), body)
+    return b"%s %s HTTP/1.1\r\n%sContent-Length: %d\r\n\r\n%s" % (
+        method.encode("ascii"), target.encode("latin-1"), field_block, len(body), body)
 
 
 def response(status: int, field_block: bytes, body: bytes) -> bytes:
     """A whole response, head and body, for one write."""
-    return with_body(_STATUS_LINES[status] + field_block, body)
+    return b"%s%sContent-Length: %d\r\n\r\n%s" % (
+        _STATUS_LINES[status], field_block, len(body), body)
 
 
 def http_date(seconds: float) -> str:

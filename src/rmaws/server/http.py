@@ -9,10 +9,11 @@ parsed and written by ``rmaws.http1``: a head or body length that
 breaks its framing rules gets that module's status code (400, 414, 431
 or 505) and the connection closes, since the rest of the stream cannot
 be framed; so does a body cut short, which gets 400 and never reaches a
-handler. A ``Content-Length`` over ``max_body_bytes`` gets 413 before
-any of the body is read, and the connection closes. A body is read in
-bounded chunks, so memory grows with the bytes that arrive, not with
-the length a request claims.
+handler. A ``Content-Length`` over ``http1.MAX_BODY_BYTES`` gets 413
+before any of the body is read; what the peer still sends of it is read
+and dropped for at most ``DISCARD_BODY_S``, and the connection closes.
+A body is read in bounded chunks, so memory grows with the bytes that
+arrive, not with the length a request claims.
 
 The request sequence itself runs in ``ServerCore``, the same code the
 simulator drives: ``receive`` validates and submits a request, and when
@@ -75,7 +76,6 @@ _HTTP_CODES = {ResponseStatus.OK: 200, ResponseStatus.SERVICE_ERROR: 500}
 _VALIDATION_HTTP_CODES = {"BadId": 400, "UnknownService": 404, "Unauthorized": 401,
                           "IdentityConflict": 409}
 DEFAULT_CACHE_TTL_MS = 24 * 60 * 60 * 1000
-DEFAULT_MAX_BODY_BYTES = 16 * 1024 * 1024
 WAITER_CAP_S = 600.0
 # Bounds every blocking read and write on an HTTP connection: the wait
 # for the next keep-alive request, and a peer that stalls mid-request or
@@ -83,6 +83,9 @@ WAITER_CAP_S = 600.0
 # Until it ends, an idle connection holds a thread and about 28 KB; a
 # client that sends again within the bound saves a connect per send.
 KEEPALIVE_IDLE_S = 5.0
+# After a 413, how long the server reads and drops the body the peer is
+# still sending before it closes the connection; see ``_discard_body``.
+DISCARD_BODY_S = 1.0
 # How long the accept loop rests when accept() fails for want of
 # descriptors or memory: the connection stays queued, so the listener
 # would be ready again at once and the loop would spin.
@@ -98,7 +101,6 @@ class ServerConfig:
     auth_token: str = ""
     cache_ttl_ms: int | None = DEFAULT_CACHE_TTL_MS
     push_idle_timeout_ms: int = 300_000
-    max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
     store_path: str | None = None
     services: list = field(default_factory=list)
 
@@ -111,9 +113,6 @@ class ServerConfig:
         if self.push_idle_timeout_ms < 1:
             raise ValueError(f"push_idle_timeout_ms must be at least 1, "
                              f"got {self.push_idle_timeout_ms}")
-        # A negative bound would refuse even a request without a body.
-        if self.max_body_bytes < 0:
-            raise ValueError(f"max_body_bytes must be at least 0, got {self.max_body_bytes}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ServerConfig":
@@ -128,8 +127,6 @@ class ServerConfig:
         if "push_idle_timeout_ms" in raw:
             fields["push_idle_timeout_ms"] = _int("push_idle_timeout_ms",
                                                   raw["push_idle_timeout_ms"])
-        if "max_body_bytes" in raw:
-            fields["max_body_bytes"] = _int("max_body_bytes", raw["max_body_bytes"])
         return cls(**fields)
 
     @classmethod
@@ -150,8 +147,6 @@ class ServerConfig:
         if env.get("RMAWS_PUSH_IDLE_TIMEOUT_MS"):
             fields["push_idle_timeout_ms"] = _int("RMAWS_PUSH_IDLE_TIMEOUT_MS",
                                                   env["RMAWS_PUSH_IDLE_TIMEOUT_MS"])
-        if env.get("RMAWS_MAX_BODY_BYTES"):
-            fields["max_body_bytes"] = _int("RMAWS_MAX_BODY_BYTES", env["RMAWS_MAX_BODY_BYTES"])
         if env.get("RMAWS_STORE_PATH"):
             fields["store_path"] = env["RMAWS_STORE_PATH"]
         return replace(cfg, **fields)
@@ -443,8 +438,8 @@ class RmawsRequestHandler:
         400 or 413, after which the connection closes: the rest of the
         stream cannot be framed. 400: the body is not framed by a plain
         Content-Length, or the peer closed before sending all of it. 413:
-        the Content-Length is over ``max_body_bytes``; no byte of the body
-        is read, and on /services the answer carries the validation
+        the Content-Length is over ``http1.MAX_BODY_BYTES``; the body is
+        never kept, and on /services the answer carries the validation
         fields, so the client ends its send rejected. ``http1.read_body``
         reads the body in bounded chunks, so a huge Content-Length
         reserves nothing up front. ``Expect: 100-continue`` gets its
@@ -456,14 +451,14 @@ class RmawsRequestHandler:
             self.close_connection = True
             self.write_response(exc.status, exc.reason.encode("latin-1"))
             return None
-        limit = self.server.config.max_body_bytes
-        if size > limit:
+        if size > http1.MAX_BODY_BYTES:
             self.close_connection = True
-            self.write_response(413, b"request body over %d B" % limit,
+            self.write_response(413, b"request body over %d B" % http1.MAX_BODY_BYTES,
                                 _VALIDATION_FIELDS if self.path.startswith("/services/") else b"")
+            self._discard_body(size)
             return None
         if (self.head.version != "HTTP/1.0"
-                and dict.get(fields, "expect", "").lower() == "100-continue"):
+                and fields.get_lower("expect", "").lower() == "100-continue"):
             self.connection.sendall(http1.CONTINUE)
         try:
             return http1.read_body(self.rfile, size)
@@ -471,6 +466,24 @@ class RmawsRequestHandler:
             self.close_connection = True
             self.write_response(400, b"request body cut short")
             return None
+
+    def _discard_body(self, size: int) -> None:
+        """End the stream after a 413 with FIN, then read and drop what the
+        peer still sends of its ``size`` B body, for at most
+        ``DISCARD_BODY_S``. Closing a socket with bytes unread sends a
+        reset, which would fail a client's write of the rest of the body
+        before it read the 413."""
+        deadline = time.monotonic() + DISCARD_BODY_S
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            while size > 0 and (left := deadline - time.monotonic()) > 0:
+                self.connection.settimeout(left)
+                chunk = self.rfile.read1(min(size, http1.BODY_CHUNK_BYTES))
+                if not chunk:
+                    break
+                size -= len(chunk)
+        except OSError as exc:
+            log.debug("body after 413 not read: %s", exc)
 
     def write_response(self, code: int, body: bytes, field_block: bytes = b"") -> bool:
         """Write the status line, the fixed fields, ``field_block`` and the
@@ -531,7 +544,7 @@ class RmawsRequestHandler:
             return
         core = self.server.core
         exchange = LiveExchange(self, env)
-        ticket = core.receive(env, dict.get(self.head.fields, _TOKEN_FIELD, ""), exchange)
+        ticket = core.receive(env, self.head.fields.get_lower(_TOKEN_FIELD, ""), exchange)
         if ticket is not None:
             delay_ms = core.handlers.get(env.service_name).delay_ms
             if delay_ms:

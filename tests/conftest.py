@@ -3,7 +3,7 @@ import threading
 import pytest
 
 from rmaws.server.handlers import HandlerRegistry, make_synthetic
-from rmaws.server.http import DEFAULT_MAX_BODY_BYTES, RmawsServer, ServerConfig
+from rmaws.server.http import RmawsServer, ServerConfig
 
 TOKEN = "test-token"
 
@@ -14,15 +14,13 @@ def live_server():
     servers = []
 
     def start(services=None, registry=None, *, auth_token=TOKEN, clock=None,
-              cache_ttl_ms=None, push_idle_timeout_ms=300_000,
-              max_body_bytes=DEFAULT_MAX_BODY_BYTES, break_dedup=False):
+              cache_ttl_ms=None, push_idle_timeout_ms=300_000, break_dedup=False):
         config = ServerConfig(
             bind_host="127.0.0.1",
             bind_port=0,
             auth_token=auth_token,
             cache_ttl_ms=cache_ttl_ms,
             push_idle_timeout_ms=push_idle_timeout_ms,
-            max_body_bytes=max_body_bytes,
             services=services or [],
         )
         if registry is None and not config.services:

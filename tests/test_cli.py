@@ -185,7 +185,6 @@ class TestServeConfig:
         ({"cache_ttl_ms": -1}, {}, "cache_ttl_ms"),
         ({"push_idle_timeout_ms": 0}, {}, "push_idle_timeout_ms"),
         ({}, {"RMAWS_PUSH_IDLE_TIMEOUT_MS": "-5"}, "push_idle_timeout_ms"),
-        ({"max_body_bytes": -1}, {}, "max_body_bytes"),
     ])
     def test_bad_server_setting_exits_two_with_one_line(self, tmp_path, fields, env, named):
         cfg = tmp_path / "cfg.json"
@@ -244,26 +243,22 @@ class TestConfigLoading:
             "bind": "127.0.0.1:8123",
             "auth_token": "from-file",
             "cache_ttl_ms": 1000,
-            "max_body_bytes": 4096,
             "services": [{"name": "orders", "delay_ms": 5, "output_size": 64}],
         }))
         cfg = ServerConfig.load(str(cfg_path), env={})
         assert cfg.bind_port == 8123
         assert cfg.auth_token == "from-file"
         assert cfg.cache_ttl_ms == 1000
-        assert cfg.max_body_bytes == 4096
         assert cfg.services[0]["name"] == "orders"
 
         cfg = ServerConfig.load(str(cfg_path), env={
             "RMAWS_BIND": "0.0.0.0:9999",
             "RMAWS_AUTH_TOKEN": "from-env",
             "RMAWS_CACHE_TTL_MS": "5000",
-            "RMAWS_MAX_BODY_BYTES": "8192",
         })
         assert (cfg.bind_host, cfg.bind_port) == ("0.0.0.0", 9999)
         assert cfg.auth_token == "from-env"
         assert cfg.cache_ttl_ms == 5000
-        assert cfg.max_body_bytes == 8192
         # An empty token in the environment still overrides the file's.
         assert ServerConfig.load(str(cfg_path), env={"RMAWS_AUTH_TOKEN": ""}).auth_token == ""
 
@@ -277,9 +272,6 @@ class TestConfigLoading:
         ({}, {"RMAWS_PUSH_IDLE_TIMEOUT_MS": "-1"}, "push_idle_timeout_ms"),
         ({}, {"RMAWS_PUSH_IDLE_TIMEOUT_MS": "0"}, "push_idle_timeout_ms"),
         ({}, {"RMAWS_CACHE_TTL_MS": "soon"}, "RMAWS_CACHE_TTL_MS"),
-        ({"max_body_bytes": -1}, {}, "max_body_bytes"),
-        ({"max_body_bytes": "big"}, {}, "max_body_bytes"),
-        ({}, {"RMAWS_MAX_BODY_BYTES": "-1"}, "max_body_bytes"),
     ])
     def test_settings_that_break_the_protocol_are_refused(self, tmp_path, fields, env, named):
         from rmaws.server.http import ServerConfig
@@ -289,8 +281,7 @@ class TestConfigLoading:
             ServerConfig.load(str(cfg_path), env=env)
         assert named in str(info.value)
 
-    @pytest.mark.parametrize("fields", [{"cache_ttl_ms": -1}, {"push_idle_timeout_ms": 0},
-                                        {"max_body_bytes": -1}])
+    @pytest.mark.parametrize("fields", [{"cache_ttl_ms": -1}, {"push_idle_timeout_ms": 0}])
     def test_direct_construction_is_refused_too(self, fields):
         from rmaws.server.http import ServerConfig
         with pytest.raises(ValueError, match=next(iter(fields))):
@@ -299,9 +290,8 @@ class TestConfigLoading:
     def test_boundary_settings_are_accepted(self, tmp_path):
         from rmaws.server.http import ServerConfig
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"cache_ttl_ms": 0, "push_idle_timeout_ms": 1,
-                                        "max_body_bytes": 0}))
+        cfg_path.write_text(json.dumps({"cache_ttl_ms": 0, "push_idle_timeout_ms": 1}))
         cfg = ServerConfig.load(str(cfg_path), env={})
-        assert (cfg.cache_ttl_ms, cfg.push_idle_timeout_ms, cfg.max_body_bytes) == (0, 1, 0)
+        assert (cfg.cache_ttl_ms, cfg.push_idle_timeout_ms) == (0, 1)
         cfg_path.write_text(json.dumps({"cache_ttl_ms": None}))
         assert ServerConfig.load(str(cfg_path), env={}).cache_ttl_ms is None

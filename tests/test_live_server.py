@@ -600,30 +600,38 @@ def test_request_head_split_across_writes_is_answered(live_server, split_after):
         resp.close()
 
 
-def test_send_over_the_body_bound_is_rejected(live_server):
+@pytest.mark.parametrize("over", [1, 8 * 2**20], ids=["one-byte", "8MiB"])
+def test_send_over_the_body_bound_is_rejected(live_server, monkeypatch, over):
+    # 8 MiB is far past the socket buffers: unless the server reads and
+    # drops it after the 413, the client's write of it ends in a reset
+    # before the 413 is read. The over-bound send reuses the connection
+    # of the send at the bound.
+    monkeypatch.setattr(http1, "MAX_BODY_BYTES", 1000)
     handler, calls = counting_handler("echo")
-    server = live_server(registry=HandlerRegistry().add(handler), max_body_bytes=1000)
+    server = live_server(registry=HandlerRegistry().add(handler))
     overhead = len(encode_request(envelope(b"", 1)))
     client = make_client(server)
     assert client.send("echo", b"x" * (1000 - overhead)).body == b"BODY"  # at the bound
     with pytest.raises(ClientError) as err:
-        client.send("echo", b"x" * (1001 - overhead))
+        client.send("echo", b"x" * (1000 - overhead + over))
     assert (err.value.kind, err.value.trials_used) == ("Rejected", 1)
     with pytest.raises(ClientError) as err:
-        client.send_direct("echo", b"x" * 1001)
+        client.send_direct("echo", b"x" * (1000 + over))
     assert err.value.detail == "direct call failed: HTTP 413"
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("path", ["/direct/echo", "/services/echo"])
 @pytest.mark.parametrize("length", [10, 10**13], ids=["short", "huge"])
-def test_body_cut_short_gets_400_and_reaches_no_handler(live_server, path, length):
+def test_body_cut_short_gets_400_and_reaches_no_handler(live_server, monkeypatch, path,
+                                                        length):
     # The peer sends 3 of the bytes it announced, then closes its side. A
     # huge Content-Length within the server's bound must not be allocated
     # up front either: the fixture fails a connection thread that ends in
     # MemoryError.
+    monkeypatch.setattr(http1, "MAX_BODY_BYTES", length)
     handler, calls = counting_handler("echo")
-    server = live_server(registry=HandlerRegistry().add(handler), max_body_bytes=length)
+    server = live_server(registry=HandlerRegistry().add(handler))
     with socket.create_connection(server.address, timeout=2.0) as sock:
         sock.sendall(b"POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\nabc"
                      % (path.encode("ascii"), length))
@@ -1133,7 +1141,7 @@ def test_body_over_the_default_bound_gets_413_before_it_is_read(path, expect):
     head, _, body = data.partition(b"\r\n\r\n")
     assert head.startswith(b"HTTP/1.1 413 ")
     assert b"\r\nConnection: close" in head
-    assert body == b"request body over %d B" % rmaws.server.http.DEFAULT_MAX_BODY_BYTES
+    assert body == b"request body over %d B" % http1.MAX_BODY_BYTES
     validation = b"\r\n%s: %s" % (STATUS_HEADER.encode("ascii"),
                                     ResponseStatus.VALIDATION_ERROR.value.encode("ascii"))
     assert (validation in head) == path.startswith(b"/services/")

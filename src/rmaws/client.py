@@ -570,13 +570,17 @@ class Client:
         time-out, a time-out inside a response and any other error close
         the connection.
 
-        When a reused connection fails before any byte of the response
-        arrives, it is closed and the request goes out once more on a new
-        one, within what is left of ``timeout_s``. The usual cause is a
-        server that closed the connection while idle. A re-send is safe:
-        the server closes an idle connection only between requests, and a
-        re-sent /services request carries the same rid, so the server
-        replays it or attaches it.
+        A write or a first read that fails with a reset or a broken pipe
+        first looks for a response already on the connection: a server
+        may answer before it has read the whole request and close, as
+        with a 413 for a body over its bound, and what it wrote stays
+        readable after the reset. That response is the answer. Otherwise,
+        on a reused connection, it is closed and the request goes out once
+        more on a new one, within what is left of ``timeout_s``. The usual
+        cause is a server that closed the connection while idle. A re-send
+        is safe: the server closes an idle connection only between
+        requests, and a re-sent /services request carries the same rid,
+        so the server replays it or attaches it.
 
         A response that ``http1`` cannot frame (no plain Content-Length,
         any Transfer-Encoding, a body cut short) raises ``HttpError``, and
@@ -608,6 +612,8 @@ class Client:
                         raise ConnectionResetError("connection closed before a response")
                     break
                 except _STALE_CONNECTION_ERRORS:
+                    if conn.answered():
+                        break
                     if not reused:
                         raise
                     conn.close()
@@ -681,6 +687,14 @@ class _Connection:
     def owe(self) -> None:
         self.rfile.close()
         self.rfile = self.sock.makefile("rb")
+
+    def answered(self) -> bool:
+        """Whether bytes of a response wait to be read. Called once the
+        connection is reset or closed, when a read returns at once."""
+        try:
+            return bool(self.rfile.peek(1))
+        except OSError:
+            return False
 
     def read_response(self) -> tuple[http1.ResponseHead, bytes]:
         """One response, framed by a plain Content-Length; raises

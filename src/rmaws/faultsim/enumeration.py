@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .invariants import Violation, check_invariants
 from .scenario import DROP_FAULT_KINDS, FaultSpec, ScenarioInvalid, ScenarioSpec
@@ -136,11 +136,13 @@ def enumerate_and_check(
         drops = [f for site in enabled for f in site if f.kind in DROP_FAULT_KINDS]
         timed = [f for site in enabled for f in site if f.kind not in DROP_FAULT_KINDS]
         for ordering_index, ordered in enumerate(_orderings(timed)):
-            scenario = replace(
-                template,
+            # Shares the template's values as ``dataclasses.replace``
+            # would, without its per-call look-up of the fields.
+            scenario = ScenarioSpec(
                 name=f"{template.name}#{mask:0{max(1, len(sites))}b}.{ordering_index}",
-                faults=drops + ordered,
-            )
+                end_time_ms=template.end_time_ms, auth_token=template.auth_token,
+                latency=template.latency, services=template.services, sends=template.sends,
+                faults=drops + ordered)
             trace = run(scenario, break_dedup=break_dedup)
             report.total_scenarios += 1
             violations = check_invariants(trace)

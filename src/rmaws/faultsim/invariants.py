@@ -35,6 +35,38 @@ def check_invariants(trace: Trace) -> list[Violation]:
     forced = set(trace.forced_keys)
     failed = set(trace.failed_keys)
 
+    # One pass over the events gathers what the predicates below read, in
+    # event order: the keys completed, the sends exempt from delivery, the
+    # keys some response reached, and the push deliveries whose body is
+    # not the reference.
+    key_of = {out["send"]: out.get("key") for out in trace.outcomes}
+    completed_keys = set()
+    exempt = set()
+    receipt_keys = set()
+    push_mismatches = []
+    for e in trace.events:
+        kind = e["kind"]
+        if kind == "server_record_completed":
+            completed_keys.add(e.get("key"))
+        elif kind == "send_failed":
+            # Two failed sends are owed nothing. One the server refused as
+            # IdentityConflict reused another request's id, so the body
+            # completed under that key was never its to receive, and the
+            # rejection was its answer. One that gave up before its key
+            # first completed had nothing to receive while it waited.
+            if key_of.get(e["send"]) not in completed_keys \
+                    or e.get("detail", "").startswith("IdentityConflict"):
+                exempt.add(e["send"])
+        elif kind == "http_response":
+            receipt_keys.add(key_of.get(e.get("send")))
+        elif kind == "push_deliver":
+            receipt_keys.add(e.get("key"))
+            if e.get("status") == "Ok":
+                expected = trace.expected_bodies.get(e.get("key"))
+                if expected is not None and e.get("body_sha") != expected:
+                    push_mismatches.append(Violation(
+                        BODY_MISMATCH, f"push delivery for {e.get('key')!r} body mismatch"))
+
     # At-most-once: a key whose sends all carry forced=false executes at
     # most once, no matter the fault interleaving. Handler failures are
     # exempt by design: a Failed record re-executes on retry.
@@ -45,21 +77,8 @@ def check_invariants(trace: Trace) -> list[Violation]:
                 AT_MOST_ONCE, f"key {key!r} executed {count} times without is_forced"))
 
     # Eventual delivery: a completed response must reach any client that
-    # is reachable again by the end of the scenario. Two failed sends are
-    # exempt. One the server refused as IdentityConflict reused another
-    # request's id, so the body completed under that key was never its to
-    # receive, and the rejection was its answer. One that gave up before
-    # its key first completed had nothing to receive while it waited.
-    key_of = {out["send"]: out.get("key") for out in trace.outcomes}
-    completed_keys = set()
-    exempt = set()
-    for e in trace.events:
-        if e["kind"] == "server_record_completed":
-            completed_keys.add(e.get("key"))
-        elif e["kind"] == "send_failed" and (
-                key_of.get(e["send"]) not in completed_keys
-                or e.get("detail", "").startswith("IdentityConflict")):
-            exempt.add(e["send"])
+    # is reachable again by the end of the scenario, unless its send is
+    # exempt (above).
     for out in trace.outcomes:
         key = out.get("key")
         if key is None or out.get("status") == "Ok" or out["send"] in exempt:
@@ -81,12 +100,7 @@ def check_invariants(trace: Trace) -> list[Violation]:
         if expected is not None and out.get("body_sha") != expected:
             violations.append(Violation(
                 BODY_MISMATCH, f"send {out['send']} body differs from the direct-mode run"))
-    for event in trace.events:
-        if event["kind"] == "push_deliver" and event.get("status") == "Ok":
-            expected = trace.expected_bodies.get(event.get("key"))
-            if expected is not None and event.get("body_sha") != expected:
-                violations.append(Violation(
-                    BODY_MISMATCH, f"push delivery for {event.get('key')!r} body mismatch"))
+    violations.extend(push_mismatches)
 
     # Socket hygiene: once every send for a key has ended (Ok, Exhausted,
     # Rejected, ...), the client holds no registration for it; once one is
@@ -111,12 +125,6 @@ def check_invariants(trace: Trace) -> list[Violation]:
 
     # Conservation: every completed execution is delivered somewhere or
     # still sits in the cache at end time.
-    receipt_keys = set()
-    for event in trace.events:
-        if event["kind"] == "http_response":
-            receipt_keys.add(key_of.get(event.get("send")))
-        elif event["kind"] == "push_deliver":
-            receipt_keys.add(event.get("key"))
     cached = set(trace.cached_keys_at_end)
     for key in sorted(k for k in completed_keys if k is not None):
         if key not in receipt_keys and key not in cached:

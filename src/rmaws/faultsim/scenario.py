@@ -13,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from ..envelope import MAX_TIMESTAMP_MS
-from ..server.handlers import check_delay_ms, check_output_size
+from ..server.handlers import check_delay_ms, check_fail_times, check_output_size
 
 # Drop faults target one send's attempts; timed faults act on a client at
 # an instant of the virtual clock.
@@ -66,9 +66,6 @@ class FaultSpec:
     trial: int | None = None  # specific trial, or None for every trial
     client: str | None = None  # for the timed kinds
 
-    def matches_attempt(self, send_index: int, trial: int) -> bool:
-        return self.send == send_index and (self.trial is None or self.trial == trial)
-
 
 @dataclass
 class ScenarioSpec:
@@ -88,6 +85,7 @@ class ScenarioSpec:
             try:
                 check_output_size(svc.name, svc.output_size)
                 check_delay_ms(svc.name, svc.delay_ms)
+                check_fail_times(svc.name, svc.fail_times)
             except ValueError as exc:
                 raise ScenarioInvalid(str(exc)) from None
         for spec in self.sends:

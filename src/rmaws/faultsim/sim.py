@@ -27,6 +27,7 @@ through the event queue and no unordered collection feeds the trace.
 
 from __future__ import annotations
 
+import functools
 import heapq
 
 from ..client import (
@@ -40,7 +41,7 @@ from ..client import (
 )
 from ..envelope import ResponseEnvelope, decode_request, encode_request
 from ..push import Heard, PushSession, PushWaits
-from ..server.core import RecordState, ServerCore, ValidationError
+from ..server.core import ServerCore, ValidationError
 from ..server.handlers import HandlerRegistry, make_synthetic, synthetic_body
 from .scenario import DROP_FAULT_KINDS, TIMED_FAULT_KINDS, ScenarioSpec
 from .trace import Trace, TraceRecorder, body_digest
@@ -48,6 +49,21 @@ from .trace import Trace, TraceRecorder, body_digest
 # Events one run may process. A scenario that needs more is diverging (an
 # event that keeps rescheduling itself); the checker reports it.
 MAX_STEPS = 1_000_000
+
+# Every scenario of an enumeration sends the template's payloads alike, so
+# what they give (the handler's bodies, their digests, a send's options) is
+# made once per process. Each is a pure function of its arguments, and its
+# value is immutable: nothing carries over from one run to the next. A
+# handler's count of scripted failures stays each run's own.
+_synthetic_body = functools.lru_cache(maxsize=256)(synthetic_body)
+_body_digest = functools.lru_cache(maxsize=256)(body_digest)
+
+
+@functools.lru_cache(maxsize=256)
+def _send_options(http_timeout_ms: int, push_wait_ms: int, max_trials: int, forced: bool,
+                  auth_token: str) -> SendOptions:
+    return SendOptions(http_timeout_ms=http_timeout_ms, push_wait_ms=push_wait_ms,
+                       max_trials=max_trials, forced=forced, auth_token=auth_token)
 
 
 class SimExchange:
@@ -84,13 +100,13 @@ class SimPushConn:
         world = self.world
         world.wire["push_bytes"] += len(data)
         world.trace.emit("push_write", conn=self.id, bytes=len(data))
-        world.schedule(world.lat_push, lambda: world._client_push_message(self, data))
+        world.schedule(world.lat_push, world._client_push_message, self, data)
 
     def send_close(self) -> None:
         if self.alive:
             world = self.world
             world.trace.emit("push_close", conn=self.id)
-            world.schedule(world.lat_push, lambda: world._client_push_message(self, None))
+            world.schedule(world.lat_push, world._client_push_message, self, None)
 
 
 class SimClient:
@@ -124,7 +140,8 @@ class SimWorld:
         self.profiles = {}
         for svc in scenario.services:
             registry.add(make_synthetic(svc.name, output_size=svc.output_size,
-                                        delay_ms=svc.delay_ms, fail_times=svc.fail_times))
+                                        delay_ms=svc.delay_ms, fail_times=svc.fail_times,
+                                        body=_synthetic_body))
             self.profiles[svc.name] = svc
         self.core = ServerCore(
             registry,
@@ -146,7 +163,9 @@ class SimWorld:
                 self.clients[spec.client] = client
             self.sends.append(SimSend(index, spec, client))
 
-        self.drop_faults = [f for f in scenario.faults if f.kind in DROP_FAULT_KINDS]
+        # (kind, send, trial) of each drop fault; a trial of None drops every trial.
+        self.drops = {(f.kind, f.send, f.trial) for f in scenario.faults
+                      if f.kind in DROP_FAULT_KINDS}
         self.timed_faults = [f for f in scenario.faults if f.kind in TIMED_FAULT_KINDS]
 
         self.wire = {"requests_bytes": 0, "request_count": 0,
@@ -166,44 +185,39 @@ class SimWorld:
             self.failed_keys.add(fields.get("key", ""))
         self.trace.emit(f"server_{kind}", **fields)
 
-    def schedule(self, delay_ms: int, fn) -> None:
-        heapq.heappush(self._heap, (self.now + max(0, int(delay_ms)), self._seq, fn))
+    def schedule(self, delay_ms: int, fn, *args) -> None:
+        """Call ``fn(*args)`` ``delay_ms`` from now, after every event
+        already due at that instant."""
+        heapq.heappush(self._heap, (self.now + max(0, int(delay_ms)), self._seq, fn, args))
         self._seq += 1
 
     def _dropped(self, kind: str, send_index: int, trial: int) -> bool:
-        return any(f.kind == kind and f.matches_attempt(send_index, trial)
-                   for f in self.drop_faults)
+        drops = self.drops
+        return bool(drops) and ((kind, send_index, trial) in drops
+                                or (kind, send_index, None) in drops)
 
     # -- run ---------------------------------------------------------------
 
     def run(self) -> Trace:
         for send in self.sends:
-            self.schedule(send.spec.t, lambda s=send: self._start_send(s))
+            self.schedule(send.spec.t, self._start_send, send)
         for fault in self.timed_faults:
-            self.schedule(fault.t, lambda f=fault: self._apply_fault(f))
+            self.schedule(fault.t, self._apply_fault, fault)
 
         steps = 0
         end = self.scenario.end_time_ms
-        while self._heap and self._heap[0][0] <= end:
+        heap = self._heap
+        while heap and heap[0][0] <= end:
             if steps == MAX_STEPS:
                 self.diverged = True
                 break
-            t, _, fn = heapq.heappop(self._heap)
+            t, _, fn, args = heapq.heappop(heap)
             self.now = t
-            fn()
+            fn(*args)
             steps += 1
         return self._assemble()
 
     # -- client side ---------------------------------------------------------
-
-    def _opts(self, spec) -> SendOptions:
-        return SendOptions(
-            http_timeout_ms=spec.http_timeout_ms,
-            push_wait_ms=spec.push_wait_ms,
-            max_trials=spec.max_trials,
-            forced=spec.forced,
-            auth_token=self.scenario.auth_token,
-        )
 
     def _start_send(self, send: SimSend) -> None:
         spec = send.spec
@@ -211,16 +225,17 @@ class SimWorld:
         payload = spec.payload(send.index)
         stamp = (spec.timestamp_ms if spec.timestamp_ms is not None
                  else self.timestamps.allocate(device, self.now))
-        send.machine = SendMachine(spec.service, payload, self._opts(spec), device, stamp)
+        opts = _send_options(spec.http_timeout_ms, spec.push_wait_ms, spec.max_trials,
+                             spec.forced, self.scenario.auth_token)
+        send.machine = SendMachine(spec.service, payload, opts, device, stamp)
         key = send.machine.key
         if spec.forced:
             self.forced_keys.add(key)
-        profile = self.profiles[spec.service]
-        if profile.output_size is None:
-            reference = payload
-        else:
-            reference = synthetic_body(spec.service, payload, profile.output_size)
-        reference_sha = body_digest(reference)
+        # The digest of the body the direct-mode handler run gives the
+        # payload: what a delivery's body is checked against.
+        size = self.profiles[spec.service].output_size
+        reference_sha = _body_digest(
+            payload if size is None else _synthetic_body(spec.service, payload, size))
         self.send_expected_bodies[send.index] = reference_sha
         self.expected_bodies.setdefault(key, reference_sha)
         self.trace.emit("send_start", send=send.index, key=key,
@@ -237,7 +252,7 @@ class SimWorld:
             self._register_push(send, step)
         elif isinstance(step, Pause):
             self.trace.emit("pause", send=send.index, ms=step.ms)
-            self.schedule(step.ms, lambda: self._interpret(send, machine.on_pause_done(step.epoch)))
+            self.schedule(step.ms, self._pause_done, send, step.epoch)
         elif step is not None:
             if machine.digest is not None and send.client.conn is not None:
                 send.client.conn.waits.release(machine.key, machine.digest)
@@ -249,6 +264,9 @@ class SimWorld:
                 self.trace.emit("send_failed", send=send.index, error=step.kind,
                                 detail=step.detail, trials=step.trials_used)
 
+    def _pause_done(self, send: SimSend, epoch: int) -> None:
+        self._interpret(send, send.machine.on_pause_done(epoch))
+
     def _post(self, send: SimSend, eff: SendHttp) -> None:
         data = encode_request(eff.env)
         self.wire["requests_bytes"] += len(data)
@@ -259,14 +277,14 @@ class SimWorld:
                         payload_len=len(eff.env.payload), key=eff.env.rid.dedup_key)
         exchange = SimExchange(self, send, eff.env)
         send.current_exchange = exchange
-        self.schedule(eff.timeout_ms, lambda s=send, e=eff: self._http_timer(s, e.epoch))
+        self.schedule(eff.timeout_ms, self._http_timer, send, eff.epoch)
         if not send.client.online:
             self.trace.emit("request_lost_offline", send=send.index, trial=trial)
             return
         if self._dropped("drop_request", send.index, trial):
             self.trace.emit("fault_drop_request", send=send.index, trial=trial)
             return
-        self.schedule(self.lat_req, lambda: self._server_receive(send, exchange, data))
+        self.schedule(self.lat_req, self._server_receive, send, exchange, data)
 
     def _http_timer(self, send: SimSend, epoch: int) -> None:
         """The HTTP wait ran out: abandon its exchange, then register."""
@@ -291,8 +309,7 @@ class SimWorld:
             # The key's body is the one its owner's payload gives; with a
             # reused id, the owner need not be the first send under it.
             self.expected_bodies[ticket.key] = self.send_expected_bodies[send.index]
-            self.schedule(self.profiles[env.service_name].delay_ms,
-                          lambda: self.core.execute(ticket))
+            self.schedule(self.profiles[env.service_name].delay_ms, self.core.execute, ticket)
 
     def _send_http_response(self, exchange: SimExchange, resp: ResponseEnvelope) -> None:
         send = exchange.send
@@ -307,7 +324,7 @@ class SimWorld:
             self.trace.emit("fault_drop_http_response", send=send.index,
                             trial=exchange.trial)
             return
-        self.schedule(self.lat_resp, lambda: self._client_receive_http(exchange, resp))
+        self.schedule(self.lat_resp, self._client_receive_http, exchange, resp)
 
     def _client_receive_http(self, exchange: SimExchange, resp: ResponseEnvelope) -> None:
         send = exchange.send
@@ -316,7 +333,7 @@ class SimWorld:
             return
         self.trace.emit("http_response", send=send.index, trial=exchange.trial,
                         status=resp.status.value, channel=resp.channel.value,
-                        bytes=len(resp.body), body_sha=body_digest(resp.body))
+                        bytes=len(resp.body), body_sha=_body_digest(resp.body))
         step = send.machine.on_http_response(resp)
         if step is None:
             self.trace.emit("duplicate_dropped", send=send.index, via="http")
@@ -332,11 +349,10 @@ class SimWorld:
         key = eff.rid.dedup_key
         if eff.epoch != send.push_epoch:
             send.push_epoch = eff.epoch
-            self.schedule(eff.wait_ms, lambda s=send, e=eff: self._push_timer(s, e.epoch))
+            self.schedule(eff.wait_ms, self._push_timer, send, eff.epoch)
         if not client.online:
             self.trace.emit("push_register_failed", send=send.index, reason="offline")
-            self.schedule(self.lat_push, lambda s=send: self._interpret(
-                s, s.machine.on_push_register_failed()))
+            self.schedule(self.lat_push, self._push_register_failed, send)
             return
         conn = client.conn
         if conn is None or not conn.alive:
@@ -349,7 +365,10 @@ class SimWorld:
         self.wire["push_bytes"] += len(data)
         self.trace.emit("push_register_sent", send=send.index, key=key, conn=conn.id,
                         bytes=len(data))
-        self.schedule(self.lat_push, lambda c=conn, d=data: self._server_push_message(c, d))
+        self.schedule(self.lat_push, self._server_push_message, conn, data)
+
+    def _push_register_failed(self, send: SimSend) -> None:
+        self._interpret(send, send.machine.on_push_register_failed())
 
     def _server_push_message(self, conn: SimPushConn, data: bytes) -> None:
         if not conn.alive or not conn.session.open:
@@ -370,7 +389,7 @@ class SimWorld:
             resp = heard.resp
             self.trace.emit("push_deliver", conn=conn.id, key=resp.rid.dedup_key,
                             status=resp.status.value, bytes=len(resp.body),
-                            body_sha=body_digest(resp.body))
+                            body_sha=_body_digest(resp.body))
             if heard.waiter is None:
                 self.trace.emit("duplicate_dropped", conn=conn.id, via="push")
                 return
@@ -442,6 +461,14 @@ class SimWorld:
         conn.session.close()
         self._push_conn_died(conn)
 
+    def close(self) -> None:
+        """Let go of everything the run built; the world is unusable after.
+        The clocks, the exchanges, the push connections and the queued
+        events all point back at the world, so without this its objects
+        live on as cycles until the garbage collector finds them, which,
+        in an enumeration, it then does every few scenarios."""
+        self.__dict__.clear()
+
     # -- assembly ----------------------------------------------------------------
 
     def _assemble(self) -> Trace:
@@ -460,7 +487,7 @@ class SimWorld:
                 row["status"] = result.status.value
                 row["channel"] = result.channel.value
                 row["body_len"] = len(result.body or b"")
-                row["body_sha"] = body_digest(result.body or b"")
+                row["body_sha"] = _body_digest(result.body or b"")
                 if result.body is not None:
                     raw_bodies[send.index] = result.body
             elif result is not None:
@@ -470,15 +497,13 @@ class SimWorld:
             outcomes.append(row)
 
         counts = self.core.execution_counts()
-        cached = [key for key in counts
-                  if (rec := self.core.record(key)) is not None
-                  and rec.state is RecordState.COMPLETED]
         open_regs: list[str] = []
         for name in sorted(self.clients):
             client = self.clients[name]
             if client.conn is not None and client.conn.alive:
                 open_regs.extend(client.conn.waits.keys())
-        push_presence = [key for key in counts if self.core.presence_route(key) is not None]
+        presence = set(self.core.presence_keys())
+        push_presence = [key for key in counts if key in presence]
 
         return Trace(
             scenario_name=self.scenario.name,
@@ -490,7 +515,7 @@ class SimWorld:
             forced_keys=sorted(self.forced_keys),
             failed_keys=sorted(self.failed_keys),
             expected_bodies=self.expected_bodies,
-            cached_keys_at_end=cached,
+            cached_keys_at_end=self.core.completed_keys(),
             open_client_registrations=open_regs,
             push_presence_at_end=push_presence,
             clients_online_at_end={name: c.online for name, c in self.clients.items()},
@@ -504,4 +529,8 @@ class SimWorld:
 
 def run(scenario: ScenarioSpec, *, break_dedup: bool = False) -> Trace:
     """Deterministic: identical scenarios yield byte-identical traces."""
-    return SimWorld(scenario, break_dedup=break_dedup).run()
+    world = SimWorld(scenario, break_dedup=break_dedup)
+    try:
+        return world.run()
+    finally:
+        world.close()

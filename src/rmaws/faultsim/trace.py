@@ -12,7 +12,8 @@ def body_digest(body: bytes) -> str:
 
 
 class TraceRecorder:
-    """Collects events in virtual-time order with a monotonic sequence."""
+    """Collects events in virtual-time order with a monotonic sequence;
+    ``clock()`` gives the virtual time in integer milliseconds."""
 
     def __init__(self, clock):
         self._clock = clock
@@ -21,7 +22,7 @@ class TraceRecorder:
     def emit(self, kind: str, **fields) -> None:
         # ``fields`` is a fresh dict, so it becomes the event; key order is
         # irrelevant because ``Trace.to_jsonl`` sorts keys.
-        fields["t"] = int(self._clock())
+        fields["t"] = self._clock()
         fields["seq"] = len(self.events)
         fields["kind"] = kind
         self.events.append(fields)

@@ -91,7 +91,7 @@ class PushRoute:
     digest: bytes  # of the payload the Register named
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     key: str
     created_at: int
@@ -114,7 +114,7 @@ def _response(rid: RequestId, result: tuple, channel: Channel) -> ResponseEnvelo
                             f"service error: {value}".encode("utf-8"))
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutionTicket:
     """Permission to run the handler for one granted execution."""
 
@@ -123,7 +123,7 @@ class ExecutionTicket:
     _entry: _Entry
 
 
-@dataclass
+@dataclass(slots=True)
 class DeliveryPlan:
     """One completed execution: its result, the exchanges waiting for it
     and the push route, if the client waits on one."""
@@ -135,7 +135,7 @@ class DeliveryPlan:
     digest: bytes | None  # the key owner's payload's; None for a record loaded from a store
 
 
-@dataclass
+@dataclass(slots=True)
 class SubmitResult:
     kind: str  # "replay" | "execute" | "wait" | "reject"
     response: ResponseEnvelope | None = None
@@ -182,7 +182,8 @@ class ServerCore:
         """Report one protocol event to the sink, or to the debug log.
         With neither, it returns at once: it runs several times per send."""
         if self._events is not None:
-            self._events(kind, dict(fields, t=self.clock()))
+            fields["t"] = self.clock()  # ``fields`` is this call's own dict
+            self._events(kind, fields)
         elif log.isEnabledFor(logging.DEBUG):
             log.debug("%s %s", kind, fields)
 
@@ -368,6 +369,11 @@ class ServerCore:
         with self._lock:
             return self._presence.get(dedup_key)
 
+    def presence_keys(self) -> list[str]:
+        """The keys that hold a push registration."""
+        with self._lock:
+            return list(self._presence)
+
     # -- push channel ----------------------------------------------------
 
     def register_push(self, rid: RequestId, digest: bytes, conn,
@@ -428,6 +434,12 @@ class ServerCore:
     def execution_counts(self) -> dict[str, int]:
         with self._lock:
             return {k: e.execution_count for k, e in self._entries.items()}
+
+    def completed_keys(self) -> list[str]:
+        """The keys whose record is ``COMPLETED``: a success is cached."""
+        with self._lock:
+            return [k for k, e in self._entries.items()
+                    if e.result is not None and e.result[0] == "ok"]
 
     def record(self, dedup_key: str) -> ExecutionRecord | None:
         with self._lock:

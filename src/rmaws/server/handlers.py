@@ -40,9 +40,18 @@ def check_output_size(name: str, output_size) -> None:
 
 def check_delay_ms(name: str, delay_ms) -> None:
     """Raise ``ValueError`` unless ``delay_ms`` is an int >= 0."""
-    if isinstance(delay_ms, bool) or not isinstance(delay_ms, int) or delay_ms < 0:
-        raise ValueError(f"service {name!r}: delay_ms must be a non-negative "
-                         f"integer, not {delay_ms!r}")
+    _check_count(name, "delay_ms", delay_ms)
+
+
+def check_fail_times(name: str, fail_times) -> None:
+    """Raise ``ValueError`` unless ``fail_times`` is an int >= 0."""
+    _check_count(name, "fail_times", fail_times)
+
+
+def _check_count(name: str, field: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"service {name!r}: {field} must be a non-negative "
+                         f"integer, not {value!r}")
 
 
 @dataclass
@@ -63,10 +72,15 @@ def make_synthetic(
     output_size: int | None = None,
     delay_ms: int = 0,
     fail_times: int = 0,
+    body: Callable[[str, bytes, int], bytes] = synthetic_body,
 ) -> ServiceHandler:
-    """Synthetic handler; the first ``fail_times`` invocations fail."""
+    """Synthetic handler; the first ``fail_times`` invocations fail. With
+    an ``output_size``, ``body(name, payload, output_size)`` makes each
+    output: ``synthetic_body``, or, for a caller that runs the same
+    payloads over and over as the simulator does, a cached one."""
     check_output_size(name, output_size)
     check_delay_ms(name, delay_ms)
+    check_fail_times(name, fail_times)
     remaining = [fail_times]
 
     def fn(payload: bytes) -> bytes:
@@ -75,7 +89,7 @@ def make_synthetic(
             raise HandlerFailure(f"scripted failure in {name}")
         if output_size is None:
             return payload
-        return synthetic_body(name, payload, output_size)
+        return body(name, payload, output_size)
 
     return ServiceHandler(name=name, fn=fn, delay_ms=delay_ms)
 
@@ -96,9 +110,9 @@ class HandlerRegistry:
 
     @classmethod
     def from_config(cls, services: list[dict]) -> "HandlerRegistry":
-        """Build a registry from config rows: name, delay_ms, output_size.
-        A row that is not an object with a ``name`` raises ``ValueError``
-        naming its index."""
+        """Build a registry from config rows: name, delay_ms, output_size,
+        fail_times. A row that is not an object with a ``name`` raises
+        ``ValueError`` naming its index."""
         reg = cls()
         for index, row in enumerate(services):
             if not isinstance(row, dict) or "name" not in row:
@@ -107,6 +121,6 @@ class HandlerRegistry:
                 row["name"],
                 output_size=row.get("output_size"),
                 delay_ms=row.get("delay_ms", 0),
-                fail_times=int(row.get("fail_times", 0)),
+                fail_times=row.get("fail_times", 0),
             ))
         return reg

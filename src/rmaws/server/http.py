@@ -105,9 +105,14 @@ class ServerConfig:
     services: list = field(default_factory=list)
 
     def __post_init__(self):
-        # A negative TTL would make every retry run again. A negative idle
-        # timeout makes settimeout raise in each /push connection thread,
-        # and zero makes the socket non-blocking, which closes it at once.
+        # A bool, a fraction or a string is refused, not cut or read into
+        # an int. A negative TTL would make every retry run again. A
+        # negative idle timeout makes settimeout raise in each /push
+        # connection thread, and zero makes the socket non-blocking, which
+        # closes it at once.
+        if self.cache_ttl_ms is not None:
+            _check_int("cache_ttl_ms", self.cache_ttl_ms)
+        _check_int("push_idle_timeout_ms", self.push_idle_timeout_ms)
         if self.cache_ttl_ms is not None and self.cache_ttl_ms < 0:
             raise ValueError(f"cache_ttl_ms must be null or at least 0, got {self.cache_ttl_ms}")
         if self.push_idle_timeout_ms < 1:
@@ -121,12 +126,9 @@ class ServerConfig:
             fields["bind_host"], fields["bind_port"] = _bind(raw["bind"])
         if "auth_token" in raw:
             fields["auth_token"] = str(raw["auth_token"])
-        if "cache_ttl_ms" in raw:
-            ttl = raw["cache_ttl_ms"]
-            fields["cache_ttl_ms"] = None if ttl is None else _int("cache_ttl_ms", ttl)
-        if "push_idle_timeout_ms" in raw:
-            fields["push_idle_timeout_ms"] = _int("push_idle_timeout_ms",
-                                                  raw["push_idle_timeout_ms"])
+        for name in ("cache_ttl_ms", "push_idle_timeout_ms"):
+            if name in raw:
+                fields[name] = raw[name]
         return cls(**fields)
 
     @classmethod
@@ -158,11 +160,17 @@ def _bind(text) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
-def _int(name: str, value) -> int:
+def _check_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _int(name: str, text: str) -> int:
+    """An environment value, in decimal."""
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
 
 
 class LiveExchange:

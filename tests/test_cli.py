@@ -281,6 +281,32 @@ class TestConfigLoading:
             ServerConfig.load(str(cfg_path), env=env)
         assert named in str(info.value)
 
+    @pytest.mark.parametrize("fields,named", [
+        ({"cache_ttl_ms": 1.5}, "cache_ttl_ms"),
+        ({"cache_ttl_ms": True}, "cache_ttl_ms"),
+        ({"push_idle_timeout_ms": 1500.5}, "push_idle_timeout_ms"),
+        ({"push_idle_timeout_ms": True}, "push_idle_timeout_ms"),
+        ({"services": [{"name": "orders", "fail_times": 1.7}]}, "fail_times"),
+        ({"services": [{"name": "orders", "fail_times": True}]}, "fail_times"),
+        ({"services": [{"name": "orders", "fail_times": "2"}]}, "fail_times"),
+        ({"services": [{"name": "orders", "fail_times": -3}]}, "fail_times"),
+    ])
+    def test_config_integers_must_be_integers(self, tmp_path, fields, named):
+        from rmaws.server.handlers import HandlerRegistry
+        from rmaws.server.http import ServerConfig
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(fields))
+        with pytest.raises(ValueError, match=named):
+            HandlerRegistry.from_config(ServerConfig.load(str(cfg_path), env={}).services)
+
+    def test_environment_integers_are_decimal_text(self, tmp_path):
+        from rmaws.server.http import ServerConfig
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({}))
+        cfg = ServerConfig.load(str(cfg_path), env={"RMAWS_CACHE_TTL_MS": "1500",
+                                                    "RMAWS_PUSH_IDLE_TIMEOUT_MS": "250"})
+        assert (cfg.cache_ttl_ms, cfg.push_idle_timeout_ms) == (1500, 250)
+
     @pytest.mark.parametrize("fields", [{"cache_ttl_ms": -1}, {"push_idle_timeout_ms": 0}])
     def test_direct_construction_is_refused_too(self, fields):
         from rmaws.server.http import ServerConfig

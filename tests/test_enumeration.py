@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+import rmaws.faultsim.enumeration as enumeration
+import rmaws.faultsim.sim as sim
 from rmaws.faultsim import (
     FaultSpec,
     ScenarioInvalid,
@@ -276,3 +278,39 @@ class TestPushIdleClose:
         assert trace.events_of("push_register_lost") == []
         assert trace.outcomes[0]["status"] == "Ok"
         assert check_invariants(trace) == []
+
+
+def test_a_warm_enumeration_repeats_every_cold_trace(monkeypatch):
+    """The simulator's caches carry nothing from one scenario to the next:
+    enumerating a template again in the same process gives byte-identical
+    traces. The template has a handler that fails once, whose counter
+    belongs to each run, and a forced send."""
+    template = ScenarioSpec(
+        name="warm",
+        services=[ServiceProfile(name="flaky", delay_ms=50, output_size=64, fail_times=1),
+                  ServiceProfile(name="svc", delay_ms=50, output_size=64)],
+        sends=[SendSpec(t=100, service="flaky", payload_size=25, http_timeout_ms=200,
+                        push_wait_ms=300, max_trials=3),
+               SendSpec(t=120, client="c2", service="svc", payload_size=55,
+                        http_timeout_ms=200, push_wait_ms=300, max_trials=3, forced=True)],
+    )
+    sites = standard_sites() + [FaultSpec(kind="drop_http_response", send=1, trial=1)]
+    for cache in (sim._synthetic_body, sim._body_digest, sim._send_options):
+        cache.cache_clear()
+    traces = []
+    real_run = enumeration.run
+
+    def recording_run(scenario, **kwargs):
+        trace = real_run(scenario, **kwargs)
+        traces.append(trace.to_jsonl())
+        return trace
+
+    monkeypatch.setattr(enumeration, "run", recording_run)
+    cold = enumerate_and_check(template, sites)
+    cold_traces, traces[:] = traces[:], []
+    warm = enumerate_and_check(template, sites)
+    assert sim._synthetic_body.cache_info().hits > 0
+    assert cold.to_dict() == warm.to_dict()
+    assert len(cold_traces) == cold.total_scenarios == 2 ** len(sites)
+    assert traces == cold_traces
+    assert any('"kind":"server_record_failed"' in t for t in cold_traces)

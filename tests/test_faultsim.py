@@ -248,6 +248,12 @@ class TestScenarioValidation:
             scenario([one_send()], services=[
                 ServiceProfile(name="svc", delay_ms=delay)]).validate()
 
+    @pytest.mark.parametrize("times", [-3, True, 1.7, "2"])
+    def test_bad_fail_times(self, times):
+        with pytest.raises(ScenarioInvalid, match="fail_times"):
+            scenario([one_send()], services=[
+                ServiceProfile(name="svc", fail_times=times)]).validate()
+
     @pytest.mark.parametrize("stamp", [-1, True, 2.5, MAX_TIMESTAMP_MS + 1])
     def test_bad_timestamp_ms(self, stamp):
         with pytest.raises(ScenarioInvalid, match="timestamp_ms"):

@@ -845,6 +845,54 @@ def test_time_out_inside_a_response_closes_the_connection():
     assert [number for number, _ in peer.requests] == [0, 1]
 
 
+class _EarlyAnswerHandler(socketserver.StreamRequestHandler):
+    """Answers a POST whose body is over 1000 B with a 413 that carries
+    the validation fields, and closes with that body unread, so the
+    client's write of it meets a reset; any other POST gets a 200 and the
+    connection stays open. Anything else is closed unanswered."""
+
+    def handle(self):
+        while (block := http1.read_head(self.rfile)) is not None:
+            head = http1.parse_request(block)
+            length = http1.body_length(head.fields) or 0
+            if head.method != "POST":
+                return
+            if length > 1000:
+                self.wfile.write(b"HTTP/1.1 413 Content Too Large\r\nX-RMAWS-Channel: Http\r\n"
+                                 b"X-RMAWS-Status: ValidationError\r\nConnection: close\r\n"
+                                 b"Content-Length: 8\r\n\r\nTooLarge")
+                return
+            rid = decode_request(http1.read_body(self.rfile, length)).rid.canonical()
+            self.wfile.write((CANNED_HEAD + b"Content-Length: 4\r\n\r\nBODY")
+                             .replace(b"{rid}", rid.encode("ascii")))
+
+
+@pytest.mark.parametrize("reused", [False, True], ids=["fresh", "reused"])
+def test_answer_before_a_reset_write_is_read(reused):
+    stub = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _EarlyAnswerHandler)
+    stub.daemon_threads = True
+    thread = threading.Thread(target=stub.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        with Client(*stub.server_address[:2], auth_token=TOKEN) as client:
+            opts = SendOptions(http_timeout_ms=5_000, push_wait_ms=5_000, max_trials=2,
+                               auth_token=TOKEN)
+            if reused:
+                assert client.send("echo", b"small", opts).body == b"BODY"
+            started = time.monotonic()
+            with pytest.raises(ClientError) as err:
+                client.send("echo", b"x" * 8 * 2**20, opts)
+            elapsed = time.monotonic() - started
+    finally:
+        stub.shutdown()
+        stub.server_close()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert (err.value.kind, err.value.detail, err.value.trials_used) == \
+        ("Rejected", "TooLarge", 1)
+    assert elapsed < 1.0
+
+
 def answered_over_push(client, machine, step, deadline):
     """Stands in for ``Client._drive_push``: the push wait ends at once
     with the send's answer."""

@@ -59,10 +59,12 @@ from .push import Heard, PushWaits
 log = logging.getLogger(__name__)
 
 DEFAULT_PUSH_WAIT_MS = 30_000
+# Bounds a push connection's TCP connect and its WebSocket handshake.
+PUSH_CONNECT_TIMEOUT_S = 5.0
 # X-RMAWS-Status and X-RMAWS-Channel values; any other value is broken.
 _STATUSES = {status.value: status for status in ResponseStatus}
 _CHANNELS = {channel.value: channel for channel in Channel}
-# Read with ``Fields.get_lower``, which skips the case fold.
+# Response fields are keyed by lower-case name.
 _RID_FIELD = RID_HEADER.lower()
 _STATUS_FIELD = STATUS_HEADER.lower()
 _CHANNEL_FIELD = CHANNEL_HEADER.lower()
@@ -120,9 +122,8 @@ def build(
     device_id: str,
 ) -> RequestEnvelope:
     """Construct an identified envelope; the timestamp comes from ``clock``."""
-    rid = make_request_id(device_id, clock(), service, trial=trial, forced=forced)
-    return RequestEnvelope(rid=rid, is_forced=forced, service_name=rid.service_name.rstrip(),
-                           payload=payload)
+    return RequestEnvelope(make_request_id(device_id, clock(), service, trial=trial, forced=forced),
+                           payload)
 
 
 class TimestampAllocator:
@@ -202,7 +203,6 @@ class SendMachine:
         self.opts = opts
         self.payload = payload
         self.rid = make_request_id(device_id, now_ms, service, trial=1, forced=opts.forced)
-        self.service = self.rid.service_name.rstrip()
         self.state = SendMachine.WAIT_HTTP
         self.epoch = 0
         self.digest: bytes | None = None  # the payload's, once a push wait began
@@ -216,7 +216,7 @@ class SendMachine:
     def _send_http(self) -> SendHttp:
         self.state = SendMachine.WAIT_HTTP
         self.epoch += 1
-        env = RequestEnvelope(self.rid, self.opts.forced, self.service, self.payload)
+        env = RequestEnvelope(self.rid, self.payload)
         return SendHttp(env, self.opts.http_timeout_ms, self.epoch)
 
     def _register_push(self) -> RegisterPush:
@@ -241,7 +241,7 @@ class SendMachine:
 
     def _delivery(self, resp: ResponseEnvelope) -> Outcome | ClientError | None:
         if self.state == SendMachine.DONE or resp.rid.dedup_key != self.key:
-            log.debug("dropping duplicate/foreign delivery for %s", resp.rid.short())
+            log.debug("dropping duplicate/foreign delivery for %r", resp.rid)
             return None
         if resp.status is ResponseStatus.VALIDATION_ERROR:
             return self._fail("Rejected", resp.body.decode("utf-8", "replace"))
@@ -339,11 +339,10 @@ class PushClient:
     ``push_idle_timeout_ms`` idle, or on stop), the next registration
     connects again."""
 
-    def __init__(self, host: str, port: int, token: str, *, connect_timeout_s: float = 5.0):
+    def __init__(self, host: str, port: int, token: str):
         self.host = host
         self.port = port
         self.token = token
-        self.connect_timeout_s = connect_timeout_s
         self._lock = threading.Lock()
         self._conn: ws.WsConnection | None = None
         self._waits: PushWaits | None = None
@@ -360,7 +359,7 @@ class PushClient:
             if self._conn is None:
                 try:
                     sock = socket.create_connection((self.host, self.port),
-                                                    timeout=self.connect_timeout_s)
+                                                    timeout=PUSH_CONNECT_TIMEOUT_S)
                 except OSError as exc:
                     log.debug("push connect failed: %s", exc)
                     return None
@@ -620,7 +619,7 @@ class Client:
                     conn = _Connection(self.host, self.port, _time_left(deadline))
                     reused = False
             head, data = conn.read_response()
-            answered = head.fields.get_lower(_RID_FIELD)
+            answered = head.fields.get(_RID_FIELD)
             if rid is not None and answered is not None and not _names_key(answered, rid.dedup_key):
                 raise http1.HttpError(400, f"response for another request: {answered!r}")
         except BaseException:
@@ -645,8 +644,8 @@ class Client:
         except (OSError, ValueError, http1.HttpError) as exc:
             log.debug("http transport error: %s", exc)
             return "broken", None
-        status = _STATUSES.get(head.fields.get_lower(_STATUS_FIELD))
-        channel = _CHANNELS.get(head.fields.get_lower(_CHANNEL_FIELD))
+        status = _STATUSES.get(head.fields.get(_STATUS_FIELD))
+        channel = _CHANNELS.get(head.fields.get(_CHANNEL_FIELD))
         if status is None or channel is None:
             return "broken", None
         return "response", ResponseEnvelope(env.rid, status, channel, body)
@@ -718,7 +717,7 @@ class _Connection:
         except (OSError, http1.HttpError) as exc:
             log.debug("owed response not read: %s", exc)
             return False
-        answered = head.fields.get_lower(_RID_FIELD)
+        answered = head.fields.get(_RID_FIELD)
         return answered is not None and _names_key(answered, key) and head.keep_alive
 
     def close(self) -> None:

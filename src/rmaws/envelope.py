@@ -10,11 +10,14 @@ header field is detected rather than silently accepted.
 Everything in this module is a pure function over immutable values, apart
 from ``wall_ms``, the clock that request timestamps are read from.
 
+A request identity (``RequestId``) is its 87-character canonical text,
+and a request envelope is that id plus its payload. Every rid the codec
+accepts, in a request header or a push frame, is one that
+``make_request_id`` builds from the rid's own fields.
+
 Decoding takes one precompiled match over the whole header on the common
 path; only a header that fails it goes through the field-by-field checks,
-which name the first offending byte. Renderings that a send reads more
-than once (a rid's canonical form, its dedup key, a validated name) are
-made once.
+which name the first offending byte.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ SERVICE_WIDTH = 32
 TRIAL_WIDTH = 2
 RID_WIDTH = DEVICE_WIDTH + TIMESTAMP_WIDTH + SERVICE_WIDTH + TRIAL_WIDTH + 1  # 87
 DEDUP_KEY_WIDTH = DEVICE_WIDTH + TIMESTAMP_WIDTH + SERVICE_WIDTH  # 84
+# Where the service field and the forced flag start in a rid's text.
+_RID_SERVICE = DEVICE_WIDTH + TIMESTAMP_WIDTH  # 52
+_RID_FORCED = DEDUP_KEY_WIDTH + TRIAL_WIDTH  # 86
 
 MAX_TRIAL = 99
 MAX_TIMESTAMP_MS = 10**TIMESTAMP_WIDTH - 1
@@ -50,13 +56,7 @@ PAYLOAD_DIGEST_BYTES = 32  # SHA-256: what the server compares a key's payloads 
 # exactly OVERHEAD_BYTES.
 OVERHEAD_BYTES = 226
 
-_OFF_MAGIC = 0
 _OFF_RID = 7
-_OFF_RID_DEVICE = _OFF_RID
-_OFF_RID_TS = _OFF_RID_DEVICE + DEVICE_WIDTH  # 39
-_OFF_RID_SVC = _OFF_RID_TS + TIMESTAMP_WIDTH  # 59
-_OFF_RID_TRIAL = _OFF_RID_SVC + SERVICE_WIDTH  # 91
-_OFF_RID_FORCED = _OFF_RID_TRIAL + TRIAL_WIDTH  # 93
 _OFF_FORCED = 95
 _OFF_TRIAL = 97
 _OFF_SVC = 100
@@ -175,47 +175,64 @@ def status_from_code(code: str) -> ResponseStatus:
         raise EnvelopeError(f"unknown status code {code!r}") from None
 
 
-@dataclass(frozen=True)
 class RequestId:
-    """Globally unique request identity.
+    """Globally unique request identity: its 87-character canonical text.
 
-    ``device_id`` and ``service_name`` are stored in canonical fixed-width
-    form (32 chars each, zero- and space-padded respectively) so that the
-    rendered id round-trips exactly. The (device, timestamp, service)
-    prefix is the deduplication key; ``trial`` and ``forced`` ride along
-    without changing identity. The canonical rendering and ``dedup_key``
-    are made once, when the id is built; an id decoded from the wire
-    keeps the text it was matched from.
+    The text is the device id (zero-padded to 32 characters), the
+    timestamp (20 digits), the service name (space-padded to 32), the
+    trial (2 digits) and the forced flag (``0``/``1``); its first 84
+    characters are the dedup key. An id is built only from text that
+    ``make_request_id``, ``with_trial`` or the codec made or checked. It
+    cannot be changed, and equals and hashes by its text. What a send
+    reads on every step is sliced once, when the id is built.
     """
 
-    device_id: str
-    timestamp_ms: int
-    service_name: str
-    trial: int
-    forced: bool
+    __slots__ = ("_text", "dedup_key", "trial", "forced", "service")
 
-    def __post_init__(self):
-        rendered = "%s%0*d%s%0*d%d" % (self.device_id, TIMESTAMP_WIDTH, self.timestamp_ms,
-                                      self.service_name, TRIAL_WIDTH, self.trial, self.forced)
-        # Not fields: equality, hashing and repr stay those of the five above.
-        attrs = self.__dict__
-        attrs["_canonical"] = rendered
-        attrs["dedup_key"] = rendered[:DEDUP_KEY_WIDTH]
+    def __init__(self, text: str):
+        if len(text) != RID_WIDTH:
+            raise EnvelopeError(f"rid text must be {RID_WIDTH} characters, got {len(text)}")
+        init = object.__setattr__
+        init(self, "_text", text)
+        init(self, "dedup_key", text[:DEDUP_KEY_WIDTH])
+        init(self, "trial", int(text[DEDUP_KEY_WIDTH:_RID_FORCED]))
+        init(self, "forced", text[_RID_FORCED] == "1")
+        init(self, "service", text[_RID_SERVICE:DEDUP_KEY_WIDTH].rstrip())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a RequestId cannot be changed ({name!r})")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._text == other._text if isinstance(other, RequestId) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._text)
+
+    def __repr__(self):
+        return f"RequestId({self._text!r})"
+
+    @property
+    def device_id(self) -> str:
+        return self._text[:DEVICE_WIDTH]
+
+    @property
+    def timestamp_ms(self) -> int:
+        return int(self._text[DEVICE_WIDTH:_RID_SERVICE])
+
+    @property
+    def service_name(self) -> str:
+        """The service field with its padding, as it is on the wire."""
+        return self._text[_RID_SERVICE:DEDUP_KEY_WIDTH]
 
     def canonical(self) -> str:
-        return self._canonical
+        return self._text
 
     def with_trial(self, trial: int) -> "RequestId":
         if not 1 <= trial <= MAX_TRIAL:
             raise TrialOverflow(f"trial {trial} outside 1..{MAX_TRIAL}")
-        return RequestId(self.device_id, self.timestamp_ms, self.service_name, trial, self.forced)
-
-    def short(self) -> str:
-        """Compact human-readable form for logs."""
-        return (
-            f"{self.device_id.lstrip('0') or '0'}/{self.timestamp_ms}"
-            f"/{self.service_name.rstrip()}#{self.trial}{'!' if self.forced else ''}"
-        )
+        return RequestId("%s%02d%s" % (self.dedup_key, trial, self._text[_RID_FORCED]))
 
 
 def wall_ms() -> int:
@@ -223,23 +240,19 @@ def wall_ms() -> int:
     return int(time.time() * 1000)
 
 
-def sanitize_service_name(name: str) -> str:
-    """Strip, validate and truncate a service name to the 32-char field."""
+# Validating a name is a pure function of the string, and a process sees
+# few distinct names, so the field is cached. The bound keeps a process
+# that names many from growing the cache without limit.
+@functools.lru_cache(maxsize=1024)
+def _service_field(name: str) -> str:
+    """Strip and validate a service name, then cut or pad it to the field."""
     name = name.strip()
     if not name:
         raise InvalidServiceName("service name is empty")
     bad = set(name) - _NAME_CHARS
     if bad:
         raise InvalidServiceName(f"service name contains illegal characters {sorted(bad)!r}")
-    return name[:SERVICE_WIDTH]
-
-
-# Validating a name is a pure function of the string, and a process sees
-# few distinct names, so the padded field is cached. The bound keeps
-# names taken from the wire from growing the cache without limit.
-@functools.lru_cache(maxsize=1024)
-def _service_field(name: str) -> str:
-    return sanitize_service_name(name).ljust(SERVICE_WIDTH)
+    return name[:SERVICE_WIDTH].ljust(SERVICE_WIDTH)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -266,33 +279,26 @@ def make_request_id(
         raise TrialOverflow(f"trial {trial} outside 1..{MAX_TRIAL}")
     if not 0 <= timestamp_ms <= MAX_TIMESTAMP_MS:
         raise InvalidTimestamp(f"timestamp {timestamp_ms} outside 0..{MAX_TIMESTAMP_MS}")
-    return RequestId(
-        device_id=_device_field(device_id),
-        timestamp_ms=timestamp_ms,
-        service_name=_service_field(service_name),
-        trial=trial,
-        forced=bool(forced),
-    )
+    return RequestId("%s%0*d%s%0*d%d" % (_device_field(device_id), TIMESTAMP_WIDTH, timestamp_ms,
+                                         _service_field(service_name), TRIAL_WIDTH, trial,
+                                         bool(forced)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestEnvelope:
-    """Canonical request message: identity, routing name and opaque payload.
-
-    ``is_forced`` mirrors ``rid.forced`` (the rid is the source of truth);
-    construction rejects a mismatch so the invariant cannot drift.
-    """
+    """Canonical request message: an identity and its opaque payload.
+    Whether it is forced and the service it names (unpadded) are the rid's."""
 
     rid: RequestId
-    is_forced: bool
-    service_name: str
     payload: bytes
 
-    def __post_init__(self):
-        if self.is_forced != self.rid.forced:
-            raise EnvelopeError("is_forced does not mirror rid.forced")
-        if _service_field(self.service_name) != self.rid.service_name:
-            raise EnvelopeError("envelope service_name does not match rid.service_name")
+    @property
+    def is_forced(self) -> bool:
+        return self.rid.forced
+
+    @property
+    def service_name(self) -> str:
+        return self.rid.service
 
 
 @dataclass(frozen=True)
@@ -338,21 +344,14 @@ def deliver_frame(resp: ResponseEnvelope, digest: bytes) -> PushFrame:
     return PushFrame(FrameKind.DELIVER, resp.rid, status_code(resp.status), digest + resp.body)
 
 
-def _rid_canonical_bytes(rid: RequestId) -> bytes:
-    rendered = rid.canonical()
-    if len(rendered) != RID_WIDTH:
-        raise EnvelopeError(f"rid renders to {len(rendered)} bytes, expected {RID_WIDTH}")
-    return rendered.encode("ascii")
-
-
 # What a well-formed rid field and request header match, in one pattern
 # each. A header matches only if every check of the field-by-field path
 # below, short of the CRC and the payload length, would pass; the
 # backreferences require each mirror to equal the rid's own digits.
 _RID_PATTERN = (
-    b"(?P<rid>%s{%d}[0-9]{%d}(?P<svc>(?! {%d})%s{%d})"
+    b"(?P<rid>%s{%d}[0-9]{%d}(?P<svc>(?! )%s{%d})"
     b"(?P<trial>0[1-9]|[1-9][0-9])(?P<forced>[01]))"
-    % (_NAME_CLASS, DEVICE_WIDTH, TIMESTAMP_WIDTH, SERVICE_WIDTH, _NAME_CLASS, SERVICE_WIDTH)
+    % (_NAME_CLASS, DEVICE_WIDTH, TIMESTAMP_WIDTH, _NAME_CLASS, SERVICE_WIDTH)
 )
 _RID = re.compile(_RID_PATTERN)
 _HEADER = re.compile(
@@ -361,63 +360,43 @@ _HEADER = re.compile(
 )
 
 
-def _rid_from_match(match: re.Match) -> RequestId:
-    """The rid a match found. Its fields are sliced from the matched text,
-    which is already the canonical rendering, so it is kept rather than
-    formatted again; the id equals, hashes and prints as one built by
-    ``RequestId(...)``."""
-    rendered = match["rid"].decode("ascii")
-    rid = object.__new__(RequestId)
-    rid.__dict__.update(
-        device_id=rendered[:DEVICE_WIDTH],
-        timestamp_ms=int(rendered[DEVICE_WIDTH:DEVICE_WIDTH + TIMESTAMP_WIDTH]),
-        service_name=rendered[DEVICE_WIDTH + TIMESTAMP_WIDTH:DEDUP_KEY_WIDTH],
-        trial=int(rendered[DEDUP_KEY_WIDTH:DEDUP_KEY_WIDTH + TRIAL_WIDTH]),
-        forced=rendered[-1] == "1",
-        _canonical=rendered,
-        dedup_key=rendered[:DEDUP_KEY_WIDTH],
-    )
-    return rid
-
-
 def _parse_rid_field(field: bytes, base: int) -> RequestId:
     """Parse the 87-byte rid region; ``base`` is its absolute offset."""
     match = _RID.fullmatch(field)
     if match is not None:
-        return _rid_from_match(match)
+        return RequestId(match["rid"].decode("ascii"))
     # Find and name the first field that breaks the layout.
     text = field.decode("ascii", errors="replace")
-    device = text[:DEVICE_WIDTH]
-    ts_text = text[DEVICE_WIDTH:DEVICE_WIDTH + TIMESTAMP_WIDTH]
-    svc = text[DEVICE_WIDTH + TIMESTAMP_WIDTH:DEDUP_KEY_WIDTH]
-    trial_text = text[DEDUP_KEY_WIDTH:DEDUP_KEY_WIDTH + TRIAL_WIDTH]
-    forced_ch = text[DEDUP_KEY_WIDTH + TRIAL_WIDTH]
+    ts_text = text[DEVICE_WIDTH:_RID_SERVICE]
+    svc = text[_RID_SERVICE:DEDUP_KEY_WIDTH]
+    trial_text = text[DEDUP_KEY_WIDTH:_RID_FORCED]
 
-    if set(device) - _NAME_CHARS:
+    if set(text[:DEVICE_WIDTH]) - _NAME_CHARS:
         raise MalformedEnvelope(base, "illegal characters in device id")
     if not ts_text.isascii() or not ts_text.isdigit():
         raise MalformedEnvelope(base + DEVICE_WIDTH, "timestamp is not decimal")
     if set(svc) - _NAME_CHARS:
-        raise MalformedEnvelope(base + DEVICE_WIDTH + TIMESTAMP_WIDTH, "illegal characters in service name")
+        raise MalformedEnvelope(base + _RID_SERVICE, "illegal characters in service name")
     # Legal name characters hold no white space but the space, so the
-    # field is canonical (left-aligned, space-padded) unless it is blank.
-    if not svc.strip():
-        raise MalformedEnvelope(base + DEVICE_WIDTH + TIMESTAMP_WIDTH, "service field is not canonical")
+    # field is what ``make_request_id`` renders its name to (left-aligned,
+    # space-padded) unless it starts with a space, as a blank one does.
+    if svc[0] == " ":
+        raise MalformedEnvelope(base + _RID_SERVICE, "service field is not canonical")
     if not trial_text.isascii() or not trial_text.isdigit():
         raise MalformedEnvelope(base + DEDUP_KEY_WIDTH, "trial is not decimal")
-    trial = int(trial_text)
-    if trial < 1:
+    if int(trial_text) < 1:
         raise MalformedEnvelope(base + DEDUP_KEY_WIDTH, "trial below 1")
-    if forced_ch not in "01":
-        raise MalformedEnvelope(base + DEDUP_KEY_WIDTH + TRIAL_WIDTH, "forced flag is not 0/1")
-    return RequestId(device, int(ts_text), svc, trial, forced_ch == "1")
+    if text[_RID_FORCED] not in "01":
+        raise MalformedEnvelope(base + _RID_FORCED, "forced flag is not 0/1")
+    return RequestId(text)
 
 
 def parse_rid(text: str) -> RequestId:
-    """Parse an 87-character canonical rid rendering."""
+    """Parse an 87-character canonical rid rendering. A character outside
+    ASCII encodes to more than one byte, none of which a field takes."""
     if len(text) != RID_WIDTH:
         raise EnvelopeError(f"rid rendering must be {RID_WIDTH} characters, got {len(text)}")
-    return _parse_rid_field(text.encode("ascii", errors="replace"), 0)
+    return _parse_rid_field(text.encode("utf-8", "surrogatepass"), 0)
 
 
 def _header_crc(data: bytes) -> bytes:
@@ -430,13 +409,10 @@ def encode_request(env: RequestEnvelope) -> bytes:
     """Render the canonical byte form: always ``len(payload) + 226`` bytes."""
     if len(env.payload) > MAX_PAYLOAD:
         raise EnvelopeError(f"payload exceeds {MAX_PAYLOAD} bytes")
-    head = b"%s|%s|%d|%02d|%s|" % (
-        MAGIC,
-        _rid_canonical_bytes(env.rid),
-        env.rid.forced,
-        env.rid.trial,
-        env.rid.service_name.encode("ascii"),
-        )
+    # The mirrors are copies of the rid's own forced, trial and service bytes.
+    rid = env.rid._text.encode("ascii")
+    head = b"%s|%s|%s|%s|%s|" % (MAGIC, rid, rid[_RID_FORCED:], rid[DEDUP_KEY_WIDTH:_RID_FORCED],
+                                 rid[_RID_SERVICE:DEDUP_KEY_WIDTH])
     length = b"%0*d" % (LENGTH_WIDTH, len(env.payload))
     # CRC covers every header byte outside the pad region itself.
     crc = zlib.crc32(head)
@@ -463,9 +439,7 @@ def _decode_matched(data: bytes) -> RequestEnvelope | None:
     if match is None or _header_crc(data) != match["crc"] \
             or len(data) != OVERHEAD_BYTES + int(match["len"]):
         return None
-    rid = _rid_from_match(match)
-    return RequestEnvelope(rid=rid, is_forced=rid.forced, service_name=rid.service_name.rstrip(),
-                           payload=data[OVERHEAD_BYTES:])
+    return RequestEnvelope(RequestId(match["rid"].decode("ascii")), data[OVERHEAD_BYTES:])
 
 
 def _decode_checked(data: bytes) -> RequestEnvelope:
@@ -518,12 +492,7 @@ def _decode_checked(data: bytes) -> RequestEnvelope:
         raise MalformedEnvelope(
             OVERHEAD_BYTES, f"expected {payload_len} payload bytes, got {len(data) - OVERHEAD_BYTES}"
         )
-    return RequestEnvelope(
-        rid=rid,
-        is_forced=rid.forced,
-        service_name=rid.service_name.rstrip(),
-        payload=data[OVERHEAD_BYTES:],
-    )
+    return RequestEnvelope(rid, data[OVERHEAD_BYTES:])
 
 
 # Push frame layout: 1-byte kind tag, 87-byte rid, 2-byte meta code,
@@ -544,13 +513,12 @@ _VALID_META = {
 def encode_push_frame(frame: PushFrame) -> bytes:
     if len(frame.body) > MAX_PAYLOAD:
         raise EnvelopeError(f"frame body exceeds {MAX_PAYLOAD} bytes")
-    rid_field = _rid_canonical_bytes(frame.rid)
     meta = frame.meta if frame.meta is not None else META_NONE
     if meta not in _VALID_META[frame.kind]:
         raise EnvelopeError(f"meta {meta!r} not valid for {frame.kind.value}")
     return (
         _KIND_TAGS[frame.kind]
-        + rid_field
+        + frame.rid._text.encode("ascii")
         + meta.encode("ascii")
         + b"%0*d" % (LENGTH_WIDTH, len(frame.body))
         + frame.body

@@ -14,6 +14,10 @@ carrying the status a server answers it with:
   ``MAX_FIELDS`` of them;
 - 505: an HTTP major version other than 1.
 
+A head's ``fields`` is a plain dict keyed by lower-case field name, so
+it is read with lower-case names only. A name that occurs on several
+lines maps to its values joined with ", " (RFC 9110 §5.3).
+
 ``body_length`` adds the message-body framing rule: a plain
 ``Content-Length`` or no body at all. Any ``Transfer-Encoding``, and a
 ``Content-Length`` that is repeated or not one run of digits, get 400.
@@ -88,29 +92,10 @@ class HttpError(Exception):
         self.reason = reason
 
 
-class Fields(dict):
-    """Field values by lower-cased name, looked up case-insensitively.
-    A name that occurs on several lines maps to its values joined with
-    ", " (RFC 9110 §5.3)."""
-
-    def get(self, name, default=None):
-        return dict.get(self, name.lower(), default)
-
-    # For a name already in lower case, as code that reads a field on
-    # every message passes: no fold.
-    get_lower = dict.get
-
-    def __getitem__(self, name):
-        return dict.__getitem__(self, name.lower())
-
-    def __contains__(self, name):
-        return dict.__contains__(self, name.lower())
-
-
 class RequestHead:
     __slots__ = ("method", "target", "version", "fields", "keep_alive")
 
-    def __init__(self, method: str, target: str, version: str, fields: Fields):
+    def __init__(self, method: str, target: str, version: str, fields: dict[str, str]):
         self.method = method
         self.target = target
         self.version = version
@@ -121,7 +106,7 @@ class RequestHead:
 class ResponseHead:
     __slots__ = ("status", "reason", "version", "fields", "keep_alive")
 
-    def __init__(self, status: int, reason: str, version: str, fields: Fields):
+    def __init__(self, status: int, reason: str, version: str, fields: dict[str, str]):
         self.status = status
         self.reason = reason
         self.version = version
@@ -129,12 +114,12 @@ class ResponseHead:
         self.keep_alive = _keep_alive(version, fields)
 
 
-def _keep_alive(version: str, fields: Fields) -> bool:
+def _keep_alive(version: str, fields: dict[str, str]) -> bool:
     """HTTP/1.1 and later keep the connection open unless a side says
     ``Connection: close``; HTTP/1.0 closes it."""
     if version == "HTTP/1.0":
         return False
-    connection = fields.get_lower("connection")
+    connection = fields.get("connection")
     return connection is None or "close" not in (
         token.strip().lower() for token in connection.split(","))
 
@@ -191,16 +176,16 @@ def _major_version(major: str) -> None:
         raise HttpError(505, f"HTTP/{major} is not supported")
 
 
-def _fields(lines: list[str]) -> Fields:
+def _fields(lines: list[str]) -> dict[str, str]:
     if len(lines) > MAX_FIELDS:
         raise HttpError(431, f"more than {MAX_FIELDS} field lines")
-    fields = Fields()
+    fields = {}
     for line in lines:
         match = _FIELD_LINE.fullmatch(line)
         if match is None:
             raise HttpError(400, _field_problem(line))
         name, value = match.group(1).lower(), match.group(2).rstrip(" \t")
-        previous = fields.get_lower(name)
+        previous = fields.get(name)
         fields[name] = value if previous is None else f"{previous}, {value}"
     return fields
 
@@ -216,7 +201,7 @@ def _field_problem(line: str) -> str:
     return "malformed field line"
 
 
-def _matched_fields(match: re.Match) -> Fields | None:
+def _matched_fields(match: re.Match) -> dict[str, str] | None:
     """The fields of a head ``_REQUEST_HEAD`` or ``_RESPONSE_HEAD`` matched;
     None when a name repeats or there are more than ``MAX_FIELDS`` lines,
     which the strict parser joins or refuses."""
@@ -224,7 +209,7 @@ def _matched_fields(match: re.Match) -> Fields | None:
     lines.pop()  # what follows the last CR LF
     if len(lines) > MAX_FIELDS:
         return None
-    fields = Fields()
+    fields = {}
     for line in lines:
         name, _, value = line.partition(":")
         fields[name.lower()] = value.strip(" \t")
@@ -276,14 +261,14 @@ def _strict_response(text: str) -> ResponseHead:
     return ResponseHead(int(status), reason or "", version, _fields(lines[1:]))
 
 
-def body_length(fields: Fields) -> int | None:
+def body_length(fields: dict[str, str]) -> int | None:
     """The message's Content-Length, or None when it has none. Raises
     ``HttpError`` 400 for any Transfer-Encoding and for a Content-Length
     that is not one run of ASCII digits: a repeated or conflicting one
     reads as "3, 40" here (RFC 9112 §6.3)."""
-    if fields.get_lower("transfer-encoding") is not None:
+    if fields.get("transfer-encoding") is not None:
         raise HttpError(400, "Transfer-Encoding is not supported")
-    length = fields.get_lower("content-length")
+    length = fields.get("content-length")
     if length is None:
         return None
     if not (length.isascii() and length.isdigit()):

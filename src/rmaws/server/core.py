@@ -451,10 +451,8 @@ class ServerCore:
                 body, error = entry.result[1], None
             elif entry.pending:
                 state, body, error = RecordState.PENDING, None, None
-            elif entry.result is not None:
+            else:  # ``submit`` leaves no entry without a result idle
                 state, body, error = RecordState.FAILED, None, entry.result[1]
-            else:
-                state, body, error = RecordState.PENDING, None, None
             return ExecutionRecord(
                 dedup_key=dedup_key,
                 state=state,

@@ -466,7 +466,7 @@ class RmawsRequestHandler:
             self._discard_body(size)
             return None
         if (self.head.version != "HTTP/1.0"
-                and fields.get_lower("expect", "").lower() == "100-continue"):
+                and fields.get("expect", "").lower() == "100-continue"):
             self.connection.sendall(http1.CONTINUE)
         try:
             return http1.read_body(self.rfile, size)
@@ -543,8 +543,6 @@ class RmawsRequestHandler:
         try:
             env = decode_request(raw)
         except EnvelopeError as exc:
-            # MalformedEnvelope, or a well-formed header whose fields name
-            # no valid envelope, such as a service field with a leading space.
             self.write_response(400, str(exc).encode("utf-8"), _VALIDATION_FIELDS)
             return
         if self.path[len("/services/"):] != env.service_name:
@@ -552,7 +550,7 @@ class RmawsRequestHandler:
             return
         core = self.server.core
         exchange = LiveExchange(self, env)
-        ticket = core.receive(env, self.head.fields.get_lower(_TOKEN_FIELD, ""), exchange)
+        ticket = core.receive(env, self.head.fields.get(_TOKEN_FIELD, ""), exchange)
         if ticket is not None:
             delay_ms = core.handlers.get(env.service_name).delay_ms
             if delay_ms:

@@ -3,16 +3,24 @@
 The live server keeps records in memory either way; a store only adds
 durability so a restarted server can keep replaying completed responses.
 The file store is append-only JSON lines with last-write-wins replay.
+A record is stored once its line ends: a last line without its newline
+is what a crash in the middle of ``save`` leaves, and loading drops it
+and cuts the file back to the last whole line, so the next record
+appended starts a line of its own. Any whole line that is not a record
+fails the load.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import logging
 import os
 import threading
 from dataclasses import dataclass
 from typing import Protocol
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -50,10 +58,16 @@ class AppendOnlyFileStore:
         records: dict[str, StoredRecord] = {}
         if not os.path.exists(self.path):
             return records
-        with open(self.path, "r", encoding="utf-8") as fh:
+        whole = 0  # bytes in the file's whole lines
+        with open(self.path, "rb") as fh:
             for line in fh:
-                line = line.strip()
-                if not line:
+                if not line.endswith(b"\n"):
+                    log.warning("%s: dropping a torn last record of %d bytes", self.path, len(line))
+                    with open(self.path, "r+b") as out:
+                        out.truncate(whole)
+                    break
+                whole += len(line)
+                if not line.strip():
                     continue
                 row = json.loads(line)
                 records[row["key"]] = StoredRecord(

@@ -181,20 +181,20 @@ def _header_token_present(value: str, token: str) -> bool:
 def server_handshake_response(headers) -> bytes:
     """Validate an upgrade request and build the 101 response bytes.
 
-    ``headers`` is any case-insensitive mapping, such as the
-    ``http1.Fields`` of a parsed request head. Raises WsError when the
-    request is not a conforming upgrade.
+    ``headers`` maps lower-case field names to values, as the fields of
+    a head ``http1`` parsed do. Raises WsError when the request is not a
+    conforming upgrade.
     """
-    if (headers.get("Upgrade") or "").lower() != "websocket":
+    if headers.get("upgrade", "").lower() != "websocket":
         raise WsError("missing Upgrade: websocket")
-    if not _header_token_present(headers.get("Connection") or "", "upgrade"):
+    if not _header_token_present(headers.get("connection", ""), "upgrade"):
         raise WsError("missing Connection: Upgrade")
-    if (headers.get("Sec-WebSocket-Version") or "") != "13":
+    if headers.get("sec-websocket-version") != "13":
         raise WsError("unsupported websocket version")
-    key = headers.get("Sec-WebSocket-Key")
+    key = headers.get("sec-websocket-key")
     if not key:
         raise WsError("missing Sec-WebSocket-Key")
-    offered = headers.get("Sec-WebSocket-Protocol") or ""
+    offered = headers.get("sec-websocket-protocol", "")
     if not _header_token_present(offered, SUBPROTOCOL):
         raise WsError(f"client did not offer subprotocol {SUBPROTOCOL}")
     return (

@@ -59,13 +59,13 @@ def test_criterion_1_constant_request_overhead():
         started = time.perf_counter()
         rid = make_request_id("devA", 1_700_000_000_000, "orders")
         for size in (0, 25, 55, 1024, 191745):
-            env = RequestEnvelope(rid, False, "orders", b"x" * size)
+            env = RequestEnvelope(rid, b"x" * size)
             assert len(encode_request(env)) == size + OVERHEAD_BYTES
 
         p25 = b"payload-0123456789ABCDEF!"
         p55 = b"0123456789" * 5 + b"ABCDE"
-        e25 = encode_request(RequestEnvelope(rid, False, "orders", p25))
-        e55 = encode_request(RequestEnvelope(rid, False, "orders", p55))
+        e25 = encode_request(RequestEnvelope(rid, p25))
+        e55 = encode_request(RequestEnvelope(rid, p55))
         assert len(e25) == 251 and len(e55) == 281
         assert e25 == (GOLDEN / "request_25.bin").read_bytes()
         assert e55 == (GOLDEN / "request_55.bin").read_bytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import string
@@ -22,6 +23,7 @@ from rmaws.envelope import (
     MalformedFrame,
     PushFrame,
     RequestEnvelope,
+    RequestId,
     TrialOverflow,
     decode_push_frame,
     decode_request,
@@ -29,6 +31,7 @@ from rmaws.envelope import (
     encode_push_frame,
     encode_request,
     make_request_id,
+    parse_rid,
     payload_digest,
     register_ack_frame,
     register_frame,
@@ -49,8 +52,8 @@ wire_names = st.text(alphabet=sorted(set(string.printable) - set("|\t\n\r\x0b\x0
 
 
 def fixture_envelope(payload: bytes) -> RequestEnvelope:
-    rid = make_request_id("devA", 1700000000000, "orders", trial=1, forced=False)
-    return RequestEnvelope(rid=rid, is_forced=False, service_name="orders", payload=payload)
+    return RequestEnvelope(make_request_id("devA", 1700000000000, "orders", trial=1, forced=False),
+                           payload)
 
 
 @st.composite
@@ -58,12 +61,25 @@ def envelopes(draw, names=names):
     rid = make_request_id(
         draw(names), draw(timestamps), draw(names), draw(trials), draw(st.booleans())
     )
-    return RequestEnvelope(
-        rid=rid,
-        is_forced=rid.forced,
-        service_name=rid.service_name.rstrip(),
-        payload=draw(st.binary(max_size=2048)),
-    )
+    return RequestEnvelope(rid, draw(st.binary(max_size=2048)))
+
+
+def text_of(chars: str, size: int):
+    return st.text(alphabet=chars, min_size=size, max_size=size)
+
+
+@st.composite
+def rid_texts(draw):
+    """Rid texts near the canonical form: fields of legal characters, the
+    space among them, so a service field often starts with one, and maybe
+    one character set to a space, a separator, a letter or one outside
+    ASCII."""
+    text = "".join((draw(text_of(" 0a~", 32)), draw(text_of("0123456789", 20)),
+                    draw(text_of(" a~", 32)), draw(text_of("0129", 2)), draw(text_of("01", 1))))
+    if draw(st.booleans()):
+        pos = draw(st.integers(min_value=0, max_value=RID_WIDTH - 1))
+        text = text[:pos] + draw(st.sampled_from(" |xé")) + text[pos + 1:]
+    return text
 
 
 # Bytes that a header field may or may not accept: separators, digits,
@@ -189,6 +205,32 @@ class TestRequestId:
         assert rid.with_trial(7).dedup_key == rid.dedup_key
         assert rid.with_trial(7).trial == 7
 
+    def test_is_its_text(self):
+        rid = make_request_id("devA", 5, "orders", 3, True)
+        text = rid.canonical()
+        assert text == "devA".rjust(32, "0") + "5".rjust(20, "0") + "orders".ljust(32) + "031"
+        again = RequestId(text)
+        assert again is not rid and again == rid and hash(again) == hash(rid)
+        assert len({rid, again, rid.with_trial(4)}) == 2
+        assert rid != text and rid != rid.with_trial(4)
+        assert (rid.device_id, rid.timestamp_ms, rid.service_name, rid.trial, rid.forced) == \
+            ("devA".rjust(32, "0"), 5, "orders".ljust(32), 3, True)
+        assert (rid.dedup_key, rid.service) == (text[:84], "orders")
+
+    def test_cannot_be_changed(self):
+        rid = make_request_id("devA", 5, "orders")
+        for name in ("trial", "forced", "dedup_key", "service", "device_id", "_text", "other"):
+            with pytest.raises(AttributeError):
+                setattr(rid, name, 2)
+            with pytest.raises(AttributeError):
+                delattr(rid, name)
+        assert rid == make_request_id("devA", 5, "orders")
+
+    @pytest.mark.parametrize("size", [0, 84, 86, 88])
+    def test_text_of_another_length_is_refused(self, size):
+        with pytest.raises(EnvelopeError, match=f"got {size}"):
+            RequestId(make_request_id("devA", 5, "orders").canonical().ljust(88, "0")[:size])
+
 
 class TestRequestCodec:
     @pytest.mark.parametrize("size", [0, 25, 55, 1024, 191745])
@@ -283,18 +325,15 @@ class TestRequestCodec:
     def test_matched_and_checked_paths_agree(self, data):
         assert_paths_agree(data)
 
-    @pytest.mark.parametrize("field, error", [
-        (b" " * 32, (MalformedEnvelope, 59, "service field is not canonical")),
-        (b" orders".ljust(32), (EnvelopeError,
-                               "envelope service_name does not match rid.service_name")),
-    ], ids=["blank", "leading-space"])
-    def test_service_field_that_no_name_renders_to(self, field, error):
+    @pytest.mark.parametrize("field", [b" " * 32, b" orders".ljust(32)],
+                             ids=["blank", "leading-space"])
+    def test_service_field_that_no_name_renders_to(self, field):
         # Both copies of the service field changed alike, and the CRC
         # sealed: only the service checks can reject it.
         wire = bytearray(encode_request(fixture_envelope(b"payload")))
         wire[59:91] = wire[100:132] = field
         data = sealed(wire)
-        assert outcome(decode_request, data) == error
+        assert outcome(decode_request, data) == (MalformedEnvelope, 59, "service field is not canonical")
         assert_paths_agree(data)
 
     def test_paths_agree_on_every_sealed_single_byte_change(self):
@@ -307,12 +346,40 @@ class TestRequestCodec:
                 wire[pos] = value
                 assert_paths_agree(sealed(wire))
 
-    def test_mirror_mismatch_rejected(self):
+    def test_envelope_is_a_rid_and_a_payload(self):
         rid = make_request_id("devA", 1, "orders", forced=True)
-        with pytest.raises(EnvelopeError):
-            RequestEnvelope(rid=rid, is_forced=False, service_name="orders", payload=b"")
-        with pytest.raises(EnvelopeError):
-            RequestEnvelope(rid=rid, is_forced=True, service_name="other", payload=b"")
+        env = RequestEnvelope(rid, b"p")
+        assert [field.name for field in dataclasses.fields(env)] == ["rid", "payload"]
+        assert (env.is_forced, env.service_name) == (True, "orders")
+        wire = encode_request(env)
+        assert decode_request(wire) == env
+        # The header's forced, trial and service fields copy the rid's.
+        assert (wire[95:96], wire[97:99], wire[100:132]) == (b"1", b"01", b"orders".ljust(32))
+
+    @pytest.mark.parametrize("start, field, error", [
+        (52, " orders".ljust(32), (52, "service field is not canonical")),
+        (0, "dév".rjust(32, "0"), (0, "illegal characters in device id")),
+        (52, "ordérs".ljust(32), (52, "illegal characters in service name")),
+    ], ids=["leading-space", "device-not-ascii", "service-not-ascii"])
+    def test_parse_rid_refuses_what_no_client_builds(self, start, field, error):
+        text = make_request_id("devA", 1, "orders").canonical()
+        with pytest.raises(MalformedEnvelope) as info:
+            parse_rid(text[:start] + field + text[start + 32:])
+        assert (info.value.offset, info.value.reason) == error
+        assert parse_rid(text) == make_request_id("devA", 1, "orders")
+
+    @settings(max_examples=300)
+    @given(rid_texts())
+    def test_every_rid_the_codec_accepts_is_one_a_client_builds(self, text):
+        frame = b"R" + text.encode("utf-8") + b"--" + b"0" * 10
+        for decode in (lambda: parse_rid(text), lambda: decode_push_frame(frame).rid):
+            try:
+                rid = decode()
+            except (MalformedEnvelope, MalformedFrame):
+                continue
+            assert rid.canonical() == text
+            assert rid == make_request_id(rid.device_id, rid.timestamp_ms, rid.service_name,
+                                          rid.trial, rid.forced)
 
 
 class TestPushFrameCodec:
@@ -366,6 +433,14 @@ class TestPushFrameCodec:
         rid = make_request_id("devA", 42, "orders")
         with pytest.raises(EnvelopeError):
             encode_push_frame(PushFrame(FrameKind.DELIVER, rid, "ZZ", b""))
+
+    def test_service_field_with_a_leading_space_is_refused(self):
+        good = encode_push_frame(register_frame(make_request_id("devA", 42, "orders"),
+                                                payload_digest(b""), "t"))
+        bad = good[:53] + b" orders".ljust(32) + good[85:]
+        with pytest.raises(MalformedFrame) as info:
+            decode_push_frame(bad)
+        assert (info.value.offset, info.value.reason) == (53, "service field is not canonical")
 
     def test_deliver_with_ack_only_meta_rejected(self):
         # "NC" is a RegisterAck meta; no response status has that code.

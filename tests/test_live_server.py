@@ -12,6 +12,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import rmaws.client
 import rmaws.server.http
 from rmaws import http1, ws
 from rmaws.client import Client, ClientError, PushClient, SendOptions, build
@@ -111,9 +112,8 @@ def test_malformed_envelope_gets_validation_response(live_server):
 
 
 def test_envelope_no_name_renders_to_gets_validation_response(live_server):
-    # A service field with a leading space passes every layout check and
-    # the CRC, but names no service: decoding raises EnvelopeError, not
-    # MalformedEnvelope, and that must get an answer too.
+    # A service field with a leading space, copied to its mirror and
+    # sealed by the CRC, names no service: the rid check refuses it.
     server = live_server([{"name": "echo"}])
     wire = bytearray(encode_request(build("echo", b"hi", False, 1, lambda: 1, "dev")))
     wire[59:91] = wire[100:132] = b" echo".ljust(32)
@@ -123,7 +123,7 @@ def test_envelope_no_name_renders_to_gets_validation_response(live_server):
     resp = conn.getresponse()
     assert resp.status == 400
     assert resp.headers["X-RMAWS-Status"] == "ValidationError"
-    assert b"service_name" in resp.read()
+    assert b"service field is not canonical" in resp.read()
     conn.close()
 
 
@@ -947,11 +947,12 @@ def test_owed_response_never_written_leaves_the_next_post_its_own_timeout(monkey
     assert 0.28 < elapsed < 0.45
 
 
-def test_push_handshake_without_an_answer_fails_the_registration():
+def test_push_handshake_without_an_answer_fails_the_registration(monkeypatch):
     # A peer that takes the connection and never answers the upgrade: the
     # connect timeout bounds the handshake, and the lock is free again.
+    monkeypatch.setattr(rmaws.client, "PUSH_CONNECT_TIMEOUT_S", 0.2)
     with socket.create_server(("127.0.0.1", 0)) as silent:
-        push = PushClient(*silent.getsockname()[:2], TOKEN, connect_timeout_s=0.2)
+        push = PushClient(*silent.getsockname()[:2], TOKEN)
         rid = build("echo", b"p", False, 1, lambda: 1, "dev").rid
         results = []
         thread = threading.Thread(

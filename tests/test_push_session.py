@@ -55,7 +55,7 @@ def register(ts=1, token=TOKEN) -> bytes:
 def opened():
     """A session holding one registration, for a key whose request runs."""
     core = ServerCore(HandlerRegistry().add(make_synthetic("svc")), auth_token=TOKEN)
-    core.submit(RequestEnvelope(rid(), False, "svc", b"p"), object())
+    core.submit(RequestEnvelope(rid(), b"p"), object())
     conn = FakeConn()
     session = PushSession(core, conn, "c1")
     session.on_message(register())

@@ -1,15 +1,16 @@
-import dataclasses
+import json
 import threading
 
 import pytest
 
-from rmaws.envelope import (Channel, RequestEnvelope, ResponseStatus, make_request_id,
-                            payload_digest)
+from rmaws.envelope import (Channel, RequestEnvelope, RequestId, ResponseStatus,
+                            make_request_id, payload_digest)
 from rmaws.server import (
     AppendOnlyFileStore,
     HandlerRegistry,
     RecordState,
     ServerCore,
+    StoredRecord,
     make_synthetic,
     synthetic_body,
 )
@@ -28,8 +29,7 @@ class FakeClock:
 
 
 def envelope(service="orders", ts=1000, trial=1, forced=False, payload=b"p", device="devA"):
-    rid = make_request_id(device, ts, service, trial, forced)
-    return RequestEnvelope(rid, forced, service, payload)
+    return RequestEnvelope(make_request_id(device, ts, service, trial, forced), payload)
 
 
 def counting_registry(name="orders", output=b"BODY", delay_ms=0):
@@ -107,8 +107,7 @@ class TestReceiveExecute:
     request that must run, ``execute``."""
 
     @pytest.mark.parametrize("reason,env,token", [
-        ("BadId", dataclasses.replace(envelope(), rid=dataclasses.replace(envelope().rid, trial=0)),
-         TOKEN),
+        ("BadId", RequestEnvelope(RequestId(envelope().rid.dedup_key + "000"), b"p"), TOKEN),
         ("UnknownService", envelope(service="nope"), TOKEN),
         ("Unauthorized", envelope(), "wrong"),
     ])
@@ -701,6 +700,30 @@ class TestStore:
         assert resp.channel is Channel.CACHE_REPLAY
         assert resp.body == b"BODY"
         assert calls2 == []
+
+    def test_file_store_drops_a_torn_last_record(self, tmp_path):
+        # A crash in the middle of ``save`` cuts the last line short at any
+        # byte: the whole records before it load, the file is cut back to
+        # them, and the next record saved starts a line of its own.
+        path = tmp_path / "records.jsonl"
+        store = AppendOnlyFileStore(str(path))
+        first, second, third = (StoredRecord("ok", b"body%d" % i, None, i, 1) for i in range(3))
+        store.save("k0", first)
+        store.save("k1", second)
+        whole = path.read_bytes()
+        cut = whole.rindex(b"\n", 0, len(whole) - 1) + 1
+        for end in range(cut, len(whole)):
+            path.write_bytes(whole[:end])
+            assert AppendOnlyFileStore(str(path)).load_all() == {"k0": first}
+            assert path.read_bytes() == whole[:cut]
+            store.save("k2", third)
+            assert AppendOnlyFileStore(str(path)).load_all() == {"k0": first, "k2": third}
+
+    def test_file_store_refuses_a_corrupt_whole_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(b'{"key": "k0", "status\n')
+        with pytest.raises(json.JSONDecodeError):
+            AppendOnlyFileStore(str(path)).load_all()
 
 
 class TestSyntheticHandlers:

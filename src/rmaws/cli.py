@@ -181,13 +181,17 @@ def cmd_enumerate(args) -> int:
     except (ScenarioInvalid, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    report = enumerate_and_check(template, sites, break_dedup=args.break_dedup)
+    try:
+        report = enumerate_and_check(template, sites, break_dedup=args.break_dedup)
+    except ScenarioInvalid as exc:  # a fault site that no scenario can hold
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     out_path = args.out or f"{template.name}.enumeration.json"
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"{report.total_scenarios} scenario(s) over {len(sites)} fault site(s); "
-          f"{len(report.findings)} violating")
+    print(f"{report.total_scenarios} scenario(s) over {len(sites)} fault site(s), "
+          f"{report.simulator_runs} simulator run(s); {len(report.findings)} violating")
     print(f"report written to {out_path}")
     if not report.ok:
         first = report.first_violation
@@ -212,6 +216,7 @@ def cmd_report(args) -> int:
     if "total_scenarios" in raw:
         print(f"template: {raw.get('template')}")
         print(f"scenarios: {raw.get('total_scenarios')}  "
+              f"simulator runs: {raw.get('simulator_runs')}  "
               f"violations: {raw.get('violation_count')}")
         for finding in raw.get("findings", []):
             kinds = [v["kind"] for v in finding.get("violations", [])]

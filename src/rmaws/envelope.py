@@ -244,7 +244,7 @@ def wall_ms() -> int:
 # few distinct names, so the field is cached. The bound keeps a process
 # that names many from growing the cache without limit.
 @functools.lru_cache(maxsize=1024)
-def _service_field(name: str) -> str:
+def service_field(name: str) -> str:
     """Strip and validate a service name, then cut or pad it to the field."""
     name = name.strip()
     if not name:
@@ -256,7 +256,8 @@ def _service_field(name: str) -> str:
 
 
 @functools.lru_cache(maxsize=1024)
-def _device_field(device_id: str) -> str:
+def device_field(device_id: str) -> str:
+    """Validate a device id, then pad it to the field."""
     if not device_id:
         raise InvalidDeviceId("device id is empty")
     if len(device_id) > DEVICE_WIDTH:
@@ -279,8 +280,8 @@ def make_request_id(
         raise TrialOverflow(f"trial {trial} outside 1..{MAX_TRIAL}")
     if not 0 <= timestamp_ms <= MAX_TIMESTAMP_MS:
         raise InvalidTimestamp(f"timestamp {timestamp_ms} outside 0..{MAX_TIMESTAMP_MS}")
-    return RequestId("%s%0*d%s%0*d%d" % (_device_field(device_id), TIMESTAMP_WIDTH, timestamp_ms,
-                                         _service_field(service_name), TRIAL_WIDTH, trial,
+    return RequestId("%s%0*d%s%0*d%d" % (device_field(device_id), TIMESTAMP_WIDTH, timestamp_ms,
+                                         service_field(service_name), TRIAL_WIDTH, trial,
                                          bool(forced)))
 
 

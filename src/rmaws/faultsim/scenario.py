@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from ..envelope import MAX_TIMESTAMP_MS
+from ..envelope import MAX_TIMESTAMP_MS, MAX_TRIAL, EnvelopeError, device_field, service_field
 from ..server.handlers import check_delay_ms, check_fail_times, check_output_size
 
 # Drop faults target one send's attempts; timed faults act on a client at
@@ -67,6 +67,32 @@ class FaultSpec:
     client: str | None = None  # for the timed kinds
 
 
+def _validate_send(index: int, spec: SendSpec) -> None:
+    """Refuse what a run of the send would fail on: its options, its
+    payload, and a device id that a rid cannot hold."""
+    if type(spec.http_timeout_ms) is not int or spec.http_timeout_ms <= 0:
+        raise ScenarioInvalid(f"send {index}: http_timeout_ms {spec.http_timeout_ms!r} "
+                              f"is not a positive integer")
+    if type(spec.push_wait_ms) is not int or spec.push_wait_ms <= 0:
+        raise ScenarioInvalid(f"send {index}: push_wait_ms {spec.push_wait_ms!r} "
+                              f"is not a positive integer")
+    if type(spec.max_trials) is not int or not 1 <= spec.max_trials <= MAX_TRIAL:
+        raise ScenarioInvalid(f"send {index}: max_trials {spec.max_trials!r} "
+                              f"is not in 1..{MAX_TRIAL}")
+    if spec.payload_hex is not None:
+        try:
+            bytes.fromhex(spec.payload_hex)
+        except (TypeError, ValueError):
+            raise ScenarioInvalid(f"send {index}: payload_hex is not hex") from None
+    name, device = ("client", spec.client) if spec.device_id is None \
+        else ("device_id", spec.device_id)
+    try:
+        device_field(device)
+    except (EnvelopeError, TypeError):
+        raise ScenarioInvalid(f"send {index}: {name} {device!r} cannot be a rid's device id") \
+            from None
+
+
 @dataclass
 class ScenarioSpec:
     name: str = "scenario"
@@ -78,26 +104,36 @@ class ScenarioSpec:
     faults: list[FaultSpec] = field(default_factory=list)
 
     def validate(self) -> None:
-        known = {svc.name for svc in self.services}
-        if len(known) != len(self.services):
-            raise ScenarioInvalid("duplicate service profiles")
+        """Refuse a scenario that a run could not carry out. An enumeration
+        validates every scenario it answers, so this reads each field once."""
+        known: set[str] = set()
         for svc in self.services:
+            if not isinstance(svc.name, str):
+                raise ScenarioInvalid(f"service name {svc.name!r} is not text")
+            if svc.name in known:
+                raise ScenarioInvalid("duplicate service profiles")
+            known.add(svc.name)
+            try:
+                service_field(svc.name)
+            except EnvelopeError as exc:
+                raise ScenarioInvalid(f"service {svc.name!r}: name: {exc}") from None
             try:
                 check_output_size(svc.name, svc.output_size)
                 check_delay_ms(svc.name, svc.delay_ms)
                 check_fail_times(svc.name, svc.fail_times)
             except ValueError as exc:
                 raise ScenarioInvalid(str(exc)) from None
-        for spec in self.sends:
+        clients: set[str] = set()
+        for index, spec in enumerate(self.sends):
             if spec.service not in known:
                 raise ScenarioInvalid(f"send references unknown service {spec.service!r}")
             if spec.t < 0 or spec.t > self.end_time_ms:
                 raise ScenarioInvalid(f"send at t={spec.t} outside scenario window")
             ts = spec.timestamp_ms
-            if ts is not None and (isinstance(ts, bool) or not isinstance(ts, int)
-                                   or not 0 <= ts <= MAX_TIMESTAMP_MS):
+            if ts is not None and (type(ts) is not int or not 0 <= ts <= MAX_TIMESTAMP_MS):
                 raise ScenarioInvalid(f"send timestamp_ms {ts!r} is not a valid timestamp")
-        clients = {spec.client for spec in self.sends}
+            _validate_send(index, spec)
+            clients.add(spec.client)
         last_t = None
         for fault in self.faults:
             if fault.kind not in FAULT_KINDS:
@@ -113,9 +149,13 @@ class ScenarioSpec:
                 if last_t is not None and fault.t < last_t:
                     raise ScenarioInvalid("timed faults must be sorted by time")
                 last_t = fault.t
-        for key in self.latency:
+        for key, value in self.latency.items():
             if key not in DEFAULT_LATENCY:
                 raise ScenarioInvalid(f"unknown latency key {key!r}")
+            if type(value) is not int:
+                raise ScenarioInvalid(f"latency {key} {value!r} is not an integer")
+        if len(self.latency) != len(DEFAULT_LATENCY):
+            raise ScenarioInvalid(f"latency needs {sorted(DEFAULT_LATENCY)}")
 
     # -- JSON ------------------------------------------------------------
 

@@ -23,6 +23,17 @@ transparency are checked end to end.
 
 Everything is deterministic for a given scenario: time advances only
 through the event queue and no unordered collection feeds the trace.
+
+A run reads its faults only through its ``tree.Path``: at each drop
+check, and at each step of an instant of its tree's timed faults, where
+one event applies the scenario's faults at that instant in order and
+skips each that would change nothing now (``SimWorld._fault_acts``).
+``run(scenario, tree=tree)`` answers a scenario that agrees with an
+earlier run of the tree at every decision that run reached with that
+run's trace, under the scenario's own name, and simulates any other (see
+``tree``). A run that hits ``MAX_STEPS`` is never shared: its scenario
+gets the trace of a plain run. A plain ``run(scenario)`` is a run whose
+tree holds only the scenario's own faults and is dropped after it.
 """
 
 from __future__ import annotations
@@ -43,8 +54,12 @@ from ..envelope import ResponseEnvelope, decode_request, encode_request
 from ..push import Heard, PushSession, PushWaits
 from ..server.core import ServerCore, ValidationError
 from ..server.handlers import HandlerRegistry, make_synthetic, synthetic_body
-from .scenario import DROP_FAULT_KINDS, TIMED_FAULT_KINDS, ScenarioSpec
+from .scenario import ScenarioSpec
 from .trace import Trace, TraceRecorder, body_digest
+from .tree import DecisionTree, Path
+
+# An event names a status or a channel by its enum member's ``_value_``:
+# ``.value`` is a descriptor call, and a run reads several per send.
 
 # Events one run may process. A scenario that needs more is diverging (an
 # event that keeps rescheduling itself); the checker reports it.
@@ -73,7 +88,6 @@ class SimExchange:
         self.world = world
         self.send = send
         self.env = env
-        self.trial = env.rid.trial
         self.alive = True
 
     def complete(self, resp: ResponseEnvelope, error: ValidationError | None) -> None:
@@ -128,13 +142,20 @@ class SimSend:
 
 
 class SimWorld:
-    def __init__(self, scenario: ScenarioSpec, *, break_dedup: bool = False):
-        scenario.validate()
+    def __init__(self, scenario: ScenarioSpec, *, break_dedup: bool = False,
+                 path: Path | None = None):
+        """``path`` is the scenario's way through a tree shared by many
+        runs; without it, the run has a tree of the scenario's own."""
+        if path is None:
+            path = DecisionTree(scenario, scenario.faults,
+                                break_dedup=break_dedup).path(scenario, break_dedup)
         self.scenario = scenario
         self.now = 0
         self._heap: list = []
         self._seq = 0
         self.trace = TraceRecorder(lambda: self.now)
+        path.begin(self.trace.events)
+        self.path = path
 
         registry = HandlerRegistry()
         self.profiles = {}
@@ -150,9 +171,9 @@ class SimWorld:
             events=self._core_event,
             break_dedup=break_dedup,
         )
-        self.lat_req = int(scenario.latency["request_ms"])
-        self.lat_resp = int(scenario.latency["response_ms"])
-        self.lat_push = int(scenario.latency["push_ms"])
+        self.lat_req = scenario.latency["request_ms"]
+        self.lat_resp = scenario.latency["response_ms"]
+        self.lat_push = scenario.latency["push_ms"]
 
         self.clients: dict[str, SimClient] = {}
         self.sends: list[SimSend] = []
@@ -162,11 +183,6 @@ class SimWorld:
                 client = SimClient(spec.client)
                 self.clients[spec.client] = client
             self.sends.append(SimSend(index, spec, client))
-
-        # (kind, send, trial) of each drop fault; a trial of None drops every trial.
-        self.drops = {(f.kind, f.send, f.trial) for f in scenario.faults
-                      if f.kind in DROP_FAULT_KINDS}
-        self.timed_faults = [f for f in scenario.faults if f.kind in TIMED_FAULT_KINDS]
 
         self.wire = {"requests_bytes": 0, "request_count": 0,
                      "responses_bytes": 0, "push_bytes": 0}
@@ -183,7 +199,7 @@ class SimWorld:
     def _core_event(self, kind: str, fields: dict) -> None:
         if kind == "record_failed":
             self.failed_keys.add(fields.get("key", ""))
-        self.trace.emit(f"server_{kind}", **fields)
+        self.trace.record(f"server_{kind}", fields)  # the core's emit gives up its dict
 
     def schedule(self, delay_ms: int, fn, *args) -> None:
         """Call ``fn(*args)`` ``delay_ms`` from now, after every event
@@ -191,18 +207,15 @@ class SimWorld:
         heapq.heappush(self._heap, (self.now + max(0, int(delay_ms)), self._seq, fn, args))
         self._seq += 1
 
-    def _dropped(self, kind: str, send_index: int, trial: int) -> bool:
-        drops = self.drops
-        return bool(drops) and ((kind, send_index, trial) in drops
-                                or (kind, send_index, None) in drops)
-
     # -- run ---------------------------------------------------------------
 
     def run(self) -> Trace:
         for send in self.sends:
             self.schedule(send.spec.t, self._start_send, send)
-        for fault in self.timed_faults:
-            self.schedule(fault.t, self._apply_fault, fault)
+        # One event per instant keeps each trace as one event per fault
+        # gave it: a scenario's faults at one instant are consecutive there.
+        for t in self.path.tree.instants:
+            self.schedule(t, self._instant, t)
 
         steps = 0
         end = self.scenario.end_time_ms
@@ -215,7 +228,9 @@ class SimWorld:
             self.now = t
             fn(*args)
             steps += 1
-        return self._assemble()
+        trace = self._assemble()
+        self.path.end(trace, self.diverged)
+        return trace
 
     # -- client side ---------------------------------------------------------
 
@@ -257,8 +272,8 @@ class SimWorld:
             if machine.digest is not None and send.client.conn is not None:
                 send.client.conn.waits.release(machine.key, machine.digest)
             if isinstance(step, Outcome):
-                self.trace.emit("send_done", send=send.index, status=step.status.value,
-                                channel=step.channel.value, trials=step.trials_used,
+                self.trace.emit("send_done", send=send.index, status=step.status._value_,
+                                channel=step.channel._value_, trials=step.trials_used,
                                 body_len=len(step.body or b""))
             else:
                 self.trace.emit("send_failed", send=send.index, error=step.kind,
@@ -281,7 +296,7 @@ class SimWorld:
         if not send.client.online:
             self.trace.emit("request_lost_offline", send=send.index, trial=trial)
             return
-        if self._dropped("drop_request", send.index, trial):
+        if self.path.dropped("drop_request", send.index, trial):
             self.trace.emit("fault_drop_request", send=send.index, trial=trial)
             return
         self.schedule(self.lat_req, self._server_receive, send, exchange, data)
@@ -295,7 +310,7 @@ class SimWorld:
         exchange = send.current_exchange
         if exchange.alive:
             exchange.alive = False
-            self.trace.emit("http_abandon", send=send.index, trial=exchange.trial)
+            self.trace.emit("http_abandon", send=send.index, trial=exchange.env.rid.trial)
         self._interpret(send, step)
 
     # -- server side --------------------------------------------------------
@@ -308,31 +323,31 @@ class SimWorld:
         if ticket is not None:
             # The key's body is the one its owner's payload gives; with a
             # reused id, the owner need not be the first send under it.
-            self.expected_bodies[ticket.key] = self.send_expected_bodies[send.index]
+            self.expected_bodies[env.rid.dedup_key] = self.send_expected_bodies[send.index]
             self.schedule(self.profiles[env.service_name].delay_ms, self.core.execute, ticket)
 
     def _send_http_response(self, exchange: SimExchange, resp: ResponseEnvelope) -> None:
         send = exchange.send
+        trial = exchange.env.rid.trial
         if not exchange.alive:
-            self.trace.emit("http_write_dead", send=send.index, trial=exchange.trial)
+            self.trace.emit("http_write_dead", send=send.index, trial=trial)
             return
         self.wire["responses_bytes"] += len(resp.body)
-        self.trace.emit("http_write", send=send.index, trial=exchange.trial,
-                        status=resp.status.value, channel=resp.channel.value,
+        self.trace.emit("http_write", send=send.index, trial=trial,
+                        status=resp.status._value_, channel=resp.channel._value_,
                         bytes=len(resp.body))
-        if self._dropped("drop_http_response", send.index, exchange.trial):
-            self.trace.emit("fault_drop_http_response", send=send.index,
-                            trial=exchange.trial)
+        if self.path.dropped("drop_http_response", send.index, trial):
+            self.trace.emit("fault_drop_http_response", send=send.index, trial=trial)
             return
         self.schedule(self.lat_resp, self._client_receive_http, exchange, resp)
 
     def _client_receive_http(self, exchange: SimExchange, resp: ResponseEnvelope) -> None:
         send = exchange.send
         if not send.client.online or not exchange.alive:
-            self.trace.emit("response_lost", send=send.index, trial=exchange.trial)
+            self.trace.emit("response_lost", send=send.index, trial=exchange.env.rid.trial)
             return
-        self.trace.emit("http_response", send=send.index, trial=exchange.trial,
-                        status=resp.status.value, channel=resp.channel.value,
+        self.trace.emit("http_response", send=send.index, trial=exchange.env.rid.trial,
+                        status=resp.status._value_, channel=resp.channel._value_,
                         bytes=len(resp.body), body_sha=_body_digest(resp.body))
         step = send.machine.on_http_response(resp)
         if step is None:
@@ -388,7 +403,7 @@ class SimWorld:
         if heard.resp is not None:
             resp = heard.resp
             self.trace.emit("push_deliver", conn=conn.id, key=resp.rid.dedup_key,
-                            status=resp.status.value, bytes=len(resp.body),
+                            status=resp.status._value_, bytes=len(resp.body),
                             body_sha=_body_digest(resp.body))
             if heard.waiter is None:
                 self.trace.emit("duplicate_dropped", conn=conn.id, via="push")
@@ -422,13 +437,38 @@ class SimWorld:
 
     # -- faults ----------------------------------------------------------------
 
-    def _apply_fault(self, fault) -> None:
+    def _instant(self, t) -> None:
+        """Apply the scenario's faults at instant ``t``, in order, skipping
+        each that would change nothing now."""
+        faults = self.path.tree.instants[t]
+        while True:
+            index = self.path.pick(t, tuple(map(self._fault_acts, faults)))
+            if index < 0:
+                return
+            self._apply_fault(faults[index])
+
+    def _fault_acts(self, fault) -> bool:
+        """Whether applying ``fault`` now would change anything."""
         client = self.clients.get(fault.client)
         if client is None:
+            return False
+        kind = fault.kind
+        if kind == "client_offline":
+            return client.online
+        if kind == "client_online":
+            return not client.online
+        conn = client.conn
+        if kind == "kill_push_conn":
+            return conn is not None and conn.alive
+        if kind == "push_idle_close":
+            return conn is not None and conn.session.open
+        return False
+
+    def _apply_fault(self, fault) -> None:
+        if not self._fault_acts(fault):
             return
+        client = self.clients[fault.client]
         if fault.kind == "client_offline":
-            if not client.online:
-                return
             client.online = False
             self.trace.emit("client_offline", client=client.name)
             for send in self.sends:
@@ -437,9 +477,8 @@ class SimWorld:
                     send.current_exchange.alive = False
             self._kill_conn(client, reason="offline")
         elif fault.kind == "client_online":
-            if not client.online:
-                client.online = True
-                self.trace.emit("client_online", client=client.name)
+            client.online = True
+            self.trace.emit("client_online", client=client.name)
         elif fault.kind == "kill_push_conn":
             self._kill_conn(client, reason="killed")
         elif fault.kind == "push_idle_close":
@@ -448,9 +487,8 @@ class SimWorld:
             # the close and stops reading. The client learns of it when
             # the close arrives.
             conn = client.conn
-            if conn is not None and conn.session.open:
-                self.trace.emit("fault_push_idle_close", conn=conn.id)
-                conn.session.close()
+            self.trace.emit("fault_push_idle_close", conn=conn.id)
+            conn.session.close()
 
     def _kill_conn(self, client: SimClient, reason: str) -> None:
         conn = client.conn
@@ -484,8 +522,8 @@ class SimWorld:
                 row["trials"] = send.machine.rid.trial
                 result = send.machine.result
             if isinstance(result, Outcome):
-                row["status"] = result.status.value
-                row["channel"] = result.channel.value
+                row["status"] = result.status._value_
+                row["channel"] = result.channel._value_
                 row["body_len"] = len(result.body or b"")
                 row["body_sha"] = _body_digest(result.body or b"")
                 if result.body is not None:
@@ -527,9 +565,28 @@ class SimWorld:
         )
 
 
-def run(scenario: ScenarioSpec, *, break_dedup: bool = False) -> Trace:
-    """Deterministic: identical scenarios yield byte-identical traces."""
-    world = SimWorld(scenario, break_dedup=break_dedup)
+def run(scenario: ScenarioSpec, *, break_dedup: bool = False,
+        tree: DecisionTree | None = None) -> Trace:
+    """Deterministic: identical scenarios yield byte-identical traces.
+
+    With ``tree``, a scenario that agrees with an earlier run of the tree
+    at every decision that run reached gets that run's trace under its
+    own name; any other is simulated, and its run joins the tree."""
+    if tree is None:
+        return _simulate(SimWorld(scenario, break_dedup=break_dedup))
+    path = tree.path(scenario, break_dedup)
+    trace = path.lookup()
+    if trace is not None:
+        return trace.renamed(scenario.name)
+    tree.runs += 1
+    trace = _simulate(SimWorld(scenario, break_dedup=break_dedup, path=path))
+    if trace.diverged:
+        tree.runs += 1
+        trace = _simulate(SimWorld(scenario, break_dedup=break_dedup))
+    return trace
+
+
+def _simulate(world: SimWorld) -> Trace:
     try:
         return world.run()
     finally:

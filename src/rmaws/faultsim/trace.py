@@ -27,6 +27,14 @@ class TraceRecorder:
         fields["kind"] = kind
         self.events.append(fields)
 
+    def record(self, kind: str, fields: dict) -> None:
+        """``emit`` for a dict that the caller hands over: it becomes the
+        event."""
+        fields["t"] = self._clock()
+        fields["seq"] = len(self.events)
+        fields["kind"] = kind
+        self.events.append(fields)
+
 
 @dataclass
 class Trace:
@@ -55,6 +63,15 @@ class Trace:
     # True when the run hit the simulator's step cap with events still due
     # inside the scenario window: the trace then ends early.
     diverged: bool = field(default=False, repr=False)
+
+    def renamed(self, scenario_name: str) -> "Trace":
+        """This trace under another scenario's name, sharing every other
+        value with it. Copying the instance's fields skips the dataclass
+        constructor, which checks nothing here."""
+        trace = object.__new__(Trace)
+        trace.__dict__.update(self.__dict__)
+        trace.scenario_name = scenario_name
+        return trace
 
     def summary(self) -> dict:
         return {

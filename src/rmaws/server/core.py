@@ -93,7 +93,8 @@ class PushRoute:
 
 @dataclass(slots=True)
 class _Entry:
-    key: str
+    """The state of one dedup key; ``ServerCore`` maps the key to it."""
+
     created_at: int
     execution_count: int = 0
     pending: bool = False
@@ -119,8 +120,11 @@ class ExecutionTicket:
     """Permission to run the handler for one granted execution."""
 
     env: RequestEnvelope
-    key: str
     _entry: _Entry
+
+    @property
+    def key(self) -> str:
+        return self.env.rid.dedup_key
 
 
 @dataclass(slots=True)
@@ -128,7 +132,6 @@ class DeliveryPlan:
     """One completed execution: its result, the exchanges waiting for it
     and the push route, if the client waits on one."""
 
-    key: str
     result: tuple
     waiters: list
     push: PushRoute | None
@@ -169,7 +172,7 @@ class ServerCore:
         self._presence: dict[str, PushRoute] = {}
         if store is not None:
             for key, rec in store.load_all().items():
-                entry = _Entry(key, created_at=rec.completed_at)
+                entry = _Entry(created_at=rec.completed_at)
                 entry.execution_count = rec.execution_count
                 entry.completed_at = rec.completed_at
                 if rec.status == "ok":
@@ -242,7 +245,7 @@ class ServerCore:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                entry = _Entry(key, created_at=now, payload_digest=digest)
+                entry = _Entry(created_at=now, payload_digest=digest)
                 self._entries[key] = entry
             if self._expired(entry, now):
                 self.emit("cache_expired", key=key)
@@ -273,7 +276,7 @@ class ServerCore:
             entry.waiters.append(waiter)
             self._supersede_push_locked(key)
             self.emit("execute_begin", key=key, count=entry.execution_count, forced=env.is_forced)
-            return SubmitResult("execute", ticket=ExecutionTicket(env, key, entry))
+            return SubmitResult("execute", ticket=ExecutionTicket(env, entry))
 
     def finish(self, ticket: ExecutionTicket, *, body: bytes | None = None,
                error_code: str | None = None) -> DeliveryPlan:
@@ -284,31 +287,32 @@ class ServerCore:
         answer.
         """
         now = self.clock()
+        key = ticket.key
         entry = ticket._entry
         with self._lock:
             entry.pending = False
             entry.completed_at = now
             if error_code is None:
                 entry.result = ("ok", body if body is not None else b"")
-                self.emit("record_completed", key=ticket.key, size=len(entry.result[1]),
+                self.emit("record_completed", key=key, size=len(entry.result[1]),
                           count=entry.execution_count)
             else:
                 entry.result = ("failed", error_code)
-                self.emit("record_failed", key=ticket.key, error=error_code)
+                self.emit("record_failed", key=key, error=error_code)
             waiters = entry.waiters
             entry.waiters = []
-            push = self._presence.pop(ticket.key, None)
+            push = self._presence.pop(key, None)
             if push is not None:
-                self.emit("presence_consumed", key=ticket.key, route="push")
+                self.emit("presence_consumed", key=key, route="push")
             if self.store is not None:
-                self.store.save(ticket.key, StoredRecord(
+                self.store.save(key, StoredRecord(
                     status="ok" if error_code is None else "failed",
                     body=entry.result[1] if error_code is None else b"",
                     error_code=error_code,
                     completed_at=now,
                     execution_count=entry.execution_count,
                 ))
-            return DeliveryPlan(ticket.key, entry.result, waiters, push, entry.payload_digest)
+            return DeliveryPlan(entry.result, waiters, push, entry.payload_digest)
 
     # -- request sequence ------------------------------------------------
 
@@ -354,9 +358,9 @@ class ServerCore:
         if plan.push is not None:
             resp = _response(plan.push.rid, plan.result, Channel.PUSH)
             if plan.push.conn.push_response(resp, plan.digest or plan.push.digest):
-                self.emit("push_delivered", key=plan.key, size=len(resp.body))
+                self.emit("push_delivered", key=ticket.key, size=len(resp.body))
             else:
-                self.emit("push_write_failed", key=plan.key)
+                self.emit("push_write_failed", key=ticket.key)
 
     # -- presence -------------------------------------------------------
 

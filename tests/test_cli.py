@@ -112,8 +112,12 @@ class TestEnumerate:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["total_scenarios"] == 16
+        assert report["simulator_runs"] == 7
         assert report["violation_count"] == 0
-        assert "16 scenario(s)" in capsys.readouterr().out
+        assert ("16 scenario(s) over 4 fault site(s), 7 simulator run(s); 0 violating"
+                in capsys.readouterr().out)
+        assert run_cli("report", str(out)) == 0
+        assert "scenarios: 16  simulator runs: 7  violations: 0" in capsys.readouterr().out
 
     def test_break_dedup_exits_one(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -127,6 +131,40 @@ class TestEnumerate:
 
     def test_missing_template(self, tmp_path):
         assert run_cli("enumerate", "nope", "--out", str(tmp_path / "r")) == 2
+
+    def test_a_site_that_no_scenario_can_hold_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "template.json"
+        path.write_text(json.dumps({
+            "services": [{"name": "svc"}], "sends": [{"t": 1, "service": "svc"}],
+            "fault_sites": [{"kind": "drop_request", "send": 7, "trial": 1}]}))
+        assert run_cli("enumerate", str(path), "--out", str(tmp_path / "r")) == 2
+        assert capsys.readouterr().err.startswith("error: drop_request fault needs")
+
+
+@pytest.mark.parametrize("command", ["sim", "enumerate"])
+@pytest.mark.parametrize("change, named", [
+    ({"sends": [{"t": 1, "service": "svc", "max_trials": 0}]}, "send 0: max_trials"),
+    ({"sends": [{"t": 1, "service": "svc", "http_timeout_ms": 0}]}, "send 0: http_timeout_ms"),
+    ({"sends": [{"t": 1, "service": "svc", "push_wait_ms": -1}]}, "send 0: push_wait_ms"),
+    ({"sends": [{"t": 1, "service": "svc", "payload_hex": "zz"}]}, "send 0: payload_hex"),
+    ({"sends": [{"t": 1, "service": "svc", "client": "a|b"}]}, "send 0: client"),
+    ({"sends": [{"t": 1, "service": "svc", "device_id": "d" * 33}]}, "send 0: device_id"),
+    ({"services": [{"name": "a|b"}], "sends": [{"t": 1, "service": "a|b"}]},
+     "service 'a|b': name"),
+    ({"latency": {"request_ms": 5.5}}, "latency request_ms"),
+], ids=["max_trials", "http_timeout_ms", "push_wait_ms", "payload_hex", "client",
+        "device_id", "service_name", "latency"])
+def test_a_scenario_that_a_run_refuses_exits_two(tmp_path, capsys, command, change, named):
+    """Each of these passed validation and then ended the command with a
+    traceback."""
+    doc = {"services": [{"name": "svc"}], "sends": [{"t": 1, "service": "svc"}], **change}
+    if command == "enumerate":
+        doc["fault_sites"] = []
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(command, str(path), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 class TestBenchAndReport:

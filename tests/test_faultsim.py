@@ -259,6 +259,33 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioInvalid, match="timestamp_ms"):
             scenario([one_send(timestamp_ms=stamp)]).validate()
 
+    @pytest.mark.parametrize("send, named", [
+        ({"max_trials": 0}, "send 0: max_trials"),
+        ({"http_timeout_ms": 0}, "send 0: http_timeout_ms"),
+        ({"push_wait_ms": -1}, "send 0: push_wait_ms"),
+        ({"payload_hex": "zz"}, "send 0: payload_hex"),
+        ({"client": "a|b"}, "send 0: client"),
+        ({"device_id": "d" * 33}, "send 0: device_id"),
+    ], ids=["max_trials", "http_timeout_ms", "push_wait_ms", "payload_hex", "client",
+            "device_id"])
+    def test_what_a_run_refuses_is_refused(self, send, named):
+        """Each of these passed ``validate`` and then failed the run with a
+        traceback."""
+        with pytest.raises(ScenarioInvalid, match=named):
+            scenario([one_send(**send)]).validate()
+
+    def test_a_service_name_a_rid_cannot_hold(self):
+        with pytest.raises(ScenarioInvalid, match=r"service 'a\|b': name"):
+            scenario([one_send(service="a|b")],
+                     services=[ServiceProfile(name="a|b")]).validate()
+
+    @pytest.mark.parametrize("value", [5.5, "5", True, None])
+    def test_a_latency_that_is_not_an_integer(self, value):
+        spec = scenario([one_send()])
+        spec.latency["push_ms"] = value
+        with pytest.raises(ScenarioInvalid, match="latency push_ms"):
+            spec.validate()
+
     def test_push_idle_close_needs_a_known_client(self):
         with pytest.raises(ScenarioInvalid):
             scenario([one_send()], [FaultSpec(kind="push_idle_close", client="c9")]).validate()

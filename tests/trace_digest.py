@@ -2,9 +2,12 @@
 
 Runs ``perfbench/faults_template.json`` (payloads drawn from
 ``random.Random(42)``) through ``enumerate_and_check``, first as is and
-then with ``break_dedup``, and prints the number of runs, the number of
-findings, and one SHA-256 over each run's ``Trace.to_jsonl()`` in
-enumeration order. A change that must not alter simulated behaviour
+then with ``break_dedup``. It prints the number of scenarios (``runs``,
+the calls of ``enumeration.run``), the number of findings, and one
+SHA-256 over the ``Trace.to_jsonl()`` of the trace each scenario gets,
+in enumeration order. That trace is the same whether the simulator ran
+the scenario or the enumeration's decision tree answered it with an
+earlier run's trace. A change that must not alter simulated behaviour
 prints the same values before and after it.
 
 ``sha256_sans_push_sizes`` hashes the same traces with every

@@ -134,7 +134,8 @@ class TimestampAllocator:
     A burst runs ahead of the clock by one ms per send and falls back to
     it once the clock catches up. Uniqueness holds within one allocator;
     a clock that steps back across a process restart can still reuse a
-    timestamp, which the server's identity-conflict guard reports.
+    timestamp, which the server's identity-conflict guard reports, across
+    a restart of a server with a store too.
     """
 
     def __init__(self):
@@ -262,8 +263,7 @@ class SendMachine:
         self.state = SendMachine.WAIT_PUSH
         self.epoch += 1
         self.register_lost = False
-        if self.digest is None:
-            self.digest = payload_digest(self.payload)
+        self.digest = self.digest or payload_digest(self.payload)  # a digest is never empty
         return self._register_push()
 
     def on_http_transport_error(self, refused: bool) -> RegisterPush | ClientError | None:

@@ -316,17 +316,20 @@ class ResponseEnvelope:
 class PushFrame:
     """One message on the push channel.
 
-    A Register frame's body is the SHA-256 digest of the send's payload
-    (``PAYLOAD_DIGEST_BYTES`` raw bytes), then the auth token; a Deliver
-    frame's body is the digest of the payload it answers, then the
-    byte-exact response body, whose status is the meta segment. Every
-    frame carries a rid; a connection ends with the WebSocket close.
+    A Register frame's ``digest`` is the SHA-256 digest of the send's
+    payload (``PAYLOAD_DIGEST_BYTES`` raw bytes), and its body is the auth
+    token; a Deliver frame's ``digest`` is that of the payload it answers,
+    and its body is the byte-exact response body, whose status is the
+    meta segment. A RegisterAck names no digest. On the wire the digest
+    opens the frame's body. Every frame carries a rid; a connection ends
+    with the WebSocket close.
     """
 
     kind: FrameKind
     rid: RequestId
     meta: str | None
     body: bytes = b""
+    digest: bytes = b""
 
 
 def payload_digest(payload: bytes) -> bytes:
@@ -334,7 +337,7 @@ def payload_digest(payload: bytes) -> bytes:
 
 
 def register_frame(rid: RequestId, digest: bytes, token: str) -> PushFrame:
-    return PushFrame(FrameKind.REGISTER, rid, None, digest + token.encode("utf-8"))
+    return PushFrame(FrameKind.REGISTER, rid, None, token.encode("utf-8"), digest)
 
 
 def register_ack_frame(rid: RequestId, meta: str) -> PushFrame:
@@ -342,7 +345,7 @@ def register_ack_frame(rid: RequestId, meta: str) -> PushFrame:
 
 
 def deliver_frame(resp: ResponseEnvelope, digest: bytes) -> PushFrame:
-    return PushFrame(FrameKind.DELIVER, resp.rid, status_code(resp.status), digest + resp.body)
+    return PushFrame(FrameKind.DELIVER, resp.rid, status_code(resp.status), resp.body, digest)
 
 
 # What a well-formed rid field and request header match, in one pattern
@@ -497,13 +500,15 @@ def _decode_checked(data: bytes) -> RequestEnvelope:
 
 
 # Push frame layout: 1-byte kind tag, 87-byte rid, 2-byte meta code,
-# 10-digit body length, raw body.
+# 10-digit body length, raw body: a Register's or Deliver's opens with its payload digest.
 FRAME_HEADER_BYTES = 1 + RID_WIDTH + 2 + LENGTH_WIDTH  # 100
 
 _FRAME_OFF_RID = 1
 _FRAME_OFF_META = 1 + RID_WIDTH
 _FRAME_OFF_LEN = _FRAME_OFF_META + 2
 
+_DIGEST_BYTES = {FrameKind.REGISTER: PAYLOAD_DIGEST_BYTES, FrameKind.REGISTER_ACK: 0,
+                 FrameKind.DELIVER: PAYLOAD_DIGEST_BYTES}
 _VALID_META = {
     FrameKind.REGISTER: {META_NONE},
     FrameKind.REGISTER_ACK: {"OK", META_UNAUTHORIZED, "NC"},
@@ -512,16 +517,21 @@ _VALID_META = {
 
 
 def encode_push_frame(frame: PushFrame) -> bytes:
-    if len(frame.body) > MAX_PAYLOAD:
+    size = len(frame.digest) + len(frame.body)
+    if size > MAX_PAYLOAD:
         raise EnvelopeError(f"frame body exceeds {MAX_PAYLOAD} bytes")
     meta = frame.meta if frame.meta is not None else META_NONE
     if meta not in _VALID_META[frame.kind]:
         raise EnvelopeError(f"meta {meta!r} not valid for {frame.kind.value}")
+    if len(frame.digest) != _DIGEST_BYTES[frame.kind]:
+        raise EnvelopeError(f"a {frame.kind.value} digest is {_DIGEST_BYTES[frame.kind]} bytes, "
+                            f"got {len(frame.digest)}")
     return (
         _KIND_TAGS[frame.kind]
         + frame.rid._text.encode("ascii")
         + meta.encode("ascii")
-        + b"%0*d" % (LENGTH_WIDTH, len(frame.body))
+        + b"%0*d" % (LENGTH_WIDTH, size)
+        + frame.digest
         + frame.body
     )
 
@@ -547,6 +557,8 @@ def decode_push_frame(data: bytes) -> PushFrame:
         raise MalformedFrame(
             FRAME_HEADER_BYTES, f"expected {body_len} body bytes, got {len(data) - FRAME_HEADER_BYTES}"
         )
-    if kind is FrameKind.DELIVER and body_len < PAYLOAD_DIGEST_BYTES:
-        raise MalformedFrame(FRAME_HEADER_BYTES, "Deliver body too short for a payload digest")
-    return PushFrame(kind, rid, None if meta == META_NONE else meta, data[FRAME_HEADER_BYTES:])
+    cut = FRAME_HEADER_BYTES + _DIGEST_BYTES[kind]
+    if len(data) < cut:
+        raise MalformedFrame(FRAME_HEADER_BYTES, f"{kind.value} body too short for a payload digest")
+    return PushFrame(kind, rid, None if meta == META_NONE else meta, data[cut:],
+                     data[FRAME_HEADER_BYTES:cut])

@@ -21,7 +21,6 @@ from .envelope import (
     FrameKind,
     MalformedFrame,
     META_UNAUTHORIZED,
-    PAYLOAD_DIGEST_BYTES,
     PushFrame,
     ResponseEnvelope,
     RequestId,
@@ -44,10 +43,10 @@ class PushSession:
     malformed or unexpected frame, a failed write, the idle timeout, the
     server's stop) runs :meth:`close`.
 
-    A Register's body is the payload digest, then the auth token; a body
-    too short to hold the digest closes the connection, as a malformed
-    frame does. A Deliver's body is the digest of the payload it answers,
-    then the response body. One connection may hold registrations for
+    A Register names the payload digest and carries the auth token; one
+    too short to hold the digest is a malformed frame, which closes the
+    connection. A Deliver names the digest of the payload it answers and
+    carries the response body. One connection may hold registrations for
     many request ids. They live in the core's presence table, not in the
     session: the core consumes a key's registration when its execution
     finishes, drops it when an HTTP arrival for the key supersedes it, and
@@ -90,23 +89,18 @@ class PushSession:
             self.close()
 
     def _on_register(self, frame) -> None:
-        if len(frame.body) < PAYLOAD_DIGEST_BYTES:
-            log.warning("Register without a payload digest on %s", self.conn_id)
-            self.close()
-            return
-        digest = frame.body[:PAYLOAD_DIGEST_BYTES]
-        token = frame.body[PAYLOAD_DIGEST_BYTES:].decode("utf-8", errors="replace")
-        meta, immediate = self.core.register_push(frame.rid, digest, self, token)
+        token = frame.body.decode("utf-8", errors="replace")
+        meta, immediate = self.core.register_push(frame.rid, frame.digest, self, token)
         if meta == "DUP":
             return  # idempotent re-registration: no second ack
         acked = self._write(register_ack_frame(frame.rid, meta))
         if meta == META_UNAUTHORIZED:
             self.close()
         elif acked and immediate is not None:
-            # Completed before the registration landed (for this payload,
-            # or from a store), or refused as an identity conflict: deliver
-            # the answer right after the ack, naming this Register's payload.
-            self._write(deliver_frame(immediate, digest))
+            # Completed before the registration landed, or refused as an
+            # identity conflict: deliver the answer right after the ack,
+            # naming this Register's payload.
+            self._write(deliver_frame(immediate, frame.digest))
 
     def push_response(self, resp: ResponseEnvelope, digest: bytes) -> bool:
         """Write a Deliver frame naming the payload ``digest``; on failure
@@ -188,9 +182,9 @@ class PushWaits:
             return Heard()
         key = frame.rid.dedup_key
         if frame.kind is FrameKind.DELIVER:
-            wait = self._waits.pop((key, frame.body[:PAYLOAD_DIGEST_BYTES]), None)
+            wait = self._waits.pop((key, frame.digest), None)
             return Heard(ResponseEnvelope(frame.rid, status_from_code(frame.meta), Channel.PUSH,
-                                          frame.body[PAYLOAD_DIGEST_BYTES:]), wait and wait[0])
+                                          frame.body), wait and wait[0])
         for (waited, _), wait in self._waits.items():  # a RegisterAck
             if waited == key:
                 wait[2] = True

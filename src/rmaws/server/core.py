@@ -4,6 +4,9 @@ The core runs the server side of every request for both drivers, the
 live HTTP server and the virtual-clock simulator: ``receive`` validates
 and submits a request, and ``execute`` runs its handler, records the
 result and delivers it to every waiting exchange and to a push route.
+A completed execution has one record, a ``StoredRecord``: ``finish``
+builds it once, keeps it in the key's entry, saves it to the store and
+hands it to ``execute``, and replays and ``record`` answer from it.
 The drivers keep only transport and timers: they decode envelopes,
 carry each answer back through their exchange's ``complete(resp,
 error)``, and wait out a handler's ``delay_ms`` before ``execute``.
@@ -28,8 +31,7 @@ from __future__ import annotations
 import hmac
 import logging
 import threading
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Callable
 
 from ..envelope import (
@@ -47,25 +49,6 @@ from .handlers import HandlerRegistry
 from .store import RecordStore, StoredRecord
 
 log = logging.getLogger(__name__)
-
-
-class RecordState(str, Enum):
-    PENDING = "Pending"
-    COMPLETED = "Completed"
-    FAILED = "Failed"
-
-
-@dataclass(frozen=True)
-class ExecutionRecord:
-    """Snapshot of the per-key server state (the dedup/cache unit)."""
-
-    dedup_key: str
-    state: RecordState
-    body: bytes | None
-    error_code: str | None
-    created_at: int
-    completed_at: int | None
-    execution_count: int
 
 
 @dataclass(frozen=True)
@@ -95,24 +78,21 @@ class PushRoute:
 class _Entry:
     """The state of one dedup key; ``ServerCore`` maps the key to it."""
 
-    created_at: int
+    payload_digest: bytes  # sha256 of the payload that owns the key
     execution_count: int = 0
     pending: bool = False
-    result: tuple | None = None  # ("ok", body) | ("failed", error_code)
-    completed_at: int | None = None
-    waiters: list = field(default_factory=list)  # exchanges of the execution in flight
-    # sha256 of the payload that owns the key; None for records loaded
-    # from a store, which are not checked for identity conflicts.
-    payload_digest: bytes | None = None
+    record: StoredRecord | None = None  # the last completed execution's, until it expires
+    # Exchanges of the execution in flight. An idle key holds the shared
+    # empty tuple, so a cached key costs the collector no list of its own.
+    waiters: list | tuple = ()
 
 
-def _response(rid: RequestId, result: tuple, channel: Channel) -> ResponseEnvelope:
-    """The response that an entry's ``result`` gives ``rid``."""
-    kind, value = result
-    if kind == "ok":
-        return ResponseEnvelope(rid, ResponseStatus.OK, channel, value)
+def _response(rid: RequestId, record: StoredRecord, channel: Channel) -> ResponseEnvelope:
+    """The response that ``record`` gives ``rid``."""
+    if record.status == "ok":
+        return ResponseEnvelope(rid, ResponseStatus.OK, channel, record.body)
     return ResponseEnvelope(rid, ResponseStatus.SERVICE_ERROR, channel,
-                            f"service error: {value}".encode("utf-8"))
+                            f"service error: {record.error_code}".encode("utf-8"))
 
 
 @dataclass(slots=True)
@@ -129,13 +109,12 @@ class ExecutionTicket:
 
 @dataclass(slots=True)
 class DeliveryPlan:
-    """One completed execution: its result, the exchanges waiting for it
+    """One completed execution: its record, the exchanges waiting for it
     and the push route, if the client waits on one."""
 
-    result: tuple
+    record: StoredRecord
     waiters: list
     push: PushRoute | None
-    digest: bytes | None  # the key owner's payload's; None for a record loaded from a store
 
 
 @dataclass(slots=True)
@@ -147,7 +126,10 @@ class SubmitResult:
 
 
 class ServerCore:
-    """State machine shared by the live server and the simulator."""
+    """State machine shared by the live server and the simulator. A core
+    given a store starts from the records saved in it, owners' digests
+    included, so it answers and refuses each key as the server that ran
+    it did."""
 
     def __init__(
         self,
@@ -172,14 +154,7 @@ class ServerCore:
         self._presence: dict[str, PushRoute] = {}
         if store is not None:
             for key, rec in store.load_all().items():
-                entry = _Entry(created_at=rec.completed_at)
-                entry.execution_count = rec.execution_count
-                entry.completed_at = rec.completed_at
-                if rec.status == "ok":
-                    entry.result = ("ok", rec.body)
-                else:
-                    entry.result = ("failed", rec.error_code or "unknown")
-                self._entries[key] = entry
+                self._entries[key] = _Entry(rec.payload_digest, rec.execution_count, record=rec)
 
     def emit(self, kind: str, **fields) -> None:
         """Report one protocol event to the sink, or to the debug log.
@@ -214,9 +189,8 @@ class ServerCore:
     def _expired(self, entry: _Entry, now: int) -> bool:
         return (
             self.cache_ttl_ms is not None
-            and entry.result is not None
-            and entry.completed_at is not None
-            and now - entry.completed_at > self.cache_ttl_ms
+            and entry.record is not None
+            and now - entry.record.completed_at > self.cache_ttl_ms
         )
 
     def submit(self, env: RequestEnvelope, waiter) -> SubmitResult:
@@ -236,8 +210,8 @@ class ServerCore:
         The conflict check compares payload digests on a live entry. It
         applies to forced requests too: ``is_forced`` re-runs the same
         request, not a different one under its key. An expired entry takes
-        the new payload's digest. Records loaded from a store carry no
-        digest and are never reported as conflicts.
+        the new payload's digest. A record loaded from a store names its
+        owner's digest, so the check holds across a server restart.
         """
         now = self.clock()
         key = env.rid.dedup_key
@@ -245,23 +219,23 @@ class ServerCore:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                entry = _Entry(created_at=now, payload_digest=digest)
+                entry = _Entry(digest)
                 self._entries[key] = entry
             if self._expired(entry, now):
                 self.emit("cache_expired", key=key)
-                entry.result = None
-                entry.completed_at = None
+                entry.record = None
                 if not entry.pending:  # the running execution still owns the key
                     entry.payload_digest = digest
-            if entry.payload_digest is not None and entry.payload_digest != digest:
+            if entry.payload_digest != digest:
                 self.emit("identity_conflict", key=key, trial=env.rid.trial)
                 return SubmitResult("reject", error=_IDENTITY_CONFLICT)
 
             if not self.break_dedup:
-                if not env.is_forced and entry.result is not None and entry.result[0] == "ok":
+                record = entry.record
+                if not env.is_forced and record is not None and record.status == "ok":
                     self.emit("cache_hit", key=key, trial=env.rid.trial)
                     return SubmitResult("replay", response=_response(
-                        env.rid, entry.result, Channel.CACHE_REPLAY))
+                        env.rid, record, Channel.CACHE_REPLAY))
                 if entry.pending:
                     entry.waiters.append(waiter)
                     self._supersede_push_locked(key)
@@ -273,7 +247,7 @@ class ServerCore:
             # replayable until the new execution completes).
             entry.pending = True
             entry.execution_count += 1
-            entry.waiters.append(waiter)
+            entry.waiters = [*entry.waiters, waiter]
             self._supersede_push_locked(key)
             self.emit("execute_begin", key=key, count=entry.execution_count, forced=env.is_forced)
             return SubmitResult("execute", ticket=ExecutionTicket(env, entry))
@@ -282,37 +256,32 @@ class ServerCore:
                error_code: str | None = None) -> DeliveryPlan:
         """Record the execution result and plan its delivery.
 
-        The key's push registration, if any, is consumed here; the plan
-        holds it and the exchanges waiting on the key for ``execute`` to
-        answer.
+        The record is built once: the entry keeps it, the store saves it,
+        and the plan carries it. The key's push registration, if any, is
+        consumed here; the plan holds it and the exchanges waiting on the
+        key for ``execute`` to answer.
         """
         now = self.clock()
         key = ticket.key
         entry = ticket._entry
         with self._lock:
             entry.pending = False
-            entry.completed_at = now
+            record = entry.record = StoredRecord(
+                "ok" if error_code is None else "failed", b"" if body is None else body,
+                error_code, now, entry.execution_count, entry.payload_digest)
             if error_code is None:
-                entry.result = ("ok", body if body is not None else b"")
-                self.emit("record_completed", key=key, size=len(entry.result[1]),
+                self.emit("record_completed", key=key, size=len(record.body),
                           count=entry.execution_count)
             else:
-                entry.result = ("failed", error_code)
                 self.emit("record_failed", key=key, error=error_code)
             waiters = entry.waiters
-            entry.waiters = []
+            entry.waiters = ()
             push = self._presence.pop(key, None)
             if push is not None:
                 self.emit("presence_consumed", key=key, route="push")
             if self.store is not None:
-                self.store.save(key, StoredRecord(
-                    status="ok" if error_code is None else "failed",
-                    body=entry.result[1] if error_code is None else b"",
-                    error_code=error_code,
-                    completed_at=now,
-                    execution_count=entry.execution_count,
-                ))
-            return DeliveryPlan(entry.result, waiters, push, entry.payload_digest)
+                self.store.save(key, record)
+            return DeliveryPlan(record, waiters, push)
 
     # -- request sequence ------------------------------------------------
 
@@ -353,11 +322,12 @@ class ServerCore:
             log.info("handler %s failed: %s", env.service_name, exc)
             body, error = None, f"{type(exc).__name__}: {exc}"
         plan = self.finish(ticket, body=body, error_code=error)
+        record = plan.record
         for waiter in plan.waiters:
-            waiter.complete(_response(waiter.env.rid, plan.result, Channel.HTTP), None)
+            waiter.complete(_response(waiter.env.rid, record, Channel.HTTP), None)
         if plan.push is not None:
-            resp = _response(plan.push.rid, plan.result, Channel.PUSH)
-            if plan.push.conn.push_response(resp, plan.digest or plan.push.digest):
+            resp = _response(plan.push.rid, record, Channel.PUSH)
+            if plan.push.conn.push_response(resp, record.payload_digest):
                 self.emit("push_delivered", key=ticket.key, size=len(resp.body))
             else:
                 self.emit("push_write_failed", key=ticket.key)
@@ -391,8 +361,8 @@ class ServerCore:
         "OK". When the record is already complete the response is returned
         for immediate delivery and no presence is stored (the registration
         is consumed at once). A digest that differs from a live or pending
-        entry's is answered as ``submit`` answers it: ``IdentityConflict``,
-        for immediate delivery. Records loaded from a store are not checked.
+        entry's, one loaded from a store included, is answered as
+        ``submit`` answers it: ``IdentityConflict``, for immediate delivery.
         """
         if not self._token_ok(token):
             self.emit("push_register_denied", rid=rid.canonical())
@@ -402,16 +372,16 @@ class ServerCore:
         with self._lock:
             entry = self._entries.get(key)
             live = entry is not None and (entry.pending or not self._expired(entry, now))
-            if live and entry.payload_digest not in (None, digest):
+            if live and entry.payload_digest != digest:
                 self.emit("identity_conflict", key=key, trial=rid.trial)
                 return "OK", _IDENTITY_CONFLICT.response_for(rid, Channel.PUSH)
             cur = self._presence.get(key)
             if cur is not None and cur.conn is conn and cur.digest == digest:
                 self.emit("push_register_duplicate", key=key)
                 return "DUP", None
-            if live and entry.result is not None and not entry.pending:
+            if live and entry.record is not None and not entry.pending:
                 self.emit("push_register_completed", key=key)
-                return "OK", _response(rid, entry.result, Channel.PUSH)
+                return "OK", _response(rid, entry.record, Channel.PUSH)
             self._presence[key] = PushRoute(conn, rid, digest)
             self.emit("presence_register", key=key, route="push",
                       replaced="push" if cur is not None else None)
@@ -440,29 +410,15 @@ class ServerCore:
             return {k: e.execution_count for k, e in self._entries.items()}
 
     def completed_keys(self) -> list[str]:
-        """The keys whose record is ``COMPLETED``: a success is cached."""
+        """The keys whose record is a success: its body is cached."""
         with self._lock:
             return [k for k, e in self._entries.items()
-                    if e.result is not None and e.result[0] == "ok"]
+                    if e.record is not None and e.record.status == "ok"]
 
-    def record(self, dedup_key: str) -> ExecutionRecord | None:
+    def record(self, dedup_key: str) -> StoredRecord | None:
+        """The record of the key's last completed execution; None before
+        its first completion, and once ``submit`` has dropped it as
+        expired."""
         with self._lock:
             entry = self._entries.get(dedup_key)
-            if entry is None:
-                return None
-            if entry.result is not None and entry.result[0] == "ok":
-                state = RecordState.COMPLETED
-                body, error = entry.result[1], None
-            elif entry.pending:
-                state, body, error = RecordState.PENDING, None, None
-            else:  # ``submit`` leaves no entry without a result idle
-                state, body, error = RecordState.FAILED, None, entry.result[1]
-            return ExecutionRecord(
-                dedup_key=dedup_key,
-                state=state,
-                body=body,
-                error_code=error,
-                created_at=entry.created_at,
-                completed_at=entry.completed_at,
-                execution_count=entry.execution_count,
-            )
+            return entry.record if entry is not None else None

@@ -109,7 +109,10 @@ class ServerConfig:
         # an int. A negative TTL would make every retry run again. A
         # negative idle timeout makes settimeout raise in each /push
         # connection thread, and zero makes the socket non-blocking, which
-        # closes it at once.
+        # closes it at once. A number for the store's path would be opened
+        # as a file descriptor.
+        if self.store_path is not None and not isinstance(self.store_path, str):
+            raise ValueError(f"store_path must be null or a string, got {self.store_path!r}")
         if self.cache_ttl_ms is not None:
             _check_int("cache_ttl_ms", self.cache_ttl_ms)
         _check_int("push_idle_timeout_ms", self.push_idle_timeout_ms)

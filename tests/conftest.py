@@ -14,13 +14,15 @@ def live_server():
     servers = []
 
     def start(services=None, registry=None, *, auth_token=TOKEN, clock=None,
-              cache_ttl_ms=None, push_idle_timeout_ms=300_000, break_dedup=False):
+              cache_ttl_ms=None, push_idle_timeout_ms=300_000, break_dedup=False,
+              store_path=None):
         config = ServerConfig(
             bind_host="127.0.0.1",
             bind_port=0,
             auth_token=auth_token,
             cache_ttl_ms=cache_ttl_ms,
             push_idle_timeout_ms=push_idle_timeout_ms,
+            store_path=store_path,
             services=services or [],
         )
         if registry is None and not config.services:

@@ -223,6 +223,7 @@ class TestServeConfig:
         ({"cache_ttl_ms": -1}, {}, "cache_ttl_ms"),
         ({"push_idle_timeout_ms": 0}, {}, "push_idle_timeout_ms"),
         ({}, {"RMAWS_PUSH_IDLE_TIMEOUT_MS": "-5"}, "push_idle_timeout_ms"),
+        ({"store_path": 7}, {}, "store_path"),
     ])
     def test_bad_server_setting_exits_two_with_one_line(self, tmp_path, fields, env, named):
         cfg = tmp_path / "cfg.json"
@@ -232,6 +233,24 @@ class TestServeConfig:
         assert code == 2
         assert err.count("\n") == 1
         assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("line", [
+        # A record without a body: it once ended the load in a KeyError.
+        b'{"key":"k","status":"ok","completed_at":1,"execution_count":1}',
+        # A whole record as saved before records named their payload's digest.
+        b'{"body": "", "completed_at": 1, "error_code": null, "execution_count": 1, '
+        b'"key": "k", "status": "ok"}',
+    ], ids=["no-body", "no-digest"])
+    def test_store_line_that_is_not_a_record_exits_two_with_one_line(self, tmp_path, line):
+        store = tmp_path / "records.jsonl"
+        store.write_bytes(line + b"\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bind": "127.0.0.1:0", "store_path": str(store),
+                                   "services": [{"name": "orders"}]}))
+        code, err = serve_and_exit(cfg)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and f"{store}:1: not a record" in err
 
     def test_sigterm_drains_inflight_then_exits_zero(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -310,6 +329,8 @@ class TestConfigLoading:
         ({}, {"RMAWS_PUSH_IDLE_TIMEOUT_MS": "-1"}, "push_idle_timeout_ms"),
         ({}, {"RMAWS_PUSH_IDLE_TIMEOUT_MS": "0"}, "push_idle_timeout_ms"),
         ({}, {"RMAWS_CACHE_TTL_MS": "soon"}, "RMAWS_CACHE_TTL_MS"),
+        ({"store_path": 7}, {}, "store_path must be null or a string"),
+        ({"store_path": ["records.jsonl"]}, {}, "store_path must be null or a string"),
     ])
     def test_settings_that_break_the_protocol_are_refused(self, tmp_path, fields, env, named):
         from rmaws.server.http import ServerConfig
@@ -345,7 +366,8 @@ class TestConfigLoading:
                                                     "RMAWS_PUSH_IDLE_TIMEOUT_MS": "250"})
         assert (cfg.cache_ttl_ms, cfg.push_idle_timeout_ms) == (1500, 250)
 
-    @pytest.mark.parametrize("fields", [{"cache_ttl_ms": -1}, {"push_idle_timeout_ms": 0}])
+    @pytest.mark.parametrize("fields", [{"cache_ttl_ms": -1}, {"push_idle_timeout_ms": 0},
+                                        {"store_path": 7}])
     def test_direct_construction_is_refused_too(self, fields):
         from rmaws.server.http import ServerConfig
         with pytest.raises(ValueError, match=next(iter(fields))):
@@ -357,5 +379,6 @@ class TestConfigLoading:
         cfg_path.write_text(json.dumps({"cache_ttl_ms": 0, "push_idle_timeout_ms": 1}))
         cfg = ServerConfig.load(str(cfg_path), env={})
         assert (cfg.cache_ttl_ms, cfg.push_idle_timeout_ms) == (0, 1)
-        cfg_path.write_text(json.dumps({"cache_ttl_ms": None}))
-        assert ServerConfig.load(str(cfg_path), env={}).cache_ttl_ms is None
+        cfg_path.write_text(json.dumps({"cache_ttl_ms": None, "store_path": None}))
+        cfg = ServerConfig.load(str(cfg_path), env={})
+        assert (cfg.cache_ttl_ms, cfg.store_path) == (None, None)

@@ -14,6 +14,7 @@ from rmaws.envelope import (
     OVERHEAD_BYTES,
     PAYLOAD_DIGEST_BYTES,
     RID_WIDTH,
+    FRAME_HEADER_BYTES,
     EnvelopeError,
     FrameKind,
     InvalidDeviceId,
@@ -267,7 +268,7 @@ class TestRequestCodec:
         assert (rid, hash(rid), repr(rid)) == (sent, hash(sent), repr(sent))
         assert (rid.canonical(), rid.dedup_key) == (sent.canonical(), sent.dedup_key)
         assert rid.with_trial(99) == sent.with_trial(99)
-        frame = decode_push_frame(encode_push_frame(register_frame(sent, b"", "")))
+        frame = decode_push_frame(encode_push_frame(register_frame(sent, payload_digest(b""), "")))
         assert (frame.rid, frame.rid.canonical()) == (sent, sent.canonical())
 
     @given(envelopes())
@@ -391,19 +392,24 @@ class TestPushFrameCodec:
         rid = make_request_id("devA", 42, "orders")
         digest = payload_digest(b"payload")
         frame = register_frame(rid, digest, "secret-token")
-        decoded = decode_push_frame(encode_push_frame(frame))
+        data = encode_push_frame(frame)
+        decoded = decode_push_frame(data)
         assert decoded == frame
-        assert decoded.body == digest + b"secret-token"
+        assert (decoded.digest, decoded.body) == (digest, b"secret-token")
         assert len(digest) == PAYLOAD_DIGEST_BYTES
+        # On the wire the body is the digest, then the token.
+        assert data == (b"R" + rid.canonical().encode("ascii") + b"--"
+                        + b"%010d" % (PAYLOAD_DIGEST_BYTES + 12) + digest + b"secret-token")
 
     @pytest.mark.parametrize("size", [0, 1, 191745])
     def test_deliver_body_exact(self, size):
         digest = payload_digest(b"payload")
         frame = deliver_frame(self.response(b"\xff" * size), digest)
-        decoded = decode_push_frame(encode_push_frame(frame))
+        data = encode_push_frame(frame)
+        decoded = decode_push_frame(data)
         assert decoded.kind is FrameKind.DELIVER
-        assert len(decoded.body) == PAYLOAD_DIGEST_BYTES + size
-        assert decoded.body == digest + b"\xff" * size  # the digest, then the body
+        assert (decoded.digest, decoded.body) == (digest, b"\xff" * size)
+        assert data[FRAME_HEADER_BYTES:] == digest + b"\xff" * size  # the digest, then the body
 
     def test_ack_round_trip(self):
         rid = make_request_id("devA", 42, "orders")
@@ -411,11 +417,33 @@ class TestPushFrameCodec:
             decoded = decode_push_frame(encode_push_frame(register_ack_frame(rid, meta)))
             assert decoded.meta == meta
 
-    @given(names, timestamps, names, trials, st.booleans(), st.binary(max_size=4096))
-    def test_round_trip_any_register(self, dev, ts, svc, trial, forced, body):
+    @given(names, timestamps, names, trials, st.booleans(), st.binary(max_size=4096),
+           st.binary(min_size=PAYLOAD_DIGEST_BYTES, max_size=PAYLOAD_DIGEST_BYTES))
+    def test_round_trip_any_register(self, dev, ts, svc, trial, forced, body, digest):
         rid = make_request_id(dev, ts, svc, trial, forced)
-        frame = PushFrame(FrameKind.REGISTER, rid, None, body)
+        frame = PushFrame(FrameKind.REGISTER, rid, None, body, digest)
         assert decode_push_frame(encode_push_frame(frame)) == frame
+
+    @pytest.mark.parametrize("tag", [b"R", b"D"])
+    @pytest.mark.parametrize("size", [0, 1, PAYLOAD_DIGEST_BYTES - 1])
+    def test_register_or_deliver_too_short_for_a_digest_is_malformed(self, tag, size):
+        rid = make_request_id("devA", 42, "orders")
+        meta = b"--" if tag == b"R" else b"OK"
+        data = tag + rid.canonical().encode("ascii") + meta + b"%010d" % size + b"d" * size
+        with pytest.raises(MalformedFrame) as info:
+            decode_push_frame(data)
+        assert info.value.offset == FRAME_HEADER_BYTES
+        assert info.value.reason.endswith("body too short for a payload digest")
+
+    @pytest.mark.parametrize("frame", [
+        PushFrame(FrameKind.REGISTER, make_request_id("devA", 42, "orders"), None, b"t", b"d" * 31),
+        PushFrame(FrameKind.DELIVER, make_request_id("devA", 42, "orders"), "OK", b"b"),
+        PushFrame(FrameKind.REGISTER_ACK, make_request_id("devA", 42, "orders"), "OK", b"",
+                  b"d" * PAYLOAD_DIGEST_BYTES),
+    ])
+    def test_a_digest_of_the_wrong_size_is_not_encoded(self, frame):
+        with pytest.raises(EnvelopeError, match="digest is"):
+            encode_push_frame(frame)
 
     def test_malformed_frames(self):
         rid = make_request_id("devA", 42, "orders")

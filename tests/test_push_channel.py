@@ -8,7 +8,7 @@ import time
 import pytest
 
 from rmaws import http1, ws
-from rmaws.client import Client, SendOptions, build
+from rmaws.client import Client, ClientError, SendOptions, build
 from rmaws.envelope import (
     CHANNEL_HEADER,
     FRAME_HEADER_BYTES,
@@ -16,7 +16,6 @@ from rmaws.envelope import (
     Channel,
     PAYLOAD_DIGEST_BYTES,
     FrameKind,
-    PushFrame,
     decode_push_frame,
     encode_push_frame,
     encode_request,
@@ -83,7 +82,9 @@ def test_register_without_a_payload_digest_closes_the_connection(live_server):
     server = live_server([{"name": "echo"}])
     raw = RawPushClient(server)
     rid = make_request_id("devP", 1, "echo")
-    raw.send(PushFrame(FrameKind.REGISTER, rid, None, TOKEN.encode("utf-8")))
+    # Built by hand: a PushFrame always names a digest of its full size.
+    raw.conn.send_binary(b"R" + rid.canonical().encode("ascii") + b"--"
+                         + b"%010d" % len(TOKEN) + TOKEN.encode("utf-8"))
     assert raw.recv() is None  # no ack: the server closed the connection
     raw.close()
 
@@ -98,8 +99,37 @@ def test_register_for_another_payload_gets_identity_conflict(live_server):
     assert (ack.kind, ack.meta) == (FrameKind.REGISTER_ACK, "OK")
     assert (deliver.kind, deliver.meta) == (FrameKind.DELIVER, "VE")
     # The rejection names the payload whose Register it answers.
-    assert deliver.body.startswith(payload_digest(b"q") + b"IdentityConflict: ")
+    assert deliver.digest == payload_digest(b"q")
+    assert deliver.body.startswith(b"IdentityConflict: ")
     assert server.core.presence_route(outcome.rid.dedup_key) is None
+    raw.close()
+
+
+def test_reused_identity_after_a_restart_is_rejected(live_server, tmp_path):
+    # A record saved to the store names its payload's digest, so the
+    # restarted server refuses another payload under the same id, over
+    # HTTP and over push, instead of replaying the first payload's body.
+    store_path = str(tmp_path / "records.jsonl")
+    server = live_server([{"name": "echo"}], store_path=store_path)
+    with Client(*server.address, auth_token=TOKEN, clock=frozen_clock()) as client:
+        assert client.send("echo", b"first").body == b"first"
+    server.stop(drain_timeout_s=5.0)
+
+    server = live_server([{"name": "echo"}], store_path=store_path)
+    with Client(*server.address, auth_token=TOKEN, clock=frozen_clock()) as client:
+        with pytest.raises(ClientError) as err:
+            client.send("echo", b"second")
+        assert err.value.kind == "Rejected"
+        assert err.value.detail.startswith("IdentityConflict")
+        assert client.send("echo", b"first").channel is Channel.CACHE_REPLAY
+    raw = RawPushClient(server)
+    raw.send(register_frame(err.value.rid.with_trial(2), payload_digest(b"second"), TOKEN))
+    ack, deliver = raw.recv(), raw.recv()
+    assert (ack.kind, ack.meta) == (FrameKind.REGISTER_ACK, "OK")
+    assert (deliver.kind, deliver.meta, deliver.digest) == (
+        FrameKind.DELIVER, "VE", payload_digest(b"second"))
+    assert deliver.body.startswith(b"IdentityConflict: ")
+    assert server.core.execution_count(err.value.rid.dedup_key) == 1
     raw.close()
 
 
@@ -121,8 +151,8 @@ def test_register_before_completion_gets_deliver(live_server):
     deliver = raw.recv()
     assert deliver.kind is FrameKind.DELIVER
     assert deliver.meta == "OK"
-    assert deliver.body[:PAYLOAD_DIGEST_BYTES] == P_DIGEST  # the executed payload's
-    assert len(deliver.body) == PAYLOAD_DIGEST_BYTES + 64
+    assert deliver.digest == P_DIGEST  # the executed payload's
+    assert len(deliver.body) == 64
     start.join()
     raw.close()
 
@@ -141,7 +171,7 @@ def test_register_after_completion_delivers_immediately(live_server):
     assert ack.kind is FrameKind.REGISTER_ACK and ack.meta == "OK"
     deliver = raw.recv()
     assert deliver.kind is FrameKind.DELIVER
-    assert deliver.body == payload_digest(b"cached-bytes") + b"cached-bytes"
+    assert (deliver.digest, deliver.body) == (payload_digest(b"cached-bytes"), b"cached-bytes")
     # Exactly one Deliver frame: nothing further arrives before close.
     raw.conn.send_close()
     assert raw.recv() is None

@@ -6,7 +6,6 @@ import pytest
 from rmaws.envelope import (
     Channel,
     FrameKind,
-    PushFrame,
     ResponseEnvelope,
     ResponseStatus,
     decode_push_frame,
@@ -41,7 +40,8 @@ def hear(waits, data):
 def test_register_frame_carries_digest_then_token():
     waits = PushWaits("tok")
     frame = decode_push_frame(waits.register(rid(), DIGEST, "w"))
-    assert (frame.kind, frame.rid, frame.body) == (FrameKind.REGISTER, rid(), DIGEST + b"tok")
+    assert (frame.kind, frame.rid, frame.digest, frame.body) == \
+        (FrameKind.REGISTER, rid(), DIGEST, b"tok")
     assert waits.keys() == [rid().dedup_key]
 
 
@@ -96,7 +96,9 @@ def test_undecodable_frame_is_ignored():
 def test_deliver_too_short_to_name_a_digest_is_undecodable():
     waits = PushWaits("tok")
     waits.register(rid(), DIGEST, "w")
-    short = encode_push_frame(PushFrame(FrameKind.DELIVER, rid(), "OK", DIGEST[:-1]))
+    # Built by hand: a PushFrame always names a digest of its full size.
+    short = (b"D" + rid().canonical().encode("ascii") + b"OK"
+             + b"%010d" % (len(DIGEST) - 1) + DIGEST[:-1])
     assert PushWaits.decode(short) is None
     assert hear(waits, short) == (None, None, None, True)
     assert PushWaits.decode(deliver(rid(), body=b"")) is not None  # a digest and an empty body
@@ -137,7 +139,7 @@ def test_register_for_another_payload_on_a_waited_key_waits_beside_it():
     waits = PushWaits("tok")
     waits.register(rid(ts=1), DIGEST, "p")
     frame = decode_push_frame(waits.register(rid(ts=1, trial=2), OTHER, "q"))
-    assert frame.body == OTHER + b"tok"
+    assert (frame.digest, frame.body) == (OTHER, b"tok")
     assert waits.keys() == [rid().dedup_key] * 2
     heard = hear(waits, deliver(rid(ts=1), ResponseStatus.VALIDATION_ERROR, digest=OTHER))
     assert (heard.waiter, heard.resp.status) == ("q", ResponseStatus.VALIDATION_ERROR)

@@ -8,7 +8,7 @@ from rmaws.envelope import (Channel, RequestEnvelope, RequestId, ResponseStatus,
 from rmaws.server import (
     AppendOnlyFileStore,
     HandlerRegistry,
-    RecordState,
+    MemoryStore,
     ServerCore,
     StoredRecord,
     make_synthetic,
@@ -65,7 +65,7 @@ def run_once(core, env, waiter=None):
         plan = core.finish(result.ticket, body=body)
     except Exception as exc:
         plan = core.finish(result.ticket, error_code=f"{type(exc).__name__}: {exc}")
-    return _response(env.rid, plan.result, Channel.HTTP), plan
+    return _response(env.rid, plan.record, Channel.HTTP), plan
 
 
 class FakeExchange:
@@ -190,7 +190,9 @@ class TestReceiveExecute:
         assert error is None
         assert resp.status is ResponseStatus.SERVICE_ERROR
         assert resp.body == b"service error: HandlerFailure: scripted failure in orders"
-        assert core.record(env.rid.dedup_key).state is RecordState.FAILED
+        record = core.record(env.rid.dedup_key)
+        assert (record.status, record.body, record.error_code) == (
+            "failed", b"", "HandlerFailure: scripted failure in orders")
         assert "record_failed" in kinds(events)
         # A failed record runs again on the next trial.
         retry = envelope(trial=2)
@@ -208,19 +210,24 @@ class TestReceiveExecute:
         assert conn.digests == [P]
         assert events[-1] == ("push_delivered", {"key": env.rid.dedup_key, "size": 4, "t": 0})
 
-    def test_push_route_for_a_record_loaded_from_a_store_names_the_registered_payload(
-            self, tmp_path):
-        # A loaded record has no payload digest to name, so the Deliver
-        # names the one its Register carried.
+    def test_push_route_for_a_reloaded_key_names_its_owner(self, tmp_path):
+        # A record loaded from a store names its owner's payload: another
+        # payload under the key is refused, and the forced re-run of the
+        # owner's is delivered naming it.
         store = AppendOnlyFileStore(str(tmp_path / "records.log"))
         run_once(make_core(store=store), envelope())
-        core = make_core(store=store)
-        forced = envelope(trial=2, forced=True, payload=b"q")
+        core = make_core(store=AppendOnlyFileStore(str(tmp_path / "records.log")))
+        other = envelope(trial=2, forced=True, payload=b"q")
+        exchange = FakeExchange(other)
+        assert core.receive(other, TOKEN, exchange) is None
+        assert exchange.answers[0][1].reason == "IdentityConflict"
+        forced = envelope(trial=3, forced=True)
         ticket = core.receive(forced, TOKEN, FakeExchange(forced))
         conn = FakePushConn()
-        assert core.register_push(forced.rid, payload_digest(b"q"), conn, TOKEN) == ("OK", None)
+        assert core.register_push(forced.rid, P, conn, TOKEN) == ("OK", None)
         core.execute(ticket)
-        assert conn.digests == [payload_digest(b"q")]
+        assert conn.digests == [P]
+        assert core.record(forced.rid.dedup_key).payload_digest == P
 
     def test_http_arrival_supersedes_push_registration(self):
         core = make_core()
@@ -302,7 +309,7 @@ class TestCacheLookup:
         core = make_core()
         env = envelope()
         run_once(core, env)
-        assert core.record(env.rid.dedup_key).state is RecordState.COMPLETED
+        assert core.record(env.rid.dedup_key).status == "ok"
         replay = core.submit(envelope(trial=2), object())
         assert replay.kind == "replay" and replay.response.body == b"BODY"
         assert core.submit(envelope(trial=3, forced=True), object()).kind == "execute"
@@ -312,7 +319,7 @@ class TestCacheLookup:
         env = envelope()
         result = core.submit(env, object())
         assert result.kind == "execute"
-        assert core.record(env.rid.dedup_key).state is RecordState.PENDING
+        assert core.record(env.rid.dedup_key) is None  # no completion yet
         assert core.submit(envelope(trial=2), object()).kind == "wait"
 
 
@@ -345,7 +352,7 @@ class TestDeduplication:
         env = envelope()
         resp1, _ = run_once(core, env)
         assert resp1.status is ResponseStatus.SERVICE_ERROR
-        assert core.record(env.rid.dedup_key).state is RecordState.FAILED
+        assert core.record(env.rid.dedup_key).status == "failed"
         resp2, _ = run_once(core, envelope(trial=2))
         assert resp2.status is ResponseStatus.OK
         assert len(calls) == 2
@@ -364,7 +371,8 @@ class TestDeduplication:
         plan = core.finish(grant.ticket, body=body)
         assert len(plan.waiters) == 6
         assert len(calls) == 1
-        assert _response(env.rid, plan.result, Channel.HTTP).body == b"BODY"
+        assert _response(env.rid, plan.record, Channel.HTTP).body == b"BODY"
+        assert plan.record is core.record(env.rid.dedup_key)  # one record, cached and delivered
 
     def test_single_flight_under_threads(self):
         release = threading.Event()
@@ -496,13 +504,16 @@ class TestIdentityConflict:
         assert calls == [b"p", b"q"]
         assert core.submit(envelope(trial=3, payload=b"p"), "w").kind == "reject"
 
-    def test_store_loaded_record_is_unchecked(self):
-        from rmaws.server import MemoryStore
-
-        store = MemoryStore()
-        run_once(make_core(store=store), envelope(payload=b"p"))
-        result = make_core(store=store).submit(envelope(trial=2, payload=b"q"), "w")
-        assert result.kind == "replay"
+    def test_reloaded_record_rejects_different_payload(self, tmp_path):
+        path = str(tmp_path / "records.jsonl")
+        run_once(make_core(store=AppendOnlyFileStore(path)), envelope(payload=b"p"))
+        reg, calls = counting_registry()
+        core = make_core(reg, store=AppendOnlyFileStore(path))
+        result = core.submit(envelope(trial=2, payload=b"q"), "w")
+        assert result.kind == "reject"
+        assert result.error.reason == "IdentityConflict"
+        assert core.submit(envelope(trial=3, payload=b"p"), "w").kind == "replay"
+        assert calls == []
 
 
 class TestPresence:
@@ -555,7 +566,7 @@ class TestPresence:
         # The client has abandoned the exchange, so its answer goes nowhere.
         ticket = core.receive(env, TOKEN, FakeExchange(env))
         core.execute(ticket)
-        assert core.record(env.rid.dedup_key).state is RecordState.COMPLETED
+        assert core.record(env.rid.dedup_key).status == "ok"
         retry = envelope(trial=2)
         exchange = FakeExchange(retry)
         assert core.receive(retry, TOKEN, exchange) is None
@@ -637,11 +648,15 @@ class TestRegisterPush:
         assert (meta, resp) == ("OK", None)
         assert core.presence_route(envelope().rid.dedup_key).conn == "c"
 
-    def test_record_loaded_from_a_store_is_not_checked(self, tmp_path):
+    def test_reloaded_record_gives_other_payload_identity_conflict(self, tmp_path):
         store = AppendOnlyFileStore(str(tmp_path / "records.log"))
         run_once(make_core(store=store), envelope())
-        core = make_core(store=store)
+        core = make_core(store=AppendOnlyFileStore(str(tmp_path / "records.log")))
         meta, resp = core.register_push(envelope(trial=2).rid, payload_digest(b"q"), "c", TOKEN)
+        assert (meta, resp.status, resp.channel) == ("OK", ResponseStatus.VALIDATION_ERROR,
+                                                     Channel.PUSH)
+        assert resp.body.startswith(b"IdentityConflict: ")
+        meta, resp = core.register_push(envelope(trial=3).rid, P, "c", TOKEN)
         assert (meta, resp.status, resp.body) == ("OK", ResponseStatus.OK, b"BODY")
 
     def test_conn_closed_clears_only_its_keys(self):
@@ -673,15 +688,16 @@ class TestTtl:
 
 class TestStore:
     def test_memory_store_round_trip(self):
-        from rmaws.server import MemoryStore
-
         store = MemoryStore()
         reg, _ = counting_registry()
         core = make_core(reg, store=store)
         run_once(core, envelope())
+        key = envelope().rid.dedup_key
+        assert store.load_all()[key] is core.record(key)  # the record it caches, not a copy
 
         reg2, calls2 = counting_registry()
         core2 = make_core(reg2, store=store)
+        assert core2.record(key).payload_digest == P
         resp, _ = run_once(core2, envelope(trial=2))
         assert resp.channel is Channel.CACHE_REPLAY
         assert calls2 == []
@@ -693,6 +709,9 @@ class TestStore:
         core = make_core(reg, store=store)
         env = envelope()
         run_once(core, env)
+        saved = core.record(env.rid.dedup_key)
+        assert AppendOnlyFileStore(path).load_all() == {env.rid.dedup_key: saved}
+        assert saved.payload_digest == P
 
         reg2, calls2 = counting_registry()
         core2 = make_core(reg2, store=AppendOnlyFileStore(path))
@@ -701,13 +720,19 @@ class TestStore:
         assert resp.body == b"BODY"
         assert calls2 == []
 
+    def test_file_store_round_trips_a_failed_record(self, tmp_path):
+        path = str(tmp_path / "records.jsonl")
+        failed = StoredRecord("failed", b"", "HandlerFailure: x", 7, 2, P)
+        AppendOnlyFileStore(path).save("k", failed)
+        assert AppendOnlyFileStore(path).load_all() == {"k": failed}
+
     def test_file_store_drops_a_torn_last_record(self, tmp_path):
         # A crash in the middle of ``save`` cuts the last line short at any
         # byte: the whole records before it load, the file is cut back to
         # them, and the next record saved starts a line of its own.
         path = tmp_path / "records.jsonl"
         store = AppendOnlyFileStore(str(path))
-        first, second, third = (StoredRecord("ok", b"body%d" % i, None, i, 1) for i in range(3))
+        first, second, third = (StoredRecord("ok", b"body%d" % i, None, i, 1, P) for i in range(3))
         store.save("k0", first)
         store.save("k1", second)
         whole = path.read_bytes()
@@ -722,8 +747,47 @@ class TestStore:
     def test_file_store_refuses_a_corrupt_whole_line(self, tmp_path):
         path = tmp_path / "records.jsonl"
         path.write_bytes(b'{"key": "k0", "status\n')
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(ValueError, match=r"records\.jsonl:1: not a record"):
             AppendOnlyFileStore(str(path)).load_all()
+
+    GOOD = {"key": "k", "status": "ok", "body": "Qk9EWQ==", "error_code": None,
+            "completed_at": 1, "execution_count": 1, "payload_digest": P.hex()}
+
+    BAD_LINES = {
+        "array": b"[1, 2]",
+        "string": b'"text"',
+        "not-utf8": b"\xff\xfe",
+        "nested-too-deep": b"[" * 100_000,
+        "no-body": b'{"key":"k","status":"ok","completed_at":1,"execution_count":1}',
+        # A whole record as saved before records named their payload's digest.
+        "no-digest": json.dumps({k: v for k, v in GOOD.items() if k != "payload_digest"}).encode(),
+        "int-key": json.dumps(dict(GOOD, key=7)).encode(),
+        "unknown-status": json.dumps(dict(GOOD, status="done")).encode(),
+        "ok-with-error": json.dumps(dict(GOOD, error_code="Boom")).encode(),
+        "failed-without-error": json.dumps(dict(GOOD, status="failed")).encode(),
+        "text-time": json.dumps(dict(GOOD, completed_at="1")).encode(),
+        "fraction-time": json.dumps(dict(GOOD, completed_at=1.5)).encode(),
+        "bool-count": json.dumps(dict(GOOD, execution_count=True)).encode(),
+        "body-not-base64": json.dumps(dict(GOOD, body="not base64!")).encode(),
+        "body-unpadded": json.dumps(dict(GOOD, body="QQ")).encode(),
+        "short-digest": json.dumps(dict(GOOD, payload_digest=P.hex()[:-2])).encode(),
+        "digest-not-hex": json.dumps(dict(GOOD, payload_digest="g" * 64)).encode(),
+        "digest-with-space": json.dumps(dict(GOOD, payload_digest=" " + P.hex()[1:])).encode(),
+        "null-digest": json.dumps(dict(GOOD, payload_digest=None)).encode(),
+    }
+
+    @pytest.mark.parametrize("line", BAD_LINES.values(), ids=BAD_LINES.keys())
+    def test_file_store_names_the_line_that_is_not_a_record(self, tmp_path, line):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(json.dumps(self.GOOD).encode() + b"\n" + line + b"\n")
+        with pytest.raises(ValueError, match=r"records\.jsonl:2: not a record: "):
+            AppendOnlyFileStore(str(path)).load_all()
+
+    def test_file_store_loads_a_well_formed_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(json.dumps(self.GOOD).encode() + b"\n")
+        assert AppendOnlyFileStore(str(path)).load_all() == {
+            "k": StoredRecord("ok", b"BODY", None, 1, 1, P)}
 
 
 class TestSyntheticHandlers:

@@ -59,12 +59,7 @@ def bundled_scenarios() -> list[str]:
 
 def cmd_serve(args) -> int:
     try:
-        config = ServerConfig.load(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot load config {args.config!r}: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        server = RmawsServer(config, break_dedup=args.break_dedup)
+        server = RmawsServer(ServerConfig.load(args.config), break_dedup=args.break_dedup)
     except (OSError, ValueError) as exc:
         print(f"error: cannot serve config {args.config!r}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -163,8 +158,10 @@ def _load_template(path: str) -> tuple[ScenarioSpec, list]:
     raw = json.loads(_read_document(path))
     if not isinstance(raw, dict):
         raise ScenarioInvalid("template must be a JSON object")
-    raw_sites = raw.pop("fault_sites", [])
     template = ScenarioSpec.from_dict(raw)
+    raw_sites = raw.get("fault_sites", [])
+    if not isinstance(raw_sites, list):
+        raise ScenarioInvalid(f"fault_sites must be a list, got {raw_sites!r}")
     sites = []
     for site in raw_sites:
         group = site if isinstance(site, list) else [site]

@@ -40,6 +40,7 @@ from . import http1, ws
 from .envelope import (
     CHANNEL_HEADER,
     DEDUP_KEY_WIDTH,
+    MAX_TRIAL,
     RID_HEADER,
     RID_WIDTH,
     STATUS_HEADER,
@@ -49,6 +50,7 @@ from .envelope import (
     RequestId,
     ResponseEnvelope,
     ResponseStatus,
+    check_int,
     encode_request,
     make_request_id,
     payload_digest,
@@ -75,6 +77,11 @@ _STALE_CONNECTION_ERRORS = (ConnectionResetError, BrokenPipeError)
 
 @dataclass(frozen=True)
 class SendOptions:
+    """How one send waits and retries, and the owner of the options' rules:
+    the timeouts are integers of at least 1, ``max_trials`` one in
+    1..MAX_TRIAL and ``forced`` a bool; anything else is a ``ValueError``.
+    Nothing reads ``auth_token``: a ``Client`` sends its own."""
+
     http_timeout_ms: int = 2_000
     push_wait_ms: int = DEFAULT_PUSH_WAIT_MS
     max_trials: int = 3
@@ -82,10 +89,11 @@ class SendOptions:
     auth_token: str = ""
 
     def __post_init__(self):
-        if self.http_timeout_ms <= 0 or self.push_wait_ms <= 0:
-            raise ValueError("timeouts must be positive")
-        if not 1 <= self.max_trials <= 99:
-            raise ValueError("max_trials must be in 1..99")
+        check_int("http_timeout_ms", self.http_timeout_ms, 1)
+        check_int("push_wait_ms", self.push_wait_ms, 1)
+        check_int("max_trials", self.max_trials, 1, MAX_TRIAL)
+        if type(self.forced) is not bool:
+            raise ValueError(f"forced must be true or false, got {self.forced!r}")
 
 
 @dataclass(frozen=True)

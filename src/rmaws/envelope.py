@@ -230,8 +230,7 @@ class RequestId:
         return self._text
 
     def with_trial(self, trial: int) -> "RequestId":
-        if not 1 <= trial <= MAX_TRIAL:
-            raise TrialOverflow(f"trial {trial} outside 1..{MAX_TRIAL}")
+        check_int("trial", trial, 1, MAX_TRIAL, TrialOverflow)
         return RequestId("%s%02d%s" % (self.dedup_key, trial, self._text[_RID_FORCED]))
 
 
@@ -268,6 +267,14 @@ def device_field(device_id: str) -> str:
     return device_id.rjust(DEVICE_WIDTH, "0")
 
 
+def check_int(name: str, value, low: int = 0, high: int | None = None, error=ValueError) -> None:
+    """The one integer rule: an ``int`` in ``low..high`` (no bound when None);
+    a bool, a fraction or text is refused. Raises ``error`` naming ``name``."""
+    if type(value) is not int or value < low or high is not None and value > high:
+        bound = f"of at least {low}" if high is None else f"in {low}..{high}"
+        raise error(f"{name} must be an integer {bound}, got {value!r}")
+
+
 def make_request_id(
     device_id: str,
     timestamp_ms: int,
@@ -275,11 +282,15 @@ def make_request_id(
     trial: int = 1,
     forced: bool = False,
 ) -> RequestId:
-    """Build a canonical RequestId. Deterministic for identical inputs."""
-    if not 1 <= trial <= MAX_TRIAL:
-        raise TrialOverflow(f"trial {trial} outside 1..{MAX_TRIAL}")
-    if not 0 <= timestamp_ms <= MAX_TIMESTAMP_MS:
-        raise InvalidTimestamp(f"timestamp {timestamp_ms} outside 0..{MAX_TIMESTAMP_MS}")
+    """Build a canonical RequestId. Deterministic for identical inputs. It
+    owns the rules of the fields: the device id and the service name are
+    text a rid can hold, the timestamp an integer in 0..MAX_TIMESTAMP_MS."""
+    check_int("trial", trial, 1, MAX_TRIAL, TrialOverflow)
+    check_int("timestamp_ms", timestamp_ms, 0, MAX_TIMESTAMP_MS, InvalidTimestamp)
+    if not isinstance(device_id, str):
+        raise InvalidDeviceId(f"device id {device_id!r} is not text")
+    if not isinstance(service_name, str):
+        raise InvalidServiceName(f"service name {service_name!r} is not text")
     return RequestId("%s%0*d%s%0*d%d" % (device_field(device_id), TIMESTAMP_WIDTH, timestamp_ms,
                                          service_field(service_name), TRIAL_WIDTH, trial,
                                          bool(forced)))

@@ -14,10 +14,11 @@ trigger is never reached, so far fewer behaviours than scenarios exist
 that agrees with an earlier run at every decision point that run reached
 (a drop check, or a step of a timed fault's instant; see ``tree``) gets
 that run's trace under its own name, and only the others run the
-simulator. Every scenario is still validated, passes through ``run`` and
-``check_invariants`` once, and is reported as before; the report also
-counts the simulator runs. The tree holds one trace per behaviour, about
-10 KB each for that template, until the call returns.
+simulator. The tree validates the template and the sites' faults once.
+Every scenario passes through ``run`` and ``check_invariants`` once,
+and is reported as before; the report also counts the simulator runs.
+The tree holds one trace per behaviour, about 10 KB each for that
+template, until the call returns.
 """
 
 from __future__ import annotations

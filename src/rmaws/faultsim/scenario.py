@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from ..envelope import MAX_TIMESTAMP_MS, MAX_TRIAL, EnvelopeError, device_field, service_field
-from ..server.handlers import check_delay_ms, check_fail_times, check_output_size
+from ..client import SendOptions
+from ..envelope import MAX_TRIAL, InvalidDeviceId, check_int, make_request_id
+from ..server.handlers import make_synthetic
 
 # Drop faults target one send's attempts; timed faults act on a client at
 # an instant of the virtual clock.
 DROP_FAULT_KINDS = ("drop_request", "drop_http_response")
 TIMED_FAULT_KINDS = ("client_offline", "client_online", "kill_push_conn", "push_idle_close")
-FAULT_KINDS = DROP_FAULT_KINDS + TIMED_FAULT_KINDS
 
 DEFAULT_LATENCY = {"request_ms": 5, "response_ms": 5, "push_ms": 5}
 
@@ -67,30 +67,33 @@ class FaultSpec:
     client: str | None = None  # for the timed kinds
 
 
-def _validate_send(index: int, spec: SendSpec) -> None:
-    """Refuse what a run of the send would fail on: its options, its
-    payload, and a device id that a rid cannot hold."""
-    if type(spec.http_timeout_ms) is not int or spec.http_timeout_ms <= 0:
-        raise ScenarioInvalid(f"send {index}: http_timeout_ms {spec.http_timeout_ms!r} "
-                              f"is not a positive integer")
-    if type(spec.push_wait_ms) is not int or spec.push_wait_ms <= 0:
-        raise ScenarioInvalid(f"send {index}: push_wait_ms {spec.push_wait_ms!r} "
-                              f"is not a positive integer")
-    if type(spec.max_trials) is not int or not 1 <= spec.max_trials <= MAX_TRIAL:
-        raise ScenarioInvalid(f"send {index}: max_trials {spec.max_trials!r} "
-                              f"is not in 1..{MAX_TRIAL}")
+def _validate_send(spec: SendSpec, end_time_ms: int) -> None:
+    """Refuse a send that its run would fail on or misread, by building its
+    options and first rid as the run does; ``ValueError`` names the field."""
+    check_int("t", spec.t, 0, end_time_ms)
+    check_int("payload_size", spec.payload_size)
     if spec.payload_hex is not None:
         try:
             bytes.fromhex(spec.payload_hex)
         except (TypeError, ValueError):
-            raise ScenarioInvalid(f"send {index}: payload_hex is not hex") from None
+            raise ValueError("payload_hex is not hex") from None
+    if not isinstance(spec.client, str):
+        raise ValueError(f"client {spec.client!r} is not text")
+    SendOptions(spec.http_timeout_ms, spec.push_wait_ms, spec.max_trials, spec.forced)
     name, device = ("client", spec.client) if spec.device_id is None \
         else ("device_id", spec.device_id)
     try:
-        device_field(device)
-    except (EnvelopeError, TypeError):
-        raise ScenarioInvalid(f"send {index}: {name} {device!r} cannot be a rid's device id") \
-            from None
+        make_request_id(device, spec.t if spec.timestamp_ms is None else spec.timestamp_ms,
+                        spec.service, forced=spec.forced)
+    except InvalidDeviceId as exc:
+        raise ValueError(f"{name} {device!r} cannot be a rid's device id: {exc}") from None
+
+
+def _rows(raw: dict, key: str) -> list:
+    rows = raw.get(key, [])
+    if not isinstance(rows, list):  # text or an object would be read as another list
+        raise TypeError(f"{key} must be a list, got {rows!r}")
+    return rows
 
 
 @dataclass
@@ -104,71 +107,65 @@ class ScenarioSpec:
     faults: list[FaultSpec] = field(default_factory=list)
 
     def validate(self) -> None:
-        """Refuse a scenario that a run could not carry out. An enumeration
-        validates every scenario it answers, so this reads each field once."""
-        known: set[str] = set()
+        """Refuse a scenario that a run could not carry out or would misread.
+        A rule's owner checks its fields: ``make_synthetic`` a service,
+        ``SendOptions`` and ``make_request_id`` a send. A ``DecisionTree``
+        runs this once for its template, not once per scenario."""
+        for key in ("name", "auth_token"):
+            if not isinstance(getattr(self, key), str):
+                raise ScenarioInvalid(f"{key} must be text, got {getattr(self, key)!r}")
+        check_int("end_time_ms", self.end_time_ms, error=ScenarioInvalid)
+        if self.latency.keys() != DEFAULT_LATENCY.keys():
+            raise ScenarioInvalid(f"latency needs exactly {sorted(DEFAULT_LATENCY)}")
+        for key, value in self.latency.items():
+            check_int(f"latency {key}", value, error=ScenarioInvalid)
         for svc in self.services:
-            if not isinstance(svc.name, str):
-                raise ScenarioInvalid(f"service name {svc.name!r} is not text")
-            if svc.name in known:
-                raise ScenarioInvalid("duplicate service profiles")
-            known.add(svc.name)
             try:
-                service_field(svc.name)
-            except EnvelopeError as exc:
-                raise ScenarioInvalid(f"service {svc.name!r}: name: {exc}") from None
-            try:
-                check_output_size(svc.name, svc.output_size)
-                check_delay_ms(svc.name, svc.delay_ms)
-                check_fail_times(svc.name, svc.fail_times)
+                make_synthetic(svc.name, output_size=svc.output_size, delay_ms=svc.delay_ms,
+                               fail_times=svc.fail_times)
             except ValueError as exc:
                 raise ScenarioInvalid(str(exc)) from None
-        clients: set[str] = set()
+        known = {svc.name for svc in self.services}
+        if len(known) != len(self.services):
+            raise ScenarioInvalid("duplicate service profiles")
         for index, spec in enumerate(self.sends):
+            try:
+                _validate_send(spec, self.end_time_ms)
+            except ValueError as exc:
+                raise ScenarioInvalid(f"send {index}: {exc}") from None
             if spec.service not in known:
                 raise ScenarioInvalid(f"send references unknown service {spec.service!r}")
-            if spec.t < 0 or spec.t > self.end_time_ms:
-                raise ScenarioInvalid(f"send at t={spec.t} outside scenario window")
-            ts = spec.timestamp_ms
-            if ts is not None and (type(ts) is not int or not 0 <= ts <= MAX_TIMESTAMP_MS):
-                raise ScenarioInvalid(f"send timestamp_ms {ts!r} is not a valid timestamp")
-            _validate_send(index, spec)
-            clients.add(spec.client)
-        last_t = None
         for fault in self.faults:
-            if fault.kind not in FAULT_KINDS:
-                raise ScenarioInvalid(f"unknown fault kind {fault.kind!r}")
-            if fault.kind in DROP_FAULT_KINDS:
-                if fault.send is None or not 0 <= fault.send < len(self.sends):
-                    raise ScenarioInvalid(f"{fault.kind} fault needs a valid send index")
-            else:
-                if fault.client is None or fault.client not in clients:
-                    raise ScenarioInvalid(f"{fault.kind} fault needs a known client")
-                if fault.t < 0:
-                    raise ScenarioInvalid("fault time must be non-negative")
-                if last_t is not None and fault.t < last_t:
-                    raise ScenarioInvalid("timed faults must be sorted by time")
-                last_t = fault.t
-        for key, value in self.latency.items():
-            if key not in DEFAULT_LATENCY:
-                raise ScenarioInvalid(f"unknown latency key {key!r}")
-            if type(value) is not int:
-                raise ScenarioInvalid(f"latency {key} {value!r} is not an integer")
-        if len(self.latency) != len(DEFAULT_LATENCY):
-            raise ScenarioInvalid(f"latency needs {sorted(DEFAULT_LATENCY)}")
+            self.validate_fault(fault)
+        timed = [fault.t for fault in self.faults if fault.kind not in DROP_FAULT_KINDS]
+        if timed != sorted(timed):
+            raise ScenarioInvalid("timed faults must be sorted by time")
+
+    def validate_fault(self, fault: FaultSpec) -> None:
+        """Refuse a fault that no run of the sends can apply: ``t`` is an
+        integer of at least 0, a drop names a send and a trial (null for
+        all), a timed fault a client; a field its kind does not read is null."""
+        kind = fault.kind
+        check_int(f"{kind} fault's t", fault.t, error=ScenarioInvalid)
+        if kind in DROP_FAULT_KINDS:
+            check_int(f"{kind} fault needs a valid send index: send", fault.send, 0,
+                      len(self.sends) - 1, ScenarioInvalid)
+            if fault.trial is not None:
+                check_int(f"{kind} fault's trial", fault.trial, 1, MAX_TRIAL, ScenarioInvalid)
+            unread = (fault.client,)
+        elif kind in TIMED_FAULT_KINDS:
+            if fault.client not in [send.client for send in self.sends]:
+                raise ScenarioInvalid(f"{kind} fault needs a known client")
+            unread = (fault.send, fault.trial)
+        else:
+            raise ScenarioInvalid(f"unknown fault kind {kind!r}")
+        if any(value is not None for value in unread):
+            raise ScenarioInvalid(f"{kind} fault has a field that its kind does not read")
 
     # -- JSON ------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "end_time_ms": self.end_time_ms,
-            "auth_token": self.auth_token,
-            "latency": dict(self.latency),
-            "services": [asdict(s) for s in self.services],
-            "sends": [asdict(s) for s in self.sends],
-            "faults": [asdict(f) for f in self.faults],
-        }
+        return asdict(self)
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -178,12 +175,12 @@ class ScenarioSpec:
         try:
             spec = cls(
                 name=raw.get("name", "scenario"),
-                end_time_ms=int(raw.get("end_time_ms", 60_000)),
+                end_time_ms=raw.get("end_time_ms", 60_000),
                 auth_token=raw.get("auth_token", "sim-token"),
                 latency={**DEFAULT_LATENCY, **raw.get("latency", {})},
-                services=[ServiceProfile(**row) for row in raw.get("services", [])],
-                sends=[SendSpec(**row) for row in raw.get("sends", [])],
-                faults=[FaultSpec(**row) for row in raw.get("faults", [])],
+                services=[ServiceProfile(**row) for row in _rows(raw, "services")],
+                sends=[SendSpec(**row) for row in _rows(raw, "sends")],
+                faults=[FaultSpec(**row) for row in _rows(raw, "faults")],
             )
         except (TypeError, ValueError) as exc:
             raise ScenarioInvalid(f"bad scenario document: {exc}") from exc

@@ -448,10 +448,9 @@ class SimWorld:
             self._apply_fault(faults[index])
 
     def _fault_acts(self, fault) -> bool:
-        """Whether applying ``fault`` now would change anything."""
-        client = self.clients.get(fault.client)
-        if client is None:
-            return False
+        """Whether applying ``fault``, a timed fault of the tree, which names
+        a client of the sends, would change anything now."""
+        client = self.clients[fault.client]
         kind = fault.kind
         if kind == "client_offline":
             return client.online
@@ -460,13 +459,10 @@ class SimWorld:
         conn = client.conn
         if kind == "kill_push_conn":
             return conn is not None and conn.alive
-        if kind == "push_idle_close":
-            return conn is not None and conn.session.open
-        return False
+        return conn is not None and conn.session.open  # push_idle_close
 
     def _apply_fault(self, fault) -> None:
-        if not self._fault_acts(fault):
-            return
+        """Apply ``fault``, which ``Path.pick`` chose because it acts now."""
         client = self.clients[fault.client]
         if fault.kind == "client_offline":
             client.online = False

@@ -91,19 +91,25 @@ class DecisionTree:
     It answers only scenarios of its ``template`` whose faults all come
     from ``faults``, simulated with its ``break_dedup``. ``instants`` maps
     each instant of its timed faults, in ascending time, to the distinct
-    faults at it. ``runs`` counts the simulator runs made for it."""
+    faults at it. ``runs`` counts the simulator runs made for it. It
+    validates its template and faults once, so a scenario that ``path``
+    accepts, made of them, needs no validation of its own."""
 
     __slots__ = ("template", "break_dedup", "drops", "_index", "instants", "root", "runs")
 
     def __init__(self, template: ScenarioSpec, faults, *, break_dedup: bool = False):
+        template.validate()
+        for f in faults:
+            template.validate_fault(f)
         self.template = template
         self.break_dedup = break_dedup
         self.drops = set()
         instants: dict = {}
-        self._index: dict = {}  # (t, kind, client) -> its index among the faults at t
+        self._index: dict = {}  # (t, kind, client) -> index at t; a drop's key -> None
         for f in faults:
             if f.kind in DROP_FAULT_KINDS:
                 self.drops.add((f.kind, f.send, f.trial))
+                self._index[f.kind, f.send, f.trial] = None
             elif (f.t, f.kind, f.client) not in self._index:
                 at = instants.setdefault(f.t, [])
                 self._index[f.t, f.kind, f.client] = len(at)
@@ -113,9 +119,8 @@ class DecisionTree:
         self.runs = 0
 
     def path(self, scenario: ScenarioSpec, break_dedup: bool) -> "Path":
-        """Validate ``scenario`` and give its path through the tree; raise
-        ``ScenarioInvalid`` for a scenario that this tree cannot answer."""
-        scenario.validate()
+        """Give ``scenario``'s path through the tree; raise ``ScenarioInvalid``
+        unless it is of the template, with faults of the tree's in time order."""
         t = self.template
         if break_dedup != self.break_dedup or scenario is not t and not (
                 scenario.end_time_ms == t.end_time_ms and scenario.auth_token == t.auth_token
@@ -125,16 +130,20 @@ class DecisionTree:
             raise ScenarioInvalid(f"scenario {scenario.name!r} is not of the tree's template")
         drops = set()
         timed: dict = {}
+        last_t = 0
         for f in scenario.faults:
-            if f.kind in DROP_FAULT_KINDS:
-                drop = (f.kind, f.send, f.trial)
-                if drop not in self.drops:
-                    raise ScenarioInvalid(f"fault {f} is not one of the tree's")
-                drops.add(drop)
+            drop = f.kind in DROP_FAULT_KINDS
+            key = (f.kind, f.send, f.trial) if drop else (f.t, f.kind, f.client)
+            if key not in self._index:
+                t.validate_fault(f)  # names what is wrong with an invalid fault
+                raise ScenarioInvalid(f"fault {f} is not one of the tree's")
+            index = self._index[key]
+            if drop:
+                drops.add(key)
+            elif f.t < last_t:
+                raise ScenarioInvalid("timed faults must be sorted by time")
             else:
-                index = self._index.get((f.t, f.kind, f.client))
-                if index is None:
-                    raise ScenarioInvalid(f"fault {f} is not one of the tree's")
+                last_t = f.t
                 timed.setdefault(f.t, []).append(index)
         return Path(self, Choices(drops, timed))
 

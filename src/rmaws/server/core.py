@@ -35,8 +35,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..envelope import (
-    MAX_TIMESTAMP_MS,
-    MAX_TRIAL,
     Channel,
     RequestEnvelope,
     RequestId,
@@ -53,7 +51,7 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ValidationError:
-    reason: str  # BadId | UnknownService | Unauthorized | IdentityConflict
+    reason: str  # UnknownService | Unauthorized | IdentityConflict
     detail: str
 
     def response_for(self, rid: RequestId, channel: Channel) -> ResponseEnvelope:
@@ -175,9 +173,8 @@ class ServerCore:
     # -- validation ---------------------------------------------------
 
     def validate(self, env: RequestEnvelope, token: str) -> ValidationError | None:
-        rid = env.rid
-        if not (1 <= rid.trial <= MAX_TRIAL) or not (0 <= rid.timestamp_ms <= MAX_TIMESTAMP_MS):
-            return ValidationError("BadId", "identifier fields out of range")
+        """The error for an unknown service or a wrong token, else None. The
+        rid needs no check: the codec and ``make_request_id`` own its rules."""
         if self.handlers.get(env.service_name) is None:
             return ValidationError("UnknownService", env.service_name)
         if not self._token_ok(token):
@@ -259,7 +256,8 @@ class ServerCore:
         The record is built once: the entry keeps it, the store saves it,
         and the plan carries it. The key's push registration, if any, is
         consumed here; the plan holds it and the exchanges waiting on the
-        key for ``execute`` to answer.
+        key for ``execute`` to answer. A save that raises is logged and the
+        plan delivered all the same; the record then lives only in memory.
         """
         now = self.clock()
         key = ticket.key
@@ -280,7 +278,11 @@ class ServerCore:
             if push is not None:
                 self.emit("presence_consumed", key=key, route="push")
             if self.store is not None:
-                self.store.save(key, record)
+                try:
+                    self.store.save(key, record)
+                except Exception as exc:  # the waiters and the route are detached already
+                    log.error("store: cannot save the record of %r, which lives only in "
+                              "memory: %s", key, exc)
             return DeliveryPlan(record, waiters, push)
 
     # -- request sequence ------------------------------------------------

@@ -18,6 +18,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ..envelope import InvalidServiceName, check_int, service_field
+
 
 class HandlerFailure(Exception):
     """Raised by a handler to signal a service-level failure."""
@@ -27,31 +29,6 @@ def synthetic_body(service: str, payload: bytes, size: int) -> bytes:
     """Deterministic body of exactly ``size`` bytes for (service, payload);
     a shorter body is a prefix of a longer one."""
     return hashlib.shake_256(service.encode("utf-8") + b"\x00" + payload).digest(size)
-
-
-def check_output_size(name: str, output_size) -> None:
-    """Raise ``ValueError`` unless ``output_size`` is None or an int >= 0."""
-    if output_size is None:
-        return
-    if isinstance(output_size, bool) or not isinstance(output_size, int) or output_size < 0:
-        raise ValueError(f"service {name!r}: output_size must be null or a "
-                         f"non-negative integer, not {output_size!r}")
-
-
-def check_delay_ms(name: str, delay_ms) -> None:
-    """Raise ``ValueError`` unless ``delay_ms`` is an int >= 0."""
-    _check_count(name, "delay_ms", delay_ms)
-
-
-def check_fail_times(name: str, fail_times) -> None:
-    """Raise ``ValueError`` unless ``fail_times`` is an int >= 0."""
-    _check_count(name, "fail_times", fail_times)
-
-
-def _check_count(name: str, field: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"service {name!r}: {field} must be a non-negative "
-                         f"integer, not {value!r}")
 
 
 @dataclass
@@ -77,10 +54,22 @@ def make_synthetic(
     """Synthetic handler; the first ``fail_times`` invocations fail. With
     an ``output_size``, ``body(name, payload, output_size)`` makes each
     output: ``synthetic_body``, or, for a caller that runs the same
-    payloads over and over as the simulator does, a cached one."""
-    check_output_size(name, output_size)
-    check_delay_ms(name, delay_ms)
-    check_fail_times(name, fail_times)
+    payloads over and over as the simulator does, a cached one.
+
+    It owns a service profile's rules, for the config and the simulator:
+    the name is text a rid can hold, ``delay_ms``, ``fail_times`` and any
+    ``output_size`` integers of at least 0; else ``ValueError`` names it."""
+    where = f"service {name!r}"
+    if not isinstance(name, str):
+        raise ValueError(f"{where}: name must be text")
+    try:
+        service_field(name)
+    except InvalidServiceName as exc:
+        raise ValueError(f"{where}: name: {exc}") from None
+    if output_size is not None:
+        check_int(f"{where}: output_size", output_size)
+    check_int(f"{where}: delay_ms", delay_ms)
+    check_int(f"{where}: fail_times", fail_times)
     remaining = [fail_times]
 
     def fn(payload: bytes) -> bytes:

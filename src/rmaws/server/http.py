@@ -48,7 +48,7 @@ import socket
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .. import http1, ws
 from ..envelope import (
@@ -63,6 +63,7 @@ from ..envelope import (
     RequestEnvelope,
     ResponseEnvelope,
     ResponseStatus,
+    check_int,
     decode_request,
 )
 from ..push import PushSession
@@ -73,8 +74,7 @@ from .store import AppendOnlyFileStore
 log = logging.getLogger(__name__)
 
 _HTTP_CODES = {ResponseStatus.OK: 200, ResponseStatus.SERVICE_ERROR: 500}
-_VALIDATION_HTTP_CODES = {"BadId": 400, "UnknownService": 404, "Unauthorized": 401,
-                          "IdentityConflict": 409}
+_VALIDATION_HTTP_CODES = {"UnknownService": 404, "Unauthorized": 401, "IdentityConflict": 409}
 DEFAULT_CACHE_TTL_MS = 24 * 60 * 60 * 1000
 WAITER_CAP_S = 600.0
 # Bounds every blocking read and write on an HTTP connection: the wait
@@ -105,67 +105,56 @@ class ServerConfig:
     services: list = field(default_factory=list)
 
     def __post_init__(self):
-        # A bool, a fraction or a string is refused, not cut or read into
-        # an int. A negative TTL would make every retry run again. A
-        # negative idle timeout makes settimeout raise in each /push
-        # connection thread, and zero makes the socket non-blocking, which
-        # closes it at once. A number for the store's path would be opened
-        # as a file descriptor.
+        # A negative TTL would make every retry run again. A negative idle
+        # timeout makes settimeout raise in each /push connection thread,
+        # and zero makes the socket non-blocking, which closes it at once.
+        # A number for the store's path would be opened as a descriptor.
+        for name in ("bind_host", "auth_token"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        check_int("bind_port", self.bind_port, 0, 65535)
+        if self.cache_ttl_ms is not None:
+            check_int("cache_ttl_ms", self.cache_ttl_ms)
+        check_int("push_idle_timeout_ms", self.push_idle_timeout_ms, 1)
         if self.store_path is not None and not isinstance(self.store_path, str):
             raise ValueError(f"store_path must be null or a string, got {self.store_path!r}")
-        if self.cache_ttl_ms is not None:
-            _check_int("cache_ttl_ms", self.cache_ttl_ms)
-        _check_int("push_idle_timeout_ms", self.push_idle_timeout_ms)
-        if self.cache_ttl_ms is not None and self.cache_ttl_ms < 0:
-            raise ValueError(f"cache_ttl_ms must be null or at least 0, got {self.cache_ttl_ms}")
-        if self.push_idle_timeout_ms < 1:
-            raise ValueError(f"push_idle_timeout_ms must be at least 1, "
-                             f"got {self.push_idle_timeout_ms}")
+        if not isinstance(self.services, list):
+            raise ValueError(f"services must be a list, got {self.services!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ServerConfig":
-        fields = {"store_path": raw.get("store_path"), "services": list(raw.get("services", []))}
+        fields = {name: raw[name] for name in ("auth_token", "cache_ttl_ms",
+                                               "push_idle_timeout_ms", "store_path",
+                                               "services") if name in raw}
         if "bind" in raw:
             fields["bind_host"], fields["bind_port"] = _bind(raw["bind"])
-        if "auth_token" in raw:
-            fields["auth_token"] = str(raw["auth_token"])
-        for name in ("cache_ttl_ms", "push_idle_timeout_ms"):
-            if name in raw:
-                fields[name] = raw[name]
         return cls(**fields)
 
     @classmethod
     def load(cls, path: str, env: dict | None = None) -> "ServerConfig":
-        """Read the JSON config file, then apply RMAWS_* env overrides.
-        A value that ``__post_init__`` refuses raises ``ValueError``,
-        whether it came from the file or from the environment."""
+        """Read the JSON config file, put each RMAWS_* value set in the
+        environment (``RMAWS_AUTH_TOKEN`` even if empty) in place of its
+        field, and build it with ``from_dict``, which checks both alike."""
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = cls.from_dict(json.load(fh))
+            raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("the config must be a JSON object")
         env = env if env is not None else os.environ
-        fields = {}
-        if env.get("RMAWS_BIND"):
-            fields["bind_host"], fields["bind_port"] = _bind(env["RMAWS_BIND"])
-        if "RMAWS_AUTH_TOKEN" in env:
-            fields["auth_token"] = env["RMAWS_AUTH_TOKEN"]
-        if env.get("RMAWS_CACHE_TTL_MS"):
-            fields["cache_ttl_ms"] = _int("RMAWS_CACHE_TTL_MS", env["RMAWS_CACHE_TTL_MS"])
-        if env.get("RMAWS_PUSH_IDLE_TIMEOUT_MS"):
-            fields["push_idle_timeout_ms"] = _int("RMAWS_PUSH_IDLE_TIMEOUT_MS",
-                                                  env["RMAWS_PUSH_IDLE_TIMEOUT_MS"])
-        if env.get("RMAWS_STORE_PATH"):
-            fields["store_path"] = env["RMAWS_STORE_PATH"]
-        return replace(cfg, **fields)
+        for name in ("bind", "auth_token", "cache_ttl_ms", "push_idle_timeout_ms", "store_path"):
+            var = f"RMAWS_{name.upper()}"
+            text = env.get(var)
+            if text or text is not None and name == "auth_token":
+                raw[name] = _int(var, text) if name.endswith("_ms") else text
+        return cls.from_dict(raw)
 
 
 def _bind(text) -> tuple[str, int]:
-    """``host:port``; an empty host means the loopback address."""
-    host, _, port = str(text).rpartition(":")
+    """``host:port`` text with a decimal port, which ``ServerConfig``
+    range-checks; an empty host means the loopback address."""
+    host, colon, port = text.rpartition(":") if isinstance(text, str) else ("", "", "")
+    if not (colon and port.isascii() and port.isdigit()):
+        raise ValueError(f"bind must be host:port text, got {text!r}")
     return host or "127.0.0.1", int(port)
-
-
-def _check_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _int(name: str, text: str) -> int:

@@ -152,11 +152,19 @@ class TestEnumerate:
     ({"services": [{"name": "a|b"}], "sends": [{"t": 1, "service": "a|b"}]},
      "service 'a|b': name"),
     ({"latency": {"request_ms": 5.5}}, "latency request_ms"),
+    ({"sends": [{"t": "1", "service": "svc"}]}, "send 0: t must be"),
+    ({"sends": [{"t": 1, "service": "svc", "payload_size": "8"}]}, "send 0: payload_size"),
+    ({"sends": [{"t": 1, "service": "svc", "forced": "no"}]}, "send 0: forced"),
+    ({"auth_token": 5}, "auth_token must be text"),
+    ({"faults": [{"kind": "drop_request", "send": 0, "trial": "1"}]}, "trial must be"),
+    ({"faults": [{"kind": "drop_request", "send": "0"}]}, "valid send index"),
+    ({"services": [{"name": 5}], "sends": [{"t": 1, "service": "svc"}]}, "service 5: name"),
 ], ids=["max_trials", "http_timeout_ms", "push_wait_ms", "payload_hex", "client",
-        "device_id", "service_name", "latency"])
+        "device_id", "service_name", "latency", "t-text", "payload_size-text", "forced-text",
+        "auth_token-int", "fault-trial-text", "fault-send-text", "service_name-int"])
 def test_a_scenario_that_a_run_refuses_exits_two(tmp_path, capsys, command, change, named):
     """Each of these passed validation and then ended the command with a
-    traceback."""
+    traceback, or ran it with the field misread or ignored."""
     doc = {"services": [{"name": "svc"}], "sends": [{"t": 1, "service": "svc"}], **change}
     if command == "enumerate":
         doc["fault_sites"] = []
@@ -165,6 +173,7 @@ def test_a_scenario_that_a_run_refuses_exits_two(tmp_path, capsys, command, chan
     assert run_cli(command, str(path), "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestBenchAndReport:
@@ -210,6 +219,7 @@ class TestServeConfig:
     @pytest.mark.parametrize("row,named", [
         ({"name": "orders", "delay_ms": -5}, "delay_ms"),
         ({"output_size": 5}, "services[0]"),
+        ({"name": 5}, "service 5: name"),
     ])
     def test_bad_service_row_exits_two_with_one_line(self, tmp_path, row, named):
         cfg = tmp_path / "cfg.json"
@@ -224,14 +234,19 @@ class TestServeConfig:
         ({"push_idle_timeout_ms": 0}, {}, "push_idle_timeout_ms"),
         ({}, {"RMAWS_PUSH_IDLE_TIMEOUT_MS": "-5"}, "push_idle_timeout_ms"),
         ({"store_path": 7}, {}, "store_path"),
+        ({"auth_token": None}, {}, "auth_token"),
+        ({"bind": 7}, {}, "bind"),
+        ({"bind": "127.0.0.1:99999"}, {}, "bind_port"),
+        ({}, {"RMAWS_BIND": "127.0.0.1:99999"}, "bind_port"),
+        ({"services": 5}, {}, "services must be a list"),
     ])
     def test_bad_server_setting_exits_two_with_one_line(self, tmp_path, fields, env, named):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(dict(fields, bind="127.0.0.1:0",
-                                       services=[{"name": "orders"}])))
+        cfg.write_text(json.dumps({"bind": "127.0.0.1:0", "services": [{"name": "orders"}],
+                                   **fields}))
         code, err = serve_and_exit(cfg, env)
         assert code == 2
-        assert err.count("\n") == 1
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("error: ") and named in err
 
     @pytest.mark.parametrize("line", [
@@ -331,6 +346,15 @@ class TestConfigLoading:
         ({}, {"RMAWS_CACHE_TTL_MS": "soon"}, "RMAWS_CACHE_TTL_MS"),
         ({"store_path": 7}, {}, "store_path must be null or a string"),
         ({"store_path": ["records.jsonl"]}, {}, "store_path must be null or a string"),
+        ({"auth_token": None}, {}, "auth_token must be a string"),
+        ({"auth_token": 7}, {}, "auth_token must be a string"),
+        ({"bind": 7}, {}, "bind must be host:port"),
+        ({"bind": "127.0.0.1"}, {}, "bind must be host:port"),
+        ({"bind": "127.0.0.1:99999"}, {}, "bind_port must be an integer in 0..65535"),
+        ({}, {"RMAWS_BIND": "127.0.0.1:99999"}, "bind_port must be an integer in 0..65535"),
+        ({"services": 5}, {}, "services must be a list"),
+        ({"services": {"name": "orders"}}, {}, "services must be a list"),
+        ([{"bind": "127.0.0.1:0"}], {}, "must be a JSON object"),
     ])
     def test_settings_that_break_the_protocol_are_refused(self, tmp_path, fields, env, named):
         from rmaws.server.http import ServerConfig

@@ -333,6 +333,16 @@ class TestOptionsValidation:
         with pytest.raises(ValueError):
             SendOptions(max_trials=100)
 
+    @pytest.mark.parametrize("field, value", [
+        ("forced", "no"), ("forced", 1), ("max_trials", True), ("max_trials", 2.5),
+        ("http_timeout_ms", 2.5), ("push_wait_ms", "300"),
+    ])
+    def test_mistyped_options_are_refused(self, field, value):
+        """``forced="no"`` once sent a forced rid, a fraction was taken as a
+        duration and a string failed the comparison with a TypeError."""
+        with pytest.raises(ValueError, match=field):
+            SendOptions(**{field: value})
+
     def test_outcome_body_presence_invariant(self):
         with pytest.raises(ValueError):
             Outcome(status=ResponseStatus.OK, body=None, channel=Channel.HTTP,

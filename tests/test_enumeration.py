@@ -314,3 +314,19 @@ def test_a_warm_enumeration_repeats_every_cold_trace(monkeypatch):
     assert len(cold_traces) == cold.total_scenarios == 2 ** len(sites)
     assert traces == cold_traces
     assert any('"kind":"server_record_failed"' in t for t in cold_traces)
+
+
+def test_an_enumeration_validates_its_template_once(monkeypatch):
+    """The tree validates the template and the sites once; each scenario
+    is only matched against them, not validated again."""
+    calls = []
+    real_validate = ScenarioSpec.validate
+
+    def counting_validate(spec):
+        calls.append(spec.name)
+        real_validate(spec)
+
+    monkeypatch.setattr(ScenarioSpec, "validate", counting_validate)
+    report = enumerate_and_check(template(), standard_sites()[:2])
+    assert report.total_scenarios == 4
+    assert calls == ["atmostonce"]

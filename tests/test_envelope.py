@@ -201,6 +201,21 @@ class TestRequestId:
         with pytest.raises(InvalidTimestamp):
             make_request_id("d", 10**20, "svc")
 
+    @pytest.mark.parametrize("device, stamp, service, error", [
+        ("d", 2.5, "svc", InvalidTimestamp),
+        ("d", True, "svc", InvalidTimestamp),
+        ("d", "5", "svc", InvalidTimestamp),
+        (5, 0, "svc", InvalidDeviceId),
+        (["d"], 0, "svc", InvalidDeviceId),
+        ("d", 0, 5, InvalidServiceName),
+    ], ids=["stamp-fraction", "stamp-bool", "stamp-text", "device-int", "device-list",
+            "service-int"])
+    def test_mistyped_fields(self, device, stamp, service, error):
+        """A fraction or a bool was formatted into the rid as an integer;
+        the rest failed with a ``TypeError`` or an ``AttributeError``."""
+        with pytest.raises(error):
+            make_request_id(device, stamp, service)
+
     def test_with_trial_keeps_identity(self):
         rid = make_request_id("devA", 5, "orders")
         assert rid.with_trial(7).dedup_key == rid.dedup_key

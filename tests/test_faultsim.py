@@ -266,11 +266,14 @@ class TestScenarioValidation:
         ({"payload_hex": "zz"}, "send 0: payload_hex"),
         ({"client": "a|b"}, "send 0: client"),
         ({"device_id": "d" * 33}, "send 0: device_id"),
+        ({"t": "100"}, "send 0: t must be"),
+        ({"payload_size": "25"}, "send 0: payload_size"),
+        ({"forced": "no"}, "send 0: forced"),
     ], ids=["max_trials", "http_timeout_ms", "push_wait_ms", "payload_hex", "client",
-            "device_id"])
+            "device_id", "t-text", "payload_size-text", "forced-text"])
     def test_what_a_run_refuses_is_refused(self, send, named):
         """Each of these passed ``validate`` and then failed the run with a
-        traceback."""
+        traceback, or ran misread: ``"forced": "no"`` sent a forced rid."""
         with pytest.raises(ScenarioInvalid, match=named):
             scenario([one_send(**send)]).validate()
 
@@ -285,6 +288,43 @@ class TestScenarioValidation:
         spec.latency["push_ms"] = value
         with pytest.raises(ScenarioInvalid, match="latency push_ms"):
             spec.validate()
+
+    @pytest.mark.parametrize("fault, named", [
+        (FaultSpec(kind="drop_request", send=0, trial="1"), "trial must be"),
+        (FaultSpec(kind="drop_request", send=0, trial=0), "trial must be"),
+        (FaultSpec(kind="drop_request", send="0"), "valid send index"),
+        (FaultSpec(kind="kill_push_conn", client="c1", t="350"), "t must be"),
+        (FaultSpec(kind="drop_request", send=0, client="c1"), "does not read"),
+        (FaultSpec(kind="client_offline", client="c1", t=350, trial=1), "does not read"),
+    ], ids=["trial-text", "trial-0", "send-text", "t-text", "drop-client",
+            "timed-trial"])
+    def test_a_fault_field_that_a_run_misreads_is_refused(self, fault, named):
+        """A drop fault with ``"trial": "1"`` never fired; a mistyped ``send``
+        or ``t`` failed the run with a traceback; a field the kind does not
+        read was ignored."""
+        with pytest.raises(ScenarioInvalid, match=named):
+            scenario([one_send()], [fault]).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("auth_token", 5), ("auth_token", None), ("name", 5), ("end_time_ms", 2.5),
+        ("end_time_ms", "60000"),
+    ])
+    def test_a_mistyped_scenario_field_is_refused(self, field, value):
+        """An integer ``auth_token`` failed the run with a traceback; a
+        fractional ``end_time_ms`` was cut to an integer."""
+        doc = scenario([one_send()]).to_dict()
+        doc[field] = value
+        with pytest.raises(ScenarioInvalid, match=field):
+            ScenarioSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["services", "sends", "faults"])
+    @pytest.mark.parametrize("value", ["", {}], ids=["text", "object"])
+    def test_a_list_field_that_is_not_a_list_is_refused(self, field, value):
+        """Iterating an empty text or object read it as an empty list."""
+        doc = scenario([one_send()]).to_dict()
+        doc[field] = value
+        with pytest.raises(ScenarioInvalid, match=f"{field} must be a list"):
+            ScenarioSpec.from_dict(doc)
 
     def test_push_idle_close_needs_a_known_client(self):
         with pytest.raises(ScenarioInvalid):

@@ -8,17 +8,23 @@ recovery horizon comfortably covers that window. Within those bounds any
 interleaving the generator finds is a real counterexample.
 """
 
+import json
+
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from rmaws.cli import _read_document, bundled_scenarios
 from rmaws.faultsim import (
     FaultSpec,
+    ScenarioInvalid,
     ScenarioSpec,
     SendSpec,
     ServiceProfile,
     check_invariants,
     run,
 )
+from rmaws.server.handlers import HandlerRegistry
+from rmaws.server.http import ServerConfig
 
 TRIALS = 4
 HTTP_TIMEOUT = 200
@@ -86,3 +92,57 @@ def test_invariants_hold_under_random_fault_mixes(scenario):
 @given(scenarios)
 def test_traces_are_deterministic(scenario):
     assert run(scenario).to_jsonl() == run(scenario).to_jsonl()
+
+
+# -- mistyped documents ----------------------------------------------------------
+
+JSON_VALUES = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+               | st.text(max_size=6) | st.lists(st.integers(), max_size=2)
+               | st.dictionaries(st.text(max_size=4), st.integers(), max_size=2))
+SCENARIOS = [json.loads(_read_document(name)) for name in bundled_scenarios()
+             if not name.endswith("_template")]
+CONFIG = {"bind": "127.0.0.1:0", "auth_token": "t", "cache_ttl_ms": 1_000,
+          "push_idle_timeout_ms": 300_000, "store_path": None,
+          "services": [{"name": "orders", "delay_ms": 5, "output_size": 64, "fail_times": 0}]}
+
+
+def _places(doc, path=()):
+    """The key path of every value in a JSON document, nested ones included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) \
+        if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _places(value, path + (key,))
+
+
+@st.composite
+def mistyped(draw, documents):
+    """One of ``documents`` with one value, at any depth, replaced by a
+    value of another JSON type (an integer and a fraction count as two)."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(documents))))
+    *parents, last = draw(st.sampled_from(list(_places(doc))))
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    old = holder[last]
+    holder[last] = draw(JSON_VALUES.filter(lambda new: type(new) is not type(old)))
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(mistyped(SCENARIOS))
+def test_a_mistyped_scenario_is_refused_or_runs(doc):
+    try:
+        spec = ScenarioSpec.from_dict(doc)
+    except ScenarioInvalid:
+        return
+    run(spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mistyped([CONFIG]))
+def test_a_mistyped_config_is_refused_or_serves(doc):
+    try:
+        HandlerRegistry.from_config(ServerConfig.from_dict(doc).services)
+    except ValueError:
+        pass

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -34,6 +36,12 @@ class TestMakeSynthetic:
     def test_bad_delay_ms_refused(self, delay):
         with pytest.raises(ValueError, match="delay_ms"):
             make_synthetic("svc", delay_ms=delay)
+
+    @pytest.mark.parametrize("name", [5, None, "", "a|b"])
+    def test_a_name_that_no_rid_can_hold_is_refused(self, name):
+        """Such a service was registered, and no request could name it."""
+        with pytest.raises(ValueError, match=re.escape(f"service {name!r}: name")):
+            make_synthetic(name)
 
 
 class TestFromConfig:

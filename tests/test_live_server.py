@@ -1,3 +1,4 @@
+import errno
 import http.client
 import itertools
 import os
@@ -22,6 +23,7 @@ from rmaws.envelope import (CHANNEL_HEADER, RID_HEADER, STATUS_HEADER, Channel, 
                             payload_digest)
 from rmaws.server.handlers import HandlerRegistry, ServiceHandler, make_synthetic
 from rmaws.server.http import RmawsRequestHandler
+from rmaws.server.store import AppendOnlyFileStore
 
 from conftest import TOKEN
 
@@ -891,6 +893,40 @@ def test_answer_before_a_reset_write_is_read(reused):
     assert (err.value.kind, err.value.detail, err.value.trials_used) == \
         ("Rejected", "TooLarge", 1)
     assert elapsed < 1.0
+
+
+def test_a_store_write_that_fails_strands_no_waiter(live_server, tmp_path, monkeypatch, caplog):
+    # A save that raised once escaped ``execute``: the executing thread died
+    # with a traceback, and the send attached to its key waited out its
+    # HTTP timeout and then its owed read.
+    def no_space(store, key, record):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(AppendOnlyFileStore, "save", no_space)
+    handler, calls = counting_handler("orders", delay_ms=200)
+    server = live_server(registry=HandlerRegistry().add(handler),
+                         store_path=str(tmp_path / "records.jsonl"))
+    clock = FrozenClock()
+    opts = SendOptions(http_timeout_ms=5_000)
+    outcomes = []
+
+    def send():
+        with make_client(server, clock=clock) as client:
+            outcomes.append(client.send("orders", b"p", opts))
+
+    first = threading.Thread(target=send)
+    first.start()
+    time.sleep(0.05)  # the first send's execution is running
+    started = time.monotonic()
+    send()
+    elapsed = time.monotonic() - started
+    first.join(timeout=10)
+    assert [o.body for o in outcomes] == [b"BODY", b"BODY"]
+    assert [o.channel for o in outcomes] == [Channel.HTTP, Channel.HTTP]
+    assert len(calls) == 1 and elapsed < 1.0
+    [entry] = [r for r in caplog.records if "lives only in memory" in r.getMessage()]
+    assert entry.levelname == "ERROR" and entry.exc_info is None
+    assert outcomes[0].rid.dedup_key in entry.getMessage()
 
 
 def answered_over_push(client, machine, step, deadline):

@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from rmaws.envelope import (Channel, RequestEnvelope, RequestId, ResponseStatus,
+from rmaws.envelope import (Channel, RequestEnvelope, ResponseStatus,
                             make_request_id, payload_digest)
 from rmaws.server import (
     AppendOnlyFileStore,
@@ -107,7 +107,6 @@ class TestReceiveExecute:
     request that must run, ``execute``."""
 
     @pytest.mark.parametrize("reason,env,token", [
-        ("BadId", RequestEnvelope(RequestId(envelope().rid.dedup_key + "000"), b"p"), TOKEN),
         ("UnknownService", envelope(service="nope"), TOKEN),
         ("Unauthorized", envelope(), "wrong"),
     ])

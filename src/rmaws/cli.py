@@ -158,8 +158,8 @@ def _load_template(path: str) -> tuple[ScenarioSpec, list]:
     raw = json.loads(_read_document(path))
     if not isinstance(raw, dict):
         raise ScenarioInvalid("template must be a JSON object")
+    raw_sites = raw.pop("fault_sites", [])
     template = ScenarioSpec.from_dict(raw)
-    raw_sites = raw.get("fault_sites", [])
     if not isinstance(raw_sites, list):
         raise ScenarioInvalid(f"fault_sites must be a list, got {raw_sites!r}")
     sites = []

@@ -42,6 +42,8 @@ DEDUP_KEY_WIDTH = DEVICE_WIDTH + TIMESTAMP_WIDTH + SERVICE_WIDTH  # 84
 # Where the service field and the forced flag start in a rid's text.
 _RID_SERVICE = DEVICE_WIDTH + TIMESTAMP_WIDTH  # 52
 _RID_FORCED = DEDUP_KEY_WIDTH + TRIAL_WIDTH  # 86
+# Device field, zero-padded timestamp, service field, zero-padded trial, forced.
+_RID_FORMAT = "%%s%%0%dd%%s%%0%dd%%s" % (TIMESTAMP_WIDTH, TRIAL_WIDTH)
 
 MAX_TRIAL = 99
 MAX_TIMESTAMP_MS = 10**TIMESTAMP_WIDTH - 1
@@ -275,6 +277,30 @@ def check_int(name: str, value, low: int = 0, high: int | None = None, error=Val
         raise error(f"{name} must be an integer {bound}, got {value!r}")
 
 
+def check_keys(where: str, raw: dict, known, error=ValueError) -> None:
+    """The one rule for a document's keys: each is one of ``known``. A
+    misspelt key would otherwise leave its field at the default without a
+    word. Raises ``error`` naming ``where`` and the unknown keys."""
+    unknown = sorted(repr(key) for key in raw if key not in known)
+    if unknown:
+        raise error(f"{where} has unknown key(s) {', '.join(unknown)}")
+
+
+def rid_fields(device_id: str, timestamp_ms: int, service_name: str,
+               trial: int = 1) -> tuple[str, str]:
+    """The owner of a rid's field rules: the device id and the service name
+    are text a rid can hold, the timestamp an integer in 0..MAX_TIMESTAMP_MS
+    and the trial one in 1..MAX_TRIAL. Gives the device and service fields
+    as the rid holds them, without building its text."""
+    check_int("trial", trial, 1, MAX_TRIAL, TrialOverflow)
+    check_int("timestamp_ms", timestamp_ms, 0, MAX_TIMESTAMP_MS, InvalidTimestamp)
+    if not isinstance(device_id, str):
+        raise InvalidDeviceId(f"device id {device_id!r} is not text")
+    if not isinstance(service_name, str):
+        raise InvalidServiceName(f"service name {service_name!r} is not text")
+    return device_field(device_id), service_field(service_name)
+
+
 def make_request_id(
     device_id: str,
     timestamp_ms: int,
@@ -282,18 +308,10 @@ def make_request_id(
     trial: int = 1,
     forced: bool = False,
 ) -> RequestId:
-    """Build a canonical RequestId. Deterministic for identical inputs. It
-    owns the rules of the fields: the device id and the service name are
-    text a rid can hold, the timestamp an integer in 0..MAX_TIMESTAMP_MS."""
-    check_int("trial", trial, 1, MAX_TRIAL, TrialOverflow)
-    check_int("timestamp_ms", timestamp_ms, 0, MAX_TIMESTAMP_MS, InvalidTimestamp)
-    if not isinstance(device_id, str):
-        raise InvalidDeviceId(f"device id {device_id!r} is not text")
-    if not isinstance(service_name, str):
-        raise InvalidServiceName(f"service name {service_name!r} is not text")
-    return RequestId("%s%0*d%s%0*d%d" % (device_field(device_id), TIMESTAMP_WIDTH, timestamp_ms,
-                                         service_field(service_name), TRIAL_WIDTH, trial,
-                                         bool(forced)))
+    """Build a canonical RequestId from fields that ``rid_fields`` accepts.
+    Deterministic for identical inputs."""
+    device, service = rid_fields(device_id, timestamp_ms, service_name, trial)
+    return RequestId(_RID_FORMAT % (device, timestamp_ms, service, trial, "1" if forced else "0"))
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,10 +15,12 @@ that agrees with an earlier run at every decision point that run reached
 (a drop check, or a step of a timed fault's instant; see ``tree``) gets
 that run's trace under its own name, and only the others run the
 simulator. The tree validates the template and the sites' faults once.
-Every scenario passes through ``run`` and ``check_invariants`` once,
-and is reported as before; the report also counts the simulator runs.
-The tree holds one trace per behaviour, about 10 KB each for that
-template, until the call returns.
+Every scenario still passes through ``run`` and ``check_invariants``
+once, and is reported as before; the report also counts the simulator
+runs. The traces of one behaviour share its verdict, so the invariant
+predicates run once per behaviour, on its first check (see
+``invariants.check_invariants``). The tree holds one trace per
+behaviour, about 10 KB each for that template, until the call returns.
 """
 
 from __future__ import annotations
@@ -129,6 +131,9 @@ def _orderings(timed: list[FaultSpec]):
     for fault in timed:
         groups.setdefault(fault.t, []).append(fault)
     instants = sorted(groups)
+    if len(instants) == len(timed):  # one fault per instant: one ordering
+        yield [groups[t][0] for t in instants]
+        return
     for combo in itertools.product(*(itertools.permutations(groups[t]) for t in instants)):
         ordered: list[FaultSpec] = []
         for chunk in combo:
@@ -148,16 +153,19 @@ def enumerate_and_check(
     report = InvariantReport(template=template.name,
                              site_labels=[site_label(s) for s in sites])
     tree = DecisionTree(template, [f for site in sites for f in site], break_dedup=break_dedup)
+    # Each site's drop faults and timed faults, split once for every mask.
+    split = [([f for f in site if f.kind in DROP_FAULT_KINDS],
+              [f for f in site if f.kind not in DROP_FAULT_KINDS]) for site in sites]
+    width = max(1, len(sites))
     for mask in range(1 << len(sites)):
-        enabled = [sites[i] for i in range(len(sites)) if mask >> i & 1]
-        enabled_labels = [report.site_labels[i] for i in range(len(sites)) if mask >> i & 1]
-        drops = [f for site in enabled for f in site if f.kind in DROP_FAULT_KINDS]
-        timed = [f for site in enabled for f in site if f.kind not in DROP_FAULT_KINDS]
+        enabled = [i for i in range(len(sites)) if mask >> i & 1]
+        drops = [f for i in enabled for f in split[i][0]]
+        timed = [f for i in enabled for f in split[i][1]]
         for ordering_index, ordered in enumerate(_orderings(timed)):
             # Shares the template's values as ``dataclasses.replace``
             # would, without its per-call look-up of the fields.
             scenario = ScenarioSpec(
-                name=f"{template.name}#{mask:0{max(1, len(sites))}b}.{ordering_index}",
+                name=f"{template.name}#{mask:0{width}b}.{ordering_index}",
                 end_time_ms=template.end_time_ms, auth_token=template.auth_token,
                 latency=template.latency, services=template.services, sends=template.sends,
                 faults=drops + ordered)
@@ -166,7 +174,7 @@ def enumerate_and_check(
             violations = check_invariants(trace)
             if violations:
                 report.findings.append(ScenarioFinding(
-                    sites=enabled_labels,
+                    sites=[report.site_labels[i] for i in enabled],
                     ordering=ordering_index,
                     violations=violations,
                     scenario=scenario.to_dict(),

@@ -26,6 +26,24 @@ class Violation:
 
 
 def check_invariants(trace: Trace) -> list[Violation]:
+    """The invariants that ``trace`` violates, as a new list on each call.
+
+    A trace with a ``verdict`` shares it with every trace of its behaviour
+    that a ``DecisionTree`` gives: the first check of any of them runs the
+    predicates and fills it, and each later one answers from it. That is
+    sound because those traces are read-only and differ only in
+    ``scenario_name``, which no predicate reads. A trace without one (a
+    plain run, a run that diverged, one built by hand or a
+    ``dataclasses.replace`` copy) is checked in full on every call."""
+    verdict = trace.verdict
+    if verdict is None:
+        return _violations(trace)
+    if verdict.violations is None:
+        verdict.violations = tuple(_violations(trace))
+    return list(verdict.violations)
+
+
+def _violations(trace: Trace) -> list[Violation]:
     violations: list[Violation] = []
     # A run cut off by the step cap ended early: its trace proves nothing,
     # and the predicates below would judge a scenario that never finished.

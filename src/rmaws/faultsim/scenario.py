@@ -9,11 +9,12 @@ closing an idle push connection.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from ..client import SendOptions
-from ..envelope import MAX_TRIAL, InvalidDeviceId, check_int, make_request_id
+from ..envelope import MAX_TRIAL, InvalidDeviceId, check_int, check_keys, rid_fields
 from ..server.handlers import make_synthetic
 
 # Drop faults target one send's attempts; timed faults act on a client at
@@ -67,10 +68,22 @@ class FaultSpec:
     client: str | None = None  # for the timed kinds
 
 
-def _validate_send(spec: SendSpec, end_time_ms: int) -> None:
+# Every scenario of an enumeration sends with the template's options, so
+# they are made once per process, for the validation and the run alike.
+# Typed, so that ``True`` and ``1`` are not one entry: ``SendOptions``
+# refuses a forced flag of 1 and accepts True.
+@functools.lru_cache(maxsize=256, typed=True)
+def send_options(http_timeout_ms: int, push_wait_ms: int, max_trials: int, forced: bool,
+                 auth_token: str) -> SendOptions:
+    return SendOptions(http_timeout_ms=http_timeout_ms, push_wait_ms=push_wait_ms,
+                       max_trials=max_trials, forced=forced, auth_token=auth_token)
+
+
+def _validate_send(spec: SendSpec, scenario: "ScenarioSpec") -> None:
     """Refuse a send that its run would fail on or misread, by building its
-    options and first rid as the run does; ``ValueError`` names the field."""
-    check_int("t", spec.t, 0, end_time_ms)
+    options as the run does and checking its first rid's fields;
+    ``ValueError`` names the field."""
+    check_int("t", spec.t, 0, scenario.end_time_ms)
     check_int("payload_size", spec.payload_size)
     if spec.payload_hex is not None:
         try:
@@ -79,12 +92,16 @@ def _validate_send(spec: SendSpec, end_time_ms: int) -> None:
             raise ValueError("payload_hex is not hex") from None
     if not isinstance(spec.client, str):
         raise ValueError(f"client {spec.client!r} is not text")
-    SendOptions(spec.http_timeout_ms, spec.push_wait_ms, spec.max_trials, spec.forced)
+    try:
+        send_options(spec.http_timeout_ms, spec.push_wait_ms, spec.max_trials, spec.forced,
+                     scenario.auth_token)
+    except TypeError:  # a value the cache cannot hash, which SendOptions names
+        SendOptions(spec.http_timeout_ms, spec.push_wait_ms, spec.max_trials, spec.forced)
     name, device = ("client", spec.client) if spec.device_id is None \
         else ("device_id", spec.device_id)
     try:
-        make_request_id(device, spec.t if spec.timestamp_ms is None else spec.timestamp_ms,
-                        spec.service, forced=spec.forced)
+        rid_fields(device, spec.t if spec.timestamp_ms is None else spec.timestamp_ms,
+                   spec.service)
     except InvalidDeviceId as exc:
         raise ValueError(f"{name} {device!r} cannot be a rid's device id: {exc}") from None
 
@@ -109,7 +126,7 @@ class ScenarioSpec:
     def validate(self) -> None:
         """Refuse a scenario that a run could not carry out or would misread.
         A rule's owner checks its fields: ``make_synthetic`` a service,
-        ``SendOptions`` and ``make_request_id`` a send. A ``DecisionTree``
+        ``SendOptions`` and ``rid_fields`` a send. A ``DecisionTree``
         runs this once for its template, not once per scenario."""
         for key in ("name", "auth_token"):
             if not isinstance(getattr(self, key), str):
@@ -130,7 +147,7 @@ class ScenarioSpec:
             raise ScenarioInvalid("duplicate service profiles")
         for index, spec in enumerate(self.sends):
             try:
-                _validate_send(spec, self.end_time_ms)
+                _validate_send(spec, self)
             except ValueError as exc:
                 raise ScenarioInvalid(f"send {index}: {exc}") from None
             if spec.service not in known:
@@ -172,6 +189,9 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioSpec":
+        """Build and validate a scenario document; any key that is not one
+        of the fields raises ``ScenarioInvalid`` naming it."""
+        check_keys("the scenario", raw, {f.name for f in fields(cls)}, ScenarioInvalid)
         try:
             spec = cls(
                 name=raw.get("name", "scenario"),

@@ -31,9 +31,11 @@ skips each that would change nothing now (``SimWorld._fault_acts``).
 ``run(scenario, tree=tree)`` answers a scenario that agrees with an
 earlier run of the tree at every decision that run reached with that
 run's trace, under the scenario's own name, and simulates any other (see
-``tree``). A run that hits ``MAX_STEPS`` is never shared: its scenario
-gets the trace of a plain run. A plain ``run(scenario)`` is a run whose
-tree holds only the scenario's own faults and is dropped after it.
+``tree``); the traces of one behaviour share one ``Trace.verdict``. A
+run that hits ``MAX_STEPS`` is never shared: its scenario gets the trace
+of a plain run. A plain ``run(scenario)`` is a run whose tree holds only
+the scenario's own faults and is dropped after it; its trace has no
+verdict to share.
 """
 
 from __future__ import annotations
@@ -47,15 +49,14 @@ from ..client import (
     RegisterPush,
     SendHttp,
     SendMachine,
-    SendOptions,
     TimestampAllocator,
 )
 from ..envelope import ResponseEnvelope, decode_request, encode_request
 from ..push import Heard, PushSession, PushWaits
 from ..server.core import ServerCore, ValidationError
 from ..server.handlers import HandlerRegistry, make_synthetic, synthetic_body
-from .scenario import ScenarioSpec
-from .trace import Trace, TraceRecorder, body_digest
+from .scenario import ScenarioSpec, send_options
+from .trace import Trace, TraceRecorder, Verdict, body_digest
 from .tree import DecisionTree, Path
 
 # An event names a status or a channel by its enum member's ``_value_``:
@@ -66,19 +67,13 @@ from .tree import DecisionTree, Path
 MAX_STEPS = 1_000_000
 
 # Every scenario of an enumeration sends the template's payloads alike, so
-# what they give (the handler's bodies, their digests, a send's options) is
-# made once per process. Each is a pure function of its arguments, and its
-# value is immutable: nothing carries over from one run to the next. A
-# handler's count of scripted failures stays each run's own.
+# what they give (the handler's bodies and their digests; a send's options,
+# see ``scenario.send_options``) is made once per process. Each is a pure
+# function of its arguments, and its value is immutable: nothing carries
+# over from one run to the next. A handler's count of scripted failures
+# stays each run's own.
 _synthetic_body = functools.lru_cache(maxsize=256)(synthetic_body)
 _body_digest = functools.lru_cache(maxsize=256)(body_digest)
-
-
-@functools.lru_cache(maxsize=256)
-def _send_options(http_timeout_ms: int, push_wait_ms: int, max_trials: int, forced: bool,
-                  auth_token: str) -> SendOptions:
-    return SendOptions(http_timeout_ms=http_timeout_ms, push_wait_ms=push_wait_ms,
-                       max_trials=max_trials, forced=forced, auth_token=auth_token)
 
 
 class SimExchange:
@@ -240,8 +235,8 @@ class SimWorld:
         payload = spec.payload(send.index)
         stamp = (spec.timestamp_ms if spec.timestamp_ms is not None
                  else self.timestamps.allocate(device, self.now))
-        opts = _send_options(spec.http_timeout_ms, spec.push_wait_ms, spec.max_trials,
-                             spec.forced, self.scenario.auth_token)
+        opts = send_options(spec.http_timeout_ms, spec.push_wait_ms, spec.max_trials,
+                            spec.forced, self.scenario.auth_token)
         send.machine = SendMachine(spec.service, payload, opts, device, stamp)
         key = send.machine.key
         if spec.forced:
@@ -578,7 +573,10 @@ def run(scenario: ScenarioSpec, *, break_dedup: bool = False,
     trace = _simulate(SimWorld(scenario, break_dedup=break_dedup, path=path))
     if trace.diverged:
         tree.runs += 1
-        trace = _simulate(SimWorld(scenario, break_dedup=break_dedup))
+        return _simulate(SimWorld(scenario, break_dedup=break_dedup))
+    # The tree keeps this trace for its behaviour: every scenario it
+    # answers with it shares its verdict.
+    trace.verdict = Verdict()
     return trace
 
 

@@ -36,6 +36,16 @@ class TraceRecorder:
         self.events.append(fields)
 
 
+class Verdict:
+    """The violations that one behaviour's traces show, or None until the
+    first of them is checked; see ``invariants.check_invariants``."""
+
+    __slots__ = ("violations",)
+
+    def __init__(self):
+        self.violations: tuple | None = None
+
+
 @dataclass
 class Trace:
     """Everything a run produced. ``to_jsonl`` is byte-deterministic for a
@@ -63,11 +73,15 @@ class Trace:
     # True when the run hit the simulator's step cap with events still due
     # inside the scenario window: the trace then ends early.
     diverged: bool = field(default=False, repr=False)
+    # Set on a trace that a ``DecisionTree`` keeps, and shared by every
+    # trace of its behaviour; None checks the trace in full on each call.
+    # Not an ``__init__`` argument, so ``dataclasses.replace`` drops it.
+    verdict: Verdict | None = field(default=None, init=False, repr=False, compare=False)
 
     def renamed(self, scenario_name: str) -> "Trace":
         """This trace under another scenario's name, sharing every other
-        value with it. Copying the instance's fields skips the dataclass
-        constructor, which checks nothing here."""
+        value with it, its ``verdict`` too. Copying the instance's fields
+        skips the dataclass constructor, which checks nothing here."""
         trace = object.__new__(Trace)
         trace.__dict__.update(self.__dict__)
         trace.scenario_name = scenario_name

@@ -26,8 +26,10 @@ Languages using VeriSoft", POPL 1997).
 
 Traces of one behaviour share their events and summary values, and a
 run keeps the events that it emitted before it left an earlier run's
-path as that run's: every trace a tree gives is read-only. The tree
-holds one trace per behaviour, about 10 KB each for
+path as that run's: every trace a tree gives is read-only. They share
+its ``Trace.verdict`` too, which ``sim.run`` gives the trace it keeps,
+so the behaviour's invariants are checked once. The tree holds one
+trace per behaviour, about 10 KB each for
 ``perfbench/faults_template.json``, until it is dropped. A run that
 diverges (hits ``sim.MAX_STEPS``) leaves no trace in the tree.
 """

@@ -110,12 +110,15 @@ class PushSession:
 
     def close(self) -> None:
         """Send the transport's close and drop the connection's
-        registrations; a second call does nothing."""
+        registrations; a second call does nothing. The close is sent under
+        the lock, so a second call returns only once it is out: the
+        connection thread, which closes the socket after its own call,
+        cannot close it under the close that stop() is writing."""
         with self._closing:
             if not self.open:
                 return
             self.open = False
-        self.conn.send_close()
+            self.conn.send_close()
         self.core.conn_closed(self)
 
 

@@ -18,7 +18,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..envelope import InvalidServiceName, check_int, service_field
+from ..envelope import SERVICE_WIDTH, InvalidServiceName, check_int, check_keys, service_field
 
 
 class HandlerFailure(Exception):
@@ -57,15 +57,20 @@ def make_synthetic(
     payloads over and over as the simulator does, a cached one.
 
     It owns a service profile's rules, for the config and the simulator:
-    the name is text a rid can hold, ``delay_ms``, ``fail_times`` and any
-    ``output_size`` integers of at least 0; else ``ValueError`` names it."""
+    the name is text a rid can hold, in the form a rid carries it (the
+    registry keys the handler by the name, a request by its rid's),
+    ``delay_ms``, ``fail_times`` and any ``output_size`` integers of at
+    least 0; else ``ValueError`` names it."""
     where = f"service {name!r}"
     if not isinstance(name, str):
         raise ValueError(f"{where}: name must be text")
     try:
-        service_field(name)
+        carried = service_field(name).rstrip()
     except InvalidServiceName as exc:
         raise ValueError(f"{where}: name: {exc}") from None
+    if carried != name:
+        raise ValueError(f"{where}: name: a rid carries it as {carried!r}: it must have no "
+                         f"surrounding spaces and at most {SERVICE_WIDTH} characters")
     if output_size is not None:
         check_int(f"{where}: output_size", output_size)
     check_int(f"{where}: delay_ms", delay_ms)
@@ -81,6 +86,9 @@ def make_synthetic(
         return body(name, payload, output_size)
 
     return ServiceHandler(name=name, fn=fn, delay_ms=delay_ms)
+
+
+_ROW_KEYS = ("name", "delay_ms", "output_size", "fail_times")
 
 
 @dataclass
@@ -100,12 +108,13 @@ class HandlerRegistry:
     @classmethod
     def from_config(cls, services: list[dict]) -> "HandlerRegistry":
         """Build a registry from config rows: name, delay_ms, output_size,
-        fail_times. A row that is not an object with a ``name`` raises
-        ``ValueError`` naming its index."""
+        fail_times. A row that is not an object with a ``name``, or that has
+        another key, raises ``ValueError`` naming its index."""
         reg = cls()
         for index, row in enumerate(services):
             if not isinstance(row, dict) or "name" not in row:
                 raise ValueError(f"services[{index}] must be an object with a \"name\"")
+            check_keys(f"services[{index}]", row, _ROW_KEYS)
             reg.add(make_synthetic(
                 row["name"],
                 output_size=row.get("output_size"),

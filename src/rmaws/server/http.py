@@ -64,6 +64,7 @@ from ..envelope import (
     ResponseEnvelope,
     ResponseStatus,
     check_int,
+    check_keys,
     decode_request,
 )
 from ..push import PushSession
@@ -92,6 +93,8 @@ DISCARD_BODY_S = 1.0
 ACCEPT_REST_S = 0.1
 _ACCEPT_EXHAUSTED = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM})
 SERVER_NAME = "rmaws/0.1"
+# The config keys that are fields as they are; ``bind`` is host and port.
+_CONFIG_KEYS = ("auth_token", "cache_ttl_ms", "push_idle_timeout_ms", "store_path", "services")
 
 
 @dataclass
@@ -123,9 +126,10 @@ class ServerConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ServerConfig":
-        fields = {name: raw[name] for name in ("auth_token", "cache_ttl_ms",
-                                               "push_idle_timeout_ms", "store_path",
-                                               "services") if name in raw}
+        """Build it from a config document; a key it does not read raises
+        ``ValueError`` naming it."""
+        check_keys("the config", raw, ("bind",) + _CONFIG_KEYS)
+        fields = {name: raw[name] for name in _CONFIG_KEYS if name in raw}
         if "bind" in raw:
             fields["bind_host"], fields["bind_port"] = _bind(raw["bind"])
         return cls(**fields)

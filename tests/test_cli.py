@@ -129,6 +129,23 @@ class TestEnumerate:
         # the report command can render it back
         assert run_cli("report", str(out)) == 0
 
+    def test_every_finding_replays_through_sim(self, tmp_path, capsys):
+        """A finding's scenario is a document ``rmaws sim`` takes as it is:
+        it has no key that the scenario reader refuses."""
+        out = tmp_path / "report.json"
+        assert run_cli("enumerate", "atmostonce_template", "--out", str(out),
+                       "--break-dedup") == 1
+        findings = json.loads(out.read_text())["findings"]
+        assert findings
+        for index, finding in enumerate(findings):
+            path = tmp_path / f"finding{index}.json"
+            path.write_text(json.dumps(finding["scenario"]))
+            capsys.readouterr()
+            assert run_cli("sim", str(path), "--out", str(tmp_path / "t.jsonl"),
+                           "--break-dedup") == 1
+            err = capsys.readouterr().err
+            assert all(v["kind"] in err for v in finding["violations"])
+
     def test_missing_template(self, tmp_path):
         assert run_cli("enumerate", "nope", "--out", str(tmp_path / "r")) == 2
 
@@ -159,9 +176,13 @@ class TestEnumerate:
     ({"faults": [{"kind": "drop_request", "send": 0, "trial": "1"}]}, "trial must be"),
     ({"faults": [{"kind": "drop_request", "send": "0"}]}, "valid send index"),
     ({"services": [{"name": 5}], "sends": [{"t": 1, "service": "svc"}]}, "service 5: name"),
+    ({"services": [{"name": "svc "}], "sends": [{"t": 1, "service": "svc "}]},
+     "service 'svc ': name"),
+    ({"end_time": 5_000}, "unknown key(s) 'end_time'"),
 ], ids=["max_trials", "http_timeout_ms", "push_wait_ms", "payload_hex", "client",
         "device_id", "service_name", "latency", "t-text", "payload_size-text", "forced-text",
-        "auth_token-int", "fault-trial-text", "fault-send-text", "service_name-int"])
+        "auth_token-int", "fault-trial-text", "fault-send-text", "service_name-int",
+        "service_name-spaced", "unknown-key"])
 def test_a_scenario_that_a_run_refuses_exits_two(tmp_path, capsys, command, change, named):
     """Each of these passed validation and then ended the command with a
     traceback, or ran it with the field misread or ignored."""
@@ -220,6 +241,11 @@ class TestServeConfig:
         ({"name": "orders", "delay_ms": -5}, "delay_ms"),
         ({"output_size": 5}, "services[0]"),
         ({"name": 5}, "service 5: name"),
+        # A rid carries these names stripped or cut, so no request could
+        # reach them; an unknown key would be ignored.
+        ({"name": "orders "}, "service 'orders ': name"),
+        ({"name": "o" * 40}, f"service {'o' * 40!r}: name"),
+        ({"name": "orders", "delay": 500}, "services[0] has unknown key(s) 'delay'"),
     ])
     def test_bad_service_row_exits_two_with_one_line(self, tmp_path, row, named):
         cfg = tmp_path / "cfg.json"
@@ -239,6 +265,7 @@ class TestServeConfig:
         ({"bind": "127.0.0.1:99999"}, {}, "bind_port"),
         ({}, {"RMAWS_BIND": "127.0.0.1:99999"}, "bind_port"),
         ({"services": 5}, {}, "services must be a list"),
+        ({"cache_ttl": 5}, {}, "the config has unknown key(s) 'cache_ttl'"),
     ])
     def test_bad_server_setting_exits_two_with_one_line(self, tmp_path, fields, env, named):
         cfg = tmp_path / "cfg.json"

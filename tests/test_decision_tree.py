@@ -12,6 +12,7 @@ import trace_digest  # noqa: F401  (puts perfbench on the path)
 from workloads import load_template
 
 import rmaws.faultsim.enumeration as enumeration
+import rmaws.faultsim.invariants as invariants
 import rmaws.faultsim.sim as sim
 from rmaws.cli import _load_template
 from rmaws.faultsim import (
@@ -37,12 +38,16 @@ def enumerate_recording(template, sites, **kwargs):
     def run(scenario, **kw):
         calls["run"] += 1
         trace = real_run(scenario, **kw)
-        seen.append((scenario, trace))
+        seen.append((scenario, trace, None))
         return trace
 
     def check(trace):
         calls["check"] += 1
-        return real_check(trace)
+        violations = real_check(trace)
+        scenario, run_trace, _ = seen[-1]
+        assert run_trace is trace
+        seen[-1] = (scenario, trace, violations)
+        return violations
 
     def world_run(world):
         calls["world"] += 1
@@ -57,9 +62,25 @@ def enumerate_recording(template, sites, **kwargs):
 
 
 def assert_plain(seen, break_dedup):
-    for scenario, trace in seen:
-        assert trace.to_jsonl() == sim.run(scenario, break_dedup=break_dedup).to_jsonl(), \
-            scenario.name
+    """Each scenario's trace, and the verdict that the enumeration's check
+    gave it, are those of a fresh plain run of the scenario."""
+    for scenario, trace, violations in seen:
+        plain = sim.run(scenario, break_dedup=break_dedup)
+        assert trace.to_jsonl() == plain.to_jsonl(), scenario.name
+        assert violations == invariants.check_invariants(plain), scenario.name
+
+
+def count_predicates(patch):
+    """Count the runs of the invariant predicates from now on."""
+    calls = []
+    real = invariants._violations
+
+    def counting(trace):
+        calls.append(trace.scenario_name)
+        return real(trace)
+
+    patch.setattr(invariants, "_violations", counting)
+    return calls
 
 
 def faults_template():
@@ -82,9 +103,25 @@ def test_every_trace_is_its_plain_run(load, scenarios, runs, break_dedup):
     assert calls == {"run": scenarios, "check": scenarios, "world": runs}
     assert report.simulator_runs == runs
     assert report.to_dict()["simulator_runs"] == runs
-    assert len({scenario.name for scenario, _ in seen}) == scenarios
-    assert all(trace.scenario_name == scenario.name for scenario, trace in seen)
+    assert len({scenario.name for scenario, _, _ in seen}) == scenarios
+    assert all(trace.scenario_name == scenario.name for scenario, trace, _ in seen)
     assert_plain(seen, break_dedup)
+
+
+@pytest.mark.parametrize("break_dedup", [False, True], ids=["dedup", "break-dedup"])
+@pytest.mark.parametrize("load, runs", [
+    (faults_template, 65),
+    (atmostonce_template, 7),
+], ids=["faults_template", "atmostonce_template"])
+def test_the_predicates_run_once_per_behaviour(monkeypatch, load, runs, break_dedup):
+    """Every scenario still passes through the check, and the scenarios of
+    one behaviour share the verdict of its first."""
+    template, sites = load()
+    predicates = count_predicates(monkeypatch)
+    report, seen, calls = enumerate_recording(template, sites, break_dedup=break_dedup)
+    assert calls["check"] == report.total_scenarios > runs
+    assert len(predicates) == runs
+    assert len({id(trace.verdict) for _, trace, _ in seen}) == runs
 
 
 @pytest.mark.parametrize("max_steps", [3, 10])
@@ -95,11 +132,15 @@ def test_a_diverged_run_is_never_shared(monkeypatch, max_steps):
     half do."""
     monkeypatch.setattr(sim, "MAX_STEPS", max_steps)
     template, sites = atmostonce_template()
+    predicates = count_predicates(monkeypatch)
     report, seen, calls = enumerate_recording(template, sites)
-    assert any(trace.diverged for _, trace in seen)
+    assert any(trace.diverged for _, trace, _ in seen)
+    assert all(trace.verdict is None for _, trace, _ in seen if trace.diverged)
     if max_steps == 3:
-        assert all(trace.diverged for _, trace in seen)
+        assert all(trace.diverged for _, trace, _ in seen)
         assert report.simulator_runs == calls["world"] == 2 * report.total_scenarios
+        # A diverged run's trace shares no verdict: each is checked in full.
+        assert len(predicates) == report.total_scenarios
     assert_plain(seen, False)
 
 
@@ -138,6 +179,39 @@ class TestTheTreeAnswersOnlyItsOwnScenarios:
     def test_a_fault_outside_the_sites_is_refused(self, fault):
         with pytest.raises(ScenarioInvalid, match="not one of the tree's"):
             sim.run(self.scenario(faults=[fault]), tree=self.tree)
+
+    def test_two_checks_of_one_behaviour_give_distinct_lists(self):
+        tree = DecisionTree(self.template, self.faults, break_dedup=True)
+        offline_window = self.faults[2:4]
+        first, second = (sim.run(self.scenario(faults=offline_window), tree=tree,
+                                 break_dedup=True) for _ in range(2))
+        assert second.verdict is first.verdict is not None
+        violations = invariants.check_invariants(first)
+        assert [v.kind for v in violations] == ["AtMostOnceViolated"]
+        expected = list(violations)
+        violations.clear()
+        again = invariants.check_invariants(second)
+        assert again == expected and again is not violations
+        assert invariants.check_invariants(first) == expected
+
+    def test_a_changed_copy_of_a_tree_trace_is_judged_afresh(self):
+        """``dataclasses.replace`` drops the verdict: a copy with one event
+        changed (a completion under a key no response reached) is checked in
+        full, and the tree's own trace keeps its verdict."""
+        trace = sim.run(self.scenario(faults=self.faults[:1]), tree=self.tree)
+        assert trace.verdict is not None and invariants.check_invariants(trace) == []
+        at = next(i for i, e in enumerate(trace.events)
+                  if e["kind"] == "server_record_completed")
+        events = list(trace.events)
+        events[at] = dict(events[at], key="ghost")
+        copy = dataclasses.replace(trace, events=events)
+        assert copy.verdict is None
+        assert [v.kind for v in invariants.check_invariants(copy)] == \
+            ["ResponseConservationViolated"]
+        assert invariants.check_invariants(trace) == []
+
+    def test_a_plain_run_shares_no_verdict(self):
+        assert sim.run(self.scenario(faults=self.faults[:1])).verdict is None
 
     def test_another_dedup_mode_is_refused(self):
         with pytest.raises(ScenarioInvalid):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 import rmaws.faultsim.enumeration as enumeration
+import rmaws.faultsim.scenario as scenario_module
 import rmaws.faultsim.sim as sim
 from rmaws.faultsim import (
     FaultSpec,
@@ -295,7 +296,7 @@ def test_a_warm_enumeration_repeats_every_cold_trace(monkeypatch):
                         http_timeout_ms=200, push_wait_ms=300, max_trials=3, forced=True)],
     )
     sites = standard_sites() + [FaultSpec(kind="drop_http_response", send=1, trial=1)]
-    for cache in (sim._synthetic_body, sim._body_digest, sim._send_options):
+    for cache in (sim._synthetic_body, sim._body_digest, scenario_module.send_options):
         cache.cache_clear()
     traces = []
     real_run = enumeration.run

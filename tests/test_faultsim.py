@@ -1,4 +1,5 @@
 import pathlib
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ from rmaws.faultsim import (
     check_invariants,
     run,
 )
+import rmaws.faultsim.scenario
 import rmaws.faultsim.sim
 from rmaws.faultsim.invariants import SIMULATION_DIVERGED
 from rmaws.server.handlers import synthetic_body
@@ -281,6 +283,38 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioInvalid, match=r"service 'a\|b': name"):
             scenario([one_send(service="a|b")],
                      services=[ServiceProfile(name="a|b")]).validate()
+
+    @pytest.mark.parametrize("name", ["svc ", "s" * 40])
+    def test_a_service_name_a_rid_carries_in_another_form(self, name):
+        with pytest.raises(ScenarioInvalid, match=re.escape(f"service {name!r}: name")):
+            scenario([one_send(service=name)], services=[ServiceProfile(name=name)]).validate()
+
+    def test_an_unknown_scenario_key_is_refused(self):
+        """``end_time`` was ignored: the run kept the 60 s default."""
+        doc = dict(scenario([one_send()]).to_dict(), end_time=5_000)
+        with pytest.raises(ScenarioInvalid, match=re.escape("unknown key(s) 'end_time'")):
+            ScenarioSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("send, named", [
+        ({"forced": 1}, "send 0: forced"),
+        ({"max_trials": True}, "send 0: max_trials"),
+        ({"http_timeout_ms": [200]}, "send 0: http_timeout_ms"),
+    ], ids=["forced-one", "max_trials-true", "http_timeout_ms-list"])
+    def test_the_options_cache_keeps_each_type_apart(self, send, named):
+        """The options that validation builds are cached by type: once the
+        valid twin (``forced`` True, ``max_trials`` 1) is cached, 1 and True
+        are still refused; a list, which no cache can hold, is too."""
+        valid = {"forced": True, "max_trials": 1, "http_timeout_ms": 200}
+        scenario([one_send(**valid)]).validate()
+        with pytest.raises(ScenarioInvalid, match=named):
+            scenario([one_send(**dict(valid, **send))]).validate()
+
+    def test_a_plain_run_builds_each_send_s_options_once(self):
+        rmaws.faultsim.scenario.send_options.cache_clear()
+        spec = scenario([one_send(), one_send(t=200, client="c2")])
+        assert check_invariants(run(spec)) == []
+        info = rmaws.faultsim.scenario.send_options.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
 
     @pytest.mark.parametrize("value", [5.5, "5", True, None])
     def test_a_latency_that_is_not_an_integer(self, value):

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from rmaws.envelope import make_request_id
 from rmaws.server.handlers import HandlerRegistry, make_synthetic, synthetic_body
+from rmaws.server.http import ServerConfig
 
 
 class TestSyntheticBody:
@@ -56,3 +58,34 @@ class TestFromConfig:
         assert (reg.get("a").delay_ms, reg.get("b").delay_ms) == (7, 0)
         with pytest.raises(ValueError, match="delay_ms"):
             HandlerRegistry.from_config([{"name": "a", "delay_ms": -5}])
+
+    @pytest.mark.parametrize("name", ["orders ", " orders", "o" * 40])
+    def test_a_name_a_rid_carries_in_another_form_is_refused(self, name):
+        """The registry keyed the handler by the name and each rid carried
+        it stripped or cut, so every request got UnknownService."""
+        assert make_request_id("d", 1, name).service != name
+        with pytest.raises(ValueError, match=re.escape(f"service {name!r}: name")):
+            HandlerRegistry.from_config([{"name": name}])
+
+    def test_a_name_at_the_field_width_is_taken(self):
+        name = "o" * 32
+        assert HandlerRegistry.from_config([{"name": name}]).get(
+            make_request_id("d", 1, name).service).name == name
+
+    def test_an_unknown_key_in_a_row_is_refused(self):
+        """``delay`` was ignored: the service ran with ``delay_ms`` 0."""
+        with pytest.raises(ValueError, match=re.escape("services[1] has unknown key(s) 'delay'")):
+            HandlerRegistry.from_config([{"name": "a"}, {"name": "orders", "delay": 500}])
+
+
+class TestServerConfig:
+    def test_an_unknown_key_is_refused(self):
+        """``cache_ttl`` was ignored: the cache kept the 24 h default."""
+        with pytest.raises(ValueError, match=re.escape("unknown key(s) 'cache_ttl'")):
+            ServerConfig.from_dict({"cache_ttl": 5})
+
+    def test_every_known_key_is_taken(self):
+        config = ServerConfig.from_dict({
+            "bind": "127.0.0.1:0", "auth_token": "t", "cache_ttl_ms": 5,
+            "push_idle_timeout_ms": 7, "store_path": None, "services": []})
+        assert (config.cache_ttl_ms, config.push_idle_timeout_ms) == (5, 7)

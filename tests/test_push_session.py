@@ -2,6 +2,8 @@
 every way a connection ends closes the transport once and drops the
 connection's registrations, and a closed session writes nothing."""
 
+import threading
+
 import pytest
 
 from rmaws.envelope import (
@@ -108,3 +110,31 @@ def test_bad_token_is_acked_before_the_close(opened):
     session.on_message(register(ts=2, token="wrong"))
     assert conn.log[1:] == [(FrameKind.REGISTER_ACK, "UA"), CLOSE]
 
+
+
+def test_a_second_close_returns_only_once_the_close_is_out(opened):
+    """A server's stop() closes the session while its connection thread may
+    close it too and then close the socket: that second call must not
+    return while the first is still writing the WebSocket close."""
+    core, conn, session = opened
+    writing, release = threading.Event(), threading.Event()
+    send_close = conn.send_close
+
+    def slow_send_close():
+        writing.set()
+        release.wait(timeout=5.0)
+        send_close()
+
+    conn.send_close = slow_send_close
+    first = threading.Thread(target=session.close)
+    first.start()
+    assert writing.wait(timeout=5.0)
+    second = threading.Thread(target=session.close)
+    second.start()
+    second.join(timeout=0.2)
+    assert second.is_alive()
+    release.set()
+    for thread in (first, second):
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+    assert conn.log.count(CLOSE) == 1

@@ -14,6 +14,11 @@ prints the same values before and after it.
 ``push_write`` event's ``bytes`` and the summary's ``wire.push_bytes``
 set to 0. A change that alters only the size of a push frame keeps it.
 
+``sha256_verdicts`` hashes, in the same order, each scenario's name and
+the kind and detail of each violation that ``enumeration.check_invariants``
+returns for its trace. A change to how the checker reaches its verdicts,
+and not to what they are, keeps it.
+
     PYTHONPATH=src python tests/trace_digest.py
 
 ``tests/test_trace_digest.py`` compares these lines with
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import os
 import random
 import sys
@@ -48,8 +54,9 @@ def fingerprint() -> list[str]:
     template, sites = load_template(random.Random(42))
     digest = hashlib.sha256()
     digest_sans_push_sizes = hashlib.sha256()
+    digest_verdicts = hashlib.sha256()
     runs = 0
-    real_run = enumeration.run
+    real_run, real_check = enumeration.run, enumeration.check_invariants
 
     def hashing_run(scenario, **kwargs):
         nonlocal runs
@@ -59,15 +66,22 @@ def fingerprint() -> list[str]:
         runs += 1
         return trace
 
-    enumeration.run = hashing_run
+    def hashing_check(trace):
+        violations = real_check(trace)
+        verdict = [trace.scenario_name, [[v.kind, v.detail] for v in violations]]
+        digest_verdicts.update((json.dumps(verdict) + "\n").encode("utf-8"))
+        return violations
+
+    enumeration.run, enumeration.check_invariants = hashing_run, hashing_check
     try:
         findings = sum(len(enumeration.enumerate_and_check(template, sites,
                                                            break_dedup=broken).findings)
                        for broken in (False, True))
     finally:
-        enumeration.run = real_run
+        enumeration.run, enumeration.check_invariants = real_run, real_check
     return [f"runs {runs}", f"findings {findings}", f"sha256 {digest.hexdigest()}",
-            f"sha256_sans_push_sizes {digest_sans_push_sizes.hexdigest()}"]
+            f"sha256_sans_push_sizes {digest_sans_push_sizes.hexdigest()}",
+            f"sha256_verdicts {digest_verdicts.hexdigest()}"]
 
 
 def main() -> None:

@@ -28,14 +28,15 @@ A run reads its faults only through its ``tree.Path``: at each drop
 check, and at each step of an instant of its tree's timed faults, where
 one event applies the scenario's faults at that instant in order and
 skips each that would change nothing now (``SimWorld._fault_acts``).
-``run(scenario, tree=tree)`` answers a scenario that agrees with an
-earlier run of the tree at every decision that run reached with that
-run's trace, under the scenario's own name, and simulates any other (see
-``tree``); the traces of one behaviour share one ``Trace.verdict``. A
-run that hits ``MAX_STEPS`` is never shared: its scenario gets the trace
-of a plain run. A plain ``run(scenario)`` is a run whose tree holds only
-the scenario's own faults and is dropped after it; its trace has no
-verdict to share.
+``run(scenario, tree=tree)`` asks the tree once (``DecisionTree.answer``):
+a scenario that agrees with an earlier run of the tree at every decision
+that run reached gets that run's trace, under its own name, in one walk
+of the tree; any other gets the ``Path`` that it is simulated through
+(see ``tree``). The traces of one behaviour share one ``Trace.verdict``.
+A run that hits ``MAX_STEPS`` is never shared: its scenario gets the
+trace of a plain run. A plain ``run(scenario)`` is a run whose tree
+holds only the scenario's own faults and is dropped after it; its trace
+has no verdict to share.
 """
 
 from __future__ import annotations
@@ -141,9 +142,9 @@ class SimWorld:
                  path: Path | None = None):
         """``path`` is the scenario's way through a tree shared by many
         runs; without it, the run has a tree of the scenario's own."""
-        if path is None:
+        if path is None:  # an empty tree answers every scenario with a path
             path = DecisionTree(scenario, scenario.faults,
-                                break_dedup=break_dedup).path(scenario, break_dedup)
+                                break_dedup=break_dedup).answer(scenario, break_dedup)
         self.scenario = scenario
         self.now = 0
         self._heap: list = []
@@ -562,15 +563,15 @@ def run(scenario: ScenarioSpec, *, break_dedup: bool = False,
 
     With ``tree``, a scenario that agrees with an earlier run of the tree
     at every decision that run reached gets that run's trace under its
-    own name; any other is simulated, and its run joins the tree."""
+    own name, from one walk of the tree; any other is simulated through
+    the path that the tree gives, and its run joins the tree."""
     if tree is None:
         return _simulate(SimWorld(scenario, break_dedup=break_dedup))
-    path = tree.path(scenario, break_dedup)
-    trace = path.lookup()
-    if trace is not None:
-        return trace.renamed(scenario.name)
+    answer = tree.answer(scenario, break_dedup)
+    if not isinstance(answer, Path):
+        return answer
     tree.runs += 1
-    trace = _simulate(SimWorld(scenario, break_dedup=break_dedup, path=path))
+    trace = _simulate(SimWorld(scenario, break_dedup=break_dedup, path=answer))
     if trace.diverged:
         tree.runs += 1
         return _simulate(SimWorld(scenario, break_dedup=break_dedup))

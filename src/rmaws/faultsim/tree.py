@@ -16,13 +16,18 @@ Everything else in a run is set by the scenario's template. So two
 scenarios that give the same answers at every decision a run reached
 have the same trace. A ``DecisionTree`` holds, for one template and one
 set of faults, each decision that its runs reached and the trace where
-each run ended. ``sim.run(scenario, tree=tree)`` answers a scenario that
-agrees with an earlier run at every decision that run reached with that
-run's trace, under the scenario's own name. It simulates any other
-scenario, and that run's ``Path`` adds its decisions and its trace to
-the tree. An enumeration therefore simulates each behaviour once, the
-idea of stateless search (Godefroid, "Model Checking for Programming
-Languages using VeriSoft", POPL 1997).
+each run ended. It codes each of its faults once: a drop fault is a bit,
+so a scenario's drops are one mask, and a timed fault is its index at
+its instant. ``DecisionTree.answer`` codes a scenario's faults in one
+pass and walks the tree once. A drop node holds the bits that answer it
+yes (its attempt's trial, and every trial), so the walk takes it with
+one ``&``; a step's node is taken inline, by ``Path.pick``'s rule. A
+scenario that agrees with an earlier run at every decision that run
+reached gets that run's trace, under the scenario's own name. Any other
+gets the ``Path`` that its run records through, which adds the run's
+decisions and its trace to the tree. An enumeration therefore simulates
+each behaviour once, the idea of stateless search (Godefroid, "Model
+Checking for Programming Languages using VeriSoft", POPL 1997).
 
 Traces of one behaviour share their events and summary values, and a
 run keeps the events that it emitted before it left an earlier run's
@@ -41,49 +46,20 @@ from .trace import Trace
 
 
 class Node:
-    """A place in a run: the decision taken there, as the ``Choices``
-    method that answers it and its arguments, and the node each answer
-    leads to; or, where the run ended, its trace. A node with neither was
-    reached by a run that diverged there. ``events`` are those of the
-    first run that took the decision: every run here emitted the same
-    ones before it. ``args``, ``children`` and ``events`` are set with
-    ``ask``."""
+    """A place in a run: the decision taken there and the node each answer
+    leads to; or, where the run ended, its trace. A drop check's node holds
+    ``bits``, those of the tree's drop faults that answer it yes; a step's
+    node holds ``step``, its instant and which of the instant's faults
+    would act. A node with neither children nor a trace was reached by a
+    run that diverged there. ``events`` are those of the first run that
+    took the decision: every run here emitted the same ones before it.
+    ``bits``, ``step``, ``events`` and ``children`` are set together."""
 
-    __slots__ = ("ask", "args", "children", "trace", "events")
+    __slots__ = ("bits", "step", "children", "trace", "events")
 
     def __init__(self):
-        self.ask = None
+        self.children: dict | None = None
         self.trace: Trace | None = None
-
-
-class Choices:
-    """One scenario's answers to a tree's decisions."""
-
-    __slots__ = ("drops", "timed", "taken")
-
-    def __init__(self, drops: set, timed: dict):
-        self.drops = drops  # (kind, send, trial) of each drop fault
-        self.timed = timed  # instant -> indices of its faults in the tree, in order
-        self.taken: dict = {}  # instant -> how many of its faults are applied or skipped
-
-    def dropped(self, kind: str, send_index: int, trial: int) -> bool:
-        """A drop fault's trial of None drops every trial."""
-        drops = self.drops
-        return (kind, send_index, trial) in drops or (kind, send_index, None) in drops
-
-    def pick(self, t, acting: tuple) -> int:
-        """The index of the next of the scenario's faults at ``t`` that
-        would act, or -1 when none is left."""
-        mine = self.timed.get(t, ())
-        i = self.taken.get(t, 0)
-        while i < len(mine):
-            index = mine[i]
-            i += 1
-            if acting[index]:
-                self.taken[t] = i
-                return index
-        self.taken[t] = i
-        return -1
 
 
 class DecisionTree:
@@ -94,10 +70,10 @@ class DecisionTree:
     from ``faults``, simulated with its ``break_dedup``. ``instants`` maps
     each instant of its timed faults, in ascending time, to the distinct
     faults at it. ``runs`` counts the simulator runs made for it. It
-    validates its template and faults once, so a scenario that ``path``
+    validates its template and faults once, so a scenario that ``answer``
     accepts, made of them, needs no validation of its own."""
 
-    __slots__ = ("template", "break_dedup", "drops", "_index", "instants", "root", "runs")
+    __slots__ = ("template", "break_dedup", "_index", "instants", "root", "runs")
 
     def __init__(self, template: ScenarioSpec, faults, *, break_dedup: bool = False):
         template.validate()
@@ -105,13 +81,13 @@ class DecisionTree:
             template.validate_fault(f)
         self.template = template
         self.break_dedup = break_dedup
-        self.drops = set()
         instants: dict = {}
-        self._index: dict = {}  # (t, kind, client) -> index at t; a drop's key -> None
+        # A drop's (kind, send, trial) -> a bit of its own; a timed
+        # fault's (t, kind, client) -> its index at t.
+        self._index: dict = {}
         for f in faults:
             if f.kind in DROP_FAULT_KINDS:
-                self.drops.add((f.kind, f.send, f.trial))
-                self._index[f.kind, f.send, f.trial] = None
+                self._index.setdefault((f.kind, f.send, f.trial), 1 << len(self._index))
             elif (f.t, f.kind, f.client) not in self._index:
                 at = instants.setdefault(f.t, [])
                 self._index[f.t, f.kind, f.client] = len(at)
@@ -120,9 +96,11 @@ class DecisionTree:
         self.root = Node()
         self.runs = 0
 
-    def path(self, scenario: ScenarioSpec, break_dedup: bool) -> "Path":
-        """Give ``scenario``'s path through the tree; raise ``ScenarioInvalid``
-        unless it is of the template, with faults of the tree's in time order."""
+    def answer(self, scenario: ScenarioSpec, break_dedup: bool) -> "Trace | Path":
+        """The trace of the earlier run whose decisions ``scenario`` agrees
+        with, under its name; else the ``Path`` to simulate it through.
+        Raise ``ScenarioInvalid`` unless it is of the template, with faults
+        of the tree's in time order."""
         t = self.template
         if break_dedup != self.break_dedup or scenario is not t and not (
                 scenario.end_time_ms == t.end_time_ms and scenario.auth_token == t.auth_token
@@ -130,54 +108,61 @@ class DecisionTree:
                 and (scenario.services is t.services or scenario.services == t.services)
                 and (scenario.sends is t.sends or scenario.sends == t.sends)):
             raise ScenarioInvalid(f"scenario {scenario.name!r} is not of the tree's template")
-        drops = set()
-        timed: dict = {}
+        index = self._index
+        mask = 0
+        timed: dict = {}  # instant -> indices of the scenario's faults at it, in order
         last_t = 0
         for f in scenario.faults:
             drop = f.kind in DROP_FAULT_KINDS
-            key = (f.kind, f.send, f.trial) if drop else (f.t, f.kind, f.client)
-            if key not in self._index:
+            code = index.get((f.kind, f.send, f.trial) if drop else (f.t, f.kind, f.client))
+            if code is None:
                 t.validate_fault(f)  # names what is wrong with an invalid fault
                 raise ScenarioInvalid(f"fault {f} is not one of the tree's")
-            index = self._index[key]
             if drop:
-                drops.add(key)
+                mask |= code
             elif f.t < last_t:
                 raise ScenarioInvalid("timed faults must be sorted by time")
             else:
                 last_t = f.t
-                timed.setdefault(f.t, []).append(index)
-        return Path(self, Choices(drops, timed))
+                timed.setdefault(f.t, []).append(code)
+        node = self.root
+        taken: dict = {}
+        while node.children is not None:
+            if node.bits is not None:
+                node = node.children.get((mask & node.bits) != 0)
+            else:  # Path.pick's rule
+                at, acting = node.step
+                mine = timed.get(at, ())
+                i = taken.get(at, 0)
+                while i < len(mine) and not acting[mine[i]]:
+                    i += 1
+                taken[at] = i + 1
+                node = node.children.get(mine[i] if i < len(mine) else -1)
+            if node is None:
+                return Path(self, mask, timed)
+        if node.trace is None:
+            return Path(self, mask, timed)
+        return node.trace.renamed(scenario.name)
 
 
 class Path:
-    """One scenario's way through a tree. ``lookup`` follows the tree's
-    recorded decisions with the scenario's answers. A run that ``begin``
-    starts takes each decision it reaches through ``dropped`` and
-    ``pick``, which record it, so the tree gains the nodes it lacks;
-    ``events`` is that run's event list, as it grows."""
+    """One scenario's way through a tree, for a run that records it:
+    ``mask`` and ``timed`` are the scenario's faults as ``answer`` coded
+    them. A run that ``begin`` starts takes each decision it reaches
+    through ``dropped`` and ``pick``, which record it, so the tree gains
+    the nodes it lacks; ``events`` is that run's event list, as it grows."""
 
-    __slots__ = ("tree", "choices", "events", "node", "branch")
+    __slots__ = ("tree", "mask", "timed", "taken", "events", "node", "branch")
 
-    def __init__(self, tree: DecisionTree, choices: Choices):
+    def __init__(self, tree: DecisionTree, mask: int, timed: dict):
         self.tree = tree
-        self.choices = choices
-
-    def lookup(self) -> Trace | None:
-        """The trace of the earlier run whose decisions the scenario's
-        answers agree with, or None when no run has made them yet."""
-        node = self.tree.root
-        choices = self.choices
-        while node.ask is not None:
-            node = node.children.get(node.ask(choices, *node.args))
-            if node is None:
-                return None
-        return node.trace
+        self.mask = mask
+        self.timed = timed
 
     def begin(self, events: list) -> None:
         """Follow the tree from its root, for a run whose event list is
         ``events``."""
-        self.choices.taken.clear()
+        self.taken: dict = {}  # instant -> how many of its faults are applied or skipped
         self.events = events
         self.node = self.tree.root
         # An earlier run's events, and how many of them this run emitted
@@ -185,31 +170,34 @@ class Path:
         self.branch: tuple[list, int] | None = None
 
     def dropped(self, kind: str, send_index: int, trial: int) -> bool:
-        """Whether the scenario drops this attempt."""
-        drops = self.tree.drops
-        if not drops or ((kind, send_index, trial) not in drops
-                         and (kind, send_index, None) not in drops):
-            return False
-        return self._take(Choices.dropped, (kind, send_index, trial),
-                          self.choices.dropped(kind, send_index, trial))
+        """Whether the scenario drops this attempt: a drop fault's trial of
+        None drops every trial."""
+        index = self.tree._index
+        bits = index.get((kind, send_index, trial), 0) | index.get((kind, send_index, None), 0)
+        return bits != 0 and self._take(bits, None, (self.mask & bits) != 0)
 
     def pick(self, t, acting: tuple) -> int:
-        """The index in ``tree.instants[t]`` of the fault to apply next,
-        where ``acting`` says which of them would act now; -1 ends the
-        instant."""
+        """The index in ``tree.instants[t]`` of the scenario's next fault
+        at ``t`` that would act, where ``acting`` says which of them would
+        act now; -1 ends the instant."""
         if True not in acting:
             return -1
-        return self._take(Choices.pick, (t, acting), self.choices.pick(t, acting))
+        mine = self.timed.get(t, ())
+        i = self.taken.get(t, 0)
+        while i < len(mine) and not acting[mine[i]]:
+            i += 1
+        self.taken[t] = i + 1
+        return self._take(None, (t, acting), mine[i] if i < len(mine) else -1)
 
-    def _take(self, ask, args: tuple, answer):
-        """Record that ``ask(choices, *args)`` answered ``answer`` here,
-        and move to that answer's node."""
+    def _take(self, bits: int | None, step: tuple | None, answer):
+        """Record that the decision of ``bits`` or ``step`` answered
+        ``answer`` here, and move to that answer's node."""
         node = self.node
-        if node.ask is None:
+        if node.children is None:
             if node.trace is not None:
                 raise RuntimeError("a run went on where an earlier one ended")
-            node.ask, node.args, node.events, node.children = ask, args, self.events, {}
-        elif node.ask is not ask or node.args != args:
+            node.bits, node.step, node.events, node.children = bits, step, self.events, {}
+        elif node.bits != bits or node.step != step:
             raise RuntimeError("a run reached another decision than an earlier one")
         child = node.children.get(answer)
         if child is None:
@@ -221,7 +209,7 @@ class Path:
 
     def end(self, trace: Trace, diverged: bool) -> None:
         """The run ended with ``trace``; a diverged one is not kept."""
-        if self.node.ask is not None:
+        if self.node.children is not None:
             raise RuntimeError("a run ended where an earlier one went on")
         if not diverged:
             self.node.trace = trace

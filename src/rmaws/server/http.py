@@ -319,9 +319,12 @@ class RmawsServer:
             return True
 
     def _end_request(self) -> None:
-        with self._idle:
+        """Uncount a request; the last one wakes a stop() that drains. No
+        wake is lost: stop() sets ``_stopping`` before it waits under the
+        lock."""
+        with self._active_lock:
             self._active -= 1
-            if self._active == 0:
+            if self._active == 0 and self._stopping:
                 self._idle.notify_all()
 
     def fixed_fields(self) -> bytes:

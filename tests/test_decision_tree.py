@@ -2,7 +2,10 @@
 the one a plain ``run`` of it gives, byte for byte."""
 
 import dataclasses
+import inspect
 import random
+import re
+import sys
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -15,6 +18,7 @@ import rmaws.faultsim.enumeration as enumeration
 import rmaws.faultsim.invariants as invariants
 import rmaws.faultsim.sim as sim
 from rmaws.cli import _load_template
+from rmaws.client import SendMachine
 from rmaws.faultsim import (
     FaultSpec,
     ScenarioInvalid,
@@ -25,6 +29,7 @@ from rmaws.faultsim import (
     enumerate_and_check,
 )
 from rmaws.faultsim.tree import DecisionTree
+from rmaws.server.core import ServerCore
 
 
 def enumerate_recording(template, sites, **kwargs):
@@ -144,6 +149,75 @@ def test_a_diverged_run_is_never_shared(monkeypatch, max_steps):
     assert_plain(seen, False)
 
 
+# Python-level calls that answering a seen scenario may make: ``sim.run``,
+# ``DecisionTree.answer`` and ``Trace.renamed``. A count of calls is the
+# same on every host, where wall time is not.
+ANSWER_CALLS = 3
+
+
+@pytest.mark.parametrize("load", [faults_template, atmostonce_template],
+                         ids=["faults_template", "atmostonce_template"])
+def test_a_seen_scenario_is_answered_in_one_walk(load):
+    template, sites = load()
+    _, seen, _ = enumerate_recording(template, sites)
+    tree = DecisionTree(template, [f for site in sites for f in site])
+    for scenario, _, _ in seen:
+        sim.run(scenario, tree=tree)
+    runs = tree.runs
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        for scenario, _, _ in seen:
+            sim.run(scenario, tree=tree)
+    finally:
+        sys.setprofile(None)
+    assert tree.runs == runs
+    assert calls <= ANSWER_CALLS * len(seen)
+
+
+# What the enumerations of the two templates reach of the server core and
+# the client: every kind that ``ServerCore`` emits and every ``SendMachine``
+# transition, except these. A change that loses reach fails here; one that
+# gains reach (ROADMAP item 15) shrinks the lists.
+UNREACHED_CORE_EVENTS = [
+    "attach_wait", "cache_expired", "identity_conflict", "presence_consumed",
+    "push_delivered", "push_register_denied", "push_register_duplicate",
+    "push_write_failed", "record_failed", "validation_failed",
+]
+UNREACHED_TRANSITIONS = ["on_http_transport_error", "on_push_lost"]
+
+
+def test_the_oracle_reaches_what_it_reached(monkeypatch):
+    kinds = set(re.findall(r'self\.emit\("(\w+)"', inspect.getsource(ServerCore)))
+    transitions = {name for name in vars(SendMachine)
+                   if name == "start" or name.startswith("on_")}
+    reached = set()
+    real_emit = ServerCore.emit
+
+    def emit(core, kind, **fields):
+        reached.add(kind)
+        return real_emit(core, kind, **fields)
+
+    def reaching(name, method):
+        def transition(*args, **kwargs):
+            reached.add(name)
+            return method(*args, **kwargs)
+        return transition
+
+    monkeypatch.setattr(ServerCore, "emit", emit)
+    for name in transitions:
+        monkeypatch.setattr(SendMachine, name, reaching(name, getattr(SendMachine, name)))
+    for load in (faults_template, atmostonce_template):
+        enumerate_and_check(*load())
+    assert sorted(kinds - reached) == UNREACHED_CORE_EVENTS
+    assert sorted(transitions - reached) == UNREACHED_TRANSITIONS
+
+
 class TestTheTreeAnswersOnlyItsOwnScenarios:
     def setup_method(self):
         self.template, self.sites = atmostonce_template()
@@ -158,6 +232,21 @@ class TestTheTreeAnswersOnlyItsOwnScenarios:
         trace = sim.run(self.scenario(faults=self.faults[:1]), tree=self.tree)
         assert self.tree.runs == 1
         assert trace.to_jsonl() == sim.run(self.scenario(faults=self.faults[:1])).to_jsonl()
+
+    def test_an_equal_copy_is_answered_the_same(self):
+        """A scenario rebuilt from its document holds equal but distinct
+        faults: the tree codes faults by value, so it answers the copy from
+        the earlier run, byte for byte."""
+        _, seen, _ = enumerate_recording(self.template, self.sites)
+        for scenario, _, _ in seen:
+            sim.run(scenario, tree=self.tree)
+        runs = self.tree.runs
+        for scenario, trace, _ in seen:
+            copy = ScenarioSpec.from_dict(scenario.to_dict())
+            assert copy.faults == scenario.faults
+            assert not any(a is b for a, b in zip(copy.faults, scenario.faults))
+            assert sim.run(copy, tree=self.tree).to_jsonl() == trace.to_jsonl()
+        assert self.tree.runs == runs
 
     @pytest.mark.parametrize("changes", [
         {"end_time_ms": 30_000},

@@ -362,6 +362,22 @@ def test_graceful_stop_drains_inflight_delivery(live_server):
         http.client.HTTPConnection(*server.address, timeout=0.5).request("GET", "/healthz")
 
 
+def test_a_request_that_ends_outside_a_stop_wakes_no_one(live_server):
+    """Ending a request takes the lock and nothing more until stop() has
+    begun: no condition is entered and no one is notified."""
+    server = live_server([{"name": "echo"}])
+    assert server._begin_request()
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code.co_name)
+                   if event == "call" else None)
+    try:
+        server._end_request()
+    finally:
+        sys.setprofile(None)
+    assert calls == ["_end_request"]
+    assert server._active == 0
+
+
 def test_refused_connection_is_transport_error():
     client = Client("127.0.0.1", 9, auth_token=TOKEN)  # discard port, nothing listens
     with pytest.raises(ClientError) as err:
